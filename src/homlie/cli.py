@@ -19,7 +19,7 @@ import argparse
 import json
 import sys
 
-from .cochain import ComplexDescriptor, coboundary, cohomology_dims
+from .cochain import ComplexDescriptor, coboundary, cohomology_table
 from .deformation import (
     extend_order,
     formal_deformation_check,
@@ -128,18 +128,23 @@ def _cmd_cohomology(args):
         top = desc.source_dim
     if top < 0:
         raise SchemaError("--max-arity must be non-negative")
-    table = []
-    for n in range(top + 1):
-        dims = cohomology_dims(desc, n)
-        table.append({
-            "arity": n,
-            "cochains": dims.dim_cochains,
-            "cocycles": dims.dim_cocycles,
-            "coboundaries": dims.dim_coboundaries,
-            "h": dims.dim_h,
-        })
-    data = {"complex": "operator" if args.operator else "representation",
-            "regular": desc.is_regular, "table": table}
+    kind = "operator" if args.operator else "representation"
+    # delta squares to zero only on valid structures; refuse a table that
+    # would report dimensions of something that is not a complex.
+    algebra_report = verify_hom_lie(rep.algebra)
+    rep_report = verify_representation(rep)
+    if not (algebra_report.ok and rep_report.ok):
+        data = {"complex": kind, "hom_lie": algebra_report.ok,
+                "representation": rep_report.ok}
+        return False, data, algebra_report.failures + rep_report.failures
+    table = [{
+        "arity": dims.arity,
+        "cochains": dims.dim_cochains,
+        "cocycles": dims.dim_cocycles,
+        "coboundaries": dims.dim_coboundaries,
+        "h": dims.dim_h,
+    } for dims in cohomology_table(desc, top)]
+    data = {"complex": kind, "regular": desc.is_regular, "table": table}
     return True, data, ()
 
 

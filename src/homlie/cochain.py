@@ -18,6 +18,17 @@ with values in a module V, and cochains on the sub-adjacent algebra of
 an O-operator with values back in g.  A ComplexDescriptor packages one
 such direction as (source algebra, coefficient representation).
 
+delta_n (n >= 1) has a single implementation: it is assembled once per
+(complex, arity) as a sparse column map on flat coordinates.  One walk
+over the increasing (n+1)-tuples emits every entry; the rho-term uses
+the d matrices rho(alpha^{n-1} e_i), and the bracket term expands
+[e_a, e_b] and the alpha columns as sparse vectors, signing each wedge
+monomial with sort_with_sign.  coboundary applies that map to one
+cochain, coboundary_matrix is its dense form, and cohomology_table
+restricts it to the compatible basis once per arity, so every rank of a
+table is computed exactly once.  When both twists are diagonal the
+compatible basis is read off directly as unit cochains.
+
 For regular structures the complex extends to degree zero: C^0 is the
 fixed-point space of the coefficient twist and
 
@@ -28,6 +39,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
+from math import prod
 
 from .alternating import increasing_tuples, sort_with_sign, wedge_coords
 from .linalg import (
@@ -223,16 +236,39 @@ class ComplexDescriptor:
         return Cochain.zero(arity, self.source_dim, self.target_dim)
 
 
+def _diagonal(m: Matrix) -> list | None:
+    """The diagonal entries of m, or None if m has an off-diagonal nonzero."""
+    for i, row in enumerate(m.rows):
+        if any(e != 0 for j, e in enumerate(row) if j != i):
+            return None
+    return [m.rows[i][i] for i in range(m.nrows)]
+
+
 def compatible_maps_basis(sigma: Matrix, tau: Matrix, arity: int) -> list:
     """Canonical basis of the alternating maps f with f . sigma^n = tau . f.
 
     Solves the linear system f(sigma e_I) = tau(f(e_I)) over the flat
     coordinates; the deterministic kernel basis makes the result stable.
+    When sigma and tau are both diagonal the system is diagonal, and its
+    kernel basis is the unit cochains e_I (x) v_t with
+    prod_{i in I} sigma_ii = tau_tt, in flat order.
     """
     sd, td = sigma.nrows, tau.nrows
     tuples = increasing_tuples(sd, arity)
     if not tuples:
         return []
+    sigma_diag, tau_diag = _diagonal(sigma), _diagonal(tau)
+    if sigma_diag is not None and tau_diag is not None:
+        zeros = (vzero(td),) * len(tuples)
+        units = [basis_vector(td, t) for t in range(td)]
+        basis = []
+        for p, indices in enumerate(tuples):
+            weight = prod((sigma_diag[i] for i in indices), start=Q(1))
+            for t in range(td):
+                if weight == tau_diag[t]:
+                    values = zeros[:p] + (units[t],) + zeros[p + 1:]
+                    basis.append(Cochain(arity, sd, td, values))
+        return basis
     columns_of_sigma = [sigma.column(i) for i in range(sd)]
     nflat = len(tuples) * td
     rows = []
@@ -279,64 +315,118 @@ def zero_coboundary(desc: ComplexDescriptor, w: Vector) -> Cochain:
     return Cochain(1, desc.source_dim, desc.target_dim, values)
 
 
+def _flat_size(desc: ComplexDescriptor, arity: int) -> int:
+    return len(increasing_tuples(desc.source_dim, arity)) * desc.target_dim
+
+
+def _sparse_entries(vector: Vector) -> list:
+    return [(k, c) for k, c in enumerate(vector) if c != 0]
+
+
+def _coboundary_columns(desc: ComplexDescriptor, arity: int) -> list:
+    """delta_arity (arity >= 1) as a sparse column map.
+
+    Entry k is a {flat row: coefficient} dict of the nonzero entries of
+    column k, in the flat coordinates of Cochain.to_flat on both sides.
+    Row (I, t) of delta f collects
+
+        sum_pos (-1)^pos rho(alpha^{n-1} e_{i_pos})_{t,u} f_u(I - i_pos)
+        + sum_{p<q} (-1)^{p+q} f_t([e_{i_p}, e_{i_q}], alpha e_..., ...),
+
+    and the second argument list is expanded into wedge monomials.
+    """
+    g, n, td = desc.source, arity, desc.target_dim
+    col_position = _tuple_positions(g.dim, n)
+    actor = g.alpha_power(n - 1)
+    acting = []
+    for i in range(g.dim):
+        m = desc.coeff.rho_of(actor.column(i))
+        acting.append([(t, u, c) for t in range(td)
+                       for u, c in _sparse_entries(m.row(t))])
+    alpha_columns = [_sparse_entries(g.alpha.column(k)) for k in range(g.dim)]
+    brackets = {(i, j): _sparse_entries(g.bracket_basis(i, j))
+                for i, j in combinations(range(g.dim), 2)}
+    columns = [{} for _ in range(len(col_position) * td)]
+
+    def emit(row, col, c):
+        column = columns[col]
+        column[row] = column.get(row, 0) + c
+
+    for r, indices in enumerate(increasing_tuples(g.dim, n + 1)):
+        base = r * td
+        for pos, i in enumerate(indices):
+            rest = col_position[indices[:pos] + indices[pos + 1:]] * td
+            sign = 1 if pos % 2 == 0 else -1
+            for t, u, c in acting[i]:
+                emit(base + t, rest + u, sign * c)
+        for p, q in combinations(range(n + 1), 2):
+            sign = 1 if (p + q) % 2 == 0 else -1
+            terms = {(a,): sign * c
+                     for a, c in brackets[(indices[p], indices[q])]}
+            for k in indices:
+                if not terms:
+                    break
+                if k == indices[p] or k == indices[q]:
+                    continue
+                expanded = {}
+                for monomial, c in terms.items():
+                    for b, entry in alpha_columns[k]:
+                        ordered = sort_with_sign(monomial + (b,))
+                        if ordered is not None:
+                            key, s = ordered
+                            expanded[key] = (expanded.get(key, 0)
+                                             + s * c * entry)
+                terms = expanded
+            for monomial, c in terms.items():
+                if c != 0:
+                    col = col_position[monomial] * td
+                    for t in range(td):
+                        emit(base + t, col + t, c)
+    return [{row: c for row, c in column.items() if c != 0}
+            for column in columns]
+
+
+def _apply_columns(columns: list, flat: Vector, nrows: int) -> list:
+    """The flat image of a flat vector under a sparse column map."""
+    out = [Q(0)] * nrows
+    for x, column in zip(flat, columns, strict=True):
+        if x != 0:
+            for row, c in column.items():
+                out[row] += c * x
+    return out
+
+
 def coboundary(desc: ComplexDescriptor, f: Cochain) -> Cochain:
     """The coboundary of f; arity-0 inputs route through delta_0."""
     if (f.source_dim, f.target_dim) != (desc.source_dim, desc.target_dim):
         raise ValueError("cochain does not live on this complex")
     if f.arity == 0:
         return zero_coboundary(desc, f.values[0])
-    g = desc.source
     n = f.arity
-    alpha_nm1 = g.alpha_power(n - 1)
-    alpha_cols = [g.alpha.column(i) for i in range(g.dim)]
-    values = []
-    for indices in increasing_tuples(g.dim, n + 1):
-        total = vzero(desc.target_dim)
-        for pos in range(n + 1):
-            rest = indices[:pos] + indices[pos + 1:]
-            inner = f.coeff(rest)
-            if is_zero_vector(inner):
-                continue
-            actor = alpha_nm1.column(indices[pos])
-            term = desc.coeff.act(actor, inner)
-            total = vadd(total, term if pos % 2 == 0 else vscale(-1, term))
-        for pi in range(n + 1):
-            for pj in range(pi + 1, n + 1):
-                bracket = g.bracket_basis(indices[pi], indices[pj])
-                if is_zero_vector(bracket):
-                    continue
-                args = [bracket] + [
-                    alpha_cols[indices[k]]
-                    for k in range(n + 1) if k != pi and k != pj
-                ]
-                term = f.evaluate(args)
-                total = vadd(total,
-                             term if (pi + pj) % 2 == 0 else vscale(-1, term))
-        values.append(total)
-    return Cochain(n + 1, g.dim, desc.target_dim, tuple(values))
+    image = _apply_columns(_coboundary_columns(desc, n), f.to_flat(),
+                           _flat_size(desc, n + 1))
+    return Cochain.from_flat(n + 1, desc.source_dim, desc.target_dim, image)
 
 
-@lru_cache(maxsize=None)
 def coboundary_matrix(desc: ComplexDescriptor, arity: int) -> Matrix:
     """Matrix of the coboundary on full flat coordinates (arity >= 1)."""
     if arity < 1:
         raise ValueError("the matrix form starts at arity 1")
-    sd, td = desc.source_dim, desc.target_dim
-    ncols = len(increasing_tuples(sd, arity)) * td
-    nrows = len(increasing_tuples(sd, arity + 1)) * td
-    columns = []
-    for k in range(ncols):
-        unit = Cochain.from_flat(arity, sd, td, basis_vector(ncols, k))
-        columns.append(coboundary(desc, unit).to_flat())
-    return Matrix.from_columns(columns, nrows=nrows)
+    nrows = _flat_size(desc, arity + 1)
+    dense = []
+    for column in _coboundary_columns(desc, arity):
+        entries = [Q(0)] * nrows
+        for row, c in column.items():
+            entries[row] = c
+        dense.append(entries)
+    return Matrix.from_columns(dense, nrows=nrows)
 
 
 def compatible_inclusion(desc: ComplexDescriptor, arity: int) -> Matrix:
     """Columns are the flat coordinates of the compatible basis."""
-    sd, td = desc.source_dim, desc.target_dim
-    nrows = len(increasing_tuples(sd, arity)) * td
     basis = compatible_subspace_basis(desc, arity)
-    return Matrix.from_columns([b.to_flat() for b in basis], nrows=nrows)
+    return Matrix.from_columns([b.to_flat() for b in basis],
+                               nrows=_flat_size(desc, arity))
 
 
 @dataclass(frozen=True)
@@ -352,15 +442,28 @@ class CohomologyDims:
 
 
 def _restricted_rank(desc: ComplexDescriptor, arity: int) -> tuple:
-    """(number of compatible basis cochains, rank of delta on them)."""
-    basis = compatible_subspace_basis(desc, arity)
-    if not basis:
-        return 0, 0
-    images = [coboundary(desc, b).to_flat() for b in basis]
-    height = len(images[0])
-    if height == 0:
+    """(number of compatible basis cochains, rank of delta on them).
+
+    Degree zero counts only for a regular descriptor; otherwise the
+    complex starts at arity 1 and this returns (0, 0).
+    """
+    if arity == 0:
+        if not desc.is_regular:
+            return 0, 0
+        basis = compatible_subspace_basis(desc, 0)
+        images = [zero_coboundary(desc, b.values[0]).to_flat() for b in basis]
+    else:
+        basis = compatible_subspace_basis(desc, arity)
+        if not basis:
+            return 0, 0
+        columns = _coboundary_columns(desc, arity)
+        nrows = _flat_size(desc, arity + 1)
+        images = [_apply_columns(columns, b.to_flat(), nrows) for b in basis]
+    # Zero images add nothing to the rank; cocycles in the basis are common.
+    images = [image for image in images if any(c != 0 for c in image)]
+    if not images:
         return len(basis), 0
-    return len(basis), Matrix.from_columns(images, nrows=height).rank()
+    return len(basis), Matrix.from_columns(images).rank()
 
 
 def cohomology_dims(desc: ComplexDescriptor, arity: int) -> CohomologyDims:
@@ -373,30 +476,23 @@ def cohomology_dims(desc: ComplexDescriptor, arity: int) -> CohomologyDims:
     """
     if arity < 0:
         raise ValueError("negative arity")
-    extended = desc.is_regular
-    if arity == 0:
-        if not extended:
-            return CohomologyDims(0, 0, 0, 0)
-        basis = compatible_subspace_basis(desc, 0)
-        count = len(basis)
-        if count == 0:
-            return CohomologyDims(0, 0, 0, 0)
-        images = [coboundary(desc, b).to_flat() for b in basis]
-        rank = Matrix.from_columns(images, nrows=len(images[0])).rank()
-        return CohomologyDims(0, count, count - rank, 0)
-    count, rank_out = _restricted_rank(desc, arity)
-    cocycles = count - rank_out
-    if arity == 1:
-        if extended:
-            basis0 = compatible_subspace_basis(desc, 0)
-            if basis0:
-                images = [coboundary(desc, b).to_flat() for b in basis0]
-                boundaries = Matrix.from_columns(
-                    images, nrows=len(images[0])).rank()
-            else:
-                boundaries = 0
-        else:
-            boundaries = 0
-    else:
-        _, boundaries = _restricted_rank(desc, arity - 1)
-    return CohomologyDims(arity, count, cocycles, boundaries)
+    count, rank = _restricted_rank(desc, arity)
+    boundaries = _restricted_rank(desc, arity - 1)[1] if arity > 0 else 0
+    return CohomologyDims(arity, count, count - rank, boundaries)
+
+
+def cohomology_table(desc: ComplexDescriptor, top: int) -> list:
+    """cohomology_dims(desc, n) for n = 0, ..., top in one pass.
+
+    The compatible basis and the restricted rank of each arity are
+    computed once and shared by the rows n and n + 1 that need them.
+    """
+    if top < 0:
+        raise ValueError("negative arity")
+    table = []
+    boundaries = 0
+    for n in range(top + 1):
+        count, rank = _restricted_rank(desc, n)
+        table.append(CohomologyDims(n, count, count - rank, boundaries))
+        boundaries = rank
+    return table

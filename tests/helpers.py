@@ -9,7 +9,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from homlie.linalg import Matrix
+from homlie.alternating import increasing_tuples, wedge_coords
+from homlie.cochain import Cochain
+from homlie.linalg import (
+    Matrix,
+    Q,
+    basis_vector,
+    is_zero_vector,
+    vadd,
+    vscale,
+    vzero,
+)
 
 DENOMS = (1, 1, 1, 2, 3)
 
@@ -143,3 +153,82 @@ def rep_tables(rep):
     beta_rows = [list(row) for row in rep.beta.rows]
     rho_list = [[list(row) for row in m.rows] for m in rep.rho]
     return beta_rows, rho_list
+
+
+# ---------------------------------------------------------------------------
+# Pointwise oracles for the cochain layer.
+#
+# These are the straightforward implementations the library used before
+# its coboundary became a sparse once-per-arity assembly and before the
+# compatible basis got its diagonal shortcut.  They evaluate every term
+# through Cochain.evaluate (wedge coordinates, one determinant per index
+# set), so they share no assembly code with the library.
+
+
+def oracle_coboundary(desc, f):
+    """delta f (arity >= 1) by evaluating the defining formula pointwise."""
+    g = desc.source
+    n = f.arity
+    alpha_nm1 = g.alpha_power(n - 1)
+    alpha_cols = [g.alpha.column(i) for i in range(g.dim)]
+    values = []
+    for indices in increasing_tuples(g.dim, n + 1):
+        total = vzero(desc.target_dim)
+        for pos in range(n + 1):
+            rest = indices[:pos] + indices[pos + 1:]
+            inner = f.coeff(rest)
+            if is_zero_vector(inner):
+                continue
+            actor = alpha_nm1.column(indices[pos])
+            term = desc.coeff.act(actor, inner)
+            total = vadd(total, term if pos % 2 == 0 else vscale(-1, term))
+        for pi in range(n + 1):
+            for pj in range(pi + 1, n + 1):
+                bracket = g.bracket_basis(indices[pi], indices[pj])
+                if is_zero_vector(bracket):
+                    continue
+                args = [bracket] + [
+                    alpha_cols[indices[k]]
+                    for k in range(n + 1) if k != pi and k != pj
+                ]
+                term = f.evaluate(args)
+                total = vadd(total,
+                             term if (pi + pj) % 2 == 0 else vscale(-1, term))
+        values.append(total)
+    return Cochain(n + 1, g.dim, desc.target_dim, tuple(values))
+
+
+def oracle_coboundary_matrix(desc, arity):
+    """delta_arity column by column: the oracle image of each unit cochain."""
+    sd, td = desc.source_dim, desc.target_dim
+    ncols = len(increasing_tuples(sd, arity)) * td
+    nrows = len(increasing_tuples(sd, arity + 1)) * td
+    columns = []
+    for k in range(ncols):
+        unit = Cochain.from_flat(arity, sd, td, basis_vector(ncols, k))
+        columns.append(oracle_coboundary(desc, unit).to_flat())
+    return Matrix.from_columns(columns, nrows=nrows)
+
+
+def oracle_compatible_maps_basis(sigma, tau, arity):
+    """Kernel basis of f(sigma e_I) = tau(f(e_I)) over flat coordinates."""
+    sd, td = sigma.nrows, tau.nrows
+    tuples = increasing_tuples(sd, arity)
+    if not tuples:
+        return []
+    columns_of_sigma = [sigma.column(i) for i in range(sd)]
+    nflat = len(tuples) * td
+    rows = []
+    for p, indices in enumerate(tuples):
+        minors = wedge_coords([columns_of_sigma[i] for i in indices], sd)
+        for t in range(td):
+            row = [Q(0)] * nflat
+            for q, other in enumerate(tuples):
+                minor = minors.get(other)
+                if minor:
+                    row[q * td + t] += minor
+            for u in range(td):
+                row[p * td + u] -= tau.entry(t, u)
+            rows.append(tuple(row))
+    kernel = Matrix(tuple(rows), ncols=nflat).kernel_basis()
+    return [Cochain.from_flat(arity, sd, td, v) for v in kernel]

@@ -7,6 +7,7 @@ from fractions import Fraction as Q
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from homlie.cochain import (
     Cochain,
@@ -14,22 +15,34 @@ from homlie.cochain import (
     coboundary,
     coboundary_matrix,
     cohomology_dims,
+    cohomology_table,
     compatible_inclusion,
+    compatible_maps_basis,
     compatible_subspace_basis,
     is_twist_compatible,
     zero_coboundary,
     zero_fixed_point_basis,
 )
 from homlie.linalg import Matrix, basis_vector, matrix
+from homlie.ooperator import operator_complex
 from homlie.structures import (
+    HomLieAlgebra,
+    Representation,
     adjoint_rep,
     catalog,
     coadjoint_rep,
     dual_rep,
+    from_lie_with_morphism,
+    semidirect_product,
     trivial_rep,
 )
 
-from helpers import rand_vector
+from helpers import (
+    oracle_coboundary,
+    oracle_coboundary_matrix,
+    oracle_compatible_maps_basis,
+    rand_vector,
+)
 
 FIXTURES = catalog()
 
@@ -199,3 +212,119 @@ def test_operator_complex_direction():
         m_next = coboundary_matrix(desc, arity + 1)
         m_this = coboundary_matrix(desc, arity)
         assert (m_next @ m_this).is_zero()
+
+
+# ------------------------------------------- sparse delta against oracles
+
+
+def _catalog_complexes() -> dict:
+    """Every catalog algebra with adjoint, coadjoint and trivial values."""
+    makers = {"adjoint": lambda g: adjoint_rep(g, 0),
+              "coadjoint": coadjoint_rep,
+              "trivial": trivial_rep}
+    return {f"{name}-{kind}": ComplexDescriptor.for_representation(make(g))
+            for name, g in FIXTURES.items() for kind, make in makers.items()}
+
+
+def _oracle_complexes() -> dict:
+    complexes = _catalog_complexes()
+    # The operator complex of T = E_12 (0-based row 1, column 2) on sl2 x| sl2.
+    semi = semidirect_product(adjoint_rep(FIXTURES["sl2"], 0))
+    t = Matrix(tuple(tuple(1 if (i, j) == (1, 2) else 0 for j in range(6))
+                     for i in range(6)), ncols=6)
+    complexes["sl2xsl2-operator"] = operator_complex(
+        semi, adjoint_rep(semi, 0), t)
+    # sl2 twisted by its automorphism exp(ad e): h -> h - 2e, e -> e,
+    # f -> f + h - e, an invertible twist that is not diagonal.
+    twisted = from_lie_with_morphism(
+        FIXTURES["sl2"], matrix([[1, 0, 1], [-2, 1, -1], [0, 0, 1]]))
+    for kind, rep in (("adjoint", adjoint_rep(twisted, 0)),
+                      ("coadjoint", coadjoint_rep(twisted)),
+                      ("trivial", trivial_rep(twisted))):
+        complexes[f"sl2_nondiagonal-{kind}"] = \
+            ComplexDescriptor.for_representation(rep)
+    return complexes
+
+
+CATALOG_COMPLEXES = _catalog_complexes()
+ORACLE_COMPLEXES = _oracle_complexes()
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+def _arities(desc, cap):
+    return st.integers(min_value=1, max_value=min(desc.source_dim, cap))
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_COMPLEXES))
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_sparse_coboundary_matches_pointwise_oracle(name, data):
+    desc = ORACLE_COMPLEXES[name]
+    arity = data.draw(_arities(desc, 3))
+    length = comb(desc.source_dim, arity) * desc.target_dim
+    flat = data.draw(st.lists(rationals, min_size=length, max_size=length))
+    f = Cochain.from_flat(arity, desc.source_dim, desc.target_dim, flat)
+    assert coboundary(desc, f) == oracle_coboundary(desc, f)
+
+
+diagonal_entries = st.sampled_from(
+    [Q(0), Q(1), Q(-1), Q(2), Q(-2), Q(1, 2), Q(4)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(diagonal_entries, min_size=1, max_size=4),
+       st.lists(diagonal_entries, min_size=1, max_size=3), st.data())
+def test_diagonal_compatible_basis_is_the_solved_basis(sigma, tau, data):
+    arity = data.draw(st.integers(min_value=0, max_value=len(sigma) + 1))
+    s, t = Matrix.diagonal(sigma), Matrix.diagonal(tau)
+    assert (compatible_maps_basis(s, t, arity)
+            == oracle_compatible_maps_basis(s, t, arity))
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(ORACLE_COMPLEXES)), data=st.data())
+def test_coboundary_matrix_matches_oracle_columns(name, data):
+    desc = ORACLE_COMPLEXES[name]
+    arity = data.draw(_arities(desc, 2))
+    assert coboundary_matrix(desc, arity) == oracle_coboundary_matrix(
+        desc, arity)
+
+
+# ------------------------------------------------------- cohomology_table
+
+
+def test_cohomology_table_rows_match_cohomology_dims():
+    nonregular = ComplexDescriptor(
+        source=FIXTURES["aff1"],
+        coeff=Representation.build(
+            algebra=FIXTURES["aff1"], beta=Matrix.zero(1, 1),
+            rho=(Matrix.zero(1, 1), Matrix.zero(1, 1))))
+    complexes = dict(CATALOG_COMPLEXES, **{"aff1-nonregular": nonregular})
+    for name, desc in complexes.items():
+        top = desc.source_dim + 1
+        table = cohomology_table(desc, top)
+        assert table == [cohomology_dims(desc, n) for n in range(top + 1)], \
+            name
+    with pytest.raises(ValueError):
+        cohomology_table(nonregular, -1)
+
+
+def _h_dims(desc):
+    return [row.dim_h for row in cohomology_table(desc, desc.source_dim)]
+
+
+def test_cohomology_table_known_betti_numbers():
+    assert _h_dims(CATALOG_COMPLEXES["heisenberg3-trivial"]) == [1, 2, 2, 1]
+    assert _h_dims(CATALOG_COMPLEXES["sl2-trivial"]) == [1, 0, 0, 1]
+    for dim in range(1, 7):
+        abelian = HomLieAlgebra.build(dim=dim, brackets={})
+        desc = ComplexDescriptor.for_representation(trivial_rep(abelian))
+        assert _h_dims(desc) == [comb(dim, n) for n in range(dim + 1)], dim
+
+
+def test_cohomology_table_euler_characteristic():
+    for name, desc in CATALOG_COMPLEXES.items():
+        table = cohomology_table(desc, desc.source_dim)
+        chi_c = sum((-1) ** row.arity * row.dim_cochains for row in table)
+        chi_h = sum((-1) ** row.arity * row.dim_h for row in table)
+        assert chi_c == chi_h, name

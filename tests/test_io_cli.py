@@ -9,11 +9,14 @@ values already pinned by the per-module tests.
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
+import homlie.cochain as cochain_module
+from homlie.alternating import wedge_coords
 from homlie.cli import main
-from homlie.cochain import Cochain
+from homlie.cochain import Cochain, ComplexDescriptor, coboundary_matrix
 from homlie.io import (
     SchemaError,
     algebra_from_dict,
@@ -32,6 +35,7 @@ from homlie.io import (
 )
 from homlie.linalg import Matrix, Q, matrix
 from homlie.rmatrix import WedgeTwoTensor
+from homlie.structures import adjoint_rep, semidirect_product, sl2
 
 
 AFF1 = {"dim": 2, "brackets": {"0,1": [0, 1]}}
@@ -347,6 +351,64 @@ def test_cli_cohomology(tmp_path, capsys):
     assert code == 0
     assert payload["data"]["complex"] == "operator"
     assert [row["arity"] for row in payload["data"]["table"]] == [0, 1, 2]
+
+
+def test_cli_cohomology_refuses_invalid_input(tmp_path, capsys):
+    broken = json.loads(json.dumps(SL2_REP))
+    broken["rho"][1][0][0] = 5
+    rep_path = write(tmp_path, "broken.json", broken)
+    code, _ = run_json(capsys, ["verify-rep", rep_path])
+    assert code == 1
+    # Not a complex: delta_2 . delta_1 does not vanish.
+    desc = ComplexDescriptor.for_representation(load_rep(rep_path))
+    square = coboundary_matrix(desc, 2) @ coboundary_matrix(desc, 1)
+    assert not square.is_zero()
+
+    code, payload = run_json(capsys, ["cohomology", rep_path])
+    assert code == 1
+    assert payload["verdict"] is False
+    assert payload["failures"]
+    assert payload["data"] == {"complex": "representation",
+                               "hom_lie": True, "representation": False}
+
+
+def test_cli_cohomology_assembles_without_determinants(tmp_path, capsys,
+                                                       monkeypatch):
+    """A timing-free guard on the cost model of the cohomology verb."""
+    semi = semidirect_product(adjoint_rep(sl2(), 0))
+    rep_path = write(tmp_path, "semi.json",
+                     jsonable(rep_to_dict(adjoint_rep(semi, 0))))
+    counts = {"det": 0, "wedge_coords": 0}
+    basis_arities = []
+    det = Matrix.det
+
+    def counting_det(self):
+        counts["det"] += 1
+        return det(self)
+
+    def counting_wedge_coords(vectors, dim):
+        counts["wedge_coords"] += 1
+        return wedge_coords(vectors, dim)
+
+    basis = cochain_module.compatible_subspace_basis
+
+    def recording_basis(desc, arity):
+        basis_arities.append(arity)
+        return basis(desc, arity)
+
+    monkeypatch.setattr(Matrix, "det", counting_det)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("homlie") and \
+                getattr(module, "wedge_coords", None) is wedge_coords:
+            monkeypatch.setattr(module, "wedge_coords", counting_wedge_coords)
+    monkeypatch.setattr(cochain_module, "compatible_subspace_basis",
+                        recording_basis)
+    code, payload = run_json(
+        capsys, ["cohomology", rep_path, "--max-arity", "3"])
+    assert code == 0
+    assert [row["h"] for row in payload["data"]["table"]] == [0, 1, 1, 0]
+    assert counts == {"det": 0, "wedge_coords": 0}
+    assert basis_arities == [0, 1, 2, 3]
 
 
 def test_cli_check_o_operator(tmp_path, capsys):
