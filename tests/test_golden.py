@@ -1,0 +1,91 @@
+"""Golden corpus: every CLI verb replayed against recorded output.
+
+tests/golden/cases.json maps a case name to its argv; arguments that
+start with "inputs/" name documents under tests/golden/inputs/.  The
+stdout of each case is recorded byte for byte in
+tests/golden/stdout/<name>.txt and its exit code in
+tests/golden/exit_codes.json.  A refactor that keeps these outputs
+identical changed no verdict, failure string or number a user can see.
+
+To record the corpus again (only when an output is meant to change):
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import sys
+
+import pytest
+
+from homlie.cli import main
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+
+def _load(name):
+    with open(os.path.join(GOLDEN, name), encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+CASES = _load("cases.json")
+
+
+def _resolve(argv):
+    return [os.path.join(GOLDEN, a) if a.startswith("inputs/") else a
+            for a in argv]
+
+
+def _replay(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(_resolve(argv))
+    return code, out.getvalue()
+
+
+def _stdout_path(name):
+    return os.path.join(GOLDEN, "stdout", f"{name}.txt")
+
+
+def test_corpus_covers_every_verb():
+    from homlie.cli import build_parser
+    parser = build_parser()
+    verbs = set(parser._subparsers._group_actions[0].choices)
+    assert verbs == {argv[0] for argv in CASES.values()}
+    codes = _load("exit_codes.json")
+    assert set(codes) == set(CASES)
+    assert {0, 1, 2} <= set(codes.values())
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_output(name):
+    code, out = _replay(CASES[name])
+    with open(_stdout_path(name), encoding="utf-8", newline="") as handle:
+        expected = handle.read()
+    assert out == expected
+    assert code == _load("exit_codes.json")[name]
+
+
+def record():
+    os.makedirs(os.path.join(GOLDEN, "stdout"), exist_ok=True)
+    codes = {}
+    for name in sorted(CASES):
+        code, out = _replay(CASES[name])
+        codes[name] = code
+        with open(_stdout_path(name), "w", encoding="utf-8",
+                  newline="") as handle:
+            handle.write(out)
+    with open(os.path.join(GOLDEN, "exit_codes.json"), "w",
+              encoding="utf-8") as handle:
+        json.dump(codes, handle, indent=1, sort_keys=True)
+        handle.write("\n")
+    print(f"recorded {len(codes)} cases", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    record()
