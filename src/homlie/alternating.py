@@ -13,11 +13,10 @@ inversions between blocks.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, Sequence
 
-from .linalg import Matrix, Q, Vector
+from .linalg import Matrix, Vector
 
 
 def increasing_tuples(dim: int, k: int) -> list:
@@ -86,27 +85,4 @@ def shuffles(p: int, q: int) -> Iterator[tuple]:
         chosen = set(first)
         rest = tuple(i for i in universe if i not in chosen)
         perm = first + rest
-        yield perm, permutation_sign(perm)
-
-
-def multi_shuffles(block_sizes: Sequence[int]) -> Iterator[tuple]:
-    """Shuffles of range(sum(sizes)) into consecutive increasing blocks.
-
-    Yields (permutation, sign) where the permutation lists the positions
-    assigned to block 1, then block 2, and so on, each block increasing.
-    """
-    total = sum(block_sizes)
-
-    def rec(remaining: tuple, sizes: Sequence[int]) -> Iterator[tuple]:
-        if not sizes:
-            yield ()
-            return
-        head, *tail = sizes
-        for chosen in combinations(remaining, head):
-            chosen_set = set(chosen)
-            rest = tuple(i for i in remaining if i not in chosen_set)
-            for suffix in rec(rest, tail):
-                yield chosen + suffix
-
-    for perm in rec(tuple(range(total)), block_sizes):
         yield perm, permutation_sign(perm)

@@ -24,10 +24,12 @@ over the increasing (n+1)-tuples emits every entry; the rho-term uses
 the d matrices rho(alpha^{n-1} e_i), and the bracket term expands
 [e_a, e_b] and the alpha columns as sparse vectors, signing each wedge
 monomial with sort_with_sign.  coboundary applies that map to one
-cochain, coboundary_matrix is its dense form, and cohomology_table
-restricts it to the compatible basis once per arity, so every rank of a
-table is computed exactly once.  When both twists are diagonal the
-compatible basis is read off directly as unit cochains.
+cochain, coboundary_matrix is its dense form, and coboundary_on_basis
+applies it to the compatible basis.  cohomology_table takes that
+restriction once per arity, so every rank of a table is computed exactly
+once, and extend_order solves its deformation equations on it.  When
+both twists are diagonal the compatible basis is read off directly as
+unit cochains.
 
 For regular structures the complex extends to degree zero: C^0 is the
 fixed-point space of the coefficient twist and
@@ -441,24 +443,32 @@ class CohomologyDims:
         return self.dim_cocycles - self.dim_coboundaries
 
 
+def coboundary_on_basis(desc: ComplexDescriptor, arity: int) -> tuple:
+    """(compatible basis of the arity, flat delta image of each member).
+
+    delta_arity is assembled once and applied to every basis cochain;
+    arity 0 goes through delta_0 and so needs a regular descriptor.
+    """
+    basis = compatible_subspace_basis(desc, arity)
+    if arity == 0:
+        return basis, [zero_coboundary(desc, b.values[0]).to_flat()
+                       for b in basis]
+    if not basis:
+        return basis, []
+    columns = _coboundary_columns(desc, arity)
+    nrows = _flat_size(desc, arity + 1)
+    return basis, [_apply_columns(columns, b.to_flat(), nrows) for b in basis]
+
+
 def _restricted_rank(desc: ComplexDescriptor, arity: int) -> tuple:
     """(number of compatible basis cochains, rank of delta on them).
 
     Degree zero counts only for a regular descriptor; otherwise the
     complex starts at arity 1 and this returns (0, 0).
     """
-    if arity == 0:
-        if not desc.is_regular:
-            return 0, 0
-        basis = compatible_subspace_basis(desc, 0)
-        images = [zero_coboundary(desc, b.values[0]).to_flat() for b in basis]
-    else:
-        basis = compatible_subspace_basis(desc, arity)
-        if not basis:
-            return 0, 0
-        columns = _coboundary_columns(desc, arity)
-        nrows = _flat_size(desc, arity + 1)
-        images = [_apply_columns(columns, b.to_flat(), nrows) for b in basis]
+    if arity == 0 and not desc.is_regular:
+        return 0, 0
+    basis, images = coboundary_on_basis(desc, arity)
     # Zero images add nothing to the rank; cocycles in the basis are common.
     images = [image for image in images if any(c != 0 for c in image)]
     if not images:

@@ -15,7 +15,10 @@ deformation reads {{T, T_{k+1}}} = Theta where
     Theta = -1/2 sum over i+j=k+1, i,j >= 1 of {{T_i, T_j}}
 
 is the obstruction; extending a deformation by one order is solving
-that linear equation over the twist-compatible maps.
+that linear equation over the twist-compatible maps.  By the
+identity {{T, X}} = -delta_T(X), the system is minus the differential
+delta_1 of the complex attached to T, restricted to its compatible
+basis; the derived bracket itself only computes Theta.
 
 A Nijenhuis element x (fixed by alpha, with vanishing squares
 [[x, y], [x, z]], rho([x, y]) rho(x) and [x, T rho(x)(v) + [T(v), x]])
@@ -38,8 +41,8 @@ from dataclasses import dataclass
 from .cochain import (
     Cochain,
     coboundary,
+    coboundary_on_basis,
     cohomology_dims,
-    compatible_subspace_basis,
     zero_coboundary,
 )
 from .graded import derived_bracket
@@ -325,6 +328,14 @@ def _morphism_conditions(g: HomLieAlgebra, rep: Representation,
     return tuple(results)
 
 
+def _dagger_pair(g: HomLieAlgebra, rep: Representation, x: Vector) -> tuple:
+    """(ad_x^dag, rho(x)^dag) = (alpha^{-1} ad_x, beta^{-1} rho(x))."""
+    ad_x = Matrix.from_columns(
+        [g.bracket(x, basis_vector(g.dim, j)) for j in range(g.dim)],
+        nrows=g.dim)
+    return g.alpha.inverse() @ ad_x, rep.beta.inverse() @ rep.rho_of(x)
+
+
 @dataclass(frozen=True)
 class TrivialDeformationResult:
     generator: Matrix
@@ -360,12 +371,7 @@ def trivial_deformation_from_nijenhuis(g: HomLieAlgebra, rep: Representation,
     desc = operator_complex(g, rep, t)
     generator = zero_coboundary(desc, x).as_matrix()
     linear = linear_deformation_check(g, rep, t, generator)
-    alpha_inv = g.alpha.inverse()
-    beta_inv = rep.beta.inverse()
-    ad_dag = alpha_inv @ Matrix.from_columns(
-        [g.bracket(x, basis_vector(g.dim, j)) for j in range(g.dim)],
-        nrows=g.dim)
-    rho_dag = beta_inv @ rep.rho_of(x)
+    ad_dag, rho_dag = _dagger_pair(g, rep, x)
     certificate = _morphism_conditions(
         g, rep,
         from_terms=[t, generator],
@@ -511,19 +517,19 @@ def extend_order(g: HomLieAlgebra, rep: Representation,
                  d: TruncatedDeformation) -> ExtensionResult:
     """Solve {{T, X}} = Theta for the next coefficient, if possible.
 
-    X ranges over the twist-compatible maps V -> g; the deterministic
-    solver (first-nonzero pivots, free variables zero) makes the chosen
+    X ranges over the twist-compatible maps V -> g.  Since
+    {{T, X}} = -delta_T(X), the system is -delta_1 of the operator
+    complex on its compatible basis.  The deterministic solver
+    (first-nonzero pivots, free variables zero) makes the chosen
     solution canonical.  When the system is inconsistent the deformation
     is obstructed and the class of Theta in H^2 is the witness.
     """
     _require_regular(g, rep)
     theta = obstruction(g, rep, d)
     desc = operator_complex(g, rep, d.base)
-    basis = compatible_subspace_basis(desc, 1)
-    t_cochain = Cochain.from_linear_map(d.base)
-    flat_len = len(theta.to_flat())
-    columns = [derived_bracket(rep, t_cochain, b).to_flat() for b in basis]
-    system = Matrix.from_columns(columns, nrows=flat_len)
+    basis, images = coboundary_on_basis(desc, 1)
+    system = Matrix.from_columns([[-c for c in image] for image in images],
+                                 nrows=len(theta.to_flat()))
     coords = system.solve(theta.to_flat())
     dim_image = system.rank()
     dim_h2 = cohomology_dims(desc, 2).dim_h
@@ -574,11 +580,7 @@ def equivalence_check(g: HomLieAlgebra, rep: Representation,
     if up_to is None:
         up_to = max(d1.order, d2.order, 1 + len(phi_g_terms),
                     1 + len(phi_v_terms)) + 1
-    alpha_inv = g.alpha.inverse()
-    ad_dag = alpha_inv @ Matrix.from_columns(
-        [g.bracket(x, basis_vector(g.dim, j)) for j in range(g.dim)],
-        nrows=g.dim)
-    rho_dag = rep.beta.inverse() @ rep.rho_of(x)
+    ad_dag, rho_dag = _dagger_pair(g, rep, x)
     conditions = _morphism_conditions(
         g, rep,
         from_terms=d1.coefficients(),

@@ -48,7 +48,7 @@ from .linalg import (
     vscale,
     vzero,
 )
-from .structures import HomLieAlgebra, Representation
+from .structures import Representation, semidirect_product
 
 
 def circle_product(phi: Cochain, psi: Cochain, twist: Matrix) -> Cochain:
@@ -86,22 +86,11 @@ def nr_bracket(phi: Cochain, psi: Cochain, twist: Matrix) -> Cochain:
 
 
 def build_theta(rep: Representation) -> Cochain:
-    """The arity-2 element mu + rho on g + V encoding bracket and action."""
-    g = rep.algebra
-    n, m = g.dim, rep.dim
-    total = n + m
-    entries = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            value = g.bracket_basis(i, j)
-            if not is_zero_vector(value):
-                entries[(i, j)] = value + vzero(m)
-    for i in range(n):
-        for a in range(m):
-            value = rep.rho[i].column(a)
-            if not is_zero_vector(value):
-                entries[(i, n + a)] = vzero(n) + value
-    return Cochain.from_values(2, total, total, entries)
+    """The arity-2 element mu + rho on g + V encoding bracket and action:
+    the bracket table of the semidirect sum, read as a cochain."""
+    total = rep.algebra.dim + rep.dim
+    return Cochain.from_values(2, total, total,
+                               semidirect_product(rep).brackets_dict())
 
 
 @dataclass(frozen=True)

@@ -90,6 +90,22 @@ def basis_vector(n: int, i: int) -> Vector:
     return tuple(Q(1) if k == i else Q(0) for k in range(n))
 
 
+def bilinear(u: Vector, v: Vector, value, dim: int) -> Vector:
+    """sum over i, j of u_i v_j value(i, j) for a table value(i, j)."""
+    out = [Q(0)] * dim
+    for i, a in enumerate(u):
+        if a == 0:
+            continue
+        for j, b in enumerate(v):
+            if b == 0:
+                continue
+            ab = a * b
+            for k, c in enumerate(value(i, j)):
+                if c != 0:
+                    out[k] += ab * c
+    return tuple(out)
+
+
 class Matrix:
     """Immutable exact matrix.
 
@@ -244,13 +260,19 @@ class Matrix:
         return self.nrows == self._ncols
 
     def power(self, k: int) -> "Matrix":
-        """Matrix power; negative exponents use the exact inverse."""
+        """Matrix power by repeated squaring; negative exponents use the
+        exact inverse."""
         if not self.is_square():
             raise ValueError("power of a non-square matrix")
         base = self if k >= 0 else self.inverse()
         result = Matrix.identity(self.nrows)
-        for _ in range(abs(k)):
-            result = result @ base
+        k = abs(k)
+        while k:
+            if k & 1:
+                result = result @ base
+            k >>= 1
+            if k:
+                base = base @ base
         return result
 
     def _require_same_shape(self, other: "Matrix") -> None:

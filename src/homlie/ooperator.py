@@ -38,6 +38,7 @@ from .linalg import (
     Q,
     Vector,
     basis_vector,
+    bilinear,
     is_zero_vector,
     vadd,
     vscale,
@@ -276,15 +277,7 @@ class HomPreLie:
     table: tuple
 
     def product(self, u: Vector, v: Vector) -> Vector:
-        out = vzero(self.dim)
-        for i, a in enumerate(u):
-            if a == 0:
-                continue
-            for j, b in enumerate(v):
-                if b == 0:
-                    continue
-                out = vadd(out, tuple(a * b * c for c in self.table[i][j]))
-        return out
+        return bilinear(u, v, lambda i, j: self.table[i][j], self.dim)
 
 
 @dataclass(frozen=True)

@@ -30,13 +30,19 @@ An r-matrix induces a bracket on the dual space,
 (alpha^{-1})^T; it is the sub-adjacent algebra of the O-operator r#.
 Weak homomorphisms of r-matrices and the transfer of linear and formal
 deformations along r -> r# are implemented as route-by-route checks.
+
+Invariant wedge vectors have no solver of their own: w in Lambda^k g is
+fixed by Lambda^k(alpha) exactly when the scalar map e_I -> w_I is
+compatible with (alpha^T, id), so invariant_wedge_basis reads the basis
+off the cochain layer's compatible_maps_basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .alternating import increasing_tuples, wedge_coords
+from .alternating import wedge_coords
+from .cochain import compatible_maps_basis
 from .deformation import (
     FormalDeformationReport,
     LinearDeformationReport,
@@ -142,24 +148,16 @@ def invariant_wedge_basis(g: HomLieAlgebra, grade: int) -> list:
     """Canonical basis of the twist-invariant grade-k wedge vectors.
 
     Each basis element is returned as a sparse {increasing tuple:
-    coefficient} dict over the wedge monomials.
+    coefficient} dict over the wedge monomials.  A wedge vector w is
+    fixed by Lambda^k(alpha) exactly when the scalar map e_I -> w_I is
+    compatible with (alpha^T, id): both systems have the entries
+    Lambda^k(alpha)_IJ - delta_IJ, so the compatible-map solver gives
+    the same kernel basis in the same order.
     """
-    tuples = increasing_tuples(g.dim, grade)
-    if not tuples:
-        return []
-    alpha_cols = [g.alpha.column(i) for i in range(g.dim)]
-    size = len(tuples)
-    rows = [[Q(0)] * size for _ in range(size)]
-    for col, indices in enumerate(tuples):
-        minors = wedge_coords([alpha_cols[i] for i in indices], g.dim)
-        for row, other in enumerate(tuples):
-            value = minors.get(other, Q(0))
-            rows[row][col] = value - (Q(1) if row == col else Q(0))
-    kernel = Matrix(tuple(tuple(r) for r in rows), ncols=size).kernel_basis()
-    out = []
-    for v in kernel:
-        out.append({tuples[p]: c for p, c in enumerate(v) if c != 0})
-    return out
+    basis = compatible_maps_basis(g.alpha.transpose(), Matrix.identity(1),
+                                  grade)
+    return [{indices: v[0] for indices, v in zip(b.index_tuples, b.values)
+             if v[0] != 0} for b in basis]
 
 
 def invariant_two_tensor_basis(g: HomLieAlgebra) -> list:
@@ -490,51 +488,36 @@ def rmatrix_deformation_transfer(g: HomLieAlgebra, r: WedgeTwoTensor,
         mode = "linear" if len(terms) == 1 else "truncated"
     if mode not in ("linear", "truncated"):
         raise ValueError(f"unknown transfer mode {mode!r}")
+    linear = mode == "linear"
+    if linear and len(terms) != 1:
+        raise ValueError("linear mode needs exactly one generator")
     coadj = coadjoint_rep(g)
     sharp = tensor_to_operator(r)
+    operator_linear = operator_formal = None
+    if linear:
+        operator_linear = linear_deformation_check(
+            g, coadj, sharp, tensor_to_operator(terms[0]))
+        operator_valid = operator_linear.valid
+    else:
+        deformation = TruncatedDeformation.of(
+            sharp, [tensor_to_operator(t) for t in terms])
+        operator_formal = formal_deformation_check(g, coadj, deformation)
+        operator_valid = operator_formal.ok
     tensors = [r, *terms]
-    if mode == "linear":
-        if len(terms) != 1:
-            raise ValueError("linear mode needs exactly one generator")
-        linear = linear_deformation_check(g, coadj, sharp,
-                                          tensor_to_operator(terms[0]))
-        wedge_orders = []
-        for k in (0, 1, 2):
-            total = {}
-            for i in range(k + 1):
-                j = k - i
-                if i > 1 or j > 1:
-                    continue
-                part = graded_bracket_wedge(
-                    g, tensors[i].coeff_dict(), 2,
-                    tensors[j].coeff_dict(), 2)
-                for key, q in part.items():
-                    total[key] = total.get(key, Q(0)) + q
-            wedge_orders.append((k, not any(q != 0 for q in total.values())))
-        return TransferReport(
-            mode="linear",
-            operator_valid=linear.valid,
-            wedge_per_order=tuple(wedge_orders),
-            operator_linear=linear,
-        )
-    deformation = TruncatedDeformation.of(
-        sharp, [tensor_to_operator(t) for t in terms])
-    formal = formal_deformation_check(g, coadj, deformation)
+    top = 2 if linear else len(terms)
     wedge_orders = []
-    for k in range(len(terms) + 1):
+    for k in range(top + 1):
         total = {}
-        for i in range(k + 1):
-            j = k - i
-            if i >= len(tensors) or j >= len(tensors):
-                continue
+        for i in range(max(0, k - len(terms)), min(k, len(terms)) + 1):
             part = graded_bracket_wedge(
-                g, tensors[i].coeff_dict(), 2, tensors[j].coeff_dict(), 2)
+                g, tensors[i].coeff_dict(), 2, tensors[k - i].coeff_dict(), 2)
             for key, q in part.items():
                 total[key] = total.get(key, Q(0)) + q
         wedge_orders.append((k, not any(q != 0 for q in total.values())))
     return TransferReport(
-        mode="truncated",
-        operator_valid=formal.ok,
+        mode=mode,
+        operator_valid=operator_valid,
         wedge_per_order=tuple(wedge_orders),
-        operator_formal=formal,
+        operator_linear=operator_linear,
+        operator_formal=operator_formal,
     )

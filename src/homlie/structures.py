@@ -23,7 +23,6 @@ failing law, so broken inputs can be diagnosed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .linalg import (
@@ -31,11 +30,10 @@ from .linalg import (
     Q,
     Vector,
     basis_vector,
+    bilinear,
     is_zero_vector,
     vadd,
     vneg,
-    vscale,
-    vsub,
     vzero,
 )
 from .reporting import Failure, matrix_failures
@@ -122,21 +120,10 @@ class HomLieAlgebra:
 
     def bracket(self, u: Vector, v: Vector) -> Vector:
         """Bilinear extension of the basis bracket."""
-        out = vzero(self.dim)
-        for i, a in enumerate(u):
-            if a == 0:
-                continue
-            for j, b in enumerate(v):
-                if b == 0 or i == j:
-                    continue
-                out = vadd(out, vscale(a * b, self.bracket_basis(i, j)))
-        return out
+        return bilinear(u, v, self.bracket_basis, self.dim)
 
     def alpha_power(self, s: int) -> Matrix:
         return self.alpha.power(s)
-
-    def alpha_apply(self, x: Vector) -> Vector:
-        return self.alpha.apply(x)
 
     @property
     def is_regular(self) -> bool:
@@ -162,10 +149,6 @@ class HomLieReport:
     @property
     def ok(self) -> bool:
         return self.multiplicative and self.hom_jacobi
-
-    @property
-    def failing_tuples(self) -> tuple:
-        return tuple(f.indices for f in self.failures)
 
 
 def verify_hom_lie(g: HomLieAlgebra) -> HomLieReport:
@@ -269,7 +252,7 @@ class Representation:
 
     def act(self, x: Vector, v: Vector) -> Vector:
         """{x, v} = rho(x)(v)."""
-        return self.rho_of(x).apply(v)
+        return bilinear(x, v, lambda i, j: self.rho[i].column(j), self.dim)
 
 
 @dataclass(frozen=True)

@@ -232,3 +232,57 @@ def oracle_compatible_maps_basis(sigma, tau, arity):
             rows.append(tuple(row))
     kernel = Matrix(tuple(rows), ncols=nflat).kernel_basis()
     return [Cochain.from_flat(arity, sd, td, v) for v in kernel]
+
+
+# ---------------------------------------------------------------------------
+# Oracles for the deformation and r-matrix layers.
+#
+# The extension system as the library first built it: one derived
+# bracket {{T, b}} (two Nijenhuis-Richardson brackets on g + V) per
+# compatible basis map b, instead of -delta_1 of the operator complex.
+# And the invariant wedge basis as a kernel of Lambda^k(alpha) - id whose
+# entries are determinants, instead of the compatible-map solver.
+
+
+def oracle_extend_order(g, rep, d):
+    """(next coefficient or None, dim_image, obstructed) of one extension
+    step, with the system assembled from derived brackets."""
+    from homlie.cochain import compatible_subspace_basis
+    from homlie.deformation import obstruction
+    from homlie.graded import derived_bracket
+    from homlie.ooperator import operator_complex
+
+    theta = obstruction(g, rep, d)
+    desc = operator_complex(g, rep, d.base)
+    basis = compatible_subspace_basis(desc, 1)
+    t_cochain = Cochain.from_linear_map(d.base)
+    flat_len = len(theta.to_flat())
+    columns = [derived_bracket(rep, t_cochain, b).to_flat() for b in basis]
+    system = Matrix.from_columns(columns, nrows=flat_len)
+    coords = system.solve(theta.to_flat())
+    dim_image = system.rank()
+    if coords is None:
+        return None, dim_image, True
+    solution = Cochain.zero(1, rep.dim, g.dim)
+    for c, b in zip(coords, basis):
+        if c != 0:
+            solution = solution + b.scale(c)
+    return solution.as_matrix(), dim_image, False
+
+
+def oracle_invariant_wedge_basis(g, grade):
+    """Kernel basis of Lambda^grade(alpha) - id, entries by determinants,
+    as sparse {increasing tuple: coefficient} dicts."""
+    tuples = increasing_tuples(g.dim, grade)
+    if not tuples:
+        return []
+    alpha_cols = [g.alpha.column(i) for i in range(g.dim)]
+    size = len(tuples)
+    rows = [[Q(0)] * size for _ in range(size)]
+    for col, indices in enumerate(tuples):
+        minors = wedge_coords([alpha_cols[i] for i in indices], g.dim)
+        for row, other in enumerate(tuples):
+            value = minors.get(other, Q(0))
+            rows[row][col] = value - (Q(1) if row == col else Q(0))
+    kernel = Matrix(tuple(tuple(r) for r in rows), ncols=size).kernel_basis()
+    return [{tuples[p]: c for p, c in enumerate(v) if c != 0} for v in kernel]

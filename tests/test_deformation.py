@@ -7,13 +7,24 @@ bases; the hand derivations are quoted in the docstrings.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import json
+import os
 import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from homlie.cochain import Cochain, coboundary, compatible_maps_basis
+import homlie.deformation as deformation_module
+from homlie.cli import main as cli_main
+from homlie.cochain import (
+    Cochain,
+    coboundary,
+    compatible_maps_basis,
+    compatible_subspace_basis,
+)
 from homlie.deformation import (
     TruncatedDeformation,
     equivalence_check,
@@ -30,7 +41,7 @@ from homlie.linalg import Matrix, basis_vector, matrix
 from homlie.ooperator import is_o_operator, operator_complex
 from homlie.structures import adjoint_rep, catalog
 
-from helpers import rand_scalar
+from helpers import oracle_extend_order, rand_scalar
 
 FIXTURES = catalog()
 
@@ -295,3 +306,86 @@ def test_regularity_and_base_guards():
         formal_deformation_check(
             singular, rep_singular,
             TruncatedDeformation.of(Matrix.zero(2, 2)))
+
+
+# -------------------------------------------- extension system vs oracle
+
+EXTENSION_CASES = {
+    "aff1": ("aff1", matrix([[0, 1], [0, 0]])),
+    "aff1_twisted": ("aff1_twisted", matrix([[1, 0], [0, 0]])),
+    "heisenberg3": ("heisenberg3",
+                    matrix([[0, 0, 0], [0, 0, 0], [0, 0, 1]])),
+}
+coefficients = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@functools.cache
+def _extension_case(name):
+    """(g, rep, T, basis of the 1-cocycles) for a criterion-09 fixture."""
+    algebra, t = EXTENSION_CASES[name]
+    g = FIXTURES[algebra]
+    rep = adjoint_rep(g, 0)
+    desc = operator_complex(g, rep, t)
+    basis = compatible_subspace_basis(desc, 1)
+    flats = [coboundary(desc, b).to_flat() for b in basis]
+    cocycles = []
+    for kvec in Matrix.from_columns(flats).kernel_basis():
+        z = Cochain.zero(1, rep.dim, g.dim)
+        for c, b in zip(kvec, basis):
+            z = z + b.scale(c)
+        cocycles.append(z.as_matrix())
+    return g, rep, t, cocycles
+
+
+def _random_cocycle(data, shape, cocycles):
+    coeffs = data.draw(st.lists(coefficients, min_size=len(cocycles),
+                                max_size=len(cocycles)))
+    total = Matrix.zero(*shape)
+    for c, z in zip(coeffs, cocycles):
+        total = total + z.scale(c)
+    return total
+
+
+@settings(max_examples=25, deadline=None)
+@given(name=st.sampled_from(sorted(EXTENSION_CASES)), data=st.data())
+def test_extend_order_matches_derived_bracket_oracle(name, data):
+    """The system -delta_1 on the compatible basis gives the solution,
+    image dimension and obstruction verdict of the derived-bracket
+    system, at order 1 and, after adding a random cocycle to the found
+    term, at order 2."""
+    g, rep, t, cocycles = _extension_case(name)
+    d = TruncatedDeformation.of(t, [_random_cocycle(data, t.shape, cocycles)])
+    for _ in range(2):
+        res = extend_order(g, rep, d)
+        assert (res.solution, res.dim_image, res.obstructed) == \
+            oracle_extend_order(g, rep, d)
+        if res.obstructed:
+            break
+        d = TruncatedDeformation.of(t, [
+            *d.terms,
+            res.solution + _random_cocycle(data, t.shape, cocycles)])
+
+
+def test_deform_extend_calls_derived_bracket_only_for_theta(monkeypatch,
+                                                            capsys):
+    """Going from order m to M costs sum_{o=m}^{M-1} o derived brackets,
+    the terms of each Theta, and none for building the systems."""
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return derived_bracket(*args)
+
+    monkeypatch.setattr(deformation_module, "derived_bracket", counting)
+    inputs = os.path.join(os.path.dirname(__file__), "golden", "inputs")
+    for rep_file, start, top in (
+            ("sl2.adjoint.rep.json", "sl2.start.json", 4),
+            ("heisenberg3.adjoint.rep.json", "heisenberg3.start.json", 5)):
+        calls.clear()
+        code = cli_main(["deform-extend", os.path.join(inputs, rep_file),
+                         os.path.join(inputs, start),
+                         "--max-order", str(top), "--json"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["data"][
+            "reached_order"] == top
+        assert len(calls) == sum(range(1, top))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import sys
+import time
 
 import pytest
 
@@ -452,6 +453,19 @@ def test_cli_check_rota_baxter(tmp_path, capsys):
                                 "--weight", "oops"])
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_cli_rota_baxter_huge_degree_is_fast(tmp_path, capsys):
+    """alpha^s is taken by repeated squaring, so degree 10^6 costs about
+    forty products instead of a million."""
+    alg_path = write(tmp_path, "sl2.json", SL2)
+    zero_path = write(tmp_path, "zero.json", {"matrix": [[0] * 3] * 3})
+    start = time.perf_counter()
+    code, payload = run_json(capsys, ["check-rota-baxter", alg_path,
+                                      zero_path, "--degree", "1000000"])
+    assert time.perf_counter() - start < 2
+    assert code == 0
+    assert payload["data"]["degree"] == 1000000
 
 
 def test_cli_check_nijenhuis_operator(tmp_path, capsys):

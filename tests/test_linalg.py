@@ -13,6 +13,7 @@ from homlie.linalg import (
     Matrix,
     Q,
     basis_vector,
+    bilinear,
     block_diag,
     format_scalar,
     hstack,
@@ -106,6 +107,36 @@ def test_power_negative_needs_inverse():
     assert m.power(-1) == matrix([["1/2", 0], [0, "1/3"]])
     assert m.power(0) == Matrix.identity(2)
     assert m.power(3) == matrix([[8, 0], [0, 27]])
+
+
+@settings(deadline=None)
+@given(st.integers(min_value=1, max_value=3), st.data())
+def test_power_by_squaring_equals_repeated_product(n, data):
+    rows = data.draw(st.lists(st.lists(scalars, min_size=n, max_size=n),
+                              min_size=n, max_size=n))
+    m = Matrix(rows, ncols=n)
+    ks = range(-4, 7) if m.is_invertible() else range(0, 7)
+    for k in ks:
+        base = m if k >= 0 else m.inverse()
+        expected = Matrix.identity(n)
+        for _ in range(abs(k)):
+            expected = expected @ base
+        assert m.power(k) == expected, k
+
+
+def test_bilinear_keeps_fractions_and_skips_zero_coordinates():
+    table = {(0, 1): (Q(1), Q(2)), (1, 0): (Q(3), Q(0))}
+    seen = []
+
+    def value(i, j):
+        seen.append((i, j))
+        return table.get((i, j), (Q(0), Q(0)))
+
+    out = bilinear((1, 0), (0, Q(1, 2)), value, 2)
+    assert out == (Q(1, 2), Q(1)) and seen == [(0, 1)]
+    zero = bilinear((0, 0), (1, 1), value, 2)
+    assert zero == (Q(0), Q(0))
+    assert all(type(c) is Fraction for c in out + zero)
 
 
 def test_block_and_stack():

@@ -9,9 +9,11 @@ in the docstrings.
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from homlie.linalg import Matrix, matrix
 from homlie.ooperator import induced_hom_pre_lie, rho_t, subadjacent
@@ -36,6 +38,8 @@ from homlie.structures import (
     coadjoint_rep,
     verify_hom_lie,
 )
+
+from helpers import oracle_invariant_wedge_basis, rand_invertible
 
 FIXTURES = catalog()
 
@@ -302,3 +306,47 @@ def test_r_matrix_grid_route_agreement():
             for c in scalars:
                 report = is_r_matrix(g, r0.scale(c))
                 assert report.routes_agree, (name, c)
+
+
+# ------------------------------------------- invariant wedges vs oracle
+
+
+def _twisted(alpha):
+    return HomLieAlgebra.build(dim=alpha.nrows, brackets={}, alpha=alpha)
+
+
+def test_invariant_wedge_basis_matches_oracle_on_catalog():
+    for name, g in FIXTURES.items():
+        for grade in range(g.dim + 1):
+            assert invariant_wedge_basis(g, grade) == \
+                oracle_invariant_wedge_basis(g, grade), (name, grade)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(min_value=1, max_value=4), seed=st.integers(0, 10**6))
+def test_invariant_wedge_basis_matches_oracle_random_twist(dim, seed):
+    g = _twisted(rand_invertible(random.Random(seed), dim, lo=-1, hi=1))
+    for grade in range(dim + 1):
+        assert invariant_wedge_basis(g, grade) == \
+            oracle_invariant_wedge_basis(g, grade)
+
+
+monomial_scales = st.sampled_from([Q(1), Q(-1), Q(2), Q(1, 2), Q(-1, 2)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(perm=st.integers(min_value=1, max_value=4).flatmap(
+           lambda n: st.permutations(range(n))),
+       data=st.data())
+def test_invariant_wedge_basis_matches_oracle_permutation_twist(perm, data):
+    """Monomial twists alpha e_i = s_i e_perm(i): not diagonal for a
+    non-trivial permutation, with invariants mixing several monomials."""
+    n = len(perm)
+    scales = data.draw(st.lists(monomial_scales, min_size=n, max_size=n))
+    rows = [[Q(0)] * n for _ in range(n)]
+    for i, (p, s) in enumerate(zip(perm, scales)):
+        rows[p][i] = s
+    g = _twisted(Matrix(rows, ncols=n))
+    for grade in range(n + 1):
+        assert invariant_wedge_basis(g, grade) == \
+            oracle_invariant_wedge_basis(g, grade)

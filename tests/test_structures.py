@@ -27,10 +27,23 @@ from helpers import (
     oracle_hom_lie,
     oracle_representation,
     rand_matrix,
+    rand_scalar,
     rep_tables,
 )
 
 FIXTURES = catalog()
+
+
+def test_act_is_the_action_matrix_applied():
+    """act runs the shared bilinear loop; rho_of builds the matrix. Both
+    give the same exact vectors on every catalog (co)adjoint action."""
+    rng = random.Random(7)
+    for g in FIXTURES.values():
+        for rep in (adjoint_rep(g, 0), coadjoint_rep(g)):
+            for _ in range(5):
+                x = tuple(rand_scalar(rng) for _ in range(g.dim))
+                v = tuple(rand_scalar(rng) for _ in range(rep.dim))
+                assert rep.act(x, v) == rep.rho_of(x).apply(v)
 
 
 def test_catalog_contents():
