@@ -2,9 +2,12 @@
 
 Alternating k-linear maps are stored by their values on strictly
 increasing basis index tuples.  Evaluating such a map on arbitrary
-vectors expands the wedge of the arguments in the basis: the coefficient
-of e_{i1} ^ ... ^ e_{ik} is the k x k minor of the argument coordinates
-in rows i1 < ... < ik (a Plucker coordinate).
+vectors expands the wedge of the arguments in the basis.  wedge_coords
+is the one such expansion in the package: it multiplies the factors in
+one at a time, extending every monomial by each nonzero coordinate of
+the next factor, sorts the indices with sort_with_sign, and drops
+monomials with a repeated index.  The work follows the nonzero
+coordinates, not the C(dim, k) index sets.
 
 Shuffle permutations are produced by choosing which argument positions
 feed each block; the sign of a shuffle is the parity of the number of
@@ -16,7 +19,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterator, Sequence
 
-from .linalg import Matrix, Vector
+from .linalg import Q, Vector
 
 
 def increasing_tuples(dim: int, k: int) -> list:
@@ -46,20 +49,24 @@ def sort_with_sign(indices: Sequence[int]) -> tuple | None:
 def wedge_coords(vectors: Sequence[Vector], dim: int) -> dict:
     """Coordinates of v1 ^ ... ^ vk on increasing basis tuples.
 
-    The value at tuple I is det of the k x k submatrix of argument
-    coordinates with rows I; zero values are omitted.
+    Every vector has dim coordinates.  Zero coefficients are omitted, and
+    the empty wedge (k = 0) is {(): 1}.
     """
-    k = len(vectors)
-    coords = {}
-    for index in combinations(range(dim), k):
-        minor = Matrix(
-            tuple(tuple(vectors[c][i] for c in range(k)) for i in index),
-            ncols=k,
-        )
-        value = minor.det()
-        if value != 0:
-            coords[index] = value
-    return coords
+    terms = {(): Q(1)}
+    for v in vectors:
+        if len(v) != dim:
+            raise ValueError("wedge factor has the wrong length")
+        expanded = {}
+        for monomial, c in terms.items():
+            for b, entry in enumerate(v):
+                if entry == 0:
+                    continue
+                ordered = sort_with_sign(monomial + (b,))
+                if ordered is not None:
+                    key, sign = ordered
+                    expanded[key] = expanded.get(key, 0) + sign * c * entry
+        terms = {key: c for key, c in expanded.items() if c != 0}
+    return terms
 
 
 def permutation_sign(perm: Sequence[int]) -> int:

@@ -21,9 +21,9 @@ such direction as (source algebra, coefficient representation).
 delta_n (n >= 1) has a single implementation: it is assembled once per
 (complex, arity) as a sparse column map on flat coordinates.  One walk
 over the increasing (n+1)-tuples emits every entry; the rho-term uses
-the d matrices rho(alpha^{n-1} e_i), and the bracket term expands
-[e_a, e_b] and the alpha columns as sparse vectors, signing each wedge
-monomial with sort_with_sign.  coboundary applies that map to one
+the d matrices rho(alpha^{n-1} e_i), and the bracket term takes one
+wedge_coords expansion of [e_a, e_b] ^ alpha e_... per tuple and pair
+with a nonzero bracket.  coboundary applies that map to one
 cochain, coboundary_matrix is its dense form, and coboundary_on_basis
 applies it to the compatible basis.  cohomology_table takes that
 restriction once per arity, so every rank of a table is computed exactly
@@ -321,10 +321,6 @@ def _flat_size(desc: ComplexDescriptor, arity: int) -> int:
     return len(increasing_tuples(desc.source_dim, arity)) * desc.target_dim
 
 
-def _sparse_entries(vector: Vector) -> list:
-    return [(k, c) for k, c in enumerate(vector) if c != 0]
-
-
 def _coboundary_columns(desc: ComplexDescriptor, arity: int) -> list:
     """delta_arity (arity >= 1) as a sparse column map.
 
@@ -344,10 +340,8 @@ def _coboundary_columns(desc: ComplexDescriptor, arity: int) -> list:
     for i in range(g.dim):
         m = desc.coeff.rho_of(actor.column(i))
         acting.append([(t, u, c) for t in range(td)
-                       for u, c in _sparse_entries(m.row(t))])
-    alpha_columns = [_sparse_entries(g.alpha.column(k)) for k in range(g.dim)]
-    brackets = {(i, j): _sparse_entries(g.bracket_basis(i, j))
-                for i, j in combinations(range(g.dim), 2)}
+                       for u, c in enumerate(m.row(t)) if c != 0])
+    alpha_columns = [g.alpha.column(k) for k in range(g.dim)]
     columns = [{} for _ in range(len(col_position) * td)]
 
     def emit(row, col, c):
@@ -362,28 +356,17 @@ def _coboundary_columns(desc: ComplexDescriptor, arity: int) -> list:
             for t, u, c in acting[i]:
                 emit(base + t, rest + u, sign * c)
         for p, q in combinations(range(n + 1), 2):
+            bracket = g.bracket_basis(indices[p], indices[q])
+            if is_zero_vector(bracket):
+                continue
             sign = 1 if (p + q) % 2 == 0 else -1
-            terms = {(a,): sign * c
-                     for a, c in brackets[(indices[p], indices[q])]}
-            for k in indices:
-                if not terms:
-                    break
-                if k == indices[p] or k == indices[q]:
-                    continue
-                expanded = {}
-                for monomial, c in terms.items():
-                    for b, entry in alpha_columns[k]:
-                        ordered = sort_with_sign(monomial + (b,))
-                        if ordered is not None:
-                            key, s = ordered
-                            expanded[key] = (expanded.get(key, 0)
-                                             + s * c * entry)
-                terms = expanded
-            for monomial, c in terms.items():
-                if c != 0:
-                    col = col_position[monomial] * td
-                    for t in range(td):
-                        emit(base + t, col + t, c)
+            args = [bracket] + [alpha_columns[k]
+                                for pos, k in enumerate(indices)
+                                if pos != p and pos != q]
+            for monomial, c in wedge_coords(args, g.dim).items():
+                col = col_position[monomial] * td
+                for t in range(td):
+                    emit(base + t, col + t, sign * c)
     return [{row: c for row, c in column.items() if c != 0}
             for column in columns]
 
@@ -422,13 +405,6 @@ def coboundary_matrix(desc: ComplexDescriptor, arity: int) -> Matrix:
             entries[row] = c
         dense.append(entries)
     return Matrix.from_columns(dense, nrows=nrows)
-
-
-def compatible_inclusion(desc: ComplexDescriptor, arity: int) -> Matrix:
-    """Columns are the flat coordinates of the compatible basis."""
-    basis = compatible_subspace_basis(desc, arity)
-    return Matrix.from_columns([b.to_flat() for b in basis],
-                               nrows=_flat_size(desc, arity))
 
 
 @dataclass(frozen=True)

@@ -56,7 +56,7 @@ from .linalg import (
     vsub,
     vzero,
 )
-from .ooperator import is_o_operator, operator_complex
+from .ooperator import deformed_identity, is_o_operator, operator_complex
 from .reporting import Failure, matrix_failures
 from .structures import HomLieAlgebra, Representation, pair_list
 
@@ -105,20 +105,6 @@ class TruncatedDeformation:
         return [self.base, *self.terms]
 
 
-def _deformation_equation_defect(g, rep, coeffs, k, a, b) -> Vector:
-    """The order-k coefficient of the deformed identity at (e_a, e_b)."""
-    total = vzero(g.dim)
-    ea = basis_vector(rep.dim, a)
-    eb = basis_vector(rep.dim, b)
-    for i in range(k + 1):
-        j = k - i
-        ti, tj = coeffs[i], coeffs[j]
-        lhs = g.bracket(ti.column(a), tj.column(b))
-        inner = vsub(rep.act(tj.column(a), eb), rep.act(tj.column(b), ea))
-        total = vadd(total, vsub(lhs, ti.apply(inner)))
-    return total
-
-
 @dataclass(frozen=True)
 class LinearDeformationReport:
     cocycle: bool
@@ -155,14 +141,7 @@ def linear_deformation_check(g: HomLieAlgebra, rep: Representation,
     failures.extend(twist)
     cocycle = True
     for (a, b) in pair_list(rep.dim):
-        ea = basis_vector(rep.dim, a)
-        eb = basis_vector(rep.dim, b)
-        lhs = vadd(g.bracket(t.column(a), k.column(b)),
-                   g.bracket(k.column(a), t.column(b)))
-        rhs = vadd(
-            t.apply(vsub(rep.act(k.column(a), eb), rep.act(k.column(b), ea))),
-            k.apply(vsub(rep.act(t.column(a), eb), rep.act(t.column(b), ea))),
-        )
+        lhs, rhs = deformed_identity(g, rep, [t, k], 1, a, b)
         if lhs != rhs:
             cocycle = False
             failures.append(Failure("deformation_cocycle", (a, b), lhs, rhs))
@@ -428,7 +407,7 @@ def formal_deformation_check(g: HomLieAlgebra, rep: Representation,
     for k in range(d.order + 1):
         holds = True
         for (a, b) in pair_list(rep.dim):
-            defect = _deformation_equation_defect(g, rep, coeffs, k, a, b)
+            defect = vsub(*deformed_identity(g, rep, coeffs, k, a, b))
             if not is_zero_vector(defect):
                 holds = False
                 failures.append(Failure("deformation_equation", (k, a, b),
@@ -531,8 +510,8 @@ def extend_order(g: HomLieAlgebra, rep: Representation,
     system = Matrix.from_columns([[-c for c in image] for image in images],
                                  nrows=len(theta.to_flat()))
     coords = system.solve(theta.to_flat())
-    dim_image = system.rank()
-    dim_h2 = cohomology_dims(desc, 2).dim_h
+    dims = cohomology_dims(desc, 2)
+    dim_image, dim_h2 = dims.dim_coboundaries, dims.dim_h
     if coords is None:
         return ExtensionResult(theta=theta, obstructed=True, solution=None,
                                extended=None, dim_image=dim_image,

@@ -186,9 +186,6 @@ class Matrix:
     def column(self, j: int) -> Vector:
         return tuple(row[j] for row in self.rows)
 
-    def columns(self) -> list:
-        return [self.column(j) for j in range(self._ncols)]
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Matrix)
@@ -264,12 +261,14 @@ class Matrix:
         exact inverse."""
         if not self.is_square():
             raise ValueError("power of a non-square matrix")
-        base = self if k >= 0 else self.inverse()
-        result = Matrix.identity(self.nrows)
+        if k == 0:
+            return Matrix.identity(self.nrows)
+        base = self if k > 0 else self.inverse()
+        result = None
         k = abs(k)
         while k:
             if k & 1:
-                result = result @ base
+                result = base if result is None else result @ base
             k >>= 1
             if k:
                 base = base @ base
@@ -411,19 +410,3 @@ def block_diag(top: Matrix, bottom: Matrix) -> Matrix:
     rows = [row + vzero(bottom.ncols) for row in top.rows]
     rows += [vzero(top.ncols) + row for row in bottom.rows]
     return Matrix(tuple(rows), ncols=top.ncols + bottom.ncols)
-
-
-def hstack(left: Matrix, right: Matrix) -> Matrix:
-    if left.nrows != right.nrows:
-        raise ValueError("hstack needs equal row counts")
-    return Matrix(
-        tuple(l + r for l, r in zip(left.rows, right.rows)),
-        ncols=left.ncols + right.ncols,
-    )
-
-
-def solve_in_span(columns: Sequence[Vector], target: Vector) -> Vector | None:
-    """Coordinates of target in the span of the given columns, or None."""
-    if not columns:
-        return () if is_zero_vector(target) else None
-    return Matrix.from_columns(columns).solve(target)

@@ -65,15 +65,25 @@ class OOperatorReport:
         return self.intertwines and self.quadratic
 
 
-def _quadratic_defect(g: HomLieAlgebra, rep: Representation, t: Matrix,
-                      a: int, b: int) -> Vector:
-    """[T e_a, T e_b] - T({T e_a, e_b} - {T e_b, e_a}) for basis a, b."""
-    ta = t.column(a)
-    tb = t.column(b)
-    lhs = g.bracket(ta, tb)
-    inner = vsub(rep.act(ta, basis_vector(rep.dim, b)),
-                 rep.act(tb, basis_vector(rep.dim, a)))
-    return vsub(lhs, t.apply(inner))
+def deformed_identity(g: HomLieAlgebra, rep: Representation, coeffs,
+                      k: int, a: int, b: int) -> tuple:
+    """(lhs, rhs) of the order-k deformed O-operator identity at (e_a, e_b):
+
+        lhs = sum_{i+j=k} [T_i e_a, T_j e_b],
+        rhs = sum_{i+j=k} T_i({T_j e_a, e_b} - {T_j e_b, e_a}),
+
+    for the coefficient list coeffs = [T_0, T_1, ...].  Order 0 on [T] is
+    the O-operator identity of T.
+    """
+    ea = basis_vector(rep.dim, a)
+    eb = basis_vector(rep.dim, b)
+    lhs = rhs = vzero(g.dim)
+    for i in range(k + 1):
+        ti, tj = coeffs[i], coeffs[k - i]
+        lhs = vadd(lhs, g.bracket(ti.column(a), tj.column(b)))
+        inner = vsub(rep.act(tj.column(a), eb), rep.act(tj.column(b), ea))
+        rhs = vadd(rhs, ti.apply(inner))
+    return lhs, rhs
 
 
 def is_o_operator(g: HomLieAlgebra, rep: Representation, t: Matrix) -> OOperatorReport:
@@ -87,7 +97,7 @@ def is_o_operator(g: HomLieAlgebra, rep: Representation, t: Matrix) -> OOperator
     failures.extend(twist_failures)
     quadratic = True
     for (a, b) in pair_list(rep.dim):
-        defect = _quadratic_defect(g, rep, t, a, b)
+        defect = vsub(*deformed_identity(g, rep, [t], 0, a, b))
         if not is_zero_vector(defect):
             quadratic = False
             failures.append(Failure("o_operator_identity", (a, b),

@@ -8,8 +8,9 @@ between package verdicts and oracle verdicts is meaningful evidence.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
-from homlie.alternating import increasing_tuples, wedge_coords
+from homlie.alternating import increasing_tuples
 from homlie.cochain import Cochain
 from homlie.linalg import (
     Matrix,
@@ -160,9 +161,34 @@ def rep_tables(rep):
 #
 # These are the straightforward implementations the library used before
 # its coboundary became a sparse once-per-arity assembly and before the
-# compatible basis got its diagonal shortcut.  They evaluate every term
-# through Cochain.evaluate (wedge coordinates, one determinant per index
-# set), so they share no assembly code with the library.
+# compatible basis got its diagonal shortcut.  They expand every wedge
+# through oracle_wedge_coords (one determinant per index set), so they
+# share no expansion or assembly code with the library.
+
+
+def oracle_wedge_coords(vectors, dim):
+    """Coordinates of v1 ^ ... ^ vk on increasing basis tuples: the value
+    at tuple I is the k x k minor of the argument coordinates in rows I
+    (a Plucker coordinate).  Zero values are omitted."""
+    k = len(vectors)
+    coords = {}
+    for index in combinations(range(dim), k):
+        minor = Matrix(
+            tuple(tuple(vectors[c][i] for c in range(k)) for i in index),
+            ncols=k,
+        )
+        value = minor.det()
+        if value != 0:
+            coords[index] = value
+    return coords
+
+
+def _oracle_evaluate(f, vectors):
+    """f on arbitrary vectors, expanded through oracle_wedge_coords."""
+    out = vzero(f.target_dim)
+    for indices, minor in oracle_wedge_coords(vectors, f.source_dim).items():
+        out = vadd(out, vscale(minor, f.coeff(indices)))
+    return out
 
 
 def oracle_coboundary(desc, f):
@@ -191,7 +217,7 @@ def oracle_coboundary(desc, f):
                     alpha_cols[indices[k]]
                     for k in range(n + 1) if k != pi and k != pj
                 ]
-                term = f.evaluate(args)
+                term = _oracle_evaluate(f, args)
                 total = vadd(total,
                              term if (pi + pj) % 2 == 0 else vscale(-1, term))
         values.append(total)
@@ -220,7 +246,8 @@ def oracle_compatible_maps_basis(sigma, tau, arity):
     nflat = len(tuples) * td
     rows = []
     for p, indices in enumerate(tuples):
-        minors = wedge_coords([columns_of_sigma[i] for i in indices], sd)
+        minors = oracle_wedge_coords(
+            [columns_of_sigma[i] for i in indices], sd)
         for t in range(td):
             row = [Q(0)] * nflat
             for q, other in enumerate(tuples):
@@ -280,7 +307,7 @@ def oracle_invariant_wedge_basis(g, grade):
     size = len(tuples)
     rows = [[Q(0)] * size for _ in range(size)]
     for col, indices in enumerate(tuples):
-        minors = wedge_coords([alpha_cols[i] for i in indices], g.dim)
+        minors = oracle_wedge_coords([alpha_cols[i] for i in indices], g.dim)
         for row, other in enumerate(tuples):
             value = minors.get(other, Q(0))
             rows[row][col] = value - (Q(1) if row == col else Q(0))

@@ -16,7 +16,6 @@ from homlie.cochain import (
     coboundary_matrix,
     cohomology_dims,
     cohomology_table,
-    compatible_inclusion,
     compatible_maps_basis,
     compatible_subspace_basis,
     is_twist_compatible,
@@ -150,8 +149,6 @@ def test_compatible_subspace_membership():
         basis = compatible_subspace_basis(desc, arity)
         for c in basis:
             assert is_twist_compatible(c, g.alpha, rep.beta)
-        inc = compatible_inclusion(desc, arity)
-        assert inc.ncols == len(basis)
 
 
 def test_cohomology_dims_whitehead_sl2():

@@ -86,6 +86,29 @@ def test_linear_deformation_variety():
         assert report.valid == (p == s == r == 0), entries
 
 
+def test_linear_deformation_failure_strings():
+    """The cocycle failure reports both sides of
+    [T u, K v] + [K u, T v] = T({K u, v} - {K v, u}) + K({T u, v} - {T v, u})
+    at the failing pair; the generator failure reports the O-operator
+    identity defect of K against zero."""
+    g, rep, t = aff1_data()
+    lower = linear_deformation_check(g, rep, t, matrix([[0, 0], [1, 0]]))
+    assert [str(f) for f in lower.failures] == [
+        "deformation_cocycle fails at (0,1): "
+        "lhs=(Fraction(0, 1), Fraction(-1, 1)) "
+        "rhs=(Fraction(0, 1), Fraction(0, 1))",
+    ]
+    both = linear_deformation_check(g, rep, t, matrix([[1, 1], [0, 1]]))
+    assert [str(f) for f in both.failures] == [
+        "deformation_cocycle fails at (0,1): "
+        "lhs=(Fraction(0, 1), Fraction(0, 1)) "
+        "rhs=(Fraction(2, 1), Fraction(0, 1))",
+        "generator_o_operator fails at (0,1): "
+        "lhs=(Fraction(-2, 1), Fraction(-1, 1)) "
+        "rhs=(Fraction(0, 1), Fraction(0, 1))",
+    ]
+
+
 def test_linear_matches_formal_to_its_order():
     """A one-term family is a linear deformation exactly when the
     truncated family passes the order-by-order check extended through

@@ -16,11 +16,9 @@ from homlie.linalg import (
     bilinear,
     block_diag,
     format_scalar,
-    hstack,
     matrix,
     parse_scalar,
     scalar,
-    solve_in_span,
     vadd,
     vscale,
     vsub,
@@ -124,6 +122,28 @@ def test_power_by_squaring_equals_repeated_product(n, data):
         assert m.power(k) == expected, k
 
 
+def test_power_multiplication_count(monkeypatch):
+    """power(k) squares floor(log2 k) times and multiplies the kept
+    squares together popcount(k) - 1 times, with no identity factor."""
+    calls = []
+    matmul = Matrix.__matmul__
+
+    def counting_matmul(self, other):
+        calls.append(1)
+        return matmul(self, other)
+
+    monkeypatch.setattr(Matrix, "__matmul__", counting_matmul)
+    m = matrix([[1, 1], [0, 1]])
+    for k in range(0, 70):
+        calls.clear()
+        assert m.power(k) == matrix([[1, k], [0, 1]])
+        expected = 0 if k < 2 else k.bit_length() - 1 + bin(k).count("1") - 1
+        assert len(calls) == expected, k
+    calls.clear()
+    assert m.power(-1) == matrix([[1, -1], [0, 1]])
+    assert calls == []
+
+
 def test_bilinear_keeps_fractions_and_skips_zero_coordinates():
     table = {(0, 1): (Q(1), Q(2)), (1, 0): (Q(3), Q(0))}
     seen = []
@@ -147,17 +167,6 @@ def test_block_and_stack():
     assert b.entry(0, 0) == Q(1)
     assert b.entry(1, 1) == Q(2)
     assert b.entry(0, 1) == Q(0)
-    h = hstack(matrix([[1], [2]]), matrix([[3], [4]]))
-    assert h.rows == ((Q(1), Q(3)), (Q(2), Q(4)))
-
-
-def test_solve_in_span():
-    vectors = [(Q(1), Q(0)), (Q(1), Q(1))]
-    coeffs = solve_in_span(vectors, (Q(3), Q(2)))
-    assert coeffs is not None
-    total = vadd(vscale(coeffs[0], vectors[0]), vscale(coeffs[1], vectors[1]))
-    assert total == (Q(3), Q(2))
-    assert solve_in_span([(Q(1), Q(0))], (Q(0), Q(1))) is None
 
 
 @settings(max_examples=60, deadline=None)

@@ -11,11 +11,12 @@ import math
 
 from hypothesis import given, settings, strategies as st
 
+from homlie.alternating import wedge_coords
 from homlie.cochain import Cochain
 from homlie.io import algebra_from_dict, algebra_to_dict, format_scalar, parse_scalar
 from homlie.linalg import Matrix, Q
 
-from helpers import algebra_tables
+from helpers import algebra_tables, oracle_wedge_coords
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -113,3 +114,34 @@ def test_cochain_flat_roundtrip(arity, source_dim, target_dim, data):
     back = Cochain.from_flat(arity, source_dim, target_dim, c.to_flat())
     assert back == c
     assert (c + back.scale(Q(-1))).is_zero()
+
+
+@st.composite
+def wedge_factors(draw):
+    """(vectors, dim) with dim 1..6 and k = 0..dim+1 factors.  A factor is
+    a fresh vector (often sparse, entries with denominators up to 6), the
+    zero vector, or a rescaled copy of an earlier factor."""
+    dim = draw(st.integers(min_value=1, max_value=6))
+    k = draw(st.integers(min_value=0, max_value=dim + 1))
+    entries = st.one_of(st.just(Q(0)), rationals.map(Q))
+    vectors = []
+    for _ in range(k):
+        kind = draw(st.sampled_from(("fresh", "zero", "repeat")))
+        if kind == "zero":
+            vectors.append((Q(0),) * dim)
+        elif kind == "repeat" and vectors:
+            c = draw(rationals.map(Q))
+            vectors.append(tuple(c * x for x in draw(st.sampled_from(vectors))))
+        else:
+            vectors.append(tuple(draw(st.lists(
+                entries, min_size=dim, max_size=dim))))
+    return vectors, dim
+
+
+@settings(max_examples=300, deadline=None)
+@given(wedge_factors())
+def test_wedge_coords_equals_determinant_oracle(case):
+    vectors, dim = case
+    coords = wedge_coords(vectors, dim)
+    assert coords == oracle_wedge_coords(vectors, dim)
+    assert all(type(c) is Q and c != 0 for c in coords.values())
