@@ -59,13 +59,13 @@ def wedge_coords(vectors: Sequence[Vector], dim: int) -> dict:
         expanded = {}
         for monomial, c in terms.items():
             for b, entry in enumerate(v):
-                if entry == 0:
+                if not entry:
                     continue
                 ordered = sort_with_sign(monomial + (b,))
                 if ordered is not None:
                     key, sign = ordered
                     expanded[key] = expanded.get(key, 0) + sign * c * entry
-        terms = {key: c for key, c in expanded.items() if c != 0}
+        terms = {key: c for key, c in expanded.items() if c}
     return terms
 
 

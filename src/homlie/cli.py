@@ -16,6 +16,7 @@ followed by failure lines (capped) and the data as indented JSON.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -396,7 +397,14 @@ def _cmd_weak_hom_check(args):
     return report.ok, data, report.failures
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser for every verb, built once per process.
+
+    argparse keeps no state between parse_args calls and looks up
+    sys.stderr only when it prints, so one parser serves repeated main
+    calls, redirected streams and usage errors alike.
+    """
     parser = argparse.ArgumentParser(
         prog="homlie",
         description="Exact checks and constructions for hom-Lie algebras, "

@@ -6,6 +6,13 @@ Matrix wrapping a tuple of row tuples.  Elimination always picks the
 first nonzero entry of the current column as pivot, so ranks, kernel
 bases, solutions and inverses are deterministic functions of the input.
 
+The kernels (@, apply, vadd, vsub, vscale, bilinear and elimination)
+skip zero operands: a product or sum with a zero in it is never formed,
+because it cannot change an exact result, and vscale(1, u) is u when u
+is already a tuple of Fractions.  Every entry the kernels return is a
+Fraction, also when a caller passes ints, and an empty sum is
+Fraction(0).
+
 Scalars serialize as "p" or "p/q" with the sign on the numerator, which
 is exactly what Fraction's constructor and str() produce once the value
 is in lowest terms with a positive denominator (Fraction normalizes on
@@ -19,9 +26,13 @@ from typing import Iterable, Sequence, Union
 
 Q = Fraction
 
-Scalar = Fraction
 Vector = tuple
 ScalarLike = Union[Fraction, int, str]
+
+# Shared constants: a Fraction is immutable, so one object can fill
+# every zero or unit entry without constructing a new one each time.
+_ZERO = Q(0)
+_ONE = Q(1)
 
 
 def scalar(value: ScalarLike) -> Fraction:
@@ -57,20 +68,21 @@ def format_scalar(value: Fraction) -> str:
     return str(Fraction(value))
 
 
-def vector(entries: Iterable[ScalarLike]) -> Vector:
-    return tuple(scalar(e) for e in entries)
-
-
 def vzero(n: int) -> Vector:
-    return (Q(0),) * n
+    return (_ZERO,) * n
 
 
 def vadd(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
+    return tuple(
+        scalar(a + b if a and b else a or b)
+        for a, b in zip(u, v, strict=True)
+    )
 
 
 def vsub(u: Vector, v: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
+    return tuple(
+        scalar(a - b if b else a) for a, b in zip(u, v, strict=True)
+    )
 
 
 def vneg(u: Vector) -> Vector:
@@ -79,29 +91,36 @@ def vneg(u: Vector) -> Vector:
 
 def vscale(c: ScalarLike, u: Vector) -> Vector:
     c = scalar(c)
-    return tuple(c * a for a in u)
+    if not c:
+        return (_ZERO,) * len(u)
+    if c == 1:
+        if type(u) is tuple and all(type(a) is Q for a in u):
+            return u
+        return tuple(scalar(a) for a in u)
+    return tuple(c * a if a else _ZERO for a in u)
 
 
 def is_zero_vector(u: Vector) -> bool:
-    return all(a == 0 for a in u)
+    return not any(u)
 
 
 def basis_vector(n: int, i: int) -> Vector:
-    return tuple(Q(1) if k == i else Q(0) for k in range(n))
+    v = [_ZERO] * n
+    v[i] = _ONE
+    return tuple(v)
 
 
 def bilinear(u: Vector, v: Vector, value, dim: int) -> Vector:
     """sum over i, j of u_i v_j value(i, j) for a table value(i, j)."""
-    out = [Q(0)] * dim
+    out = [_ZERO] * dim
+    right = [(j, b) for j, b in enumerate(v) if b]
     for i, a in enumerate(u):
-        if a == 0:
+        if not a:
             continue
-        for j, b in enumerate(v):
-            if b == 0:
-                continue
+        for j, b in right:
             ab = a * b
             for k, c in enumerate(value(i, j)):
-                if c != 0:
+                if c:
                     out[k] += ab * c
     return tuple(out)
 
@@ -133,7 +152,7 @@ class Matrix:
 
     @classmethod
     def zero(cls, nrows: int, ncols: int) -> "Matrix":
-        return cls(((Q(0),) * ncols,) * nrows, ncols=ncols)
+        return cls(((_ZERO,) * ncols,) * nrows, ncols=ncols)
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
@@ -145,7 +164,7 @@ class Matrix:
         n = len(diag)
         return cls(
             tuple(
-                tuple(diag[i] if i == j else Q(0) for j in range(n))
+                tuple(diag[i] if i == j else _ZERO for j in range(n))
                 for i in range(n)
             ),
             ncols=n,
@@ -227,23 +246,30 @@ class Matrix:
         if self._ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
         cols = other._ncols
+        right = [[(j, b) for j, b in enumerate(row) if b] for row in other.rows]
         out = []
         for row in self.rows:
-            out.append(
-                tuple(
-                    sum((row[k] * other.rows[k][j] for k in range(self._ncols)), Q(0))
-                    for j in range(cols)
-                )
-            )
+            acc = [_ZERO] * cols
+            for k, a in enumerate(row):
+                if a:
+                    for j, b in right[k]:
+                        acc[j] += a * b
+            out.append(tuple(acc))
         return Matrix(tuple(out), ncols=cols)
 
     def apply(self, v: Vector) -> Vector:
         if len(v) != self._ncols:
             raise ValueError(f"shape mismatch {self.shape} applied to len {len(v)}")
-        return tuple(
-            sum((row[k] * v[k] for k in range(self._ncols)), Q(0))
-            for row in self.rows
-        )
+        support = [(k, x) for k, x in enumerate(v) if x]
+        out = []
+        for row in self.rows:
+            total = _ZERO
+            for k, x in support:
+                a = row[k]
+                if a:
+                    total += a * x
+            out.append(total)
+        return tuple(out)
 
     def transpose(self) -> "Matrix":
         return Matrix(
@@ -286,7 +312,7 @@ class Matrix:
         for col in range(self._ncols):
             found = None
             for r in range(piv_row, len(work)):
-                if work[r][col] != 0:
+                if work[r][col]:
                     found = r
                     break
             if found is None:
@@ -294,12 +320,14 @@ class Matrix:
             if found != piv_row:
                 work[piv_row], work[found] = work[found], work[piv_row]
             pivot = work[piv_row][col]
-            work[piv_row] = [e / pivot for e in work[piv_row]]
+            if pivot != 1:
+                work[piv_row] = [e / pivot if e else e for e in work[piv_row]]
             for r in range(len(work)):
-                if r != piv_row and work[r][col] != 0:
+                if r != piv_row and work[r][col]:
                     factor = work[r][col]
                     work[r] = [
-                        e - factor * p for e, p in zip(work[r], work[piv_row])
+                        e - factor * p if p else e
+                        for e, p in zip(work[r], work[piv_row])
                     ]
             pivots.append(col)
             piv_row += 1
@@ -326,8 +354,8 @@ class Matrix:
         free = [j for j in range(self._ncols) if j not in pivot_set]
         basis = []
         for f in free:
-            v = [Q(0)] * self._ncols
-            v[f] = Q(1)
+            v = [_ZERO] * self._ncols
+            v[f] = _ONE
             for r, p in enumerate(pivots):
                 v[p] = -reduced.rows[r][f]
             basis.append(tuple(v))
@@ -347,7 +375,7 @@ class Matrix:
         reduced, pivots = augmented.rref()
         if self._ncols in pivots:
             return None
-        x = [Q(0)] * self._ncols
+        x = [_ZERO] * self._ncols
         for r, p in enumerate(pivots):
             x[p] = reduced.rows[r][self._ncols]
         return tuple(x)

@@ -218,13 +218,13 @@ class CybeSum:
 
 def _tensor3_accumulate(store: dict, u, v, w, sign: int) -> None:
     for a, ca in enumerate(u):
-        if ca == 0:
+        if not ca:
             continue
         for b, cb in enumerate(v):
-            if cb == 0:
+            if not cb:
                 continue
             for c, cc in enumerate(w):
-                if cc == 0:
+                if not cc:
                     continue
                 key = (a, b, c)
                 store[key] = store.get(key, Q(0)) + sign * ca * cb * cc

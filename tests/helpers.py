@@ -313,3 +313,44 @@ def oracle_invariant_wedge_basis(g, grade):
             rows[row][col] = value - (Q(1) if row == col else Q(0))
     kernel = Matrix(tuple(tuple(r) for r in rows), ncols=size).kernel_basis()
     return [{tuples[p]: c for p, c in enumerate(v) if c != 0} for v in kernel]
+
+
+# ---------------------------------------------------------------------------
+# Dense kernels: linalg's @, apply, vadd, vsub and vscale as they were
+# before they skipped zero operands.  Every product and every sum is
+# formed, zeros included.
+
+
+def oracle_matmul(a, b):
+    if a.ncols != b.nrows:
+        raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
+    out = []
+    for row in a.rows:
+        out.append(
+            tuple(
+                sum((row[k] * b.rows[k][j] for k in range(a.ncols)), Q(0))
+                for j in range(b.ncols)
+            )
+        )
+    return Matrix(tuple(out), ncols=b.ncols)
+
+
+def oracle_apply(m, v):
+    if len(v) != m.ncols:
+        raise ValueError(f"shape mismatch {m.shape} applied to len {len(v)}")
+    return tuple(
+        sum((row[k] * v[k] for k in range(m.ncols)), Q(0)) for row in m.rows
+    )
+
+
+def oracle_vadd(u, v):
+    return tuple(a + b for a, b in zip(u, v, strict=True))
+
+
+def oracle_vsub(u, v):
+    return tuple(a - b for a, b in zip(u, v, strict=True))
+
+
+def oracle_vscale(c, u):
+    c = Fraction(c)
+    return tuple(c * a for a in u)

@@ -14,17 +14,21 @@ To record the corpus again (only when an output is meant to change):
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
 import os
+import subprocess
 import sys
 
 import pytest
 
-from homlie.cli import main
+from homlie.cli import build_parser, main
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
 
 
 def _load(name):
@@ -53,7 +57,6 @@ def _stdout_path(name):
 
 
 def test_corpus_covers_every_verb():
-    from homlie.cli import build_parser
     parser = build_parser()
     verbs = set(parser._subparsers._group_actions[0].choices)
     assert verbs == {argv[0] for argv in CASES.values()}
@@ -62,13 +65,61 @@ def test_corpus_covers_every_verb():
     assert {0, 1, 2} <= set(codes.values())
 
 
+def _expected(name):
+    with open(_stdout_path(name), encoding="utf-8", newline="") as handle:
+        return handle.read()
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_output(name):
     code, out = _replay(CASES[name])
-    with open(_stdout_path(name), encoding="utf-8", newline="") as handle:
-        expected = handle.read()
-    assert out == expected
+    assert out == _expected(name)
     assert code == _load("exit_codes.json")[name]
+
+
+def test_repeated_calls_in_one_process_share_one_parser(monkeypatch):
+    """The whole corpus twice, forwards then backwards, with two usage
+    errors in between: every output is still the golden one, and the
+    parser tree (1 root + 17 verb parsers) is built exactly once."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    build_parser.cache_clear()
+    codes = _load("exit_codes.json")
+    names = sorted(CASES)
+    for name in names:
+        assert _replay(CASES[name]) == (codes[name], _expected(name)), name
+    for argv, message in (([], "required: verb"),
+                          (["no-such-verb"], "invalid choice")):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err), \
+                pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+        assert err.getvalue().startswith("usage: homlie")
+        assert message in err.getvalue()
+    for name in reversed(names):
+        assert _replay(CASES[name]) == (codes[name], _expected(name)), name
+    assert len(built) == 18
+
+
+def test_python_m_homlie_matches_in_process_main():
+    argv = ["verify-algebra", "inputs/aff1.algebra.json", "--json"]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
+    cold = subprocess.run([sys.executable, "-m", "homlie", *_resolve(argv)],
+                          capture_output=True, text=True, env=env,
+                          timeout=120, check=False)
+    code, out = _replay(argv)
+    assert (cold.returncode, cold.stdout, cold.stderr) == (code, out, "")
+    assert code == 0 and json.loads(out)["verb"] == "verify-algebra"
 
 
 def record():

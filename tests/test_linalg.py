@@ -23,6 +23,15 @@ from homlie.linalg import (
     vscale,
     vsub,
 )
+from homlie.ooperator import build_nt
+
+from helpers import (
+    oracle_apply,
+    oracle_matmul,
+    oracle_vadd,
+    oracle_vscale,
+    oracle_vsub,
+)
 
 scalars = st.fractions(
     min_value=-4, max_value=4, max_denominator=3).map(Q)
@@ -216,3 +225,87 @@ def test_from_columns_and_is_zero():
 def test_matrix_refuses_ragged_rows():
     with pytest.raises(ValueError):
         matrix([[1, 2], [3]])
+
+
+# The zero-skipping kernels against the dense oracles in helpers.py.
+
+entries = st.one_of(scalars, st.integers(min_value=-3, max_value=3))
+
+
+@st.composite
+def mostly_zero(draw, n):
+    """n entries, ints mixed with Fractions, at least half of them zero."""
+    values = draw(st.lists(entries, min_size=n, max_size=n))
+    for k in draw(st.permutations(range(n)))[: (n + 1) // 2]:
+        values[k] = Q(0) if k % 2 else 0
+    return tuple(values)
+
+
+@st.composite
+def mostly_zero_matrix(draw, nrows, ncols):
+    flat = draw(mostly_zero(nrows * ncols))
+    return Matrix(tuple(flat[i * ncols:(i + 1) * ncols]
+                        for i in range(nrows)), ncols=ncols)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_sparse_kernels_equal_dense_oracles(data):
+    r, k, c = (data.draw(st.integers(min_value=0, max_value=4))
+               for _ in range(3))
+    a = data.draw(mostly_zero_matrix(r, k))
+    b = data.draw(mostly_zero_matrix(k, c))
+    u = data.draw(mostly_zero(k))
+    v = data.draw(mostly_zero(k))
+    c_scale = data.draw(st.one_of(st.just(1), st.just(Q(1)), entries))
+    product = a @ b
+    assert product.shape == (r, c)
+    assert product == oracle_matmul(a, b)
+    results = [a.apply(u), vadd(u, v), vsub(u, v), vscale(c_scale, u)]
+    assert results == [oracle_apply(a, u), oracle_vadd(u, v),
+                       oracle_vsub(u, v), oracle_vscale(c_scale, u)]
+    for out in (*product.rows, *results):
+        assert all(type(x) is Fraction for x in out)
+    exact = tuple(Q(x) for x in u)
+    assert vscale(1, exact) is exact
+
+
+class CountingFraction(Fraction):
+    """A Fraction that counts the products it takes part in."""
+
+    products = 0
+
+    def __mul__(self, other):
+        CountingFraction.products += 1
+        return Fraction.__mul__(self, other)
+
+    def __rmul__(self, other):
+        CountingFraction.products += 1
+        return Fraction.__rmul__(self, other)
+
+
+def _nonzero_pairs(m, v):
+    return sum(1 for row in m.rows for a, x in zip(row, v) if a and x)
+
+
+def test_kernels_multiply_no_zero_operand():
+    """identity @ m and N_T v form one product per pair of nonzero
+    operands; the dense kernels formed one per pair of positions."""
+    rng = random.Random(11)
+    values = (0, 0, 0, 1, -2, Q(1, 3))
+    m = Matrix(tuple(tuple(CountingFraction(rng.choice(values))
+                           for _ in range(6)) for _ in range(6)))
+    nonzero = sum(1 for row in m.rows for x in row if x)
+    assert 0 < nonzero < 36
+    CountingFraction.products = 0
+    product = Matrix.identity(6) @ m
+    assert CountingFraction.products == nonzero
+    assert product == m
+
+    t = matrix([[1, 0, 2], [0, 0, -1]])
+    nt = build_nt(t)
+    v = tuple(CountingFraction(x) for x in (1, 0, 0, 2, Q(-1, 2)))
+    CountingFraction.products = 0
+    image = nt.apply(v)
+    assert CountingFraction.products == _nonzero_pairs(nt, v) == 2
+    assert image == oracle_apply(nt, v)
