@@ -22,7 +22,7 @@ import sys
 
 from .cochain import ComplexDescriptor, coboundary, cohomology_table
 from .deformation import (
-    extend_order,
+    extension_steps,
     formal_deformation_check,
     infinitesimal_check,
     linear_deformation_check,
@@ -154,8 +154,8 @@ def _cmd_check_o_operator(args):
     g = rep.algebra
     t = load_operator(args.operator)
     report = is_o_operator(g, rep, t)
-    graph = graph_check(g, rep, t)
     semi = semidirect_product(rep)
+    graph = graph_check(g, rep, t, _semi=semi)
     nijenhuis = nijenhuis_operator_check(semi, build_nt(t))
     verdicts = [report.ok, graph.ok, nijenhuis.ok]
     data = {
@@ -165,7 +165,7 @@ def _cmd_check_o_operator(args):
             nijenhuis, ("commutes_with_twist", "identity")),
     }
     if g.is_regular and rep.beta.is_invertible():
-        mc = o_operator_maurer_cartan_check(g, rep, t)
+        mc = o_operator_maurer_cartan_check(g, rep, t, _semi=semi)
         data["maurer_cartan"] = _report_fields(
             mc, ("twist_compatible", "derived_square_zero"))
         verdicts.append(mc.ok)
@@ -298,24 +298,21 @@ def _cmd_deform_extend(args):
         raise SchemaError("--max-order must exceed the current order")
     current = d
     obstructed_at = None
-    last = None
-    while current.order < target:
-        last = extend_order(g, rep, current)
+    for last in extension_steps(g, rep, d, target):
         if last.obstructed:
             obstructed_at = current.order + 1
-            break
-        current = last.extended
+        else:
+            current = last.extended
     data = {
         "reached_order": current.order,
         "obstructed_at": obstructed_at,
         "deformation": deformation_to_dict(current),
-    }
-    if last is not None:
-        data["last_step"] = {
+        "last_step": {
             "theta": cochain_to_dict(last.theta, source="V"),
             "dim_image": last.dim_image,
             "dim_h2": last.dim_h2,
-        }
+        },
+    }
     if args.out:
         _write_json(args.out, deformation_to_dict(current))
     failures = ()
@@ -360,7 +357,8 @@ def _cmd_rmatrix_check(args):
         },
     }
     if report.verdict:
-        data["dual_algebra"] = algebra_to_dict(induced_dual_bracket(g, r))
+        data["dual_algebra"] = algebra_to_dict(
+            induced_dual_bracket(g, r, _report=report))
     return report.verdict, data, report.failures
 
 

@@ -18,7 +18,12 @@ is the obstruction; extending a deformation by one order is solving
 that linear equation over the twist-compatible maps.  By the
 identity {{T, X}} = -delta_T(X), the system is minus the differential
 delta_1 of the complex attached to T, restricted to its compatible
-basis; the derived bracket itself only computes Theta.
+basis; the derived bracket itself only computes Theta.  It is symmetric
+on maps V -> g, so Theta sums the pairs i <= j once each, doubling
+those with i < j.  extension_steps is the one extension loop: it checks
+the input deformation once, builds the operator complex, -delta_1 and
+dim H^2 once, and then per order computes Theta, solves, and checks the
+deformed identity at the order it has just solved.
 
 A Nijenhuis element x (fixed by alpha, with vanishing squares
 [[x, y], [x, z]], rho([x, y]) rho(x) and [x, T rho(x)(v) + [T(v), x]])
@@ -37,15 +42,17 @@ twist; non-regular input raises ValueError up front.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .cochain import (
     Cochain,
+    _flat_size,
+    _restricted_rank,
     coboundary,
     coboundary_on_basis,
-    cohomology_dims,
     zero_coboundary,
 )
-from .graded import derived_bracket
+from .graded import build_theta, derived_bracket
 from .linalg import (
     Matrix,
     Q,
@@ -385,6 +392,18 @@ class FormalDeformationReport:
         return self.twist_compatible and all(h for _, h in self.per_order)
 
 
+def _order_failures(g: HomLieAlgebra, rep: Representation, coeffs: list,
+                    k: int) -> list:
+    """The failures of the deformed identity at order k."""
+    failures = []
+    for (a, b) in pair_list(rep.dim):
+        defect = vsub(*deformed_identity(g, rep, coeffs, k, a, b))
+        if not is_zero_vector(defect):
+            failures.append(Failure("deformation_equation", (k, a, b),
+                                    defect, vzero(g.dim)))
+    return failures
+
+
 def formal_deformation_check(g: HomLieAlgebra, rep: Representation,
                              d: TruncatedDeformation) -> FormalDeformationReport:
     """Check the deformed identity order by order up to d.order and the
@@ -405,14 +424,9 @@ def formal_deformation_check(g: HomLieAlgebra, rep: Representation,
             failures.extend(found)
     per_order = []
     for k in range(d.order + 1):
-        holds = True
-        for (a, b) in pair_list(rep.dim):
-            defect = vsub(*deformed_identity(g, rep, coeffs, k, a, b))
-            if not is_zero_vector(defect):
-                holds = False
-                failures.append(Failure("deformation_equation", (k, a, b),
-                                        defect, vzero(g.dim)))
-        per_order.append((k, holds))
+        found = _order_failures(g, rep, coeffs, k)
+        failures.extend(found)
+        per_order.append((k, not found))
     return FormalDeformationReport(
         twist_compatible=twist_ok,
         per_order=tuple(per_order),
@@ -455,26 +469,31 @@ def infinitesimal_check(g: HomLieAlgebra, rep: Representation,
                                is_cocycle=image.is_zero())
 
 
+def _require_valid(found: list) -> None:
+    if found:
+        raise ValueError(f"obstruction needs a valid deformation: {found[0]}")
+
+
 def obstruction(g: HomLieAlgebra, rep: Representation,
-                d: TruncatedDeformation) -> Cochain:
+                d: TruncatedDeformation, _theta: Cochain | None = None
+                ) -> Cochain:
     """Theta = -1/2 sum over i+j=order+1, i,j >= 1 of {{T_i, T_j}}.
 
-    The deformation must be valid up to its stated order.
+    The deformation must be valid up to its stated order.  Since
+    {{T_i, T_j}} = {{T_j, T_i}}, the sum takes ceil(order/2) brackets.
+    _theta is build_theta(rep), from a caller that has checked d.
     """
-    _require_regular(g, rep)
-    report = formal_deformation_check(g, rep, d)
-    if not report.ok:
-        raise ValueError(
-            f"obstruction needs a valid deformation: {report.failures[0]}")
+    if _theta is None:
+        _require_regular(g, rep)
+        _require_valid(formal_deformation_check(g, rep, d).failures)
+        _theta = build_theta(rep)
     total = Cochain.zero(2, rep.dim, g.dim)
     k = d.order + 1
-    for i in range(1, k):
-        j = k - i
-        if j < 1 or j > d.order:
-            continue
+    for i in range(1, k // 2 + 1):
         part = derived_bracket(rep, Cochain.from_linear_map(d.coefficient(i)),
-                               Cochain.from_linear_map(d.coefficient(j)))
-        total = total + part
+                               Cochain.from_linear_map(d.coefficient(k - i)),
+                               _theta=_theta)
+        total = total + (part if 2 * i == k else part.scale(2))
     return total.scale(Q(-1, 2))
 
 
@@ -492,39 +511,57 @@ class ExtensionResult:
         return not self.obstructed
 
 
-def extend_order(g: HomLieAlgebra, rep: Representation,
-                 d: TruncatedDeformation) -> ExtensionResult:
-    """Solve {{T, X}} = Theta for the next coefficient, if possible.
+def extension_steps(g: HomLieAlgebra, rep: Representation,
+                    d: TruncatedDeformation, order: int):
+    """Extend d one order at a time up to order, yielding the
+    ExtensionResult of each step; an obstructed step is the last.
 
-    X ranges over the twist-compatible maps V -> g.  Since
-    {{T, X}} = -delta_T(X), the system is -delta_1 of the operator
-    complex on its compatible basis.  The deterministic solver
-    (first-nonzero pivots, free variables zero) makes the chosen
-    solution canonical.  When the system is inconsistent the deformation
-    is obstructed and the class of Theta in H^2 is the witness.
+    d is checked once, and the operator complex of its base, the system
+    -delta_1 on the compatible basis, its rank dim_image and dim H^2 are
+    built once.  Each step solves {{T, X}} = Theta; the deterministic
+    solver (first-nonzero pivots, free variables zero) makes the chosen
+    solution canonical.  Each solved order is checked against the
+    deformed identity, raising the ValueError of obstruction on a
+    failure.  When the system is inconsistent the deformation is
+    obstructed and the class of Theta in H^2 is the witness.
     """
     _require_regular(g, rep)
-    theta = obstruction(g, rep, d)
+    _require_valid(formal_deformation_check(g, rep, d).failures)
+    theta = build_theta(rep)
     desc = operator_complex(g, rep, d.base)
     basis, images = coboundary_on_basis(desc, 1)
     system = Matrix.from_columns([[-c for c in image] for image in images],
-                                 nrows=len(theta.to_flat()))
-    coords = system.solve(theta.to_flat())
-    dims = cohomology_dims(desc, 2)
-    dim_image, dim_h2 = dims.dim_coboundaries, dims.dim_h
-    if coords is None:
-        return ExtensionResult(theta=theta, obstructed=True, solution=None,
-                               extended=None, dim_image=dim_image,
-                               dim_h2=dim_h2)
-    solution = Cochain.zero(1, rep.dim, g.dim)
-    for c, b in zip(coords, basis):
-        if c != 0:
-            solution = solution + b.scale(c)
-    next_term = solution.as_matrix()
-    extended = TruncatedDeformation(base=d.base, terms=d.terms + (next_term,))
-    return ExtensionResult(theta=theta, obstructed=False, solution=next_term,
-                           extended=extended, dim_image=dim_image,
-                           dim_h2=dim_h2)
+                                 nrows=_flat_size(desc, 2))
+    dim_image = system.rank()
+    count, rank = _restricted_rank(desc, 2)
+    step = partial(ExtensionResult, dim_image=dim_image,
+                   dim_h2=count - rank - dim_image)
+    while d.order < order:
+        target = obstruction(g, rep, d, _theta=theta)
+        coords = system.solve(target.to_flat())
+        if coords is None:
+            yield step(theta=target, obstructed=True, solution=None,
+                       extended=None)
+            return
+        solution = sum((b.scale(c) for c, b in zip(coords, basis) if c != 0),
+                       Cochain.zero(1, rep.dim, g.dim))
+        d = TruncatedDeformation(base=d.base,
+                                 terms=d.terms + (solution.as_matrix(),))
+        _require_valid(_order_failures(g, rep, d.coefficients(), d.order))
+        yield step(theta=target, obstructed=False, solution=d.terms[-1],
+                   extended=d)
+
+
+def extend_order(g: HomLieAlgebra, rep: Representation,
+                 d: TruncatedDeformation) -> ExtensionResult:
+    """Solve {{T, X}} = Theta for the next coefficient, if possible: the
+    one step of extension_steps.
+
+    X ranges over the twist-compatible maps V -> g.  Since
+    {{T, X}} = -delta_T(X), the system is -delta_1 of the operator
+    complex on its compatible basis.
+    """
+    return next(extension_steps(g, rep, d, d.order + 1))
 
 
 @dataclass(frozen=True)

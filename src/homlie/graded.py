@@ -21,7 +21,10 @@ The derived bracket on maps P: wedge^n V -> g is
     {{P, Q}} = (-1)^n [[theta, lift(P)], lift(Q)]
 
 restricted back to arguments from V, where lift(P) extends P to g + V
-by killing the g-components.  Degree-zero elements x of g (fixed by
+by killing the g-components.  Only what the restriction keeps is
+computed: the outer bracket on tuples of module indices, and the inner
+bracket [theta, lift(P)] on the tuples with at most one g index, the
+only ones the outer bracket reads.  Degree-zero elements x of g (fixed by
 alpha) pair with an n-cochain P through
 
     {{P, x}}(v_1, ..., v_n)
@@ -46,51 +49,69 @@ from .linalg import (
     is_zero_vector,
     vadd,
     vscale,
+    vsub,
     vzero,
 )
-from .structures import Representation, semidirect_product
+from .structures import HomLieAlgebra, Representation, semidirect_product
 
 
-def circle_product(phi: Cochain, psi: Cochain, twist: Matrix) -> Cochain:
-    """The twisted circle product; both factors live on (W, twist)."""
-    dim = twist.nrows
-    for f in (phi, psi):
-        if f.source_dim != dim or f.target_dim != dim:
-            raise ValueError("circle product needs endomorphism-valued cochains")
+def _circle_values(phi: Cochain, psi: Cochain, twist: Matrix,
+                   tuples) -> list:
+    """phi . psi on the given increasing index tuples, in their order."""
     a, b = phi.arity, psi.arity
-    if a < 1 or b < 1:
-        raise ValueError("circle product needs arity at least 1")
     twist_power = twist.power(b - 1)
     values = []
-    for indices in increasing_tuples(dim, a + b - 1):
-        total = vzero(dim)
+    for indices in tuples:
+        total = vzero(twist.nrows)
         for perm, sign in shuffles(b, a - 1):
             inner = psi.evaluate_basis(tuple(indices[p] for p in perm[:b]))
             if is_zero_vector(inner):
                 continue
-            args = [inner] + [
-                twist_power.column(indices[p]) for p in perm[b:]
-            ]
+            args = [inner] + [twist_power.column(indices[p]) for p in perm[b:]]
             total = vadd(total, vscale(sign, phi.evaluate(args)))
         values.append(total)
-    return Cochain(a + b - 1, dim, dim, tuple(values))
+    return values
+
+
+def _bracket_values(phi: Cochain, psi: Cochain, twist: Matrix,
+                    tuples) -> list:
+    """[phi, psi] on the given increasing index tuples, in their order."""
+    sign = -1 if (phi.arity - 1) * (psi.arity - 1) % 2 else 1
+    return [vsub(vscale(sign, left), right) for left, right in zip(
+        _circle_values(phi, psi, twist, tuples),
+        _circle_values(psi, phi, twist, tuples))]
+
+
+def _on_every_tuple(values, phi: Cochain, psi: Cochain,
+                    twist: Matrix) -> Cochain:
+    """The cochain values(phi, psi, twist, tuples) on all tuples."""
+    for f in (phi, psi):
+        if f.source_dim != twist.nrows or f.target_dim != twist.nrows:
+            raise ValueError("circle product needs endomorphism-valued cochains")
+    if phi.arity < 1 or psi.arity < 1:
+        raise ValueError("circle product needs arity at least 1")
+    arity = phi.arity + psi.arity - 1
+    return Cochain(arity, twist.nrows, twist.nrows, tuple(values(
+        phi, psi, twist, increasing_tuples(twist.nrows, arity))))
+
+
+def circle_product(phi: Cochain, psi: Cochain, twist: Matrix) -> Cochain:
+    """The twisted circle product; both factors live on (W, twist)."""
+    return _on_every_tuple(_circle_values, phi, psi, twist)
 
 
 def nr_bracket(phi: Cochain, psi: Cochain, twist: Matrix) -> Cochain:
     """[phi, psi] = (-1)^{pq} phi . psi - psi . phi, degrees p, q."""
-    p, q = phi.arity - 1, psi.arity - 1
-    left = circle_product(phi, psi, twist)
-    if (p * q) % 2 == 1:
-        left = -left
-    return left - circle_product(psi, phi, twist)
+    return _on_every_tuple(_bracket_values, phi, psi, twist)
 
 
-def build_theta(rep: Representation) -> Cochain:
+def build_theta(rep: Representation, _semi: HomLieAlgebra | None = None
+                ) -> Cochain:
     """The arity-2 element mu + rho on g + V encoding bracket and action:
-    the bracket table of the semidirect sum, read as a cochain."""
-    total = rep.algebra.dim + rep.dim
-    return Cochain.from_values(2, total, total,
-                               semidirect_product(rep).brackets_dict())
+    the bracket table of the semidirect sum, read as a cochain.  _semi is
+    semidirect_product(rep), from a caller that has already built it."""
+    semi = semidirect_product(rep) if _semi is None else _semi
+    return Cochain.from_values(2, semi.dim, semi.dim, semi.brackets_dict())
 
 
 @dataclass(frozen=True)
@@ -133,40 +154,40 @@ def horizontal_lift(p: Cochain, algebra_dim: int) -> Cochain:
     return Cochain.from_values(p.arity, total, total, entries)
 
 
-def _restrict_to_module(lifted: Cochain, algebra_dim: int, module_dim: int,
-                        arity: int) -> Cochain:
-    """Read a lifted cochain back as a map wedge^n V -> g.
+def derived_bracket(rep: Representation, p: Cochain, q: Cochain,
+                    _theta: Cochain | None = None) -> Cochain:
+    """{{P, Q}} = (-1)^n [[theta, lift(P)], lift(Q)] restricted to V -> g.
 
-    The value on module arguments must lie in g; a nonzero V-component
-    would mean the bracket left the operator complex, which cannot
-    happen for genuine lifts.
+    Only the values the restriction reads are computed.  The outer
+    bracket is evaluated on module tuples alone.  There it reads the
+    inner bracket on module tuples, and on values of lift(Q), which lie
+    in g, next to module arguments (the twist keeps V); so the inner
+    bracket is evaluated on the tuples with at most one g index.  _theta
+    is build_theta(rep), from a caller that brackets repeatedly.
     """
-    values = []
-    for indices in increasing_tuples(module_dim, arity):
-        shifted = tuple(algebra_dim + a for a in indices)
-        value = lifted.coeff(shifted)
-        if not is_zero_vector(value[algebra_dim:]):
-            raise ValueError("derived bracket left the operator complex")
-        values.append(value[:algebra_dim])
-    return Cochain(arity, module_dim, algebra_dim, tuple(values))
-
-
-def derived_bracket(rep: Representation, p: Cochain, q: Cochain) -> Cochain:
-    """{{P, Q}} = (-1)^n [[theta, lift(P)], lift(Q)] restricted to V -> g."""
     g = rep.algebra
     for f in (p, q):
         if f.source_dim != rep.dim or f.target_dim != g.dim:
             raise ValueError("derived bracket needs maps from the module to g")
         if f.arity < 1:
             raise ValueError("use derived_bracket_zero for degree-zero elements")
+    n_g, total = g.dim, g.dim + rep.dim
     twist = block_diag(g.alpha, rep.beta)
-    theta = build_theta(rep)
-    inner = nr_bracket(theta, horizontal_lift(p, g.dim), twist)
-    outer = nr_bracket(inner, horizontal_lift(q, g.dim), twist)
-    result = _restrict_to_module(outer, g.dim, rep.dim, p.arity + q.arity)
-    if p.arity % 2 == 1:
-        result = -result
-    return result
+    theta = build_theta(rep) if _theta is None else _theta
+    # Increasing tuples: t[1] >= n_g leaves at most t[0] in g.
+    near = [t for t in increasing_tuples(total, p.arity + 1) if t[1] >= n_g]
+    inner = Cochain.from_values(p.arity + 1, total, total, dict(zip(
+        near, _bracket_values(theta, horizontal_lift(p, n_g), twist, near))))
+    arity = p.arity + q.arity
+    module = [t for t in increasing_tuples(total, arity) if t[0] >= n_g]
+    sign = -1 if p.arity % 2 else 1
+    values = []
+    for value in _bracket_values(inner, horizontal_lift(q, n_g), twist,
+                                 module):
+        if not is_zero_vector(value[n_g:]):
+            raise ValueError("derived bracket left the operator complex")
+        values.append(vscale(sign, value[:n_g]))
+    return Cochain(arity, rep.dim, g.dim, tuple(values))
 
 
 def derived_bracket_zero(rep: Representation, p, x: Vector) -> Cochain:

@@ -400,34 +400,6 @@ class Matrix:
     def is_invertible(self) -> bool:
         return self.is_square() and self.rank() == self.nrows
 
-    def det(self) -> Fraction:
-        """Exact determinant by fraction-preserving elimination."""
-        if not self.is_square():
-            raise ValueError("determinant of a non-square matrix")
-        n = self.nrows
-        work = [list(row) for row in self.rows]
-        result = Q(1)
-        for col in range(n):
-            found = None
-            for r in range(col, n):
-                if work[r][col] != 0:
-                    found = r
-                    break
-            if found is None:
-                return Q(0)
-            if found != col:
-                work[col], work[found] = work[found], work[col]
-                result = -result
-            pivot = work[col][col]
-            result *= pivot
-            for r in range(col + 1, n):
-                if work[r][col] != 0:
-                    factor = work[r][col] / pivot
-                    work[r] = [
-                        e - factor * p for e, p in zip(work[r], work[col])
-                    ]
-        return result
-
 
 def matrix(rows: Sequence[Sequence[ScalarLike]], ncols: int | None = None) -> Matrix:
     return Matrix(rows, ncols=ncols)

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cochain import Cochain, ComplexDescriptor, coboundary
-from .graded import derived_bracket
+from .graded import build_theta, derived_bracket
 from .linalg import (
     Matrix,
     Q,
@@ -161,12 +161,14 @@ class GraphReport:
         return self.bracket_closed and self.twist_closed
 
 
-def graph_check(g: HomLieAlgebra, rep: Representation, t: Matrix) -> GraphReport:
+def graph_check(g: HomLieAlgebra, rep: Representation, t: Matrix,
+                _semi: HomLieAlgebra | None = None) -> GraphReport:
     """Whether Gr(T) = {T(v) + v} is a subalgebra of g + V closed under
-    the twist alpha + beta."""
+    the twist alpha + beta.  _semi is semidirect_product(rep), from a
+    caller that has already built it."""
     if t.shape != (g.dim, rep.dim):
         raise ValueError("operator must map the module into the algebra")
-    semi = semidirect_product(rep)
+    semi = semidirect_product(rep) if _semi is None else _semi
     n = g.dim
     failures = []
     bracket_closed = True
@@ -253,11 +255,14 @@ class MaurerCartanOperatorReport:
 
 
 def o_operator_maurer_cartan_check(g: HomLieAlgebra, rep: Representation,
-                                   t: Matrix) -> MaurerCartanOperatorReport:
-    """T as a Maurer-Cartan element: twist-compatible and {{T, T}} = 0."""
+                                   t: Matrix,
+                                   _semi: HomLieAlgebra | None = None
+                                   ) -> MaurerCartanOperatorReport:
+    """T as a Maurer-Cartan element: twist-compatible and {{T, T}} = 0.
+    _semi is semidirect_product(rep), from a caller that has built it."""
     compatible = (t @ rep.beta) == (g.alpha @ t)
     one = Cochain.from_linear_map(t)
-    square = derived_bracket(rep, one, one)
+    square = derived_bracket(rep, one, one, _theta=build_theta(rep, _semi))
     return MaurerCartanOperatorReport(
         twist_compatible=compatible,
         derived_square_zero=square.is_zero(),

@@ -39,7 +39,7 @@ off the cochain layer's compatible_maps_basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .alternating import wedge_coords
 from .cochain import compatible_maps_basis
@@ -64,7 +64,7 @@ from .ooperator import (
     o_operator_hom_check,
 )
 from .reporting import Failure
-from .structures import HomLieAlgebra, coadjoint_rep, pair_list
+from .structures import HomLieAlgebra, Representation, coadjoint_rep, pair_list
 
 
 @dataclass(frozen=True)
@@ -289,6 +289,8 @@ class RMatrixReport:
     operator_report: OOperatorReport
     wedge_square: tuple
     failures: tuple
+    # The representation the operator route was decided on.
+    coadjoint: Representation = field(repr=False, compare=False)
 
     @property
     def routes_agree(self) -> bool:
@@ -320,29 +322,32 @@ def is_r_matrix(g: HomLieAlgebra, r: WedgeTwoTensor) -> RMatrixReport:
             failures.append(Failure("wedge_square", indices,
                                     (square[indices],), (Q(0),)))
     cybe = cybe_sum(g, r)
-    operator = is_o_operator(g, coadjoint_rep(g), tensor_to_operator(r))
+    coadj = coadjoint_rep(g)
     return RMatrixReport(
         wedge_square_zero=square_zero,
         cybe_zero=cybe.is_zero,
-        operator_report=operator,
+        operator_report=is_o_operator(g, coadj, tensor_to_operator(r)),
         wedge_square=tuple(sorted(square.items())),
         failures=tuple(failures),
+        coadjoint=coadj,
     )
 
 
-def induced_dual_bracket(g: HomLieAlgebra, r: WedgeTwoTensor) -> HomLieAlgebra:
+def induced_dual_bracket(g: HomLieAlgebra, r: WedgeTwoTensor,
+                         _report: RMatrixReport | None = None
+                         ) -> HomLieAlgebra:
     """The hom-Lie algebra on g* induced by an r-matrix:
 
         [xi, eta]_r = {r#(xi), eta} - {r#(eta), xi}
 
     with twist (alpha^{-1})^T, computed directly from the coadjoint
     action (not through the sub-adjacent construction, so the two paths
-    can be compared)."""
-    _require_rmatrix_context(g, r)
-    report = is_r_matrix(g, r)
+    can be compared).  _report is is_r_matrix(g, r), from a caller that
+    has already decided it."""
+    report = is_r_matrix(g, r) if _report is None else _report
     if not report.verdict:
         raise ValueError("the two-tensor is not an r-matrix")
-    coadj = coadjoint_rep(g)
+    coadj = report.coadjoint
     sharp = tensor_to_operator(r)
     brackets = {}
     for (a, b) in pair_list(g.dim):

@@ -7,15 +7,19 @@ between package verdicts and oracle verdicts is meaningful evidence.
 
 from __future__ import annotations
 
+import functools
+import sys
 from fractions import Fraction
 from itertools import combinations
 
-from homlie.alternating import increasing_tuples
+from homlie.alternating import increasing_tuples, shuffles
 from homlie.cochain import Cochain
+from homlie.graded import build_theta, horizontal_lift
 from homlie.linalg import (
     Matrix,
     Q,
     basis_vector,
+    block_diag,
     is_zero_vector,
     vadd,
     vscale,
@@ -41,8 +45,56 @@ def rand_matrix(rng, nrows, ncols, lo=-2, hi=2) -> Matrix:
 def rand_invertible(rng, n, lo=-2, hi=2) -> Matrix:
     while True:
         m = rand_matrix(rng, n, n, lo, hi)
-        if m.det() != 0:
+        if oracle_det(m) != 0:
             return m
+
+
+def oracle_det(m):
+    """Exact determinant by fraction-preserving elimination, on its own
+    rows; the library computes no determinant."""
+    if not m.is_square():
+        raise ValueError("determinant of a non-square matrix")
+    n = m.nrows
+    work = [list(row) for row in m.rows]
+    result = Q(1)
+    for col in range(n):
+        found = None
+        for r in range(col, n):
+            if work[r][col] != 0:
+                found = r
+                break
+        if found is None:
+            return Q(0)
+        if found != col:
+            work[col], work[found] = work[found], work[col]
+            result = -result
+        pivot = work[col][col]
+        result *= pivot
+        for r in range(col + 1, n):
+            if work[r][col] != 0:
+                factor = work[r][col] / pivot
+                work[r] = [
+                    e - factor * p for e, p in zip(work[r], work[col])
+                ]
+    return result
+
+
+def count_calls(monkeypatch, func) -> list:
+    """Wrap func wherever a loaded homlie module holds it; the returned
+    list receives the positional arguments of every call."""
+    calls = []
+
+    @functools.wraps(func)
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return func(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "homlie" or name.startswith("homlie."):
+            for key, value in list(vars(module).items()):
+                if value is func:
+                    monkeypatch.setattr(module, key, recording)
+    return calls
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +229,7 @@ def oracle_wedge_coords(vectors, dim):
             tuple(tuple(vectors[c][i] for c in range(k)) for i in index),
             ncols=k,
         )
-        value = minor.det()
+        value = oracle_det(minor)
         if value != 0:
             coords[index] = value
     return coords
@@ -262,29 +314,84 @@ def oracle_compatible_maps_basis(sigma, tau, arity):
 
 
 # ---------------------------------------------------------------------------
-# Oracles for the deformation and r-matrix layers.
+# Oracles for the graded, deformation and r-matrix layers.
 #
-# The extension system as the library first built it: one derived
-# bracket {{T, b}} (two Nijenhuis-Richardson brackets on g + V) per
-# compatible basis map b, instead of -delta_1 of the operator complex.
-# And the invariant wedge basis as a kernel of Lambda^k(alpha) - id whose
-# entries are determinants, instead of the compatible-map solver.
+# The derived bracket as the library first computed it: two complete
+# Nijenhuis-Richardson brackets on every tuple of g + V, from a circle
+# product of their own, then the module tuples read back.  Theta from
+# all pairs i + j = order + 1, one derived bracket each.  The extension
+# system with one derived bracket {{T, b}} per compatible basis map b,
+# instead of -delta_1 of the operator complex.  And the invariant wedge
+# basis as a kernel of Lambda^k(alpha) - id whose entries are
+# determinants, instead of the compatible-map solver.
+
+
+def _oracle_circle_product(phi, psi, twist):
+    dim = twist.nrows
+    a, b = phi.arity, psi.arity
+    twist_power = twist.power(b - 1)
+    values = []
+    for indices in increasing_tuples(dim, a + b - 1):
+        total = vzero(dim)
+        for perm, sign in shuffles(b, a - 1):
+            inner = psi.evaluate_basis(tuple(indices[p] for p in perm[:b]))
+            if is_zero_vector(inner):
+                continue
+            args = [inner] + [twist_power.column(indices[p])
+                              for p in perm[b:]]
+            total = vadd(total, vscale(sign, phi.evaluate(args)))
+        values.append(total)
+    return Cochain(a + b - 1, dim, dim, tuple(values))
+
+
+def _oracle_nr_bracket(phi, psi, twist):
+    left = _oracle_circle_product(phi, psi, twist)
+    if (phi.arity - 1) * (psi.arity - 1) % 2 == 1:
+        left = -left
+    return left - _oracle_circle_product(psi, phi, twist)
+
+
+def oracle_derived_bracket(rep, p, q):
+    """(-1)^n [[theta, lift(P)], lift(Q)] on all of g + V, restricted."""
+    g = rep.algebra
+    twist = block_diag(g.alpha, rep.beta)
+    inner = _oracle_nr_bracket(build_theta(rep), horizontal_lift(p, g.dim),
+                               twist)
+    outer = _oracle_nr_bracket(inner, horizontal_lift(q, g.dim), twist)
+    values = []
+    for indices in increasing_tuples(rep.dim, p.arity + q.arity):
+        value = outer.coeff(tuple(g.dim + a for a in indices))
+        if not is_zero_vector(value[g.dim:]):
+            raise ValueError("derived bracket left the operator complex")
+        values.append(value[:g.dim])
+    result = Cochain(p.arity + q.arity, rep.dim, g.dim, tuple(values))
+    return -result if p.arity % 2 == 1 else result
+
+
+def oracle_obstruction(g, rep, d):
+    """Theta = -1/2 sum over all i + j = order + 1, i, j >= 1."""
+    k = d.order + 1
+    total = Cochain.zero(2, rep.dim, g.dim)
+    for i in range(1, k):
+        total = total + oracle_derived_bracket(
+            rep, Cochain.from_linear_map(d.coefficient(i)),
+            Cochain.from_linear_map(d.coefficient(k - i)))
+    return total.scale(Q(-1, 2))
 
 
 def oracle_extend_order(g, rep, d):
     """(next coefficient or None, dim_image, obstructed) of one extension
     step, with the system assembled from derived brackets."""
     from homlie.cochain import compatible_subspace_basis
-    from homlie.deformation import obstruction
-    from homlie.graded import derived_bracket
     from homlie.ooperator import operator_complex
 
-    theta = obstruction(g, rep, d)
+    theta = oracle_obstruction(g, rep, d)
     desc = operator_complex(g, rep, d.base)
     basis = compatible_subspace_basis(desc, 1)
     t_cochain = Cochain.from_linear_map(d.base)
     flat_len = len(theta.to_flat())
-    columns = [derived_bracket(rep, t_cochain, b).to_flat() for b in basis]
+    columns = [oracle_derived_bracket(rep, t_cochain, b).to_flat()
+               for b in basis]
     system = Matrix.from_columns(columns, nrows=flat_len)
     coords = system.solve(theta.to_flat())
     dim_image = system.rank()

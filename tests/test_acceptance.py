@@ -356,9 +356,11 @@ def test_criterion_07_certified_operators_induce_valid_structures():
 def test_criterion_08_operator_coboundary_is_derived_bracket():
     """The structural differential of the operator complex agrees with
     the derived bracket against the base operator: delta_T(P) =
-    -{{T, P}} for every compatible P of arity <= 2, and delta_0(x) =
+    -{{T, P}} for every compatible P of arity <= 3, and delta_0(x) =
     {{T, x}} for every fixed point x, checked with one certified
-    operator on each (regular) fixture.
+    operator on each (regular) fixture.  On sl2 x| sl2 with T = E_12,
+    whose module has dimension 6, random compatible P of arity 1..3
+    give nonzero content at every arity.
 
     With the Leibniz-consistent sign placement of the derived bracket
     the arity-dependent factor relating the two routes is the constant
@@ -378,9 +380,15 @@ def test_criterion_08_operator_coboundary_is_derived_bracket():
         "heisenberg3_twisted": ("adjoint",
                                 matrix([[1, 0, 0], [0, 0, 0], [0, 0, 0]])),
     }
+    semi = semidirect_product(adjoint_rep(FIXTURES["sl2"], 0))
+    e12 = Matrix(tuple(tuple(int((i, j) == (1, 2)) for j in range(6))
+                       for i in range(6)), ncols=6)
+    fixtures = dict(FIXTURES, sl2xsl2=semi)
+    cases["sl2xsl2"] = ("adjoint", e12)
     nontrivial = 0
+    content = set()
     for name, (kind, t) in cases.items():
-        g = FIXTURES[name]
+        g = fixtures[name]
         rep = adjoint_rep(g, 0) if kind == "adjoint" else coadjoint_rep(g)
         assert is_o_operator(g, rep, t).ok, name
         desc = operator_complex(g, rep, t)
@@ -388,21 +396,24 @@ def test_criterion_08_operator_coboundary_is_derived_bracket():
         for x in zero_fixed_point_basis(desc):
             assert zero_coboundary(desc, x) == derived_bracket_zero(
                 rep, tc, x), name
-        for arity in (1, 2):
+        for arity in (1, 2, 3):
             basis = compatible_subspace_basis(desc, arity)
-            samples = list(basis)
-            if basis:
-                combo = basis[0].scale(Q(0))
-                for b in basis:
-                    combo = combo + b.scale(rand_scalar(rng))
-                samples.append(combo)
+            samples = list(basis) if name in FIXTURES else []
+            for _ in range(1 if name in FIXTURES else 2):
+                if basis:
+                    combo = basis[0].scale(Q(0))
+                    for b in basis:
+                        combo = combo + b.scale(rand_scalar(rng))
+                    samples.append(combo)
             for p in samples:
                 lhs = coboundary(desc, p)
                 rhs = derived_bracket(rep, tc, p).scale(Q(-1))
                 assert lhs == rhs, (name, arity)
                 if not lhs.is_zero():
                     nontrivial += 1
+                    content.add((name, arity))
     assert nontrivial >= 3
+    assert {("sl2xsl2", n) for n in (1, 2, 3)} <= content
 
 
 def test_criterion_09_deformation_suite():

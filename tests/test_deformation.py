@@ -29,6 +29,7 @@ from homlie.deformation import (
     TruncatedDeformation,
     equivalence_check,
     extend_order,
+    extension_steps,
     formal_deformation_check,
     infinitesimal_check,
     linear_deformation_check,
@@ -41,7 +42,7 @@ from homlie.linalg import Matrix, basis_vector, matrix
 from homlie.ooperator import is_o_operator, operator_complex
 from homlie.structures import adjoint_rep, catalog
 
-from helpers import oracle_extend_order, rand_scalar
+from helpers import oracle_extend_order, oracle_obstruction, rand_scalar
 
 FIXTURES = catalog()
 
@@ -382,6 +383,7 @@ def test_extend_order_matches_derived_bracket_oracle(name, data):
         res = extend_order(g, rep, d)
         assert (res.solution, res.dim_image, res.obstructed) == \
             oracle_extend_order(g, rep, d)
+        assert res.theta == oracle_obstruction(g, rep, d)
         if res.obstructed:
             break
         d = TruncatedDeformation.of(t, [
@@ -389,15 +391,34 @@ def test_extend_order_matches_derived_bracket_oracle(name, data):
             res.solution + _random_cocycle(data, t.shape, cocycles)])
 
 
+@settings(max_examples=10, deadline=None)
+@given(name=st.sampled_from(sorted(EXTENSION_CASES)), data=st.data())
+def test_extension_steps_equal_single_steps_and_oracle(name, data):
+    """The loop that keeps its complex and system across orders gives,
+    step by step, what extend_order gives from scratch and what the
+    derived-bracket oracle gives, up to order 4 or the obstruction."""
+    g, rep, t, cocycles = _extension_case(name)
+    d = TruncatedDeformation.of(t, [_random_cocycle(data, t.shape, cocycles)])
+    steps = list(extension_steps(g, rep, d, 4))
+    assert len(steps) == 3 or steps[-1].obstructed
+    for step in steps:
+        assert step == extend_order(g, rep, d)
+        assert step.theta == oracle_obstruction(g, rep, d)
+        assert (step.solution, step.dim_image, step.obstructed) == \
+            oracle_extend_order(g, rep, d)
+        d = step.extended
+
+
 def test_deform_extend_calls_derived_bracket_only_for_theta(monkeypatch,
                                                             capsys):
-    """Going from order m to M costs sum_{o=m}^{M-1} o derived brackets,
-    the terms of each Theta, and none for building the systems."""
+    """Going from order m to M costs sum_{o=m}^{M-1} ceil(o/2) derived
+    brackets, the pairs i <= j of each Theta, and none for building the
+    systems."""
     calls = []
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls.append(1)
-        return derived_bracket(*args)
+        return derived_bracket(*args, **kwargs)
 
     monkeypatch.setattr(deformation_module, "derived_bracket", counting)
     inputs = os.path.join(os.path.dirname(__file__), "golden", "inputs")
@@ -411,4 +432,5 @@ def test_deform_extend_calls_derived_bracket_only_for_theta(monkeypatch,
         assert code == 0
         assert json.loads(capsys.readouterr().out)["data"][
             "reached_order"] == top
-        assert len(calls) == sum(range(1, top))
+        assert len(calls) == sum((o + 1) // 2 for o in range(1, top))
+

@@ -24,7 +24,14 @@ import sys
 
 import pytest
 
+import homlie.cochain as cochain_module
 from homlie.cli import build_parser, main
+from homlie.deformation import formal_deformation_check
+from homlie.ooperator import operator_complex
+from homlie.rmatrix import is_r_matrix
+from homlie.structures import coadjoint_rep, semidirect_product
+
+from helpers import count_calls
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -75,6 +82,58 @@ def test_golden_output(name):
     code, out = _replay(CASES[name])
     assert out == _expected(name)
     assert code == _load("exit_codes.json")[name]
+
+
+def _cases(verb):
+    return {name: argv for name, argv in CASES.items() if argv[0] == verb}
+
+
+def test_check_o_operator_builds_the_semidirect_sum_once(monkeypatch):
+    """The Nijenhuis, graph and Maurer-Cartan routes share one g + V."""
+    calls = count_calls(monkeypatch, semidirect_product)
+    for name, argv in _cases("check-o-operator").items():
+        calls.clear()
+        assert _replay(argv)[1] == _expected(name)
+        assert len(calls) == 1, name
+
+
+def test_rmatrix_check_decides_once(monkeypatch):
+    """The dual bracket of an r-matrix reuses the verdict and the
+    coadjoint representation of the check."""
+    decided = count_calls(monkeypatch, is_r_matrix)
+    coadjoint = count_calls(monkeypatch, coadjoint_rep)
+    duals = 0
+    for name, argv in _cases("rmatrix-check").items():
+        decided.clear()
+        coadjoint.clear()
+        out = _replay(argv)[1]
+        assert out == _expected(name)
+        assert len(decided) == 1, name
+        assert len(coadjoint) <= 1, name
+        duals += '"dual_algebra"' in out
+    assert duals >= 3
+
+
+def test_deform_extend_builds_the_complex_once(monkeypatch):
+    """One deform-extend call checks its input once and builds one
+    operator complex and one delta_1, however many orders it solves,
+    obstructed or not."""
+    complexes = count_calls(monkeypatch, operator_complex)
+    checks = count_calls(monkeypatch, formal_deformation_check)
+    columns = count_calls(monkeypatch, cochain_module._coboundary_columns)
+    ran = 0
+    for name, argv in _cases("deform-extend").items():
+        for calls in (complexes, checks, columns):
+            calls.clear()
+        code, out = _replay(argv)
+        assert out == _expected(name)
+        if code == 2:
+            continue
+        assert len(complexes) == 1, name
+        assert len(checks) == 1, name
+        assert [args[1] for args in columns].count(1) == 1, name
+        ran += 1
+    assert ran == 5
 
 
 def test_repeated_calls_in_one_process_share_one_parser(monkeypatch):
