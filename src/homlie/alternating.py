@@ -5,9 +5,10 @@ increasing basis index tuples.  Evaluating such a map on arbitrary
 vectors expands the wedge of the arguments in the basis.  wedge_coords
 is the one such expansion in the package: it multiplies the factors in
 one at a time, extending every monomial by each nonzero coordinate of
-the next factor, sorts the indices with sort_with_sign, and drops
-monomials with a repeated index.  The work follows the nonzero
-coordinates, not the C(dim, k) index sets.
+the next factor.  A repeated index is skipped before any sorting, and a
+new index is inserted into the sorted monomial, with the sign of the
+transpositions it passes.  The work follows the nonzero coordinates, not
+the C(dim, k) index sets.
 
 Shuffle permutations are produced by choosing which argument positions
 feed each block; the sign of a shuffle is the parity of the number of
@@ -16,6 +17,7 @@ inversions between blocks.
 
 from __future__ import annotations
 
+from bisect import bisect
 from itertools import combinations
 from typing import Iterator, Sequence
 
@@ -56,15 +58,18 @@ def wedge_coords(vectors: Sequence[Vector], dim: int) -> dict:
     for v in vectors:
         if len(v) != dim:
             raise ValueError("wedge factor has the wrong length")
+        support = [(b, entry) for b, entry in enumerate(v) if entry]
         expanded = {}
         for monomial, c in terms.items():
-            for b, entry in enumerate(v):
-                if not entry:
+            for b, entry in support:
+                if b in monomial:
                     continue
-                ordered = sort_with_sign(monomial + (b,))
-                if ordered is not None:
-                    key, sign = ordered
-                    expanded[key] = expanded.get(key, 0) + sign * c * entry
+                # Inserting b passes every index above it: one
+                # transposition each.
+                at = bisect(monomial, b)
+                key = monomial[:at] + (b,) + monomial[at:]
+                term = -(c * entry) if (len(monomial) - at) % 2 else c * entry
+                expanded[key] = expanded[key] + term if key in expanded else term
         terms = {key: c for key, c in expanded.items() if c}
     return terms
 

@@ -100,8 +100,7 @@ class Cochain:
         for t in increasing_tuples(source_dim, arity):
             seen.discard(t)
             v = entries.get(t)
-            values.append(tuple(Q(c) for c in v) if v is not None
-                          else vzero(target_dim))
+            values.append(vzero(target_dim) if v is None else vscale(1, v))
         if seen:
             raise ValueError(
                 f"keys must be increasing index tuples, got {sorted(seen)}")
@@ -141,10 +140,12 @@ class Cochain:
             raise ValueError("wrong number of arguments")
         if self.arity == 0:
             return self.values[0]
-        out = vzero(self.target_dim)
+        out = list(vzero(self.target_dim))
         for indices, minor in wedge_coords(vectors, self.source_dim).items():
-            out = vadd(out, vscale(minor, self.coeff(indices)))
-        return out
+            for t, c in enumerate(self.coeff(indices)):
+                if c:
+                    out[t] += minor * c
+        return tuple(out)
 
     def _require_like(self, other: "Cochain") -> None:
         if (self.arity, self.source_dim, self.target_dim) != (

@@ -63,7 +63,12 @@ from .linalg import (
     vsub,
     vzero,
 )
-from .ooperator import deformed_identity, is_o_operator, operator_complex
+from .ooperator import (
+    deformed_identity,
+    inner_actions,
+    is_o_operator,
+    operator_complex,
+)
 from .reporting import Failure, matrix_failures
 from .structures import HomLieAlgebra, Representation, pair_list
 
@@ -393,11 +398,14 @@ class FormalDeformationReport:
 
 
 def _order_failures(g: HomLieAlgebra, rep: Representation, coeffs: list,
-                    k: int) -> list:
-    """The failures of the deformed identity at order k."""
+                    k: int, inner: dict | None = None) -> list:
+    """The failures of the deformed identity at order k.  inner maps each
+    pair (a, b) to inner_actions(rep, coeffs, a, b)."""
     failures = []
     for (a, b) in pair_list(rep.dim):
-        defect = vsub(*deformed_identity(g, rep, coeffs, k, a, b))
+        defect = vsub(*deformed_identity(
+            g, rep, coeffs, k, a, b,
+            None if inner is None else inner[(a, b)]))
         if not is_zero_vector(defect):
             failures.append(Failure("deformation_equation", (k, a, b),
                                     defect, vzero(g.dim)))
@@ -410,7 +418,9 @@ def formal_deformation_check(g: HomLieAlgebra, rep: Representation,
     twist compatibility of every coefficient.
 
     The order-0 equation is the O-operator identity of the base, so a
-    passing report certifies the base as well.
+    passing report certifies the base as well.  Each inner action
+    {T_j e_a, e_b} - {T_j e_b, e_a} is computed once and serves every
+    order.
     """
     _require_regular(g, rep)
     coeffs = d.coefficients()
@@ -422,9 +432,11 @@ def formal_deformation_check(g: HomLieAlgebra, rep: Representation,
         if found:
             twist_ok = False
             failures.extend(found)
+    inner = {(a, b): inner_actions(rep, coeffs, a, b)
+             for (a, b) in pair_list(rep.dim)}
     per_order = []
     for k in range(d.order + 1):
-        found = _order_failures(g, rep, coeffs, k)
+        found = _order_failures(g, rep, coeffs, k, inner)
         failures.extend(found)
         per_order.append((k, not found))
     return FormalDeformationReport(

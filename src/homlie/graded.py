@@ -62,14 +62,16 @@ def _circle_values(phi: Cochain, psi: Cochain, twist: Matrix,
     twist_power = twist.power(b - 1)
     values = []
     for indices in tuples:
-        total = vzero(twist.nrows)
+        total = list(vzero(twist.nrows))
         for perm, sign in shuffles(b, a - 1):
             inner = psi.evaluate_basis(tuple(indices[p] for p in perm[:b]))
             if is_zero_vector(inner):
                 continue
             args = [inner] + [twist_power.column(indices[p]) for p in perm[b:]]
-            total = vadd(total, vscale(sign, phi.evaluate(args)))
-        values.append(total)
+            for t, c in enumerate(phi.evaluate(args)):
+                if c:
+                    total[t] += c if sign == 1 else -c
+        values.append(tuple(total))
     return values
 
 

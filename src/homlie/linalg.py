@@ -13,6 +13,12 @@ is already a tuple of Fractions.  Every entry the kernels return is a
 Fraction, also when a caller passes ints, and an empty sum is
 Fraction(0).
 
+A bilinear product reads its structure constants from a sparse table,
+built once per structure object by sparse_table: table[i][j] lists the
+pairs (k, c) with c the nonzero k-th coordinate of e_i . e_j.  bilinear
+forms one product u_i v_j per pair of nonzero coordinates whose table
+entry is not empty, and one product per constant of that entry.
+
 Scalars serialize as "p" or "p/q" with the sign on the numerator, which
 is exactly what Fraction's constructor and str() produce once the value
 is in lowest terms with a positive denominator (Fraction normalizes on
@@ -86,7 +92,7 @@ def vsub(u: Vector, v: Vector) -> Vector:
 
 
 def vneg(u: Vector) -> Vector:
-    return tuple(-a for a in u)
+    return tuple(-a if a else a for a in u)
 
 
 def vscale(c: ScalarLike, u: Vector) -> Vector:
@@ -110,17 +116,26 @@ def basis_vector(n: int, i: int) -> Vector:
     return tuple(v)
 
 
-def bilinear(u: Vector, v: Vector, value, dim: int) -> Vector:
-    """sum over i, j of u_i v_j value(i, j) for a table value(i, j)."""
+def sparse_table(values) -> tuple:
+    """The sparse table of nested vectors: entry [i][j] holds the pairs
+    (k, c) for the nonzero coordinates c of values[i][j]."""
+    return tuple(tuple(tuple((k, scalar(c)) for k, c in enumerate(v) if c)
+                       for v in row) for row in values)
+
+
+def bilinear(u: Vector, v: Vector, table, dim: int) -> Vector:
+    """sum over i, j of u_i v_j e_i . e_j for a sparse_table table."""
     out = [_ZERO] * dim
     right = [(j, b) for j, b in enumerate(v) if b]
     for i, a in enumerate(u):
         if not a:
             continue
+        row = table[i]
         for j, b in right:
-            ab = a * b
-            for k, c in enumerate(value(i, j)):
-                if c:
+            entries = row[j]
+            if entries:
+                ab = a * b
+                for k, c in entries:
                     out[k] += ab * c
     return tuple(out)
 
@@ -131,12 +146,14 @@ class Matrix:
     Rows are stored as a tuple of tuples of Fractions.  The column count
     is kept explicitly so zero-row matrices (which show up as boundary
     maps out of a zero-dimensional cochain space) still know their shape.
+    The columns are computed on the first column() call and kept.
     """
 
-    __slots__ = ("rows", "_ncols")
+    __slots__ = ("rows", "_ncols", "_columns")
 
     def __init__(self, rows: Sequence[Sequence[ScalarLike]], ncols: int | None = None):
         self.rows = tuple(tuple(scalar(e) for e in row) for row in rows)
+        self._columns = None
         if self.rows:
             widths = {len(row) for row in self.rows}
             if len(widths) != 1:
@@ -203,7 +220,10 @@ class Matrix:
         return self.rows[i]
 
     def column(self, j: int) -> Vector:
-        return tuple(row[j] for row in self.rows)
+        if self._columns is None:
+            self._columns = (tuple(zip(*self.rows)) if self.rows
+                             else ((),) * self._ncols)
+        return self._columns[j]
 
     def __eq__(self, other: object) -> bool:
         return (

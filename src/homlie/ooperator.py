@@ -30,6 +30,7 @@ adjoint representation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .cochain import Cochain, ComplexDescriptor, coboundary
 from .graded import build_theta, derived_bracket
@@ -40,6 +41,7 @@ from .linalg import (
     basis_vector,
     bilinear,
     is_zero_vector,
+    sparse_table,
     vadd,
     vscale,
     vsub,
@@ -65,24 +67,32 @@ class OOperatorReport:
         return self.intertwines and self.quadratic
 
 
+def inner_actions(rep: Representation, coeffs, a: int, b: int) -> list:
+    """{T e_a, e_b} - {T e_b, e_a} for each T in coeffs: the vectors the
+    deformed identity maps."""
+    ea, eb = basis_vector(rep.dim, a), basis_vector(rep.dim, b)
+    return [vsub(rep.act(t.column(a), eb), rep.act(t.column(b), ea))
+            for t in coeffs]
+
+
 def deformed_identity(g: HomLieAlgebra, rep: Representation, coeffs,
-                      k: int, a: int, b: int) -> tuple:
+                      k: int, a: int, b: int, inner=None) -> tuple:
     """(lhs, rhs) of the order-k deformed O-operator identity at (e_a, e_b):
 
         lhs = sum_{i+j=k} [T_i e_a, T_j e_b],
         rhs = sum_{i+j=k} T_i({T_j e_a, e_b} - {T_j e_b, e_a}),
 
     for the coefficient list coeffs = [T_0, T_1, ...].  Order 0 on [T] is
-    the O-operator identity of T.
+    the O-operator identity of T.  inner is inner_actions(rep, coeffs, a,
+    b), from a caller that checks several orders.
     """
-    ea = basis_vector(rep.dim, a)
-    eb = basis_vector(rep.dim, b)
+    if inner is None:
+        inner = inner_actions(rep, coeffs[:k + 1], a, b)
     lhs = rhs = vzero(g.dim)
     for i in range(k + 1):
         ti, tj = coeffs[i], coeffs[k - i]
         lhs = vadd(lhs, g.bracket(ti.column(a), tj.column(b)))
-        inner = vsub(rep.act(tj.column(a), eb), rep.act(tj.column(b), ea))
-        rhs = vadd(rhs, ti.apply(inner))
+        rhs = vadd(rhs, ti.apply(inner[k - i]))
     return lhs, rhs
 
 
@@ -291,8 +301,13 @@ class HomPreLie:
     twist: Matrix
     table: tuple
 
+    @cached_property
+    def structure_constants(self) -> tuple:
+        """table as a sparse table, built once per object."""
+        return sparse_table(self.table)
+
     def product(self, u: Vector, v: Vector) -> Vector:
-        return bilinear(u, v, lambda i, j: self.table[i][j], self.dim)
+        return bilinear(u, v, self.structure_constants, self.dim)
 
 
 @dataclass(frozen=True)

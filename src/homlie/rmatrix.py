@@ -18,7 +18,10 @@ are implemented side by side:
 
   * the classical Yang-Baxter sum
     [r^12, r^13] + [r^12, r^23] + [r^13, r^23] vanishes in g (x) g (x) g,
-    expanded with tilde(x) = alpha(x) on the passive slots;
+    expanded with tilde(x) = alpha(x) on the passive slots.  Writing
+    r = sum c_xy e_x (x) e_y over ordered pairs, each part is one sum
+    over two pairs of products of structure constants (see cybe_sum),
+    read from the algebra's sparse bracket table;
 
   * r# is an O-operator with respect to the coadjoint representation.
 
@@ -55,7 +58,7 @@ from .linalg import (
     Q,
     basis_vector,
     is_zero_vector,
-    vscale,
+    sparse_table,
 )
 from .ooperator import (
     OOperatorReport,
@@ -65,6 +68,8 @@ from .ooperator import (
 )
 from .reporting import Failure
 from .structures import HomLieAlgebra, Representation, coadjoint_rep, pair_list
+
+_ZERO = Q(0)
 
 
 @dataclass(frozen=True)
@@ -216,18 +221,14 @@ class CybeSum:
         return not self.total
 
 
-def _tensor3_accumulate(store: dict, u, v, w, sign: int) -> None:
-    for a, ca in enumerate(u):
-        if not ca:
-            continue
-        for b, cb in enumerate(v):
-            if not cb:
-                continue
-            for c, cc in enumerate(w):
-                if not cc:
-                    continue
+def _accumulate3(store: dict, first, second, third) -> None:
+    """Add first (x) second (x) third for sparse (index, c) lists."""
+    for a, ca in first:
+        for b, cb in second:
+            cab = ca * cb
+            for c, cc in third:
                 key = (a, b, c)
-                store[key] = store.get(key, Q(0)) + sign * ca * cb * cc
+                store[key] = store.get(key, _ZERO) + cab * cc
 
 
 def _canonical3(store: dict) -> tuple:
@@ -237,33 +238,32 @@ def _canonical3(store: dict) -> tuple:
 def cybe_sum(g: HomLieAlgebra, r: WedgeTwoTensor) -> CybeSum:
     """The classical Yang-Baxter sum of r in g (x) g (x) g.
 
-    r is decomposed as sum over its coefficient pairs of
-    q (e_a (x) e_b - e_b (x) e_a); passive slots carry the twist.
+    With r = sum c_xy e_x (x) e_y over ordered pairs (c_yx = -c_xy) and
+    the twist on the passive slots, the three parts are
+
+        [r12, r13] = sum c_xy c_zw [e_x, e_z] (x) alpha e_y (x) alpha e_w,
+        [r12, r23] = sum c_xy c_zw alpha e_x (x) [e_y, e_z] (x) alpha e_w,
+        [r13, r23] = sum c_xy c_zw alpha e_x (x) alpha e_z (x) [e_y, e_w],
+
+    expanded from the bracket's structure constants and the sparse
+    columns of alpha, each pair's coefficient folded into its two twisted
+    columns c_xy alpha e_x and c_xy alpha e_y.
     """
-    terms = []
-    for (a, b), q in r.coeffs:
-        terms.append((vscale(q, basis_vector(g.dim, a)),
-                      basis_vector(g.dim, b)))
-    twisted = [(g.alpha.apply(x), g.alpha.apply(y)) for x, y in terms]
+    alpha = sparse_table([[g.alpha.column(i) for i in range(g.dim)]])[0]
+    pairs = [(x, y, [(k, c * a) for k, a in alpha[x]],
+              [(k, c * a) for k, a in alpha[y]])
+             for (p, q), v in r.coeffs for x, y, c in ((p, q, v), (q, p, -v))]
+    bracket = g.structure_constants
     p1, p2, p3 = {}, {}, {}
-    for (xi, yi), (txi, tyi) in zip(terms, twisted):
-        for (xj, yj), (txj, tyj) in zip(terms, twisted):
-            _tensor3_accumulate(p1, g.bracket(xi, xj), tyi, tyj, 1)
-            _tensor3_accumulate(p1, g.bracket(xi, yj), tyi, txj, -1)
-            _tensor3_accumulate(p1, g.bracket(yi, xj), txi, tyj, -1)
-            _tensor3_accumulate(p1, g.bracket(yi, yj), txi, txj, 1)
-            _tensor3_accumulate(p2, txi, g.bracket(yi, xj), tyj, 1)
-            _tensor3_accumulate(p2, txi, g.bracket(yi, yj), txj, -1)
-            _tensor3_accumulate(p2, tyi, g.bracket(xi, xj), tyj, -1)
-            _tensor3_accumulate(p2, tyi, g.bracket(xi, yj), txj, 1)
-            _tensor3_accumulate(p3, txi, txj, g.bracket(yi, yj), 1)
-            _tensor3_accumulate(p3, txi, tyj, g.bracket(yi, xj), -1)
-            _tensor3_accumulate(p3, tyi, txj, g.bracket(xi, yj), -1)
-            _tensor3_accumulate(p3, tyi, tyj, g.bracket(xi, xj), 1)
+    for x, y, ax, ay in pairs:
+        for z, w, az, aw in pairs:
+            _accumulate3(p1, bracket[x][z], ay, aw)
+            _accumulate3(p2, ax, bracket[y][z], aw)
+            _accumulate3(p3, ax, az, bracket[y][w])
     total = {}
     for part in (p1, p2, p3):
         for key, q in part.items():
-            total[key] = total.get(key, Q(0)) + q
+            total[key] = total.get(key, _ZERO) + q
     return CybeSum(
         dim=g.dim,
         part_12_13=_canonical3(p1),

@@ -16,14 +16,17 @@ rho: g -> End(V) satisfying
     rho([x, y]) . beta   = rho(alpha(x)) rho(y) - rho(alpha(y)) rho(x).
 
 Brackets are stored only on basis pairs i < j; everything else follows by
-antisymmetry.  Verifiers return structured reports and never raise on a
-failing law, so broken inputs can be diagnosed.
+antisymmetry.  bracket, act and rho_of read one sparse table of structure
+constants per object (linalg.sparse_table), built on first use from the
+frozen fields and kept on the object, so it cannot go stale.  Verifiers
+return structured reports and never raise on a failing law, so broken
+inputs can be diagnosed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .linalg import (
     Matrix,
@@ -32,6 +35,7 @@ from .linalg import (
     basis_vector,
     bilinear,
     is_zero_vector,
+    sparse_table,
     vadd,
     vneg,
     vzero,
@@ -118,9 +122,15 @@ class HomLieAlgebra:
             return self.table[_pair_position(self.dim)[(i, j)]]
         return vneg(self.table[_pair_position(self.dim)[(j, i)]])
 
+    @cached_property
+    def structure_constants(self) -> tuple:
+        """[e_i, e_j] for all i, j as a sparse table."""
+        return sparse_table([[self.bracket_basis(i, j) for j in range(self.dim)]
+                             for i in range(self.dim)])
+
     def bracket(self, u: Vector, v: Vector) -> Vector:
         """Bilinear extension of the basis bracket."""
-        return bilinear(u, v, self.bracket_basis, self.dim)
+        return bilinear(u, v, self.structure_constants, self.dim)
 
     def alpha_power(self, s: int) -> Matrix:
         return self.alpha.power(s)
@@ -242,17 +252,21 @@ class Representation:
         return cls(algebra=algebra, dim=dim, basis=tuple(basis),
                    beta=beta, rho=tuple(rho))
 
+    @cached_property
+    def structure_constants(self) -> tuple:
+        """{e_i, v_j} = rho[i] column j for all i, j as a sparse table."""
+        return sparse_table([[m.column(j) for j in range(self.dim)]
+                             for m in self.rho])
+
     def rho_of(self, x: Vector) -> Matrix:
         """Action matrix of an arbitrary algebra element."""
-        out = Matrix.zero(self.dim, self.dim)
-        for i, c in enumerate(x):
-            if c != 0:
-                out = out + self.rho[i].scale(c)
-        return out
+        return Matrix.from_columns(
+            [bilinear(x, basis_vector(self.dim, j), self.structure_constants,
+                      self.dim) for j in range(self.dim)], nrows=self.dim)
 
     def act(self, x: Vector, v: Vector) -> Vector:
         """{x, v} = rho(x)(v)."""
-        return bilinear(x, v, lambda i, j: self.rho[i].column(j), self.dim)
+        return bilinear(x, v, self.structure_constants, self.dim)
 
 
 @dataclass(frozen=True)
@@ -335,12 +349,15 @@ def dual_rep(rep: Representation) -> Representation:
     which satisfies both representation axioms whenever rep does.
     """
     g = rep.algebra
-    if not g.is_regular:
-        raise ValueError("dual representation needs an invertible alpha")
-    if not rep.beta.is_invertible():
-        raise ValueError("dual representation needs an invertible beta")
-    alpha_inv = g.alpha.inverse()
-    beta_minus2 = rep.beta.power(-2)
+    inverses = []
+    for twist, name in ((g.alpha, "alpha"), (rep.beta, "beta")):
+        try:
+            inverses.append(twist.inverse())
+        except ValueError:
+            raise ValueError(
+                f"dual representation needs an invertible {name}") from None
+    alpha_inv, beta_inv = inverses
+    beta_minus2 = beta_inv @ beta_inv
     rho_star = tuple(
         (-(rep.rho_of(alpha_inv.apply(basis_vector(g.dim, i))) @ beta_minus2))
         .transpose()
@@ -350,7 +367,7 @@ def dual_rep(rep: Representation) -> Representation:
         algebra=g,
         dim=rep.dim,
         basis=tuple(f"{name}*" for name in rep.basis),
-        beta=rep.beta.inverse().transpose(),
+        beta=beta_inv.transpose(),
         rho=rho_star,
     )
 

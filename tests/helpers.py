@@ -461,3 +461,74 @@ def oracle_vsub(u, v):
 def oracle_vscale(c, u):
     c = Fraction(c)
     return tuple(c * a for a in u)
+
+
+# ---------------------------------------------------------------------------
+# Dense bilinear products and the 12-term Yang-Baxter loop, as they were
+# before the structure objects read sparse tables of structure constants.
+# The brackets come from _tbl_bracket on algebra_tables, the twist from
+# _mat_apply on its rows, so nothing here reads a sparse table.
+
+
+def oracle_bilinear(u, v, value, dim):
+    """sum over i, j of u_i v_j value(i, j) for a dense callable value."""
+    out = [Fraction(0)] * dim
+    for i, a in enumerate(u):
+        for j, b in enumerate(v):
+            for k, c in enumerate(value(i, j)):
+                out[k] += a * b * c
+    return tuple(out)
+
+
+def _tensor3_accumulate(store, u, v, w, sign):
+    for a, ca in enumerate(u):
+        if not ca:
+            continue
+        for b, cb in enumerate(v):
+            if not cb:
+                continue
+            for c, cc in enumerate(w):
+                if not cc:
+                    continue
+                key = (a, b, c)
+                store[key] = store.get(key, Q(0)) + sign * ca * cb * cc
+
+
+def oracle_cybe_sum(g, r):
+    """(part_12_13, part_12_23, part_13_23, total) of the Yang-Baxter sum:
+    r = sum q (e_a (x) e_b - e_b (x) e_a) term by term, 12 dense brackets
+    and tensor triple loops per pair of terms."""
+    table, alpha_rows = algebra_tables(g)
+    dim = g.dim
+
+    def bracket(u, v):
+        return oracle_bilinear(
+            u, v, lambda i, j: _tbl_bracket(table, dim, i, j), dim)
+
+    def unit(i, q=1):
+        return [Fraction(q) if k == i else Fraction(0) for k in range(dim)]
+
+    terms = [(unit(a, q), unit(b)) for (a, b), q in r.coeffs]
+    twisted = [(_mat_apply(alpha_rows, x), _mat_apply(alpha_rows, y))
+               for x, y in terms]
+    p1, p2, p3 = {}, {}, {}
+    for (xi, yi), (txi, tyi) in zip(terms, twisted):
+        for (xj, yj), (txj, tyj) in zip(terms, twisted):
+            _tensor3_accumulate(p1, bracket(xi, xj), tyi, tyj, 1)
+            _tensor3_accumulate(p1, bracket(xi, yj), tyi, txj, -1)
+            _tensor3_accumulate(p1, bracket(yi, xj), txi, tyj, -1)
+            _tensor3_accumulate(p1, bracket(yi, yj), txi, txj, 1)
+            _tensor3_accumulate(p2, txi, bracket(yi, xj), tyj, 1)
+            _tensor3_accumulate(p2, txi, bracket(yi, yj), txj, -1)
+            _tensor3_accumulate(p2, tyi, bracket(xi, xj), tyj, -1)
+            _tensor3_accumulate(p2, tyi, bracket(xi, yj), txj, 1)
+            _tensor3_accumulate(p3, txi, txj, bracket(yi, yj), 1)
+            _tensor3_accumulate(p3, txi, tyj, bracket(yi, xj), -1)
+            _tensor3_accumulate(p3, tyi, txj, bracket(xi, yj), -1)
+            _tensor3_accumulate(p3, tyi, tyj, bracket(xi, xj), 1)
+    total = {}
+    for part in (p1, p2, p3):
+        for key, q in part.items():
+            total[key] = total.get(key, Q(0)) + q
+    return tuple(tuple(sorted((k, q) for k, q in part.items() if q != 0))
+                 for part in (p1, p2, p3, total))

@@ -38,9 +38,9 @@ from homlie.deformation import (
     trivial_deformation_from_nijenhuis,
 )
 from homlie.graded import derived_bracket
-from homlie.linalg import Matrix, basis_vector, matrix
-from homlie.ooperator import is_o_operator, operator_complex
-from homlie.structures import adjoint_rep, catalog
+from homlie.linalg import Matrix, basis_vector, matrix, vsub
+from homlie.ooperator import deformed_identity, is_o_operator, operator_complex
+from homlie.structures import Representation, adjoint_rep, catalog
 
 from helpers import oracle_extend_order, oracle_obstruction, rand_scalar
 
@@ -434,3 +434,35 @@ def test_deform_extend_calls_derived_bracket_only_for_theta(monkeypatch,
             "reached_order"] == top
         assert len(calls) == sum((o + 1) // 2 for o in range(1, top))
 
+
+def test_formal_check_computes_each_inner_action_once(monkeypatch):
+    """Order o needs {T_j e_a, e_b} - {T_j e_b, e_a} for j = 0..o only:
+    2 (o + 1) actions per basis pair, where recomputing them for every
+    (i, j) with i + j <= o took (o + 1)(o + 2).  The failures and their
+    order equal the order-by-order deformed identity."""
+    g = FIXTURES["sl2"]
+    rep = adjoint_rep(g, 0)
+    rng = random.Random(5)
+    terms = [Matrix(tuple(tuple(rand_scalar(rng) for _ in range(3))
+                          for _ in range(3))) for _ in range(3)]
+    d = TruncatedDeformation.of(Matrix.zero(3, 3), terms)
+    expected = []
+    coeffs = d.coefficients()
+    for k in range(d.order + 1):
+        for (a, b) in itertools.combinations(range(3), 2):
+            lhs, rhs = deformed_identity(g, rep, coeffs, k, a, b)
+            if lhs != rhs:
+                expected.append(((k, a, b), vsub(lhs, rhs)))
+    calls = []
+    act = Representation.act
+
+    def counting(self, x, v):
+        calls.append(1)
+        return act(self, x, v)
+
+    monkeypatch.setattr(Representation, "act", counting)
+    report = formal_deformation_check(g, rep, d)
+    assert len(calls) == 2 * (d.order + 1) * 3
+    assert expected
+    assert [(f.indices, f.lhs) for f in report.failures
+            if f.law == "deformation_equation"] == expected

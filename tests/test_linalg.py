@@ -19,11 +19,13 @@ from homlie.linalg import (
     matrix,
     parse_scalar,
     scalar,
+    sparse_table,
     vadd,
     vscale,
     vsub,
 )
 from homlie.ooperator import build_nt
+from homlie.structures import sl2
 
 from helpers import (
     oracle_apply,
@@ -155,12 +157,20 @@ def test_power_multiplication_count(monkeypatch):
 
 
 def test_bilinear_keeps_fractions_and_skips_zero_coordinates():
-    table = {(0, 1): (Q(1), Q(2)), (1, 0): (Q(3), Q(0))}
     seen = []
 
-    def value(i, j):
-        seen.append((i, j))
-        return table.get((i, j), (Q(0), Q(0)))
+    class Row(tuple):
+        """A table row that records the entries bilinear reads."""
+
+        def __getitem__(self, j):
+            seen.append((self.index, j))
+            return tuple.__getitem__(self, j)
+
+    value = []
+    for i, row in enumerate(sparse_table(
+            [[(0, 0), (1, 2)], [(3, 0), (0, 0)]])):
+        value.append(Row(row))
+        value[i].index = i
 
     out = bilinear((1, 0), (0, Q(1, 2)), value, 2)
     assert out == (Q(1, 2), Q(1)) and seen == [(0, 1)]
@@ -310,3 +320,34 @@ def test_kernels_multiply_no_zero_operand():
     image = nt.apply(v)
     assert CountingFraction.products == _nonzero_pairs(nt, v) == 2
     assert image == oracle_apply(nt, v)
+
+
+class ClosedCountingFraction(CountingFraction):
+    """A CountingFraction whose products count again when multiplied."""
+
+    def __mul__(self, other):
+        return ClosedCountingFraction(CountingFraction.__mul__(self, other))
+
+    def __rmul__(self, other):
+        return ClosedCountingFraction(CountingFraction.__rmul__(self, other))
+
+
+def test_bracket_forms_one_product_per_pair_and_constant():
+    """bracket(u, v) forms u_i v_j once per pair of nonzero coordinates
+    with a nonzero bracket [e_i, e_j], and one product per nonzero
+    constant of that bracket."""
+    g = sl2()
+    u = tuple(ClosedCountingFraction(x) for x in (1, 0, Q(-1, 2)))
+    v = tuple(ClosedCountingFraction(x) for x in (2, 3, 0))
+    expected = 0
+    for i, a in enumerate(u):
+        for j, b in enumerate(v):
+            constants = sum(1 for c in g.bracket_basis(i, j) if c)
+            if a and b and constants:
+                expected += 1 + constants
+    assert expected == 6
+    g.bracket(u, v)  # builds the table once
+    CountingFraction.products = 0
+    out = g.bracket(u, v)
+    assert CountingFraction.products == expected
+    assert out == (Q(3, 2), Q(6), Q(-2))  # 3/2 h + 6 e - 2 f
