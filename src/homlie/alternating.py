@@ -11,8 +11,8 @@ transpositions it passes.  The work follows the nonzero coordinates, not
 the C(dim, k) index sets.
 
 Shuffle permutations are produced by choosing which argument positions
-feed each block; the sign of a shuffle is the parity of the number of
-inversions between blocks.
+feed each block; the sign of a shuffle is the sign sort_with_sign finds
+when it sorts the shuffle.
 """
 
 from __future__ import annotations
@@ -74,17 +74,6 @@ def wedge_coords(vectors: Sequence[Vector], dim: int) -> dict:
     return terms
 
 
-def permutation_sign(perm: Sequence[int]) -> int:
-    """Sign of a permutation given as a sequence of distinct integers."""
-    sign = 1
-    items = list(perm)
-    for i in range(len(items)):
-        for j in range(i + 1, len(items)):
-            if items[i] > items[j]:
-                sign = -sign
-    return sign
-
-
 def shuffles(p: int, q: int) -> Iterator[tuple]:
     """(p, q)-shuffles of range(p + q) with signs.
 
@@ -97,4 +86,4 @@ def shuffles(p: int, q: int) -> Iterator[tuple]:
         chosen = set(first)
         rest = tuple(i for i in universe if i not in chosen)
         perm = first + rest
-        yield perm, permutation_sign(perm)
+        yield perm, sort_with_sign(perm)[1]

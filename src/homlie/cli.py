@@ -70,11 +70,7 @@ from .rmatrix import (
     tensor_to_operator,
     weak_homomorphism_check,
 )
-from .structures import (
-    semidirect_product,
-    verify_hom_lie,
-    verify_representation,
-)
+from .structures import verify_hom_lie, verify_representation
 
 _FAILURE_CAP = 20
 
@@ -108,7 +104,7 @@ def _cmd_verify_rep(args):
 
 def _cmd_semidirect(args):
     rep = load_rep(args.rep)
-    semi = semidirect_product(rep)
+    semi = rep.semidirect
     report = verify_hom_lie(semi)
     payload = algebra_to_dict(semi)
     if args.out:
@@ -154,9 +150,8 @@ def _cmd_check_o_operator(args):
     g = rep.algebra
     t = load_operator(args.operator)
     report = is_o_operator(g, rep, t)
-    semi = semidirect_product(rep)
-    graph = graph_check(g, rep, t, _semi=semi)
-    nijenhuis = nijenhuis_operator_check(semi, build_nt(t))
+    graph = graph_check(g, rep, t)
+    nijenhuis = nijenhuis_operator_check(rep.semidirect, build_nt(t))
     verdicts = [report.ok, graph.ok, nijenhuis.ok]
     data = {
         "o_operator": _report_fields(report, ("intertwines", "quadratic")),
@@ -165,7 +160,7 @@ def _cmd_check_o_operator(args):
             nijenhuis, ("commutes_with_twist", "identity")),
     }
     if g.is_regular and rep.beta.is_invertible():
-        mc = o_operator_maurer_cartan_check(g, rep, t, _semi=semi)
+        mc = o_operator_maurer_cartan_check(g, rep, t)
         data["maurer_cartan"] = _report_fields(
             mc, ("twist_compatible", "derived_square_zero"))
         verdicts.append(mc.ok)

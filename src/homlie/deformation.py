@@ -69,7 +69,7 @@ from .ooperator import (
     is_o_operator,
     operator_complex,
 )
-from .reporting import Failure, matrix_failures
+from .reporting import Failure, holds, matrix_failures
 from .structures import HomLieAlgebra, Representation, pair_list
 
 
@@ -119,22 +119,12 @@ class TruncatedDeformation:
 
 @dataclass(frozen=True)
 class LinearDeformationReport:
-    cocycle: bool
-    generator_twist_compatible: bool
-    generator_quadratic: bool
     failures: tuple
-
-    @property
-    def generator_is_o_operator(self) -> bool:
-        return self.generator_twist_compatible and self.generator_quadratic
-
-    @property
-    def valid(self) -> bool:
-        return self.cocycle and self.generator_is_o_operator
-
-    @property
-    def ok(self) -> bool:
-        return self.valid
+    cocycle = holds("deformation_cocycle")
+    generator_twist_compatible = holds("generator_twist")
+    generator_quadratic = holds("generator_o_operator")
+    generator_is_o_operator = holds("generator_twist", "generator_o_operator")
+    valid = ok = holds()
 
 
 def linear_deformation_check(g: HomLieAlgebra, rep: Representation,
@@ -148,41 +138,27 @@ def linear_deformation_check(g: HomLieAlgebra, rep: Representation,
     _require_base(g, rep, t)
     if k.shape != t.shape:
         raise ValueError("the generator must have the operator's shape")
-    failures = []
-    twist = matrix_failures("generator_twist", (), k @ rep.beta, g.alpha @ k)
-    failures.extend(twist)
-    cocycle = True
+    failures = matrix_failures("generator_twist", (), k @ rep.beta,
+                               g.alpha @ k)
     for (a, b) in pair_list(rep.dim):
         lhs, rhs = deformed_identity(g, rep, [t, k], 1, a, b)
         if lhs != rhs:
-            cocycle = False
             failures.append(Failure("deformation_cocycle", (a, b), lhs, rhs))
-    generator = is_o_operator(g, rep, k)
-    quadratic = generator.quadratic
-    for f in generator.failures:
+    for f in is_o_operator(g, rep, k).failures:
         if f.law == "o_operator_identity":
             failures.append(Failure("generator_o_operator", f.indices,
                                     f.lhs, f.rhs))
-    return LinearDeformationReport(
-        cocycle=cocycle,
-        generator_twist_compatible=not twist,
-        generator_quadratic=quadratic,
-        failures=tuple(failures),
-    )
+    return LinearDeformationReport(tuple(failures))
 
 
 @dataclass(frozen=True)
 class NijenhuisElementReport:
-    fixed_by_twist: bool
-    bracket_square: bool
-    action_square: bool
-    generator_bracket: bool
     failures: tuple
-
-    @property
-    def ok(self) -> bool:
-        return (self.fixed_by_twist and self.bracket_square
-                and self.action_square and self.generator_bracket)
+    fixed_by_twist = holds("fixed_point")
+    bracket_square = holds("bracket_square")
+    action_square = holds("action_square")
+    generator_bracket = holds("generator_bracket")
+    ok = holds()
 
 
 def nijenhuis_element_check(g: HomLieAlgebra, rep: Representation,
@@ -198,45 +174,31 @@ def nijenhuis_element_check(g: HomLieAlgebra, rep: Representation,
     _require_base(g, rep, t)
     x = tuple(x)
     failures = []
-    fixed = g.alpha.apply(x) == x
-    if not fixed:
+    if g.alpha.apply(x) != x:
         failures.append(Failure("fixed_point", (), g.alpha.apply(x), x))
-    bracket_square = True
     for (j, kk) in pair_list(g.dim):
         value = g.bracket(g.bracket(x, basis_vector(g.dim, j)),
                           g.bracket(x, basis_vector(g.dim, kk)))
         if not is_zero_vector(value):
-            bracket_square = False
             failures.append(Failure("bracket_square", (j, kk),
                                     value, vzero(g.dim)))
-    action_square = True
     for j in range(g.dim):
         xy = g.bracket(x, basis_vector(g.dim, j))
         composed = rep.rho_of(xy) @ rep.rho_of(x)
-        if not composed.is_zero():
-            action_square = False
-            for a in range(rep.dim):
-                column = composed.column(a)
-                if not is_zero_vector(column):
-                    failures.append(Failure("action_square", (j, a),
-                                            column, vzero(rep.dim)))
-    generator_bracket = True
+        for a in range(rep.dim):
+            column = composed.column(a)
+            if not is_zero_vector(column):
+                failures.append(Failure("action_square", (j, a),
+                                        column, vzero(rep.dim)))
     for a in range(rep.dim):
         ea = basis_vector(rep.dim, a)
         inner = vadd(t.apply(rep.act(x, ea)),
                      g.bracket(t.column(a), x))
         value = g.bracket(x, inner)
         if not is_zero_vector(value):
-            generator_bracket = False
             failures.append(Failure("generator_bracket", (a,),
                                     value, vzero(g.dim)))
-    return NijenhuisElementReport(
-        fixed_by_twist=fixed,
-        bracket_square=bracket_square,
-        action_square=action_square,
-        generator_bracket=generator_bracket,
-        failures=tuple(failures),
-    )
+    return NijenhuisElementReport(tuple(failures))
 
 
 @dataclass(frozen=True)
@@ -245,8 +207,8 @@ class ConditionResult:
 
     condition: str
     degree: int
-    holds: bool
     failures: tuple
+    holds = holds()
 
 
 def _coeff(terms: list, k: int, shape: tuple) -> Matrix:
@@ -273,9 +235,8 @@ def _morphism_conditions(g: HomLieAlgebra, rep: Representation,
                 from_terms, k - i, op_shape)
             rhs = rhs + _coeff(to_terms, i, op_shape) @ _coeff(
                 phi_v_terms, k - i, v_shape)
-        failures = tuple(matrix_failures("operator_intertwine", (k,), lhs, rhs))
-        results.append(ConditionResult("operator_intertwine", k,
-                                       not failures, failures))
+        results.append(ConditionResult("operator_intertwine", k, tuple(
+            matrix_failures("operator_intertwine", (k,), lhs, rhs))))
     for k in range(up_to + 1):
         failures = []
         phi_k = _coeff(phi_g_terms, k, g_shape)
@@ -290,7 +251,7 @@ def _morphism_conditions(g: HomLieAlgebra, rep: Representation,
                 failures.append(Failure("bracket_homomorphism", (k, i, j),
                                         lhs, rhs))
         results.append(ConditionResult("bracket_homomorphism", k,
-                                       not failures, tuple(failures)))
+                                       tuple(failures)))
     for k in range(up_to + 1):
         failures = []
         phi_v_k = _coeff(phi_v_terms, k, v_shape)
@@ -304,7 +265,7 @@ def _morphism_conditions(g: HomLieAlgebra, rep: Representation,
             failures.extend(matrix_failures("action_equivariance", (k, j),
                                             lhs, rhs))
         results.append(ConditionResult("action_equivariance", k,
-                                       not failures, tuple(failures)))
+                                       tuple(failures)))
     for k in range(up_to + 1):
         failures = []
         phi_k = _coeff(phi_g_terms, k, g_shape)
@@ -315,7 +276,7 @@ def _morphism_conditions(g: HomLieAlgebra, rep: Representation,
                                         phi_v_k @ rep.beta,
                                         rep.beta @ phi_v_k))
         results.append(ConditionResult("twist_commute", k,
-                                       not failures, tuple(failures)))
+                                       tuple(failures)))
     return tuple(results)
 
 
@@ -381,20 +342,17 @@ def trivial_deformation_from_nijenhuis(g: HomLieAlgebra, rep: Representation,
 
 @dataclass(frozen=True)
 class FormalDeformationReport:
-    twist_compatible: bool
     per_order: tuple
     failures: tuple
+    twist_compatible = holds("twist_intertwine")
+    ok = holds()
 
     @property
     def first_failing_order(self):
-        for k, holds in self.per_order:
-            if not holds:
+        for k, held in self.per_order:
+            if not held:
                 return k
         return None
-
-    @property
-    def ok(self) -> bool:
-        return self.twist_compatible and all(h for _, h in self.per_order)
 
 
 def _order_failures(g: HomLieAlgebra, rep: Representation, coeffs: list,
@@ -425,13 +383,9 @@ def formal_deformation_check(g: HomLieAlgebra, rep: Representation,
     _require_regular(g, rep)
     coeffs = d.coefficients()
     failures = []
-    twist_ok = True
     for k, ti in enumerate(coeffs):
-        found = matrix_failures("twist_intertwine", (k,),
-                                ti @ rep.beta, g.alpha @ ti)
-        if found:
-            twist_ok = False
-            failures.extend(found)
+        failures += matrix_failures("twist_intertwine", (k,),
+                                    ti @ rep.beta, g.alpha @ ti)
     inner = {(a, b): inner_actions(rep, coeffs, a, b)
              for (a, b) in pair_list(rep.dim)}
     per_order = []
@@ -439,11 +393,8 @@ def formal_deformation_check(g: HomLieAlgebra, rep: Representation,
         found = _order_failures(g, rep, coeffs, k, inner)
         failures.extend(found)
         per_order.append((k, not found))
-    return FormalDeformationReport(
-        twist_compatible=twist_ok,
-        per_order=tuple(per_order),
-        failures=tuple(failures),
-    )
+    return FormalDeformationReport(per_order=tuple(per_order),
+                                   failures=tuple(failures))
 
 
 @dataclass(frozen=True)

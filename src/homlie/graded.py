@@ -52,7 +52,7 @@ from .linalg import (
     vsub,
     vzero,
 )
-from .structures import HomLieAlgebra, Representation, semidirect_product
+from .structures import Representation
 
 
 def _circle_values(phi: Cochain, psi: Cochain, twist: Matrix,
@@ -107,12 +107,10 @@ def nr_bracket(phi: Cochain, psi: Cochain, twist: Matrix) -> Cochain:
     return _on_every_tuple(_bracket_values, phi, psi, twist)
 
 
-def build_theta(rep: Representation, _semi: HomLieAlgebra | None = None
-                ) -> Cochain:
+def build_theta(rep: Representation) -> Cochain:
     """The arity-2 element mu + rho on g + V encoding bracket and action:
-    the bracket table of the semidirect sum, read as a cochain.  _semi is
-    semidirect_product(rep), from a caller that has already built it."""
-    semi = semidirect_product(rep) if _semi is None else _semi
+    the bracket table of the semidirect sum, read as a cochain."""
+    semi = rep.semidirect
     return Cochain.from_values(2, semi.dim, semi.dim, semi.brackets_dict())
 
 

@@ -13,6 +13,7 @@ or strings "p" / "p/q"; floats are rejected so every load stays exact.
     vector       {"vector": [...]}
     cochain      {"arity": 2, "source": "g" | "V",
                   "coeffs": {"0,1": [...]}}
+                 (written by obstruction and deform-extend, never read)
     deformation  {"base": <operator or bare rows>, "terms": [...],
                   "order": 2}
     two-tensor   {"wedge": {"0,1": "1/2"}, "dim": 2}
@@ -93,23 +94,38 @@ def _matrix(obj, where: str) -> Matrix:
     return Matrix(tuple(rows), ncols=ncols)
 
 
-def _index_key(key: str, where: str, arity: int | None = None) -> tuple:
+def _index_pair(key: str, where: str) -> tuple:
     if not isinstance(key, str):
         raise SchemaError(f"{where}: keys must be strings of indices")
-    if key == "":
-        parts = ()
-    else:
-        try:
-            parts = tuple(int(p.strip()) for p in key.split(","))
-        except ValueError:
-            raise SchemaError(
-                f"{where}: key {key!r} is not a comma-separated index tuple"
-            ) from None
-    if arity is not None and len(parts) != arity:
-        raise SchemaError(f"{where}: key {key!r} does not have {arity} indices")
+    try:
+        parts = tuple(int(p.strip()) for p in key.split(",")) if key else ()
+    except ValueError:
+        raise SchemaError(
+            f"{where}: key {key!r} is not a comma-separated index tuple"
+        ) from None
+    if len(parts) != 2:
+        raise SchemaError(f"{where}: key {key!r} does not have 2 indices")
     if any(p < 0 for p in parts):
         raise SchemaError(f"{where}: key {key!r} has a negative index")
     return parts
+
+
+def _pair_entries(raw, dim: int, where: str, read) -> dict:
+    """{(i, j): read(value, location)} for the "i,j" keys of raw, with
+    0 <= i < j < dim; two keys that name the same pair are refused."""
+    if not isinstance(raw, dict):
+        raise SchemaError(f"{where}: expected an object")
+    entries, keys = {}, {}
+    for key, value in raw.items():
+        i, j = _index_pair(key, where)
+        if not (0 <= i < j < dim):
+            raise SchemaError(f"{where}: key {key!r} needs 0 <= i < j < dim")
+        if (i, j) in keys:
+            raise SchemaError(f"{where}: keys {keys[(i, j)]!r} and {key!r} "
+                              f"name the same pair ({i}, {j})")
+        keys[(i, j)] = key
+        entries[(i, j)] = read(value, f"{where}[{key!r}]")
+    return entries
 
 
 def algebra_from_dict(data, where: str = "algebra") -> HomLieAlgebra:
@@ -125,20 +141,15 @@ def algebra_from_dict(data, where: str = "algebra") -> HomLieAlgebra:
     alpha = data.get("alpha")
     if alpha is not None:
         alpha = _matrix(alpha, f"{where}.alpha")
-    brackets = {}
-    raw = data.get("brackets", {})
-    if not isinstance(raw, dict):
-        raise SchemaError(f"{where}.brackets: expected an object")
-    for key, value in raw.items():
-        i, j = _index_key(key, f"{where}.brackets", arity=2)
-        if not (0 <= i < j < dim):
-            raise SchemaError(
-                f"{where}.brackets: key {key!r} needs 0 <= i < j < dim")
-        vec = _vector(value, f"{where}.brackets[{key!r}]")
+
+    def bracket_value(value, at: str) -> tuple:
+        vec = _vector(value, at)
         if len(vec) != dim:
-            raise SchemaError(
-                f"{where}.brackets[{key!r}]: expected {dim} entries")
-        brackets[(i, j)] = vec
+            raise SchemaError(f"{at}: expected {dim} entries")
+        return vec
+
+    brackets = _pair_entries(data.get("brackets", {}), dim,
+                             f"{where}.brackets", bracket_value)
     try:
         return HomLieAlgebra.build(dim=dim, brackets=brackets, alpha=alpha,
                                    basis=basis)
@@ -220,41 +231,6 @@ def vector_from_dict(data, where: str = "vector") -> tuple:
     return _vector(data["vector"], f"{where}.vector")
 
 
-def cochain_from_dict(data, g: HomLieAlgebra, module_dim: int,
-                      where: str = "cochain") -> Cochain:
-    """Read a cochain; "source": "g" takes module values on the algebra,
-    "V" takes algebra values on the module (the operator complex)."""
-    _require_keys(data, ("arity", "source", "coeffs"), (), where)
-    arity = _int(data["arity"], f"{where}.arity")
-    if arity < 0:
-        raise SchemaError(f"{where}.arity: must be non-negative")
-    source = data["source"]
-    if source == "g":
-        source_dim, target_dim = g.dim, module_dim
-    elif source == "V":
-        source_dim, target_dim = module_dim, g.dim
-    else:
-        raise SchemaError(f'{where}.source: expected "g" or "V"')
-    raw = data["coeffs"]
-    if not isinstance(raw, dict):
-        raise SchemaError(f"{where}.coeffs: expected an object")
-    entries = {}
-    for key, value in raw.items():
-        indices = _index_key(key, f"{where}.coeffs", arity=arity)
-        if any(not 0 <= p < source_dim for p in indices):
-            raise SchemaError(f"{where}.coeffs: key {key!r} is out of range")
-        if any(indices[k] >= indices[k + 1] for k in range(len(indices) - 1)):
-            raise SchemaError(
-                f"{where}.coeffs: key {key!r} must be strictly increasing")
-        vec = _vector(value, f"{where}.coeffs[{key!r}]")
-        if len(vec) != target_dim:
-            raise SchemaError(
-                f"{where}.coeffs[{key!r}]: expected {target_dim} entries")
-        entries[indices] = vec
-    return Cochain.from_values(arity=arity, source_dim=source_dim,
-                               target_dim=target_dim, entries=entries)
-
-
 def cochain_to_dict(c: Cochain, source: str) -> dict:
     coeffs = {}
     for indices in c.index_tuples:
@@ -311,17 +287,10 @@ def rmatrix_from_dict(data, dim: int | None = None,
     if dim is None:
         raise SchemaError(f"{where}: no dimension available; add a "
                           f'"dim" key or pass one explicitly')
-    raw = data["wedge"]
-    if not isinstance(raw, dict):
-        raise SchemaError(f"{where}.wedge: expected an object")
-    entries = {}
-    for key, value in raw.items():
-        i, j = _index_key(key, f"{where}.wedge", arity=2)
-        if not (0 <= i < j < dim):
-            raise SchemaError(
-                f"{where}.wedge: key {key!r} needs 0 <= i < j < dim")
-        entries[(i, j)] = _scalar(value, f"{where}.wedge[{key!r}]")
-    return WedgeTwoTensor.from_dict(dim, entries)
+    if dim <= 0:
+        raise SchemaError(f"{where}: dim {dim} must be positive")
+    return WedgeTwoTensor.from_dict(
+        dim, _pair_entries(data["wedge"], dim, f"{where}.wedge", _scalar))
 
 
 def rmatrix_to_dict(r: WedgeTwoTensor) -> dict:

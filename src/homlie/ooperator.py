@@ -47,24 +47,16 @@ from .linalg import (
     vsub,
     vzero,
 )
-from .reporting import Failure, matrix_failures
-from .structures import (
-    HomLieAlgebra,
-    Representation,
-    pair_list,
-    semidirect_product,
-)
+from .reporting import Failure, holds, matrix_failures
+from .structures import HomLieAlgebra, Representation, pair_list
 
 
 @dataclass(frozen=True)
 class OOperatorReport:
-    intertwines: bool
-    quadratic: bool
     failures: tuple
-
-    @property
-    def ok(self) -> bool:
-        return self.intertwines and self.quadratic
+    intertwines = holds("twist_intertwine")
+    quadratic = holds("o_operator_identity")
+    ok = holds()
 
 
 def inner_actions(rep: Representation, coeffs, a: int, b: int) -> list:
@@ -100,46 +92,31 @@ def is_o_operator(g: HomLieAlgebra, rep: Representation, t: Matrix) -> OOperator
     """Check both O-operator conditions on all basis vectors and pairs."""
     if t.shape != (g.dim, rep.dim):
         raise ValueError("operator must map the module into the algebra")
-    failures = []
-    lhs = t @ rep.beta
-    rhs = g.alpha @ t
-    twist_failures = matrix_failures("twist_intertwine", (), lhs, rhs)
-    failures.extend(twist_failures)
-    quadratic = True
+    failures = matrix_failures("twist_intertwine", (), t @ rep.beta,
+                               g.alpha @ t)
     for (a, b) in pair_list(rep.dim):
         defect = vsub(*deformed_identity(g, rep, [t], 0, a, b))
         if not is_zero_vector(defect):
-            quadratic = False
             failures.append(Failure("o_operator_identity", (a, b),
                                     defect, vzero(g.dim)))
-    return OOperatorReport(
-        intertwines=not twist_failures,
-        quadratic=quadratic,
-        failures=tuple(failures),
-    )
+    return OOperatorReport(tuple(failures))
 
 
 @dataclass(frozen=True)
 class RotaBaxterReport:
-    commutes_with_twist: bool
-    identity: bool
     failures: tuple
-
-    @property
-    def ok(self) -> bool:
-        return self.commutes_with_twist and self.identity
+    commutes_with_twist = holds("twist_commute")
+    identity = holds("rota_baxter_identity")
+    ok = holds()
 
 
 def is_rota_baxter(g: HomLieAlgebra, r: Matrix, s: int = 0,
                    weight=Q(0)) -> RotaBaxterReport:
     """Check the degree-s, weight-lambda Rota-Baxter conditions."""
     weight = Q(weight)
-    failures = []
-    commute_failures = matrix_failures("twist_commute", (),
-                                       r @ g.alpha, g.alpha @ r)
-    failures.extend(commute_failures)
+    failures = matrix_failures("twist_commute", (),
+                               r @ g.alpha, g.alpha @ r)
     alpha_s = g.alpha_power(s)
-    identity = True
     for (i, j) in pair_list(g.dim):
         ri = r.column(i)
         rj = r.column(j)
@@ -151,58 +128,41 @@ def is_rota_baxter(g: HomLieAlgebra, r: Matrix, s: int = 0,
         )
         rhs = r.apply(inside)
         if lhs != rhs:
-            identity = False
             failures.append(Failure("rota_baxter_identity", (i, j), lhs, rhs))
-    return RotaBaxterReport(
-        commutes_with_twist=not commute_failures,
-        identity=identity,
-        failures=tuple(failures),
-    )
+    return RotaBaxterReport(tuple(failures))
 
 
 @dataclass(frozen=True)
 class GraphReport:
-    bracket_closed: bool
-    twist_closed: bool
     failures: tuple
+    bracket_closed = holds("graph_bracket_closed")
+    twist_closed = holds("graph_twist_closed")
+    ok = holds()
 
-    @property
-    def ok(self) -> bool:
-        return self.bracket_closed and self.twist_closed
 
-
-def graph_check(g: HomLieAlgebra, rep: Representation, t: Matrix,
-                _semi: HomLieAlgebra | None = None) -> GraphReport:
+def graph_check(g: HomLieAlgebra, rep: Representation, t: Matrix
+                ) -> GraphReport:
     """Whether Gr(T) = {T(v) + v} is a subalgebra of g + V closed under
-    the twist alpha + beta.  _semi is semidirect_product(rep), from a
-    caller that has already built it."""
+    the twist alpha + beta."""
     if t.shape != (g.dim, rep.dim):
         raise ValueError("operator must map the module into the algebra")
-    semi = semidirect_product(rep) if _semi is None else _semi
+    semi = rep.semidirect
     n = g.dim
     failures = []
-    bracket_closed = True
     for (a, b) in pair_list(rep.dim):
         u = t.column(a) + basis_vector(rep.dim, a)
         w = t.column(b) + basis_vector(rep.dim, b)
         value = semi.bracket(u, w)
         g_part, v_part = value[:n], value[n:]
         if g_part != t.apply(v_part):
-            bracket_closed = False
             failures.append(Failure("graph_bracket_closed", (a, b),
                                     g_part, t.apply(v_part)))
-    twist_closed = True
     for a in range(rep.dim):
         lhs = g.alpha.apply(t.column(a))
         rhs = t.apply(rep.beta.column(a))
         if lhs != rhs:
-            twist_closed = False
             failures.append(Failure("graph_twist_closed", (a,), lhs, rhs))
-    return GraphReport(
-        bracket_closed=bracket_closed,
-        twist_closed=twist_closed,
-        failures=tuple(failures),
-    )
+    return GraphReport(tuple(failures))
 
 
 def build_nt(t: Matrix) -> Matrix:
@@ -215,13 +175,10 @@ def build_nt(t: Matrix) -> Matrix:
 
 @dataclass(frozen=True)
 class NijenhuisReport:
-    commutes_with_twist: bool
-    identity: bool
     failures: tuple
-
-    @property
-    def ok(self) -> bool:
-        return self.commutes_with_twist and self.identity
+    commutes_with_twist = holds("twist_commute")
+    identity = holds("nijenhuis_identity")
+    ok = holds()
 
 
 def nijenhuis_operator_check(h: HomLieAlgebra, n: Matrix) -> NijenhuisReport:
@@ -229,11 +186,8 @@ def nijenhuis_operator_check(h: HomLieAlgebra, n: Matrix) -> NijenhuisReport:
 
         [N(x), N(y)] = N([N(x), y] - [N(y), x] - N([x, y])).
     """
-    failures = []
-    commute_failures = matrix_failures("twist_commute", (),
-                                       n @ h.alpha, h.alpha @ n)
-    failures.extend(commute_failures)
-    identity = True
+    failures = matrix_failures("twist_commute", (),
+                               n @ h.alpha, h.alpha @ n)
     for (i, j) in pair_list(h.dim):
         ni = n.column(i)
         nj = n.column(j)
@@ -245,13 +199,8 @@ def nijenhuis_operator_check(h: HomLieAlgebra, n: Matrix) -> NijenhuisReport:
         )
         rhs = n.apply(inside)
         if lhs != rhs:
-            identity = False
             failures.append(Failure("nijenhuis_identity", (i, j), lhs, rhs))
-    return NijenhuisReport(
-        commutes_with_twist=not commute_failures,
-        identity=identity,
-        failures=tuple(failures),
-    )
+    return NijenhuisReport(tuple(failures))
 
 
 @dataclass(frozen=True)
@@ -265,14 +214,11 @@ class MaurerCartanOperatorReport:
 
 
 def o_operator_maurer_cartan_check(g: HomLieAlgebra, rep: Representation,
-                                   t: Matrix,
-                                   _semi: HomLieAlgebra | None = None
-                                   ) -> MaurerCartanOperatorReport:
-    """T as a Maurer-Cartan element: twist-compatible and {{T, T}} = 0.
-    _semi is semidirect_product(rep), from a caller that has built it."""
+                                   t: Matrix) -> MaurerCartanOperatorReport:
+    """T as a Maurer-Cartan element: twist-compatible and {{T, T}} = 0."""
     compatible = (t @ rep.beta) == (g.alpha @ t)
     one = Cochain.from_linear_map(t)
-    square = derived_bracket(rep, one, one, _theta=build_theta(rep, _semi))
+    square = derived_bracket(rep, one, one, _theta=build_theta(rep))
     return MaurerCartanOperatorReport(
         twist_compatible=compatible,
         derived_square_zero=square.is_zero(),
@@ -312,13 +258,10 @@ class HomPreLie:
 
 @dataclass(frozen=True)
 class HomPreLieReport:
-    twist_multiplicative: bool
-    left_symmetry: bool
     failures: tuple
-
-    @property
-    def ok(self) -> bool:
-        return self.twist_multiplicative and self.left_symmetry
+    twist_multiplicative = holds("twist_multiplicative")
+    left_symmetry = holds("left_symmetry")
+    ok = holds()
 
 
 def verify_hom_pre_lie(p: HomPreLie) -> HomPreLieReport:
@@ -329,15 +272,12 @@ def verify_hom_pre_lie(p: HomPreLie) -> HomPreLieReport:
             = (v . u) . beta(w) - beta(v) . (u . w).
     """
     failures = []
-    multiplicative = True
     for i in range(p.dim):
         for j in range(p.dim):
             lhs = p.twist.apply(p.table[i][j])
             rhs = p.product(p.twist.column(i), p.twist.column(j))
             if lhs != rhs:
-                multiplicative = False
                 failures.append(Failure("twist_multiplicative", (i, j), lhs, rhs))
-    symmetric = True
     for i in range(p.dim):
         for j in range(i + 1, p.dim):
             for k in range(p.dim):
@@ -347,14 +287,9 @@ def verify_hom_pre_lie(p: HomPreLie) -> HomPreLieReport:
                 rhs = vsub(p.product(p.table[j][i], bw),
                            p.product(p.twist.column(j), p.table[i][k]))
                 if lhs != rhs:
-                    symmetric = False
                     failures.append(Failure("left_symmetry", (i, j, k),
                                             lhs, rhs))
-    return HomPreLieReport(
-        twist_multiplicative=multiplicative,
-        left_symmetry=symmetric,
-        failures=tuple(failures),
-    )
+    return HomPreLieReport(tuple(failures))
 
 
 def induced_hom_pre_lie(g: HomLieAlgebra, rep: Representation, t: Matrix,
@@ -417,16 +352,13 @@ def operator_coboundary(g: HomLieAlgebra, rep: Representation, t: Matrix,
 
 @dataclass(frozen=True)
 class OperatorHomReport:
-    algebra_morphism: bool
-    operator_intertwine: bool
-    module_twist: bool
-    action_equivariant: bool
     failures: tuple
-
-    @property
-    def ok(self) -> bool:
-        return (self.algebra_morphism and self.operator_intertwine
-                and self.module_twist and self.action_equivariant)
+    algebra_morphism = holds("endomorphism_twist_commute",
+                             "endomorphism_bracket")
+    operator_intertwine = holds("operator_intertwine")
+    module_twist = holds("module_twist_commute")
+    action_equivariant = holds("action_equivariance")
+    ok = holds()
 
 
 def o_operator_hom_check(g: HomLieAlgebra, rep: Representation,
@@ -441,40 +373,22 @@ def o_operator_hom_check(g: HomLieAlgebra, rep: Representation,
 
     with phi_g a hom-Lie endomorphism of g.
     """
-    failures = []
-    morphism = True
-    commute = matrix_failures("endomorphism_twist_commute", (),
-                              phi_g @ g.alpha, g.alpha @ phi_g)
-    if commute:
-        morphism = False
-        failures.extend(commute)
+    failures = matrix_failures("endomorphism_twist_commute", (),
+                               phi_g @ g.alpha, g.alpha @ phi_g)
     for (i, j) in pair_list(g.dim):
         lhs = phi_g.apply(g.bracket_basis(i, j))
         rhs = g.bracket(phi_g.column(i), phi_g.column(j))
         if lhs != rhs:
-            morphism = False
             failures.append(Failure("endomorphism_bracket", (i, j), lhs, rhs))
-    chain = matrix_failures("operator_intertwine", (),
-                            t_to @ phi_v, phi_g @ t_from)
-    failures.extend(chain)
-    module = matrix_failures("module_twist_commute", (),
-                             phi_v @ rep.beta, rep.beta @ phi_v)
-    failures.extend(module)
-    equivariant = True
+    failures += matrix_failures("operator_intertwine", (),
+                                t_to @ phi_v, phi_g @ t_from)
+    failures += matrix_failures("module_twist_commute", (),
+                                phi_v @ rep.beta, rep.beta @ phi_v)
     for i in range(g.dim):
         lhs = phi_v @ rep.rho[i]
         rhs = rep.rho_of(phi_g.column(i)) @ phi_v
-        found = matrix_failures("action_equivariance", (i,), lhs, rhs)
-        if found:
-            equivariant = False
-            failures.extend(found)
-    return OperatorHomReport(
-        algebra_morphism=morphism,
-        operator_intertwine=not chain,
-        module_twist=not module,
-        action_equivariant=equivariant,
-        failures=tuple(failures),
-    )
+        failures += matrix_failures("action_equivariance", (i,), lhs, rhs)
+    return OperatorHomReport(tuple(failures))
 
 
 def rb_induced_bracket(g: HomLieAlgebra, r: Matrix, s: int = 0) -> HomLieAlgebra:

@@ -4,6 +4,10 @@ Every verifier in this package reports failures instead of raising, so a
 failing structure can be diagnosed from the CLI.  A Failure pins down one
 violated identity: the law's machine name, the basis indices where it
 breaks, and the two evaluated sides (coordinate tuples, exact rationals).
+
+A report stores its failures and the data that is not a verdict, never
+a verdict itself: each verdict is holds(...) of its laws, read off the
+failure list, so the two cannot disagree.
 """
 
 from __future__ import annotations
@@ -27,6 +31,13 @@ class Failure:
         if self.lhs is None and self.rhs is None:
             return f"{self.law} fails at ({where})"
         return f"{self.law} fails at ({where}): lhs={self.lhs} rhs={self.rhs}"
+
+
+def holds(*laws: str) -> property:
+    """A report property that is true when no failure has one of the
+    named laws; with no names, when there is no failure at all."""
+    return property(lambda report: not any(
+        not laws or f.law in laws for f in report.failures))
 
 
 def matrix_failures(law: str, index: tuple, lhs, rhs) -> list:

@@ -66,7 +66,7 @@ from .ooperator import (
     is_o_operator,
     o_operator_hom_check,
 )
-from .reporting import Failure
+from .reporting import Failure, holds
 from .structures import HomLieAlgebra, Representation, coadjoint_rep, pair_list
 
 _ZERO = Q(0)
@@ -284,26 +284,18 @@ def _require_rmatrix_context(g: HomLieAlgebra, r: WedgeTwoTensor) -> None:
 
 @dataclass(frozen=True)
 class RMatrixReport:
-    wedge_square_zero: bool
     cybe_zero: bool
     operator_report: OOperatorReport
     wedge_square: tuple
     failures: tuple
     # The representation the operator route was decided on.
     coadjoint: Representation = field(repr=False, compare=False)
+    wedge_square_zero = verdict = ok = holds("wedge_square")
 
     @property
     def routes_agree(self) -> bool:
         return (self.wedge_square_zero == self.cybe_zero
                 == self.operator_report.ok)
-
-    @property
-    def verdict(self) -> bool:
-        return self.wedge_square_zero
-
-    @property
-    def ok(self) -> bool:
-        return self.verdict
 
 
 def is_r_matrix(g: HomLieAlgebra, r: WedgeTwoTensor) -> RMatrixReport:
@@ -315,16 +307,11 @@ def is_r_matrix(g: HomLieAlgebra, r: WedgeTwoTensor) -> RMatrixReport:
     """
     _require_rmatrix_context(g, r)
     square = two_tensor_square(g, r)
-    square_zero = not square
-    failures = []
-    if not square_zero:
-        for indices in sorted(square):
-            failures.append(Failure("wedge_square", indices,
-                                    (square[indices],), (Q(0),)))
+    failures = [Failure("wedge_square", indices, (square[indices],), (Q(0),))
+                for indices in sorted(square)]
     cybe = cybe_sum(g, r)
     coadj = coadjoint_rep(g)
     return RMatrixReport(
-        wedge_square_zero=square_zero,
         cybe_zero=cybe.is_zero,
         operator_report=is_o_operator(g, coadj, tensor_to_operator(r)),
         wedge_square=tuple(sorted(square.items())),
@@ -369,19 +356,14 @@ def induced_dual_bracket(g: HomLieAlgebra, r: WedgeTwoTensor,
 
 @dataclass(frozen=True)
 class WeakHomReport:
-    phi_bracket_homomorphism: bool
-    phi_twist_commute: bool
-    psi_twist_commute: bool
-    tensor_condition: bool
-    bracket_condition: bool
     operator_hom: OperatorHomReport
     failures: tuple
-
-    @property
-    def ok(self) -> bool:
-        return (self.phi_bracket_homomorphism and self.phi_twist_commute
-                and self.psi_twist_commute and self.tensor_condition
-                and self.bracket_condition)
+    phi_bracket_homomorphism = holds("phi_bracket")
+    phi_twist_commute = holds("phi_twist_commute")
+    psi_twist_commute = holds("psi_twist_commute")
+    tensor_condition = holds("tensor_condition")
+    bracket_condition = holds("intertwine_bracket")
+    ok = holds()
 
     @property
     def operator_hom_agrees(self) -> bool:
@@ -405,31 +387,22 @@ def weak_homomorphism_check(g: HomLieAlgebra, phi: Matrix, psi: Matrix,
     _require_rmatrix_context(g, r1)
     _require_rmatrix_context(g, r2)
     failures = []
-    bracket_homo = True
     for (i, j) in pair_list(g.dim):
         lhs = phi.apply(g.bracket_basis(i, j))
         rhs = g.bracket(phi.column(i), phi.column(j))
         if lhs != rhs:
-            bracket_homo = False
             failures.append(Failure("phi_bracket", (i, j), lhs, rhs))
-    phi_twist = (phi @ g.alpha) == (g.alpha @ phi)
-    if not phi_twist:
+    if (phi @ g.alpha) != (g.alpha @ phi):
         failures.append(Failure("phi_twist_commute", ()))
-    psi_twist = (psi @ g.alpha) == (g.alpha @ psi)
-    if not psi_twist:
+    if (psi @ g.alpha) != (g.alpha @ psi):
         failures.append(Failure("psi_twist_commute", ()))
-    m1 = r1.skew_matrix()
-    m2 = r2.skew_matrix()
-    tensor_ok = (psi @ m1) == (m2 @ phi.transpose())
-    if not tensor_ok:
+    if (psi @ r1.skew_matrix()) != (r2.skew_matrix() @ phi.transpose()):
         failures.append(Failure("tensor_condition", ()))
-    bracket_cond = True
     for i in range(g.dim):
         for j in range(g.dim):
             lhs = psi.apply(g.bracket(phi.column(i), basis_vector(g.dim, j)))
             rhs = g.bracket(basis_vector(g.dim, i), psi.column(j))
             if lhs != rhs:
-                bracket_cond = False
                 failures.append(Failure("intertwine_bracket", (i, j),
                                         lhs, rhs))
     operator_hom = o_operator_hom_check(
@@ -437,15 +410,7 @@ def weak_homomorphism_check(g: HomLieAlgebra, phi: Matrix, psi: Matrix,
         phi_g=phi, phi_v=psi.transpose(),
         t_from=tensor_to_operator(r2), t_to=tensor_to_operator(r1),
     )
-    return WeakHomReport(
-        phi_bracket_homomorphism=bracket_homo,
-        phi_twist_commute=phi_twist,
-        psi_twist_commute=psi_twist,
-        tensor_condition=tensor_ok,
-        bracket_condition=bracket_cond,
-        operator_hom=operator_hom,
-        failures=tuple(failures),
-    )
+    return WeakHomReport(operator_hom=operator_hom, failures=tuple(failures))
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,7 @@ from .linalg import (
     vneg,
     vzero,
 )
-from .reporting import Failure, matrix_failures
+from .reporting import Failure, holds, matrix_failures
 
 
 @lru_cache(maxsize=None)
@@ -151,28 +151,22 @@ class HomLieAlgebra:
 
 @dataclass(frozen=True)
 class HomLieReport:
-    multiplicative: bool
-    hom_jacobi: bool
-    regular: bool
     failures: tuple
-
-    @property
-    def ok(self) -> bool:
-        return self.multiplicative and self.hom_jacobi
+    regular: bool
+    multiplicative = holds("multiplicativity")
+    hom_jacobi = holds("hom_jacobi")
+    ok = holds()
 
 
 def verify_hom_lie(g: HomLieAlgebra) -> HomLieReport:
     """Check multiplicativity and hom-Jacobi on all basis tuples."""
     failures = []
-    multiplicative = True
     for (i, j) in pair_list(g.dim):
         lhs = g.alpha.apply(g.bracket_basis(i, j))
         rhs = g.bracket(g.alpha.apply(basis_vector(g.dim, i)),
                         g.alpha.apply(basis_vector(g.dim, j)))
         if lhs != rhs:
-            multiplicative = False
             failures.append(Failure("multiplicativity", (i, j), lhs, rhs))
-    hom_jacobi = True
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
             for k in range(j + 1, g.dim):
@@ -187,16 +181,10 @@ def verify_hom_lie(g: HomLieAlgebra) -> HomLieReport:
                               g.bracket_basis(i, j)),
                 )
                 if not is_zero_vector(defect):
-                    hom_jacobi = False
                     failures.append(
                         Failure("hom_jacobi", (i, j, k), defect, vzero(g.dim))
                     )
-    return HomLieReport(
-        multiplicative=multiplicative,
-        hom_jacobi=hom_jacobi,
-        regular=g.is_regular,
-        failures=tuple(failures),
-    )
+    return HomLieReport(tuple(failures), regular=g.is_regular)
 
 
 def from_lie_with_morphism(g: HomLieAlgebra, phi: Matrix) -> HomLieAlgebra:
@@ -258,6 +246,11 @@ class Representation:
         return sparse_table([[m.column(j) for j in range(self.dim)]
                              for m in self.rho])
 
+    @cached_property
+    def semidirect(self) -> HomLieAlgebra:
+        """semidirect_product(self), built once per object."""
+        return semidirect_product(self)
+
     def rho_of(self, x: Vector) -> Matrix:
         """Action matrix of an arbitrary algebra element."""
         return Matrix.from_columns(
@@ -271,42 +264,27 @@ class Representation:
 
 @dataclass(frozen=True)
 class RepresentationReport:
-    twist_intertwine: bool
-    module_equation: bool
     failures: tuple
-
-    @property
-    def ok(self) -> bool:
-        return self.twist_intertwine and self.module_equation
+    twist_intertwine = holds("twist_intertwine")
+    module_equation = holds("module_equation")
+    ok = holds()
 
 
 def verify_representation(rep: Representation) -> RepresentationReport:
     """Check both representation axioms on all basis vectors and pairs."""
     g = rep.algebra
     failures = []
-    twist_ok = True
     for i in range(g.dim):
         lhs = rep.rho_of(g.alpha.apply(basis_vector(g.dim, i))) @ rep.beta
         rhs = rep.beta @ rep.rho[i]
-        found = matrix_failures("twist_intertwine", (i,), lhs, rhs)
-        if found:
-            twist_ok = False
-            failures.extend(found)
-    module_ok = True
+        failures += matrix_failures("twist_intertwine", (i,), lhs, rhs)
     for (i, j) in pair_list(g.dim):
         lhs = rep.rho_of(g.bracket_basis(i, j)) @ rep.beta
         ai = rep.rho_of(g.alpha.apply(basis_vector(g.dim, i)))
         aj = rep.rho_of(g.alpha.apply(basis_vector(g.dim, j)))
         rhs = ai @ rep.rho[j] - aj @ rep.rho[i]
-        found = matrix_failures("module_equation", (i, j), lhs, rhs)
-        if found:
-            module_ok = False
-            failures.extend(found)
-    return RepresentationReport(
-        twist_intertwine=twist_ok,
-        module_equation=module_ok,
-        failures=tuple(failures),
-    )
+        failures += matrix_failures("module_equation", (i, j), lhs, rhs)
+    return RepresentationReport(tuple(failures))
 
 
 def adjoint_rep(g: HomLieAlgebra, s: int = 0) -> Representation:

@@ -23,7 +23,6 @@ from homlie.io import (
     SchemaError,
     algebra_from_dict,
     algebra_to_dict,
-    cochain_from_dict,
     deformation_from_dict,
     jsonable,
     load_json,
@@ -174,24 +173,6 @@ def test_operator_vector_docs():
         vector_from_dict({"vector": 3})
 
 
-def test_cochain_doc():
-    g = algebra_from_dict(AFF1)
-    doc = {"arity": 2, "source": "V", "coeffs": {"0,1": [0, "-2"]}}
-    c = cochain_from_dict(doc, g, module_dim=2)
-    assert c.coeff((0, 1)) == (Q(0), Q(-2))
-    assert c.arity == 2
-    for bad in (
-        {"arity": 2, "source": "w", "coeffs": {}},
-        {"arity": -1, "source": "g", "coeffs": {}},
-        {"arity": 2, "source": "g", "coeffs": {"1,0": [0, 0]}},
-        {"arity": 2, "source": "g", "coeffs": {"0,2": [0, 0]}},
-        {"arity": 2, "source": "g", "coeffs": {"0,1": [0, 0, 0]}},
-        {"arity": 1, "source": "g", "coeffs": {"0,1": [0, 0]}},
-    ):
-        with pytest.raises(SchemaError):
-            cochain_from_dict(bad, g, module_dim=2)
-
-
 def test_deformation_doc():
     d = deformation_from_dict(
         {"base": T_DOC, "terms": [[[1, 0], [0, 0]]], "order": 1})
@@ -219,6 +200,23 @@ def test_rmatrix_doc():
         rmatrix_from_dict({"wedge": {"0,1": 1}})
     with pytest.raises(SchemaError):
         rmatrix_from_dict({"wedge": {"0,3": 1}, "dim": 2})
+
+
+@pytest.mark.parametrize("keys", [("0,1", "0, 01"), ("0, 01", "0,1")])
+def test_repeated_index_pairs_are_refused(keys):
+    """Two keys naming one pair would let the later one win silently,
+    so the document would load as aff1 or as abelian by key order."""
+    first, second = keys
+    docs = [
+        (algebra_from_dict, {"dim": 2, "brackets": {first: [0, 1],
+                                                    second: [0, 0]}}),
+        (rmatrix_from_dict, {"dim": 2, "wedge": {first: 1, second: 2}}),
+    ]
+    for loader, doc in docs:
+        with pytest.raises(SchemaError) as err:
+            loader(doc)
+        assert repr(first) in str(err.value)
+        assert repr(second) in str(err.value)
 
 
 def test_load_json_errors(tmp_path):
@@ -700,6 +698,17 @@ def test_cli_rmatrix_convert(tmp_path, capsys):
     code, _, err = run(capsys, ["rmatrix-convert", neither])
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_cli_rmatrix_convert_refuses_non_positive_dims(tmp_path, capsys):
+    """A tensor of dim <= 0 would convert to {"matrix": []}, which
+    rmatrix-convert itself refuses to read back."""
+    negative = write(tmp_path, "neg.json", {"wedge": {}, "dim": -2})
+    empty = write(tmp_path, "empty.json", {"wedge": {}})
+    for argv in ([negative], [empty, "--dim", "-1"], [empty, "--dim", "0"]):
+        code, out, err = run(capsys, ["rmatrix-convert", *argv, "--json"])
+        assert (code, out) == (2, "")
+        assert "must be positive" in err
 
 
 def test_cli_weak_hom_check(tmp_path, capsys):

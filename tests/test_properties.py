@@ -10,8 +10,9 @@ from __future__ import annotations
 import math
 
 from hypothesis import given, settings, strategies as st
+from sympy.combinatorics import Permutation
 
-from homlie.alternating import wedge_coords
+from homlie.alternating import shuffles, wedge_coords
 from homlie.cochain import Cochain
 from homlie.io import algebra_from_dict, algebra_to_dict, format_scalar, parse_scalar
 from homlie.linalg import Matrix, Q
@@ -145,3 +146,12 @@ def test_wedge_coords_equals_determinant_oracle(case):
     coords = wedge_coords(vectors, dim)
     assert coords == oracle_wedge_coords(vectors, dim)
     assert all(type(c) is Q and c != 0 for c in coords.values())
+
+
+def test_shuffle_signs_equal_sympy_signature():
+    for total in range(7):
+        for p in range(total + 1):
+            found = list(shuffles(p, total - p))
+            assert len(found) == math.comb(total, p)
+            for perm, sign in found:
+                assert sign == Permutation(list(perm)).signature(), perm
