@@ -25,11 +25,13 @@ the d matrices rho(alpha^{n-1} e_i), and the bracket term takes one
 wedge_coords expansion of [e_a, e_b] ^ alpha e_... per tuple and pair
 with a nonzero bracket.  coboundary applies that map to one
 cochain, coboundary_matrix is its dense form, and coboundary_on_basis
-applies it to the compatible basis.  cohomology_table takes that
-restriction once per arity, so every rank of a table is computed exactly
-once, and extend_order solves its deformation equations on it.  When
-both twists are diagonal the compatible basis is read off directly as
-unit cochains.
+applies it to the compatible basis, giving sparse images.
+cohomology_table takes that restriction once per arity and hands the
+images straight to linalg.sparse_rref, so every rank of a table is
+computed exactly once and nothing the size of a cochain space is
+written out densely; extend_order solves its deformation equations on
+the same images.  The compatible basis is the kernel of one sparse
+system for every pair of twists.
 
 For regular structures the complex extends to degree zero: C^0 is the
 fixed-point space of the coefficient twist and
@@ -42,15 +44,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from math import prod
 
 from .alternating import increasing_tuples, sort_with_sign, wedge_coords
 from .linalg import (
     Matrix,
     Q,
     Vector,
-    basis_vector,
     is_zero_vector,
+    rref_kernel,
+    sparse_rref,
     vadd,
     vscale,
     vsub,
@@ -185,11 +187,10 @@ class Cochain:
         count = len(increasing_tuples(source_dim, arity))
         if len(flat) != count * target_dim:
             raise ValueError("flat vector has the wrong length")
-        values = tuple(
-            tuple(flat[p * target_dim + t] for t in range(target_dim))
-            for p in range(count)
-        )
-        return cls(arity, source_dim, target_dim, values)
+        flat = tuple(flat)
+        return cls(arity, source_dim, target_dim,
+                   tuple(flat[p * target_dim:(p + 1) * target_dim]
+                         for p in range(count)))
 
 
 def is_twist_compatible(f: Cochain, sigma: Matrix, tau: Matrix) -> bool:
@@ -239,54 +240,30 @@ class ComplexDescriptor:
         return Cochain.zero(arity, self.source_dim, self.target_dim)
 
 
-def _diagonal(m: Matrix) -> list | None:
-    """The diagonal entries of m, or None if m has an off-diagonal nonzero."""
-    for i, row in enumerate(m.rows):
-        if any(e != 0 for j, e in enumerate(row) if j != i):
-            return None
-    return [m.rows[i][i] for i in range(m.nrows)]
-
-
 def compatible_maps_basis(sigma: Matrix, tau: Matrix, arity: int) -> list:
     """Canonical basis of the alternating maps f with f . sigma^n = tau . f.
 
-    Solves the linear system f(sigma e_I) = tau(f(e_I)) over the flat
-    coordinates; the deterministic kernel basis makes the result stable.
-    When sigma and tau are both diagonal the system is diagonal, and its
-    kernel basis is the unit cochains e_I (x) v_t with
-    prod_{i in I} sigma_ii = tau_tt, in flat order.
+    Solves the sparse linear system f(sigma e_I) = tau(f(e_I)) over the
+    flat coordinates; the canonical kernel basis makes the result stable.
+    For diagonal twists each row has at most one entry, and the kernel is
+    the unit cochains e_I (x) v_t with prod_{i in I} sigma_ii = tau_tt.
     """
     sd, td = sigma.nrows, tau.nrows
     tuples = increasing_tuples(sd, arity)
     if not tuples:
         return []
-    sigma_diag, tau_diag = _diagonal(sigma), _diagonal(tau)
-    if sigma_diag is not None and tau_diag is not None:
-        zeros = (vzero(td),) * len(tuples)
-        units = [basis_vector(td, t) for t in range(td)]
-        basis = []
-        for p, indices in enumerate(tuples):
-            weight = prod((sigma_diag[i] for i in indices), start=Q(1))
-            for t in range(td):
-                if weight == tau_diag[t]:
-                    values = zeros[:p] + (units[t],) + zeros[p + 1:]
-                    basis.append(Cochain(arity, sd, td, values))
-        return basis
+    position = _tuple_positions(sd, arity)
     columns_of_sigma = [sigma.column(i) for i in range(sd)]
-    nflat = len(tuples) * td
     rows = []
     for p, indices in enumerate(tuples):
         minors = wedge_coords([columns_of_sigma[i] for i in indices], sd)
         for t in range(td):
-            row = [Q(0)] * nflat
-            for q, other in enumerate(tuples):
-                minor = minors.get(other)
-                if minor:
-                    row[q * td + t] += minor
-            for u in range(td):
-                row[p * td + u] -= tau.entry(t, u)
-            rows.append(tuple(row))
-    kernel = Matrix(tuple(rows), ncols=nflat).kernel_basis()
+            row = {p * td + u: -c for u, c in enumerate(tau.row(t)) if c}
+            for other, minor in minors.items():
+                k = position[other] * td + t
+                row[k] = row.get(k, 0) + minor
+            rows.append(row)
+    kernel = rref_kernel(sparse_rref(rows), len(tuples) * td)
     return [Cochain.from_flat(arity, sd, td, v) for v in kernel]
 
 
@@ -372,13 +349,21 @@ def _coboundary_columns(desc: ComplexDescriptor, arity: int) -> list:
             for column in columns]
 
 
-def _apply_columns(columns: list, flat: Vector, nrows: int) -> list:
-    """The flat image of a flat vector under a sparse column map."""
-    out = [Q(0)] * nrows
+def _apply_columns(columns: list, flat: Vector) -> dict:
+    """The image of a flat vector under a sparse column map, as a
+    {flat row: coefficient} dict of its nonzero entries."""
+    out = {}
     for x, column in zip(flat, columns, strict=True):
-        if x != 0:
+        if x:
             for row, c in column.items():
-                out[row] += c * x
+                out[row] = out.get(row, 0) + c * x
+    return {row: c for row, c in out.items() if c}
+
+
+def _dense(entries: dict, size: int) -> list:
+    out = [Q(0)] * size
+    for row, c in entries.items():
+        out[row] = c
     return out
 
 
@@ -389,9 +374,9 @@ def coboundary(desc: ComplexDescriptor, f: Cochain) -> Cochain:
     if f.arity == 0:
         return zero_coboundary(desc, f.values[0])
     n = f.arity
-    image = _apply_columns(_coboundary_columns(desc, n), f.to_flat(),
-                           _flat_size(desc, n + 1))
-    return Cochain.from_flat(n + 1, desc.source_dim, desc.target_dim, image)
+    image = _apply_columns(_coboundary_columns(desc, n), f.to_flat())
+    return Cochain.from_flat(n + 1, desc.source_dim, desc.target_dim,
+                             _dense(image, _flat_size(desc, n + 1)))
 
 
 def coboundary_matrix(desc: ComplexDescriptor, arity: int) -> Matrix:
@@ -399,13 +384,9 @@ def coboundary_matrix(desc: ComplexDescriptor, arity: int) -> Matrix:
     if arity < 1:
         raise ValueError("the matrix form starts at arity 1")
     nrows = _flat_size(desc, arity + 1)
-    dense = []
-    for column in _coboundary_columns(desc, arity):
-        entries = [Q(0)] * nrows
-        for row, c in column.items():
-            entries[row] = c
-        dense.append(entries)
-    return Matrix.from_columns(dense, nrows=nrows)
+    return Matrix.from_columns(
+        [_dense(column, nrows) for column in _coboundary_columns(desc, arity)],
+        nrows=nrows)
 
 
 @dataclass(frozen=True)
@@ -421,20 +402,20 @@ class CohomologyDims:
 
 
 def coboundary_on_basis(desc: ComplexDescriptor, arity: int) -> tuple:
-    """(compatible basis of the arity, flat delta image of each member).
+    """(compatible basis of the arity, delta image of each member).
 
+    Each image is a {flat row: coefficient} dict of its nonzero entries.
     delta_arity is assembled once and applied to every basis cochain;
     arity 0 goes through delta_0 and so needs a regular descriptor.
     """
     basis = compatible_subspace_basis(desc, arity)
     if arity == 0:
-        return basis, [zero_coboundary(desc, b.values[0]).to_flat()
-                       for b in basis]
+        flats = [zero_coboundary(desc, b.values[0]).to_flat() for b in basis]
+        return basis, [{r: c for r, c in enumerate(f) if c} for f in flats]
     if not basis:
         return basis, []
     columns = _coboundary_columns(desc, arity)
-    nrows = _flat_size(desc, arity + 1)
-    return basis, [_apply_columns(columns, b.to_flat(), nrows) for b in basis]
+    return basis, [_apply_columns(columns, b.to_flat()) for b in basis]
 
 
 def _restricted_rank(desc: ComplexDescriptor, arity: int) -> tuple:
@@ -446,11 +427,7 @@ def _restricted_rank(desc: ComplexDescriptor, arity: int) -> tuple:
     if arity == 0 and not desc.is_regular:
         return 0, 0
     basis, images = coboundary_on_basis(desc, arity)
-    # Zero images add nothing to the rank; cocycles in the basis are common.
-    images = [image for image in images if any(c != 0 for c in image)]
-    if not images:
-        return len(basis), 0
-    return len(basis), Matrix.from_columns(images).rank()
+    return len(basis), len(sparse_rref(images))
 
 
 def cohomology_dims(desc: ComplexDescriptor, arity: int) -> CohomologyDims:

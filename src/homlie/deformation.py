@@ -59,6 +59,8 @@ from .linalg import (
     Vector,
     basis_vector,
     is_zero_vector,
+    sparse_rref,
+    sparse_solve,
     vadd,
     vsub,
     vzero,
@@ -481,27 +483,28 @@ def extension_steps(g: HomLieAlgebra, rep: Representation,
 
     d is checked once, and the operator complex of its base, the system
     -delta_1 on the compatible basis, its rank dim_image and dim H^2 are
-    built once.  Each step solves {{T, X}} = Theta; the deterministic
-    solver (first-nonzero pivots, free variables zero) makes the chosen
-    solution canonical.  Each solved order is checked against the
-    deformed identity, raising the ValueError of obstruction on a
-    failure.  When the system is inconsistent the deformation is
-    obstructed and the class of Theta in H^2 is the witness.
+    built once, from the sparse images of the basis.  Each step solves
+    {{T, X}} = Theta with linalg.sparse_solve; its free variables are
+    zero, so the chosen solution is canonical.  Each solved order is
+    checked against the deformed identity, raising the ValueError of
+    obstruction on a failure.  When the system is inconsistent the
+    deformation is obstructed and the class of Theta in H^2 is the
+    witness.
     """
     _require_regular(g, rep)
     _require_valid(formal_deformation_check(g, rep, d).failures)
     theta = build_theta(rep)
     desc = operator_complex(g, rep, d.base)
     basis, images = coboundary_on_basis(desc, 1)
-    system = Matrix.from_columns([[-c for c in image] for image in images],
-                                 nrows=_flat_size(desc, 2))
-    dim_image = system.rank()
+    rows = [{b: -image[r] for b, image in enumerate(images) if r in image}
+            for r in range(_flat_size(desc, 2))]
+    dim_image = len(sparse_rref(images))
     count, rank = _restricted_rank(desc, 2)
     step = partial(ExtensionResult, dim_image=dim_image,
                    dim_h2=count - rank - dim_image)
     while d.order < order:
         target = obstruction(g, rep, d, _theta=theta)
-        coords = system.solve(target.to_flat())
+        coords = sparse_solve(rows, len(basis), target.to_flat())
         if coords is None:
             yield step(theta=target, obstructed=True, solution=None,
                        extended=None)

@@ -2,9 +2,16 @@
 
 Every computation in this package runs on fractions.Fraction, never on
 floats.  A vector is a tuple of Fractions and a matrix is an immutable
-Matrix wrapping a tuple of row tuples.  Elimination always picks the
-first nonzero entry of the current column as pivot, so ranks, kernel
-bases, solutions and inverses are deterministic functions of the input.
+Matrix wrapping a tuple of row tuples.
+
+One eliminator, sparse_rref, serves every rank, kernel, solve and
+inverse.  It runs Gauss-Jordan elimination on sparse rows ({column:
+value} dicts) and returns their reduced row echelon form, which is
+unique whatever order the rows come in.  So ranks, kernel bases
+(rref_kernel), solutions with free variables zero (sparse_solve) and
+inverses are functions of the row space alone.  The Matrix methods rank,
+rref, kernel_basis, solve and inverse hand their rows to it; the cochain
+layer hands it sparse rows directly and never writes them out densely.
 
 The kernels (@, apply, vadd, vsub, vscale, bilinear and elimination)
 skip zero operands: a product or sum with a zero in it is never formed,
@@ -138,6 +145,86 @@ def bilinear(u: Vector, v: Vector, table, dim: int) -> Vector:
                 for k, c in entries:
                     out[k] += ab * c
     return tuple(out)
+
+
+def sparse_rref(rows: Iterable[dict]) -> dict:
+    """Gauss-Jordan elimination on sparse rows.
+
+    Each row is a {column: Fraction} dict; zero values are ignored.  Returns
+    the reduced row echelon form of the rows' span as {pivot column:
+    row}: each reduced row is a dict of its nonzero Fractions, with 1 at
+    its pivot, which is its least column, and no entry in any other
+    pivot column.  That form is unique, so it does not depend on the
+    order of the rows.  Each incoming row is reduced against the pivot
+    rows found so far, and its new pivot column is then cleared from
+    them.
+    """
+    reduced = {}
+    for row in rows:
+        row = {c: e for c, e in row.items() if e}
+        # A pivot row has no entry in another pivot column, so clearing
+        # one pivot column of row leaves the others as they were.
+        for col in [c for c in row if c in reduced]:
+            _clear(row, col, reduced[col])
+        if row:
+            pivot = min(row)
+            lead = row[pivot]
+            if lead != 1:
+                row = {c: e / lead for c, e in row.items()}
+            for other in reduced.values():
+                if pivot in other:
+                    _clear(other, pivot, row)
+            reduced[pivot] = row
+    return reduced
+
+
+def _clear(row: dict, col, pivot_row: dict) -> None:
+    """row -= row[col] * pivot_row in place, for pivot_row[col] == 1."""
+    factor = row.pop(col)
+    for c, e in pivot_row.items():
+        if c != col:
+            value = row.get(c, _ZERO) - factor * e
+            if value:
+                row[c] = value
+            else:
+                del row[c]
+
+
+def rref_kernel(reduced: dict, ncols: int) -> list:
+    """The canonical kernel basis of a sparse_rref form on ncols columns.
+
+    There is one vector per free column, in increasing order; it has a 1
+    at its free column f, -row[f] at the pivot of each reduced row and
+    zeros elsewhere.
+    """
+    above = {}
+    for p, row in reduced.items():
+        for c, e in row.items():
+            if c != p:
+                above.setdefault(c, []).append((p, -e))
+    basis = []
+    for f in range(ncols):
+        if f not in reduced:
+            v = [_ZERO] * ncols
+            v[f] = _ONE
+            for p, e in above.get(f, ()):
+                v[p] = e
+            basis.append(tuple(v))
+    return basis
+
+
+def sparse_solve(rows: Sequence[dict], ncols: int, b: Vector) -> Vector | None:
+    """One solution x of sum_j rows[i][j] x_j = b_i for sparse rows on
+    ncols columns, with every free variable zero; None if there is none.
+    """
+    reduced = sparse_rref({**row, ncols: scalar(c)} if c else row
+                          for row, c in zip(rows, b, strict=True))
+    if ncols in reduced:
+        return None
+    x = [_ZERO] * ncols
+    for p, row in reduced.items():
+        x[p] = row.get(ncols, _ZERO)
+    return tuple(x)
 
 
 class Matrix:
@@ -324,62 +411,25 @@ class Matrix:
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
 
-    def _eliminated(self) -> tuple:
-        """Row echelon form data: (rows as lists, pivot columns)."""
-        work = [list(row) for row in self.rows]
-        pivots = []
-        piv_row = 0
-        for col in range(self._ncols):
-            found = None
-            for r in range(piv_row, len(work)):
-                if work[r][col]:
-                    found = r
-                    break
-            if found is None:
-                continue
-            if found != piv_row:
-                work[piv_row], work[found] = work[found], work[piv_row]
-            pivot = work[piv_row][col]
-            if pivot != 1:
-                work[piv_row] = [e / pivot if e else e for e in work[piv_row]]
-            for r in range(len(work)):
-                if r != piv_row and work[r][col]:
-                    factor = work[r][col]
-                    work[r] = [
-                        e - factor * p if p else e
-                        for e, p in zip(work[r], work[piv_row])
-                    ]
-            pivots.append(col)
-            piv_row += 1
-            if piv_row == len(work):
-                break
-        return work, tuple(pivots)
+    def _sparse_rows(self) -> list:
+        return [dict(enumerate(row)) for row in self.rows]
 
     def rref(self) -> tuple:
         """Reduced row echelon form and the tuple of pivot columns."""
-        work, pivots = self._eliminated()
-        return Matrix(tuple(tuple(r) for r in work), ncols=self._ncols), pivots
+        reduced = sparse_rref(self._sparse_rows())
+        pivots = tuple(sorted(reduced))
+        rows = [tuple(reduced[p].get(j, _ZERO) for j in range(self._ncols))
+                for p in pivots]
+        rows += [(_ZERO,) * self._ncols] * (self.nrows - len(pivots))
+        return Matrix(tuple(rows), ncols=self._ncols), pivots
 
     def rank(self) -> int:
-        return len(self._eliminated()[1])
+        return len(sparse_rref(self._sparse_rows()))
 
     def kernel_basis(self) -> list:
-        """Basis of the right kernel, one vector per free column.
-
-        The free columns are visited in increasing order and each basis
-        vector has a 1 in its free position, so the result is canonical.
-        """
-        reduced, pivots = self.rref()
-        pivot_set = set(pivots)
-        free = [j for j in range(self._ncols) if j not in pivot_set]
-        basis = []
-        for f in free:
-            v = [_ZERO] * self._ncols
-            v[f] = _ONE
-            for r, p in enumerate(pivots):
-                v[p] = -reduced.rows[r][f]
-            basis.append(tuple(v))
-        return basis
+        """Basis of the right kernel, one vector per free column (see
+        rref_kernel)."""
+        return rref_kernel(sparse_rref(self._sparse_rows()), self._ncols)
 
     def solve(self, b: Vector) -> Vector | None:
         """One exact solution of self @ x = b, or None if inconsistent.
@@ -388,33 +438,20 @@ class Matrix:
         """
         if len(b) != self.nrows:
             raise ValueError("right-hand side has the wrong length")
-        augmented = Matrix(
-            tuple(row + (b[i],) for i, row in enumerate(self.rows)),
-            ncols=self._ncols + 1,
-        )
-        reduced, pivots = augmented.rref()
-        if self._ncols in pivots:
-            return None
-        x = [_ZERO] * self._ncols
-        for r, p in enumerate(pivots):
-            x[p] = reduced.rows[r][self._ncols]
-        return tuple(x)
+        return sparse_solve(self._sparse_rows(), self._ncols, b)
 
     def inverse(self) -> "Matrix":
         if not self.is_square():
             raise ValueError("inverse of a non-square matrix")
         n = self.nrows
-        augmented = Matrix(
-            tuple(
-                self.rows[i] + basis_vector(n, i) for i in range(n)
-            ),
-            ncols=2 * n,
-        )
-        reduced, pivots = augmented.rref()
-        if tuple(pivots) != tuple(range(n)):
+        reduced = sparse_rref({**row, n + i: _ONE}
+                              for i, row in enumerate(self._sparse_rows()))
+        if any(i not in reduced for i in range(n)):
             raise ValueError("matrix is singular")
         return Matrix(
-            tuple(row[n:] for row in reduced.rows), ncols=n
+            tuple(tuple(reduced[i].get(n + j, _ZERO) for j in range(n))
+                  for i in range(n)),
+            ncols=n,
         )
 
     def is_invertible(self) -> bool:

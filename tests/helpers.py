@@ -11,10 +11,12 @@ import functools
 import sys
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 
 from homlie.alternating import increasing_tuples, shuffles
 from homlie.cochain import Cochain
 from homlie.graded import build_theta, horizontal_lift
+from homlie.structures import HomLieAlgebra
 from homlie.linalg import (
     Matrix,
     Q,
@@ -79,6 +81,79 @@ def oracle_det(m):
     return result
 
 
+def oracle_rref(m):
+    """Dense Gauss-Jordan elimination of m, column by column with the
+    first nonzero entry below the pivot row as pivot: (reduced rows as
+    lists, pivot columns).  The library's elimination before it ran on
+    sparse rows."""
+    work = [list(row) for row in m.rows]
+    pivots = []
+    piv_row = 0
+    for col in range(m.ncols):
+        found = None
+        for r in range(piv_row, len(work)):
+            if work[r][col]:
+                found = r
+                break
+        if found is None:
+            continue
+        if found != piv_row:
+            work[piv_row], work[found] = work[found], work[piv_row]
+        pivot = work[piv_row][col]
+        if pivot != 1:
+            work[piv_row] = [e / pivot if e else e for e in work[piv_row]]
+        for r in range(len(work)):
+            if r != piv_row and work[r][col]:
+                factor = work[r][col]
+                work[r] = [
+                    e - factor * p if p else e
+                    for e, p in zip(work[r], work[piv_row])
+                ]
+        pivots.append(col)
+        piv_row += 1
+        if piv_row == len(work):
+            break
+    return work, tuple(pivots)
+
+
+def oracle_kernel_basis(m):
+    """One kernel vector per free column of oracle_rref, with a 1 there."""
+    work, pivots = oracle_rref(m)
+    basis = []
+    for f in range(m.ncols):
+        if f not in pivots:
+            v = [Q(0)] * m.ncols
+            v[f] = Q(1)
+            for r, p in enumerate(pivots):
+                v[p] = -work[r][f]
+            basis.append(tuple(v))
+    return basis
+
+
+def oracle_solve(m, b):
+    """The solution of m x = b with free variables zero, or None."""
+    augmented = Matrix(tuple(row + (Q(b[i]),) for i, row in enumerate(m.rows)),
+                       ncols=m.ncols + 1)
+    work, pivots = oracle_rref(augmented)
+    if m.ncols in pivots:
+        return None
+    x = [Q(0)] * m.ncols
+    for r, p in enumerate(pivots):
+        x[p] = work[r][m.ncols]
+    return tuple(x)
+
+
+def oracle_inverse(m):
+    """The inverse from oracle_rref of [m | id]; ValueError if singular."""
+    n = m.nrows
+    augmented = Matrix(tuple(m.rows[i] + basis_vector(n, i) for i in range(n)),
+                       ncols=2 * n)
+    work, pivots = oracle_rref(augmented)
+    if pivots != tuple(range(n)):
+        raise ValueError("matrix is singular")
+    return Matrix(tuple(tuple(row[n:]) for row in work), ncols=n)
+
+
 def count_calls(monkeypatch, func) -> list:
     """Wrap func wherever a loaded homlie module holds it; the returned
     list receives the positional arguments of every call."""
@@ -95,6 +170,43 @@ def count_calls(monkeypatch, func) -> list:
                 if value is func:
                     monkeypatch.setattr(module, key, recording)
     return calls
+
+
+def record_cohomology_matrices(monkeypatch) -> list:
+    """While homlie.cli runs cohomology_table, record one pair per Matrix
+    built: (the size of the descriptor's larger twist, the shape)."""
+    import homlie.cli as cli_module
+
+    record, twists = [], []
+    build, table = Matrix.__init__, cli_module.cohomology_table
+
+    def recording_init(self, rows, ncols=None):
+        build(self, rows, ncols)
+        if twists:
+            record.append((twists[-1], self.shape))
+
+    def recording_table(desc, top):
+        twists.append(max(desc.source.alpha.nrows, desc.coeff.beta.nrows))
+        try:
+            return table(desc, top)
+        finally:
+            twists.pop()
+
+    monkeypatch.setattr(Matrix, "__init__", recording_init)
+    monkeypatch.setattr(cli_module, "cohomology_table", recording_table)
+    return record
+
+
+def direct_sum(g1, g2):
+    """The hom-Lie algebra g1 + g2 with [g1, g2] = 0 and the block twist."""
+    shift = g1.dim
+    brackets = {}
+    for (i, j), value in g1.brackets_dict().items():
+        brackets[(i, j)] = tuple(value) + vzero(g2.dim)
+    for (i, j), value in g2.brackets_dict().items():
+        brackets[(shift + i, shift + j)] = vzero(g1.dim) + tuple(value)
+    return HomLieAlgebra.build(dim=g1.dim + g2.dim, brackets=brackets,
+                               alpha=block_diag(g1.alpha, g2.alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -212,10 +324,11 @@ def rep_tables(rep):
 # Pointwise oracles for the cochain layer.
 #
 # These are the straightforward implementations the library used before
-# its coboundary became a sparse once-per-arity assembly and before the
-# compatible basis got its diagonal shortcut.  They expand every wedge
-# through oracle_wedge_coords (one determinant per index set), so they
-# share no expansion or assembly code with the library.
+# its coboundary became a sparse once-per-arity assembly.  They expand
+# every wedge through oracle_wedge_coords (one determinant per index set)
+# and take kernels from oracle_rref, so they share no expansion, assembly
+# or elimination code with the library.  The diagonal-twist shortcut the
+# compatible basis once took is kept here as a second oracle.
 
 
 def oracle_wedge_coords(vectors, dim):
@@ -309,8 +422,29 @@ def oracle_compatible_maps_basis(sigma, tau, arity):
             for u in range(td):
                 row[p * td + u] -= tau.entry(t, u)
             rows.append(tuple(row))
-    kernel = Matrix(tuple(rows), ncols=nflat).kernel_basis()
+    kernel = oracle_kernel_basis(Matrix(tuple(rows), ncols=nflat))
     return [Cochain.from_flat(arity, sd, td, v) for v in kernel]
+
+
+def oracle_diagonal_compatible_basis(sigma, tau, arity):
+    """The compatible basis for diagonal twists, read off directly: the
+    unit cochains e_I (x) v_t with prod_{i in I} sigma_ii = tau_tt, in
+    flat order."""
+    for m in (sigma, tau):
+        if any(m.entry(i, j) for i in range(m.nrows)
+               for j in range(m.ncols) if i != j):
+            raise ValueError("the twists must be diagonal")
+    sd, td = sigma.nrows, tau.nrows
+    tuples = increasing_tuples(sd, arity)
+    basis = []
+    for p, indices in enumerate(tuples):
+        weight = prod((sigma.entry(i, i) for i in indices), start=Q(1))
+        for t in range(td):
+            if weight == tau.entry(t, t):
+                values = [vzero(td)] * len(tuples)
+                values[p] = basis_vector(td, t)
+                basis.append(Cochain(arity, sd, td, tuple(values)))
+    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -393,8 +527,8 @@ def oracle_extend_order(g, rep, d):
     columns = [oracle_derived_bracket(rep, t_cochain, b).to_flat()
                for b in basis]
     system = Matrix.from_columns(columns, nrows=flat_len)
-    coords = system.solve(theta.to_flat())
-    dim_image = system.rank()
+    coords = oracle_solve(system, theta.to_flat())
+    dim_image = len(oracle_rref(system)[1])
     if coords is None:
         return None, dim_image, True
     solution = Cochain.zero(1, rep.dim, g.dim)
@@ -418,7 +552,8 @@ def oracle_invariant_wedge_basis(g, grade):
         for row, other in enumerate(tuples):
             value = minors.get(other, Q(0))
             rows[row][col] = value - (Q(1) if row == col else Q(0))
-    kernel = Matrix(tuple(tuple(r) for r in rows), ncols=size).kernel_basis()
+    kernel = oracle_kernel_basis(Matrix(tuple(tuple(r) for r in rows),
+                                        ncols=size))
     return [{tuples[p]: c for p, c in enumerate(v) if c != 0} for v in kernel]
 
 

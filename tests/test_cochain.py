@@ -40,6 +40,7 @@ from helpers import (
     oracle_coboundary,
     oracle_coboundary_matrix,
     oracle_compatible_maps_basis,
+    oracle_diagonal_compatible_basis,
     rand_vector,
 )
 
@@ -276,6 +277,28 @@ def test_diagonal_compatible_basis_is_the_solved_basis(sigma, tau, data):
     s, t = Matrix.diagonal(sigma), Matrix.diagonal(tau)
     assert (compatible_maps_basis(s, t, arity)
             == oracle_compatible_maps_basis(s, t, arity))
+
+
+def _diagonal_twists():
+    fixed = [[1], [1, 1, 1], [1, 2], [2, Q(1, 2), 1]]
+    rng = random.Random(17)
+    weights = (Q(0), Q(1), Q(-1), Q(2), Q(1, 2), Q(-2))
+    for _ in range(12):
+        pool = [rng.choice(weights) for _ in range(2)]
+        fixed.append([rng.choice(pool) for _ in range(rng.randint(1, 4))])
+    for entries in fixed:
+        for coeff in ([1], [1, 2], [Q(1, 2), 2, 1], entries[:2]):
+            yield Matrix.diagonal(entries), Matrix.diagonal(coeff)
+
+
+def test_compatible_basis_equals_the_diagonal_read_off():
+    """The one sparse solve gives, on diagonal twists, the unit cochains
+    the diagonal shortcut read off, one for one and in order."""
+    for sigma, tau in _diagonal_twists():
+        for arity in range(sigma.nrows + 2):
+            assert (compatible_maps_basis(sigma, tau, arity)
+                    == oracle_diagonal_compatible_basis(sigma, tau, arity)), (
+                sigma, tau, arity)
 
 
 @settings(max_examples=40, deadline=None)

@@ -31,7 +31,7 @@ from homlie.ooperator import operator_complex
 from homlie.rmatrix import is_r_matrix
 from homlie.structures import coadjoint_rep, semidirect_product
 
-from helpers import count_calls
+from helpers import count_calls, record_cohomology_matrices
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -134,6 +134,21 @@ def test_deform_extend_builds_the_complex_once(monkeypatch):
         assert [args[1] for args in columns].count(1) == 1, name
         ran += 1
     assert ran == 5
+
+
+def test_cohomology_builds_no_matrix_larger_than_its_twists(monkeypatch):
+    """Ranks and compatible bases are eliminated on sparse rows: while
+    cohomology_table runs, no Matrix has more rows or columns than the
+    larger twist of the complex."""
+    built = record_cohomology_matrices(monkeypatch)
+    tables = 0
+    for name, argv in _cases("cohomology").items():
+        built.clear()
+        assert _replay(argv)[1] == _expected(name)
+        assert all(max(shape) <= twist for twist, shape in built), (
+            name, max(built, key=lambda entry: max(entry[1])))
+        tables += bool(built)
+    assert tables == 3
 
 
 def test_repeated_calls_in_one_process_share_one_parser(monkeypatch):

@@ -38,6 +38,8 @@ from homlie.linalg import Matrix, Q, matrix
 from homlie.rmatrix import WedgeTwoTensor
 from homlie.structures import adjoint_rep, semidirect_product, sl2
 
+from helpers import record_cohomology_matrices
+
 
 AFF1 = {"dim": 2, "brackets": {"0,1": [0, 1]}}
 AFF1_REP = {"algebra": AFF1, "rho": [[[0, 0], [0, 1]], [[0, 0], [-1, 0]]]}
@@ -733,3 +735,20 @@ def test_cli_weak_hom_check(tmp_path, capsys):
     assert code == 1
     assert payload["data"]["tensor_condition"] is False
     assert payload["data"]["operator_hom_agrees"] is True
+
+
+def test_takiff12_cohomology_stays_sparse(tmp_path, capsys, monkeypatch):
+    """Takiff-12 (t6 x| t6 for the adjoint action of t6 = sl2 x| sl2) with
+    its adjoint representation: H^0..2 = 0, 4, 4, and no Matrix built for
+    the table is larger than the 12 x 12 twist."""
+    takiff6 = semidirect_product(adjoint_rep(sl2()))
+    takiff12 = semidirect_product(adjoint_rep(takiff6))
+    path = write(tmp_path, "takiff12.rep.json",
+                 jsonable(rep_to_dict(adjoint_rep(takiff12))))
+    built = record_cohomology_matrices(monkeypatch)
+    code, doc = run_json(capsys, ["cohomology", path, "--max-arity", "2"])
+    assert code == 0
+    assert [row["h"] for row in doc["data"]["table"]] == [0, 4, 4]
+    assert [row["cochains"] for row in doc["data"]["table"]] == [
+        12, 12 * 12, comb(12, 2) * 12]
+    assert built and all(max(shape) <= 12 for _, shape in built)

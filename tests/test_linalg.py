@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +19,10 @@ from homlie.linalg import (
     format_scalar,
     matrix,
     parse_scalar,
+    rref_kernel,
     scalar,
+    sparse_rref,
+    sparse_solve,
     sparse_table,
     vadd,
     vscale,
@@ -30,7 +34,11 @@ from homlie.structures import sl2
 from helpers import (
     oracle_apply,
     oracle_det,
+    oracle_inverse,
+    oracle_kernel_basis,
     oracle_matmul,
+    oracle_rref,
+    oracle_solve,
     oracle_vadd,
     oracle_vscale,
     oracle_vsub,
@@ -103,6 +111,8 @@ def test_solve():
     singular = matrix([[1, 1], [1, 1]])
     assert singular.solve((Q(1), Q(2))) is None
     assert singular.solve((Q(1), Q(1))) is not None
+    found = Matrix.identity(2).solve((2, -3))
+    assert found == (2, -3) and all(type(x) is Fraction for x in found)
 
 
 def test_inverse_errors():
@@ -351,3 +361,74 @@ def test_bracket_forms_one_product_per_pair_and_constant():
     out = g.bracket(u, v)
     assert CountingFraction.products == expected
     assert out == (Q(3, 2), Q(6), Q(-2))  # 3/2 h + 6 e - 2 f
+
+
+# The sparse eliminator against the dense elimination it replaced
+# (helpers.oracle_rref) and against sympy.
+
+
+def _to_sympy(m):
+    return sympy.Matrix(m.nrows, m.ncols, [
+        sympy.Rational(x.numerator, x.denominator)
+        for row in m.rows for x in row])
+
+
+def _from_sympy(rows):
+    return tuple(tuple(Q(int(x.p), int(x.q)) for x in row) for row in rows)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_sparse_elimination_equals_dense_oracle_and_sympy(data):
+    nrows, ncols = (data.draw(st.integers(min_value=0, max_value=6))
+                    for _ in range(2))
+    m = data.draw(mostly_zero_matrix(nrows, ncols))
+    reduced, pivots = m.rref()
+    work, oracle_pivots = oracle_rref(m)
+    assert (reduced.rows, pivots) == (tuple(map(tuple, work)), oracle_pivots)
+    s = _to_sympy(m)
+    s_reduced, s_pivots = s.rref()
+    assert pivots == tuple(s_pivots)
+    assert reduced.rows == _from_sympy(s_reduced.tolist())
+    assert m.rank() == len(pivots) == s.rank()
+
+    kernel = m.kernel_basis()
+    assert kernel == oracle_kernel_basis(m)
+    assert kernel == [_from_sympy(v.T.tolist())[0] for v in s.nullspace()]
+
+    x = data.draw(mostly_zero(ncols))
+    consistent = m.apply(x)
+    found = m.solve(consistent)
+    assert found == oracle_solve(m, consistent)
+    assert m.apply(found) == consistent
+    b = data.draw(mostly_zero(nrows))
+    found = m.solve(b)
+    assert found == oracle_solve(m, b)
+    augmented = s.row_join(sympy.Matrix(nrows, 1, [sympy.Rational(
+        Q(c).numerator, Q(c).denominator) for c in b]))
+    assert (found is None) == (augmented.rank() > s.rank())
+
+    for out in (*kernel, *filter(None, (found, m.solve(consistent)))):
+        assert all(type(v) is Fraction for v in out)
+
+    if nrows == ncols:
+        if s.det() == 0:
+            with pytest.raises(ValueError):
+                m.inverse()
+            with pytest.raises(ValueError):
+                oracle_inverse(m)
+        else:
+            assert m.inverse() == oracle_inverse(m)
+            assert m.inverse().rows == _from_sympy(s.inv().tolist())
+
+    # The reduced form is unique: any order of the rows gives it.
+    rows = [{j: e for j, e in enumerate(row) if e} for row in m.rows]
+    form = sparse_rref(rows)
+    permuted = data.draw(st.permutations(rows))
+    assert sparse_rref(permuted) == form
+    assert sorted(form) == list(pivots)
+    for p, row in form.items():
+        assert row == {j: e for j, e in enumerate(reduced.rows[pivots.index(
+            p)]) if e}
+    assert rref_kernel(form, ncols) == kernel
+    assert sparse_solve(rows, ncols, b) == found
