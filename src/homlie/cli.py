@@ -242,7 +242,7 @@ def _cmd_nijenhuis_element(args):
         data["generator"] = None
         data["certificate_holds"] = None
         return False, data, element.failures
-    result = trivial_deformation_from_nijenhuis(g, rep, t, x)
+    result = trivial_deformation_from_nijenhuis(g, rep, t, x, element)
     data["generator"] = matrix_to_rows(result.generator)
     data["linear_deformation"] = _report_fields(
         result.linear_report, ("cocycle", "generator_twist_compatible",

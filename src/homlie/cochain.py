@@ -18,20 +18,27 @@ with values in a module V, and cochains on the sub-adjacent algebra of
 an O-operator with values back in g.  A ComplexDescriptor packages one
 such direction as (source algebra, coefficient representation).
 
-delta_n (n >= 1) has a single implementation: it is assembled once per
-(complex, arity) as a sparse column map on flat coordinates.  One walk
-over the increasing (n+1)-tuples emits every entry; the rho-term uses
-the d matrices rho(alpha^{n-1} e_i), and the bracket term takes one
-wedge_coords expansion of [e_a, e_b] ^ alpha e_... per tuple and pair
-with a nonzero bracket.  coboundary applies that map to one
-cochain, coboundary_matrix is its dense form, and coboundary_on_basis
-applies it to the compatible basis, giving sparse images.
-cohomology_table takes that restriction once per arity and hands the
-images straight to linalg.sparse_rref, so every rank of a table is
-computed exactly once and nothing the size of a cochain space is
-written out densely; extend_order solves its deformation equations on
-the same images.  The compatible basis is the kernel of one sparse
-system for every pair of twists.
+delta_n has a single implementation, delta_0 included: it is assembled
+once per (complex, arity) as a sparse column map on flat coordinates.
+One walk over the increasing (n+1)-tuples emits every entry; the
+rho-term uses the d matrices rho(alpha^{n-1} e_i), and the bracket term
+takes one wedge_coords expansion of [e_a, e_b] ^ alpha e_... per tuple
+and pair with a nonzero bracket.  coboundary applies that map to one
+cochain, and coboundary_matrix is its dense form.
+
+The compatible basis is the kernel of one sparse system for every pair
+of twists, and compatible_flats returns it as sparse flats: one
+{flat coordinate: value} dict per basis cochain, a single unit for a
+diagonal twist and a short combination otherwise.  coboundary_on_basis
+applies delta to those flats, reading only the columns of their
+entries, and gives sparse images.  cohomology_table takes that
+restriction once per arity and hands the images straight to
+linalg.sparse_rref, so every rank of a table is computed exactly once
+and nothing the size of a cochain space is written out densely: no
+basis cochain becomes a Cochain on the way.  extend_order solves its
+deformation equations on the same images and sums the basis flats into
+its solution.  compatible_maps_basis and compatible_subspace_basis wrap
+the flats as Cochains for callers that want them.
 
 For regular structures the complex extends to degree zero: C^0 is the
 fixed-point space of the coefficient twist and
@@ -50,6 +57,7 @@ from .linalg import (
     Matrix,
     Q,
     Vector,
+    densify,
     is_zero_vector,
     rref_kernel,
     sparse_rref,
@@ -240,18 +248,19 @@ class ComplexDescriptor:
         return Cochain.zero(arity, self.source_dim, self.target_dim)
 
 
-def compatible_maps_basis(sigma: Matrix, tau: Matrix, arity: int) -> list:
-    """Canonical basis of the alternating maps f with f . sigma^n = tau . f.
+def compatible_flats(sigma: Matrix, tau: Matrix, arity: int) -> list:
+    """Canonical basis of the alternating maps f with f . sigma^n = tau . f,
+    as sparse flats: {flat coordinate: Fraction} dicts of the nonzero
+    entries, in the coordinates of Cochain.to_flat.
 
     Solves the sparse linear system f(sigma e_I) = tau(f(e_I)) over the
     flat coordinates; the canonical kernel basis makes the result stable.
-    For diagonal twists each row has at most one entry, and the kernel is
-    the unit cochains e_I (x) v_t with prod_{i in I} sigma_ii = tau_tt.
+    Arity 0 gives the fixed points of tau.  For diagonal twists each row
+    has at most one entry, and the kernel is the unit cochains
+    e_I (x) v_t with prod_{i in I} sigma_ii = tau_tt.
     """
     sd, td = sigma.nrows, tau.nrows
     tuples = increasing_tuples(sd, arity)
-    if not tuples:
-        return []
     position = _tuple_positions(sd, arity)
     columns_of_sigma = [sigma.column(i) for i in range(sd)]
     rows = []
@@ -263,36 +272,36 @@ def compatible_maps_basis(sigma: Matrix, tau: Matrix, arity: int) -> list:
                 k = position[other] * td + t
                 row[k] = row.get(k, 0) + minor
             rows.append(row)
-    kernel = rref_kernel(sparse_rref(rows), len(tuples) * td)
-    return [Cochain.from_flat(arity, sd, td, v) for v in kernel]
+    return rref_kernel(sparse_rref(rows), len(tuples) * td)
+
+
+def compatible_maps_basis(sigma: Matrix, tau: Matrix, arity: int) -> list:
+    """The basis of compatible_flats(sigma, tau, arity) as Cochains."""
+    sd, td = sigma.nrows, tau.nrows
+    size = len(increasing_tuples(sd, arity)) * td
+    return [Cochain.from_flat(arity, sd, td, densify(f, size))
+            for f in compatible_flats(sigma, tau, arity)]
 
 
 def compatible_subspace_basis(desc: ComplexDescriptor, arity: int) -> list:
     """Canonical basis of the twist-compatible arity-cochains of desc."""
-    if arity == 0:
-        return [Cochain(0, desc.source_dim, desc.target_dim, (w,))
-                for w in zero_fixed_point_basis(desc)]
     return compatible_maps_basis(desc.source.alpha, desc.coeff.beta, arity)
 
 
 def zero_fixed_point_basis(desc: ComplexDescriptor) -> list:
     """Basis of C^0: the fixed points of the coefficient twist."""
-    tau = desc.coeff.beta
-    return (tau - Matrix.identity(desc.target_dim)).kernel_basis()
+    return [densify(f, desc.target_dim) for f in
+            compatible_flats(desc.source.alpha, desc.coeff.beta, 0)]
 
 
 def zero_coboundary(desc: ComplexDescriptor, w: Vector) -> Cochain:
     """delta_0 on a fixed point of the coefficient twist (regular only)."""
     if not desc.source.alpha.is_invertible():
         raise ValueError("the degree-zero coboundary needs an invertible twist")
-    if desc.coeff.beta.apply(w) != tuple(Q(c) for c in w):
-        raise ValueError("delta_0 is only defined on fixed points of the twist")
-    sigma_inv = desc.source.alpha.inverse()
     w = tuple(Q(c) for c in w)
-    values = tuple(
-        desc.coeff.act(sigma_inv.column(j), w) for j in range(desc.source_dim)
-    )
-    return Cochain(1, desc.source_dim, desc.target_dim, values)
+    if desc.coeff.beta.apply(w) != w:
+        raise ValueError("delta_0 is only defined on fixed points of the twist")
+    return _coboundary_of_flat(desc, 0, w)
 
 
 def _flat_size(desc: ComplexDescriptor, arity: int) -> int:
@@ -300,7 +309,7 @@ def _flat_size(desc: ComplexDescriptor, arity: int) -> int:
 
 
 def _coboundary_columns(desc: ComplexDescriptor, arity: int) -> list:
-    """delta_arity (arity >= 1) as a sparse column map.
+    """delta_arity as a sparse column map.
 
     Entry k is a {flat row: coefficient} dict of the nonzero entries of
     column k, in the flat coordinates of Cochain.to_flat on both sides.
@@ -309,7 +318,9 @@ def _coboundary_columns(desc: ComplexDescriptor, arity: int) -> list:
         sum_pos (-1)^pos rho(alpha^{n-1} e_{i_pos})_{t,u} f_u(I - i_pos)
         + sum_{p<q} (-1)^{p+q} f_t([e_{i_p}, e_{i_q}], alpha e_..., ...),
 
-    and the second argument list is expanded into wedge monomials.
+    and the second argument list is expanded into wedge monomials.  At
+    arity 0 only the first sum is left, with alpha^{-1}: that is delta_0,
+    and it needs an invertible alpha.
     """
     g, n, td = desc.source, arity, desc.target_dim
     col_position = _tuple_positions(g.dim, n)
@@ -349,22 +360,23 @@ def _coboundary_columns(desc: ComplexDescriptor, arity: int) -> list:
             for column in columns]
 
 
-def _apply_columns(columns: list, flat: Vector) -> dict:
-    """The image of a flat vector under a sparse column map, as a
-    {flat row: coefficient} dict of its nonzero entries."""
+def _apply_columns(columns: list, flat: dict) -> dict:
+    """The image of a sparse flat ({coordinate: value} dict) under a
+    sparse column map, as a {flat row: coefficient} dict of its nonzero
+    entries.  Only the columns of the flat's entries are read."""
     out = {}
-    for x, column in zip(flat, columns, strict=True):
-        if x:
-            for row, c in column.items():
-                out[row] = out.get(row, 0) + c * x
+    for k, x in flat.items():
+        for row, c in columns[k].items():
+            out[row] = out.get(row, 0) + c * x
     return {row: c for row, c in out.items() if c}
 
 
-def _dense(entries: dict, size: int) -> list:
-    out = [Q(0)] * size
-    for row, c in entries.items():
-        out[row] = c
-    return out
+def _coboundary_of_flat(desc: ComplexDescriptor, arity: int,
+                        flat: Vector) -> Cochain:
+    image = _apply_columns(_coboundary_columns(desc, arity),
+                           {k: c for k, c in enumerate(flat) if c})
+    return Cochain.from_flat(arity + 1, desc.source_dim, desc.target_dim,
+                             densify(image, _flat_size(desc, arity + 1)))
 
 
 def coboundary(desc: ComplexDescriptor, f: Cochain) -> Cochain:
@@ -373,10 +385,7 @@ def coboundary(desc: ComplexDescriptor, f: Cochain) -> Cochain:
         raise ValueError("cochain does not live on this complex")
     if f.arity == 0:
         return zero_coboundary(desc, f.values[0])
-    n = f.arity
-    image = _apply_columns(_coboundary_columns(desc, n), f.to_flat())
-    return Cochain.from_flat(n + 1, desc.source_dim, desc.target_dim,
-                             _dense(image, _flat_size(desc, n + 1)))
+    return _coboundary_of_flat(desc, f.arity, f.to_flat())
 
 
 def coboundary_matrix(desc: ComplexDescriptor, arity: int) -> Matrix:
@@ -385,7 +394,7 @@ def coboundary_matrix(desc: ComplexDescriptor, arity: int) -> Matrix:
         raise ValueError("the matrix form starts at arity 1")
     nrows = _flat_size(desc, arity + 1)
     return Matrix.from_columns(
-        [_dense(column, nrows) for column in _coboundary_columns(desc, arity)],
+        [densify(column, nrows) for column in _coboundary_columns(desc, arity)],
         nrows=nrows)
 
 
@@ -404,18 +413,16 @@ class CohomologyDims:
 def coboundary_on_basis(desc: ComplexDescriptor, arity: int) -> tuple:
     """(compatible basis of the arity, delta image of each member).
 
-    Each image is a {flat row: coefficient} dict of its nonzero entries.
-    delta_arity is assembled once and applied to every basis cochain;
-    arity 0 goes through delta_0 and so needs a regular descriptor.
+    The basis members are the sparse flats of compatible_flats, and each
+    image is a {flat row: coefficient} dict of its nonzero entries.
+    delta_arity is assembled once and applied to every basis flat;
+    arity 0 is delta_0 and so needs an invertible source twist.
     """
-    basis = compatible_subspace_basis(desc, arity)
-    if arity == 0:
-        flats = [zero_coboundary(desc, b.values[0]).to_flat() for b in basis]
-        return basis, [{r: c for r, c in enumerate(f) if c} for f in flats]
-    if not basis:
-        return basis, []
+    flats = compatible_flats(desc.source.alpha, desc.coeff.beta, arity)
+    if not flats:
+        return flats, []
     columns = _coboundary_columns(desc, arity)
-    return basis, [_apply_columns(columns, b.to_flat()) for b in basis]
+    return flats, [_apply_columns(columns, f) for f in flats]
 
 
 def _restricted_rank(desc: ComplexDescriptor, arity: int) -> tuple:

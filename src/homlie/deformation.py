@@ -46,6 +46,7 @@ from functools import partial
 
 from .cochain import (
     Cochain,
+    _apply_columns,
     _flat_size,
     _restricted_rank,
     coboundary,
@@ -58,6 +59,7 @@ from .linalg import (
     Q,
     Vector,
     basis_vector,
+    densify,
     is_zero_vector,
     sparse_rref,
     sparse_solve,
@@ -130,14 +132,17 @@ class LinearDeformationReport:
 
 
 def linear_deformation_check(g: HomLieAlgebra, rep: Representation,
-                             t: Matrix, k: Matrix) -> LinearDeformationReport:
+                             t: Matrix, k: Matrix, unchecked: bool = False
+                             ) -> LinearDeformationReport:
     """Whether T + t K is a linear deformation of the O-operator T.
 
     The three conditions are exactly the order-1 and order-2 equations of
     the deformed identity plus twist compatibility of the generator.
+    unchecked skips the check of T, for a caller that has made it.
     """
     _require_regular(g, rep)
-    _require_base(g, rep, t)
+    if not unchecked:
+        _require_base(g, rep, t)
     if k.shape != t.shape:
         raise ValueError("the generator must have the operator's shape")
     failures = matrix_failures("generator_twist", (), k @ rep.beta,
@@ -308,7 +313,9 @@ class TrivialDeformationResult:
 
 
 def trivial_deformation_from_nijenhuis(g: HomLieAlgebra, rep: Representation,
-                                       t: Matrix, x: Vector
+                                       t: Matrix, x: Vector,
+                                       element: NijenhuisElementReport
+                                       | None = None
                                        ) -> TrivialDeformationResult:
     """The linear deformation generated by a Nijenhuis element, together
     with the degree-wise certificate that it is trivial.
@@ -316,15 +323,16 @@ def trivial_deformation_from_nijenhuis(g: HomLieAlgebra, rep: Representation,
     The certificate checks, for degrees 0..2 of the affine pair
     (id + t ad_x^dag, id + t rho(x)^dag), all four homomorphism
     conditions from T + t delta_T(x) to T; every product of two affine
-    factors has degree at most 2, so order 2 is exhaustive.
+    factors has degree at most 2, so order 2 is exhaustive.  element is
+    nijenhuis_element_check(g, rep, t, x), from a caller that has run it;
+    that check certifies T, which is then not checked again.
     """
-    _require_regular(g, rep)
-    _require_base(g, rep, t)
-    element = nijenhuis_element_check(g, rep, t, x)
+    if element is None:
+        element = nijenhuis_element_check(g, rep, t, x)
     x = tuple(x)
-    desc = operator_complex(g, rep, t)
+    desc = operator_complex(g, rep, t, unchecked=True)
     generator = zero_coboundary(desc, x).as_matrix()
-    linear = linear_deformation_check(g, rep, t, generator)
+    linear = linear_deformation_check(g, rep, t, generator, unchecked=True)
     ad_dag, rho_dag = _dagger_pair(g, rep, x)
     certificate = _morphism_conditions(
         g, rep,
@@ -372,15 +380,23 @@ def _order_failures(g: HomLieAlgebra, rep: Representation, coeffs: list,
     return failures
 
 
+def _inner_table(rep: Representation, coeffs: list) -> dict:
+    """inner_actions(rep, coeffs, a, b) for every pair (a, b)."""
+    return {(a, b): inner_actions(rep, coeffs, a, b)
+            for (a, b) in pair_list(rep.dim)}
+
+
 def formal_deformation_check(g: HomLieAlgebra, rep: Representation,
-                             d: TruncatedDeformation) -> FormalDeformationReport:
+                             d: TruncatedDeformation, _inner: dict | None = None
+                             ) -> FormalDeformationReport:
     """Check the deformed identity order by order up to d.order and the
     twist compatibility of every coefficient.
 
     The order-0 equation is the O-operator identity of the base, so a
     passing report certifies the base as well.  Each inner action
     {T_j e_a, e_b} - {T_j e_b, e_a} is computed once and serves every
-    order.
+    order; _inner is _inner_table(rep, d.coefficients()), from a caller
+    that keeps it.
     """
     _require_regular(g, rep)
     coeffs = d.coefficients()
@@ -388,8 +404,7 @@ def formal_deformation_check(g: HomLieAlgebra, rep: Representation,
     for k, ti in enumerate(coeffs):
         failures += matrix_failures("twist_intertwine", (k,),
                                     ti @ rep.beta, g.alpha @ ti)
-    inner = {(a, b): inner_actions(rep, coeffs, a, b)
-             for (a, b) in pair_list(rep.dim)}
+    inner = _inner_table(rep, coeffs) if _inner is None else _inner
     per_order = []
     for k in range(d.order + 1):
         found = _order_failures(g, rep, coeffs, k, inner)
@@ -481,21 +496,25 @@ def extension_steps(g: HomLieAlgebra, rep: Representation,
     """Extend d one order at a time up to order, yielding the
     ExtensionResult of each step; an obstructed step is the last.
 
-    d is checked once, and the operator complex of its base, the system
-    -delta_1 on the compatible basis, its rank dim_image and dim H^2 are
-    built once, from the sparse images of the basis.  Each step solves
-    {{T, X}} = Theta with linalg.sparse_solve; its free variables are
-    zero, so the chosen solution is canonical.  Each solved order is
-    checked against the deformed identity, raising the ValueError of
-    obstruction on a failure.  When the system is inconsistent the
+    d is checked once, and that check certifies its base; the operator
+    complex of the base, the system -delta_1 on the compatible basis, its
+    rank dim_image and dim H^2 are built once, from the sparse images of
+    the basis.  Each step solves {{T, X}} = Theta with
+    linalg.sparse_solve; its free variables are zero, so the chosen
+    solution is canonical, and X is the sum of the basis flats with
+    those coordinates.  Each solved order is checked against the deformed
+    identity, raising the ValueError of obstruction on a failure; the
+    check reuses the inner actions of the input check and adds only
+    those of the new term.  When the system is inconsistent the
     deformation is obstructed and the class of Theta in H^2 is the
     witness.
     """
     _require_regular(g, rep)
-    _require_valid(formal_deformation_check(g, rep, d).failures)
+    inner = _inner_table(rep, d.coefficients())
+    _require_valid(formal_deformation_check(g, rep, d, _inner=inner).failures)
     theta = build_theta(rep)
-    desc = operator_complex(g, rep, d.base)
-    basis, images = coboundary_on_basis(desc, 1)
+    desc = operator_complex(g, rep, d.base, unchecked=True)
+    flats, images = coboundary_on_basis(desc, 1)
     rows = [{b: -image[r] for b, image in enumerate(images) if r in image}
             for r in range(_flat_size(desc, 2))]
     dim_image = len(sparse_rref(images))
@@ -504,17 +523,21 @@ def extension_steps(g: HomLieAlgebra, rep: Representation,
                    dim_h2=count - rank - dim_image)
     while d.order < order:
         target = obstruction(g, rep, d, _theta=theta)
-        coords = sparse_solve(rows, len(basis), target.to_flat())
+        coords = sparse_solve(rows, len(flats), target.to_flat())
         if coords is None:
             yield step(theta=target, obstructed=True, solution=None,
                        extended=None)
             return
-        solution = sum((b.scale(c) for c, b in zip(coords, basis) if c != 0),
-                       Cochain.zero(1, rep.dim, g.dim))
-        d = TruncatedDeformation(base=d.base,
-                                 terms=d.terms + (solution.as_matrix(),))
-        _require_valid(_order_failures(g, rep, d.coefficients(), d.order))
-        yield step(theta=target, obstructed=False, solution=d.terms[-1],
+        solution = _apply_columns(flats, {b: c for b, c in enumerate(coords)
+                                          if c})
+        term = Cochain.from_flat(1, rep.dim, g.dim, densify(
+            solution, _flat_size(desc, 1))).as_matrix()
+        d = TruncatedDeformation(base=d.base, terms=d.terms + (term,))
+        for (a, b), actions in inner.items():
+            actions += inner_actions(rep, [term], a, b)
+        _require_valid(_order_failures(g, rep, d.coefficients(), d.order,
+                                       inner))
+        yield step(theta=target, obstructed=False, solution=term,
                    extended=d)
 
 

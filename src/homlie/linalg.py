@@ -9,9 +9,11 @@ inverse.  It runs Gauss-Jordan elimination on sparse rows ({column:
 value} dicts) and returns their reduced row echelon form, which is
 unique whatever order the rows come in.  So ranks, kernel bases
 (rref_kernel), solutions with free variables zero (sparse_solve) and
-inverses are functions of the row space alone.  The Matrix methods rank,
-rref, kernel_basis, solve and inverse hand their rows to it; the cochain
-layer hands it sparse rows directly and never writes them out densely.
+inverses are functions of the row space alone.  rref_kernel returns each
+kernel vector sparse, as a {column: value} dict, and densify writes one
+out in full.  The Matrix methods rank, rref, kernel_basis, solve and
+inverse hand their rows to it, and kernel_basis densifies; the cochain
+layer hands it sparse rows directly and keeps its kernels sparse.
 
 The kernels (@, apply, vadd, vsub, vscale, bilinear and elimination)
 skip zero operands: a product or sum with a zero in it is never formed,
@@ -193,24 +195,26 @@ def _clear(row: dict, col, pivot_row: dict) -> None:
 def rref_kernel(reduced: dict, ncols: int) -> list:
     """The canonical kernel basis of a sparse_rref form on ncols columns.
 
-    There is one vector per free column, in increasing order; it has a 1
-    at its free column f, -row[f] at the pivot of each reduced row and
-    zeros elsewhere.
+    There is one vector per free column, in increasing order, as a
+    {column: Fraction} dict of its nonzero entries: 1 at its free column
+    f and -row[f] at the pivot of each reduced row with an entry at f.
+    densify writes one out in full.
     """
     above = {}
     for p, row in reduced.items():
         for c, e in row.items():
             if c != p:
-                above.setdefault(c, []).append((p, -e))
-    basis = []
-    for f in range(ncols):
-        if f not in reduced:
-            v = [_ZERO] * ncols
-            v[f] = _ONE
-            for p, e in above.get(f, ()):
-                v[p] = e
-            basis.append(tuple(v))
-    return basis
+                above.setdefault(c, {})[p] = -e
+    return [{f: _ONE, **above.get(f, {})}
+            for f in range(ncols) if f not in reduced]
+
+
+def densify(entries: dict, size: int) -> Vector:
+    """The vector of length size with the {index: Fraction} entries."""
+    out = [_ZERO] * size
+    for k, c in entries.items():
+        out[k] = c
+    return tuple(out)
 
 
 def sparse_solve(rows: Sequence[dict], ncols: int, b: Vector) -> Vector | None:
@@ -429,7 +433,8 @@ class Matrix:
     def kernel_basis(self) -> list:
         """Basis of the right kernel, one vector per free column (see
         rref_kernel)."""
-        return rref_kernel(sparse_rref(self._sparse_rows()), self._ncols)
+        return [densify(v, self._ncols) for v in
+                rref_kernel(sparse_rref(self._sparse_rows()), self._ncols)]
 
     def solve(self, b: Vector) -> Vector | None:
         """One exact solution of self @ x = b, or None if inconsistent.

@@ -27,6 +27,7 @@ from helpers import direct_sum
 
 FIXTURES = catalog()
 TAKIFF6 = semidirect_product(adjoint_rep(FIXTURES["sl2"]))
+TAKIFF12 = semidirect_product(adjoint_rep(TAKIFF6))
 
 
 def betti(g) -> list:
@@ -46,7 +47,8 @@ def convolution(a, b) -> list:
     (FIXTURES["sl2"], [1, 0, 0, 1]),
     (FIXTURES["heisenberg3"], [1, 2, 2, 1]),
     (TAKIFF6, [1, 0, 0, 2, 0, 0, 1]),
-], ids=["sl2", "heisenberg3", "takiff6"])
+    (TAKIFF12, [1, 0, 1, 5, 0, 1, 8, 1, 0, 5, 1, 0, 1]),
+], ids=["sl2", "heisenberg3", "takiff6", "takiff12"])
 def test_poincare_duality_on_unimodular_algebras(g, expected):
     for x in range(g.dim):
         assert sum(adjoint_rep(g).rho[x].rows[i][i]

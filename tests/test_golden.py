@@ -15,7 +15,9 @@ To record the corpus again (only when an output is meant to change):
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
+import functools
 import io
 import json
 import os
@@ -24,10 +26,17 @@ import sys
 
 import pytest
 
+import homlie.cli as cli_module
 import homlie.cochain as cochain_module
 from homlie.cli import build_parser, main
-from homlie.deformation import formal_deformation_check
-from homlie.ooperator import operator_complex
+from homlie.cochain import Cochain
+from homlie.deformation import (
+    formal_deformation_check,
+    nijenhuis_element_check,
+)
+from homlie.io import load_operator
+from homlie.linalg import Matrix, densify, rref_kernel
+from homlie.ooperator import inner_actions, is_o_operator, operator_complex
 from homlie.rmatrix import is_r_matrix
 from homlie.structures import coadjoint_rep, semidirect_product
 
@@ -134,6 +143,95 @@ def test_deform_extend_builds_the_complex_once(monkeypatch):
         assert [args[1] for args in columns].count(1) == 1, name
         ran += 1
     assert ran == 5
+
+
+def test_deform_extend_computes_each_inner_action_once(monkeypatch):
+    """{T_j e_a, e_b} - {T_j e_b, e_a} is computed once per coefficient
+    T_j and pair (a, b): the input check's actions are kept, and each
+    solved order adds only those of its new term."""
+    calls = count_calls(monkeypatch, inner_actions)
+    ran = 0
+    for name, argv in _cases("deform-extend").items():
+        calls.clear()
+        code, out = _replay(argv)
+        assert out == _expected(name)
+        if code == 2:
+            continue
+        computed = collections.Counter(
+            (id(t), a, b) for _, coeffs, a, b in calls for t in coeffs)
+        pairs = {(a, b) for _, a, b in computed}
+        reached = json.loads(out)["data"]["reached_order"]
+        assert set(computed.values()) == {1}, name
+        assert len(computed) == (reached + 1) * len(pairs), name
+        ran += 1
+    assert ran == 5
+
+
+def test_nijenhuis_element_checks_the_base_and_element_once(monkeypatch):
+    """nijenhuis-element certifies T with one is_o_operator call and runs
+    nijenhuis_element_check once.  The only other is_o_operator call is
+    the linear deformation check of the generator K, when there is one."""
+    operator_checks = count_calls(monkeypatch, is_o_operator)
+    element_checks = count_calls(monkeypatch, nijenhuis_element_check)
+    for name, argv in _cases("nijenhuis-element").items():
+        operator_checks.clear()
+        element_checks.clear()
+        out = _replay(argv)[1]
+        assert out == _expected(name)
+        generator = json.loads(out)["data"]["generator"]
+        checked = [args[2] for args in operator_checks]
+        assert checked[0] == load_operator(_resolve(argv)[2]), name
+        assert len(checked) == 1 + (generator is not None), name
+        assert len(element_checks) == 1, name
+
+
+def test_cohomology_keeps_its_basis_sparse(monkeypatch):
+    """While cohomology_table runs, every compatible basis stays a list of
+    sparse flats: no Cochain.from_flat, Cochain.to_flat, densify or
+    Matrix.kernel_basis call, and rref_kernel returns only dicts."""
+    active, written = [], []
+
+    def spy(name, func):
+        @functools.wraps(func)
+        def recording(*args, **kwargs):
+            result = func(*args, **kwargs)
+            if active and (name != "rref_kernel" or not all(
+                    isinstance(v, dict) for v in result)):
+                written.append(name)
+            return result
+        return recording
+
+    for cls, name in ((Cochain, "to_flat"), (Matrix, "kernel_basis")):
+        monkeypatch.setattr(cls, name, spy(name, getattr(cls, name)))
+    monkeypatch.setattr(Cochain, "from_flat", classmethod(
+        spy("from_flat", Cochain.from_flat.__func__)))
+    for func in (densify, rref_kernel):
+        for module in (m for n, m in list(sys.modules.items())
+                       if n == "homlie" or n.startswith("homlie.")):
+            for key, value in list(vars(module).items()):
+                if value is func:
+                    monkeypatch.setattr(module, key,
+                                        spy(func.__name__, func))
+    table = cli_module.cohomology_table
+
+    def recording_table(desc, top):
+        active.append(desc)
+        try:
+            return table(desc, top)
+        finally:
+            active.pop()
+
+    monkeypatch.setattr(cli_module, "cohomology_table", recording_table)
+    tables = 0
+    for name, argv in _cases("cohomology").items():
+        written.clear()
+        before = tables
+        code, out = _replay(argv)
+        assert out == _expected(name)
+        tables += '"table"' in out
+        assert written == [], (name, collections.Counter(written))
+        assert tables > before or code != 0, name
+    assert tables == 3
 
 
 def test_cohomology_builds_no_matrix_larger_than_its_twists(monkeypatch):

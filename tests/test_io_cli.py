@@ -391,18 +391,17 @@ def test_cli_cohomology_assembles_without_determinants(tmp_path, capsys,
         counts["wedge_coords"] += 1
         return wedge_coords(vectors, dim)
 
-    basis = cochain_module.compatible_subspace_basis
+    basis = cochain_module.compatible_flats
 
-    def recording_basis(desc, arity):
+    def recording_basis(sigma, tau, arity):
         basis_arities.append(arity)
-        return basis(desc, arity)
+        return basis(sigma, tau, arity)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("homlie") and \
                 getattr(module, "wedge_coords", None) is wedge_coords:
             monkeypatch.setattr(module, "wedge_coords", counting_wedge_coords)
-    monkeypatch.setattr(cochain_module, "compatible_subspace_basis",
-                        recording_basis)
+    monkeypatch.setattr(cochain_module, "compatible_flats", recording_basis)
     code, payload = run_json(
         capsys, ["cohomology", rep_path, "--max-arity", "3"])
     assert code == 0

@@ -16,6 +16,7 @@ from homlie.linalg import (
     basis_vector,
     bilinear,
     block_diag,
+    densify,
     format_scalar,
     matrix,
     parse_scalar,
@@ -430,5 +431,7 @@ def test_sparse_elimination_equals_dense_oracle_and_sympy(data):
     for p, row in form.items():
         assert row == {j: e for j, e in enumerate(reduced.rows[pivots.index(
             p)]) if e}
-    assert rref_kernel(form, ncols) == kernel
+    sparse_kernel = rref_kernel(form, ncols)
+    assert [densify(v, ncols) for v in sparse_kernel] == kernel
+    assert all(all(v.values()) for v in sparse_kernel)
     assert sparse_solve(rows, ncols, b) == found
