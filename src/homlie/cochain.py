@@ -21,10 +21,12 @@ such direction as (source algebra, coefficient representation).
 delta_n has a single implementation, delta_0 included: it is assembled
 once per (complex, arity) as a sparse column map on flat coordinates.
 One walk over the increasing (n+1)-tuples emits every entry; the
-rho-term uses the d matrices rho(alpha^{n-1} e_i), and the bracket term
-takes one wedge_coords expansion of [e_a, e_b] ^ alpha e_... per tuple
-and pair with a nonzero bracket.  coboundary applies that map to one
-cochain, and coboundary_matrix is its dense form.
+rho-term reads the nonzero entries of each rho(alpha^{n-1} e_i) once,
+straight off the coefficient's sparse structure constants, and the
+bracket term takes one wedge_coords expansion of [e_a, e_b] ^ alpha
+e_... per tuple and pair with a nonzero bracket.  coboundary applies
+that map to one cochain, and coboundary_matrix, part of the public API,
+is its dense form.
 
 The compatible basis is the kernel of one sparse system for every pair
 of twists, and compatible_flats returns it as sparse flats: one
@@ -69,7 +71,7 @@ from .linalg import (
 from .structures import HomLieAlgebra, Representation
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def _tuple_positions(dim: int, arity: int) -> dict:
     return {t: p for p, t in enumerate(increasing_tuples(dim, arity))}
 
@@ -308,6 +310,18 @@ def _flat_size(desc: ComplexDescriptor, arity: int) -> int:
     return len(increasing_tuples(desc.source_dim, arity)) * desc.target_dim
 
 
+def _action_entries(rep: Representation, x: Vector) -> list:
+    """The nonzero entries (t, u, c) of rho(x), row by row, summed
+    straight from the sparse structure constants of rep."""
+    entries = {}
+    for k, a in enumerate(x):
+        if a:
+            for u, constants in enumerate(rep.structure_constants[k]):
+                for t, c in constants:
+                    entries[t, u] = entries.get((t, u), 0) + a * c
+    return [(t, u, c) for (t, u), c in sorted(entries.items()) if c]
+
+
 def _coboundary_columns(desc: ComplexDescriptor, arity: int) -> list:
     """delta_arity as a sparse column map.
 
@@ -325,11 +339,8 @@ def _coboundary_columns(desc: ComplexDescriptor, arity: int) -> list:
     g, n, td = desc.source, arity, desc.target_dim
     col_position = _tuple_positions(g.dim, n)
     actor = g.alpha_power(n - 1)
-    acting = []
-    for i in range(g.dim):
-        m = desc.coeff.rho_of(actor.column(i))
-        acting.append([(t, u, c) for t in range(td)
-                       for u, c in enumerate(m.row(t)) if c != 0])
+    acting = [_action_entries(desc.coeff, actor.column(i))
+              for i in range(g.dim)]
     alpha_columns = [g.alpha.column(k) for k in range(g.dim)]
     columns = [{} for _ in range(len(col_position) * td)]
 

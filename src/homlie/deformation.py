@@ -189,9 +189,10 @@ def nijenhuis_element_check(g: HomLieAlgebra, rep: Representation,
         if not is_zero_vector(value):
             failures.append(Failure("bracket_square", (j, kk),
                                     value, vzero(g.dim)))
+    rho_x = rep.rho_of(x)
     for j in range(g.dim):
         xy = g.bracket(x, basis_vector(g.dim, j))
-        composed = rep.rho_of(xy) @ rep.rho_of(x)
+        composed = rep.rho_of(xy) @ rho_x
         for a in range(rep.dim):
             column = composed.column(a)
             if not is_zero_vector(column):

@@ -21,6 +21,11 @@ constants per object (linalg.sparse_table), built on first use from the
 frozen fields and kept on the object, so it cannot go stale.  Verifiers
 return structured reports and never raise on a failing law, so broken
 inputs can be diagnosed.
+
+The verifiers and the builders of derived representations read the
+columns of alpha, beta and each rho_i once and evaluate every law with
+bracket and act on those tables, one basis vector at a time: they build
+no action matrix and no matrix product per basis vector or pair.
 """
 
 from __future__ import annotations
@@ -38,12 +43,13 @@ from .linalg import (
     sparse_table,
     vadd,
     vneg,
+    vsub,
     vzero,
 )
-from .reporting import Failure, holds, matrix_failures
+from .reporting import Failure, holds
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _pair_position(dim: int) -> dict:
     """Position of each ordered pair i < j in the lexicographic pair list."""
     position = {}
@@ -160,25 +166,20 @@ class HomLieReport:
 
 def verify_hom_lie(g: HomLieAlgebra) -> HomLieReport:
     """Check multiplicativity and hom-Jacobi on all basis tuples."""
+    alpha = [g.alpha.column(i) for i in range(g.dim)]
     failures = []
     for (i, j) in pair_list(g.dim):
         lhs = g.alpha.apply(g.bracket_basis(i, j))
-        rhs = g.bracket(g.alpha.apply(basis_vector(g.dim, i)),
-                        g.alpha.apply(basis_vector(g.dim, j)))
+        rhs = g.bracket(alpha[i], alpha[j])
         if lhs != rhs:
             failures.append(Failure("multiplicativity", (i, j), lhs, rhs))
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
             for k in range(j + 1, g.dim):
                 defect = vadd(
-                    vadd(
-                        g.bracket(g.alpha.apply(basis_vector(g.dim, i)),
-                                  g.bracket_basis(j, k)),
-                        g.bracket(g.alpha.apply(basis_vector(g.dim, j)),
-                                  g.bracket_basis(k, i)),
-                    ),
-                    g.bracket(g.alpha.apply(basis_vector(g.dim, k)),
-                              g.bracket_basis(i, j)),
+                    vadd(g.bracket(alpha[i], g.bracket_basis(j, k)),
+                         g.bracket(alpha[j], g.bracket_basis(k, i))),
+                    g.bracket(alpha[k], g.bracket_basis(i, j)),
                 )
                 if not is_zero_vector(defect):
                     failures.append(
@@ -195,10 +196,10 @@ def from_lie_with_morphism(g: HomLieAlgebra, phi: Matrix) -> HomLieAlgebra:
     """
     if g.alpha != Matrix.identity(g.dim):
         raise ValueError("the input must be an ordinary Lie algebra (alpha = id)")
+    columns = [phi.column(i) for i in range(g.dim)]
     for (i, j) in pair_list(g.dim):
         lhs = phi.apply(g.bracket_basis(i, j))
-        rhs = g.bracket(phi.apply(basis_vector(g.dim, i)),
-                        phi.apply(basis_vector(g.dim, j)))
+        rhs = g.bracket(columns[i], columns[j])
         if lhs != rhs:
             raise ValueError(
                 f"phi is not a Lie algebra endomorphism: fails at pair ({i}, {j})"
@@ -271,19 +272,33 @@ class RepresentationReport:
 
 
 def verify_representation(rep: Representation) -> RepresentationReport:
-    """Check both representation axioms on all basis vectors and pairs."""
+    """Check both representation axioms on all basis vectors and pairs.
+
+    Both sides are compared column by column, on each basis vector v_c
+    of V, with act: the columns of alpha, beta and each rho_i are read
+    once, and no action matrix is built.  A failure names the basis
+    tuple and then c.
+    """
     g = rep.algebra
+    alpha = [g.alpha.column(i) for i in range(g.dim)]
+    beta = [rep.beta.column(c) for c in range(rep.dim)]
+    rho = [[m.column(c) for c in range(rep.dim)] for m in rep.rho]
     failures = []
     for i in range(g.dim):
-        lhs = rep.rho_of(g.alpha.apply(basis_vector(g.dim, i))) @ rep.beta
-        rhs = rep.beta @ rep.rho[i]
-        failures += matrix_failures("twist_intertwine", (i,), lhs, rhs)
+        for c in range(rep.dim):
+            lhs = rep.act(alpha[i], beta[c])
+            rhs = rep.beta.apply(rho[i][c])
+            if lhs != rhs:
+                failures.append(Failure("twist_intertwine", (i, c), lhs, rhs))
     for (i, j) in pair_list(g.dim):
-        lhs = rep.rho_of(g.bracket_basis(i, j)) @ rep.beta
-        ai = rep.rho_of(g.alpha.apply(basis_vector(g.dim, i)))
-        aj = rep.rho_of(g.alpha.apply(basis_vector(g.dim, j)))
-        rhs = ai @ rep.rho[j] - aj @ rep.rho[i]
-        failures += matrix_failures("module_equation", (i, j), lhs, rhs)
+        bracket = g.bracket_basis(i, j)
+        for c in range(rep.dim):
+            lhs = rep.act(bracket, beta[c])
+            rhs = vsub(rep.act(alpha[i], rho[j][c]),
+                       rep.act(alpha[j], rho[i][c]))
+            if lhs != rhs:
+                failures.append(Failure("module_equation", (i, j, c),
+                                        lhs, rhs))
     return RepresentationReport(tuple(failures))
 
 
@@ -295,8 +310,7 @@ def adjoint_rep(g: HomLieAlgebra, s: int = 0) -> Representation:
     alpha_s = g.alpha_power(s)
     rho = tuple(
         Matrix.from_columns(
-            [g.bracket(alpha_s.apply(basis_vector(g.dim, i)),
-                       basis_vector(g.dim, j))
+            [g.bracket(alpha_s.column(i), basis_vector(g.dim, j))
              for j in range(g.dim)],
             nrows=g.dim,
         )
@@ -324,21 +338,25 @@ def dual_rep(rep: Representation) -> Representation:
 
         rho*(x) = -(rho(alpha^{-1}(x)) . beta^{-2})^T,
 
-    which satisfies both representation axioms whenever rep does.
+    which satisfies both representation axioms whenever rep does.  Row c
+    of rho*(e_i) is -act(alpha^{-1} e_i, beta^{-2} v_c), so no action
+    matrix is built, and when beta is alpha it is inverted once.
     """
     g = rep.algebra
-    inverses = []
+    inverses = {}
     for twist, name in ((g.alpha, "alpha"), (rep.beta, "beta")):
-        try:
-            inverses.append(twist.inverse())
-        except ValueError:
-            raise ValueError(
-                f"dual representation needs an invertible {name}") from None
-    alpha_inv, beta_inv = inverses
+        if twist not in inverses:
+            try:
+                inverses[twist] = twist.inverse()
+            except ValueError:
+                raise ValueError(
+                    f"dual representation needs an invertible {name}") from None
+    alpha_inv, beta_inv = inverses[g.alpha], inverses[rep.beta]
     beta_minus2 = beta_inv @ beta_inv
+    columns = [beta_minus2.column(c) for c in range(rep.dim)]
     rho_star = tuple(
-        (-(rep.rho_of(alpha_inv.apply(basis_vector(g.dim, i))) @ beta_minus2))
-        .transpose()
+        Matrix([vneg(rep.act(alpha_inv.column(i), column))
+                for column in columns], ncols=rep.dim)
         for i in range(g.dim)
     )
     return Representation(

@@ -16,7 +16,14 @@ from math import prod
 from homlie.alternating import increasing_tuples, shuffles
 from homlie.cochain import Cochain
 from homlie.graded import build_theta, horizontal_lift
-from homlie.structures import HomLieAlgebra
+from homlie.reporting import Failure, matrix_failures
+from homlie.structures import (
+    HomLieAlgebra,
+    HomLieReport,
+    Representation,
+    RepresentationReport,
+    pair_list,
+)
 from homlie.linalg import (
     Matrix,
     Q,
@@ -154,6 +161,15 @@ def oracle_inverse(m):
     return Matrix(tuple(tuple(row[n:]) for row in work), ncols=n)
 
 
+def patch_everywhere(monkeypatch, func, replacement) -> None:
+    """Replace func wherever a loaded homlie module holds it."""
+    for name, module in list(sys.modules.items()):
+        if name == "homlie" or name.startswith("homlie."):
+            for key, value in list(vars(module).items()):
+                if value is func:
+                    monkeypatch.setattr(module, key, replacement)
+
+
 def count_calls(monkeypatch, func) -> list:
     """Wrap func wherever a loaded homlie module holds it; the returned
     list receives the positional arguments of every call."""
@@ -164,11 +180,7 @@ def count_calls(monkeypatch, func) -> list:
         calls.append(args)
         return func(*args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name == "homlie" or name.startswith("homlie."):
-            for key, value in list(vars(module).items()):
-                if value is func:
-                    monkeypatch.setattr(module, key, recording)
+    patch_everywhere(monkeypatch, func, recording)
     return calls
 
 
@@ -667,3 +679,87 @@ def oracle_cybe_sum(g, r):
             total[key] = total.get(key, Q(0)) + q
     return tuple(tuple(sorted((k, q) for k, q in part.items() if q != 0))
                  for part in (p1, p2, p3, total))
+
+
+# ---------------------------------------------------------------------------
+# The structure checks, the dual and the action entries of delta as they
+# were before they read the sparse tables column by column: one dense
+# action matrix (rho_of) per basis vector or pair, compared through
+# matrix products, and alpha applied to basis vectors.  The library's
+# versions must return exactly what these do, failure order included.
+
+
+def oracle_verify_hom_lie(g):
+    failures = []
+    for (i, j) in pair_list(g.dim):
+        lhs = g.alpha.apply(g.bracket_basis(i, j))
+        rhs = g.bracket(g.alpha.apply(basis_vector(g.dim, i)),
+                        g.alpha.apply(basis_vector(g.dim, j)))
+        if lhs != rhs:
+            failures.append(Failure("multiplicativity", (i, j), lhs, rhs))
+    for i in range(g.dim):
+        for j in range(i + 1, g.dim):
+            for k in range(j + 1, g.dim):
+                defect = vadd(
+                    vadd(
+                        g.bracket(g.alpha.apply(basis_vector(g.dim, i)),
+                                  g.bracket_basis(j, k)),
+                        g.bracket(g.alpha.apply(basis_vector(g.dim, j)),
+                                  g.bracket_basis(k, i)),
+                    ),
+                    g.bracket(g.alpha.apply(basis_vector(g.dim, k)),
+                              g.bracket_basis(i, j)),
+                )
+                if not is_zero_vector(defect):
+                    failures.append(
+                        Failure("hom_jacobi", (i, j, k), defect, vzero(g.dim))
+                    )
+    return HomLieReport(tuple(failures), regular=g.is_regular)
+
+
+def oracle_verify_representation(rep):
+    g = rep.algebra
+    failures = []
+    for i in range(g.dim):
+        lhs = rep.rho_of(g.alpha.apply(basis_vector(g.dim, i))) @ rep.beta
+        rhs = rep.beta @ rep.rho[i]
+        failures += matrix_failures("twist_intertwine", (i,), lhs, rhs)
+    for (i, j) in pair_list(g.dim):
+        lhs = rep.rho_of(g.bracket_basis(i, j)) @ rep.beta
+        ai = rep.rho_of(g.alpha.apply(basis_vector(g.dim, i)))
+        aj = rep.rho_of(g.alpha.apply(basis_vector(g.dim, j)))
+        rhs = ai @ rep.rho[j] - aj @ rep.rho[i]
+        failures += matrix_failures("module_equation", (i, j), lhs, rhs)
+    return RepresentationReport(tuple(failures))
+
+
+def oracle_dual_rep(rep):
+    g = rep.algebra
+    inverses = []
+    for twist, name in ((g.alpha, "alpha"), (rep.beta, "beta")):
+        try:
+            inverses.append(twist.inverse())
+        except ValueError:
+            raise ValueError(
+                f"dual representation needs an invertible {name}") from None
+    alpha_inv, beta_inv = inverses
+    beta_minus2 = beta_inv @ beta_inv
+    rho_star = tuple(
+        (-(rep.rho_of(alpha_inv.apply(basis_vector(g.dim, i))) @ beta_minus2))
+        .transpose()
+        for i in range(g.dim)
+    )
+    return Representation(
+        algebra=g,
+        dim=rep.dim,
+        basis=tuple(f"{name}*" for name in rep.basis),
+        beta=beta_inv.transpose(),
+        rho=rho_star,
+    )
+
+
+def oracle_action_entries(rep, x):
+    """The nonzero entries (t, u, c) of the matrix rho_of(x), row by row."""
+    m = rep.rho_of(x)
+    return [(t, u, c) for t in range(rep.dim)
+            for u, c in enumerate(m.row(t)) if c != 0]

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from homlie.cochain import (
     Cochain,
     ComplexDescriptor,
+    _tuple_positions,
     coboundary,
     coboundary_matrix,
     cohomology_dims,
@@ -27,6 +28,7 @@ from homlie.ooperator import operator_complex
 from homlie.structures import (
     HomLieAlgebra,
     Representation,
+    _pair_position,
     adjoint_rep,
     catalog,
     coadjoint_rep,
@@ -348,3 +350,8 @@ def test_cohomology_table_euler_characteristic():
         chi_c = sum((-1) ** row.arity * row.dim_cochains for row in table)
         chi_h = sum((-1) ** row.arity * row.dim_h for row in table)
         assert chi_c == chi_h, name
+
+
+def test_position_caches_are_bounded():
+    for cached in (_pair_position, _tuple_positions):
+        assert cached.cache_info().maxsize is not None, cached.__name__

@@ -38,9 +38,9 @@ from homlie.io import load_operator
 from homlie.linalg import Matrix, densify, rref_kernel
 from homlie.ooperator import inner_actions, is_o_operator, operator_complex
 from homlie.rmatrix import is_r_matrix
-from homlie.structures import coadjoint_rep, semidirect_product
+from homlie.structures import Representation, coadjoint_rep, semidirect_product
 
-from helpers import count_calls, record_cohomology_matrices
+from helpers import count_calls, patch_everywhere, record_cohomology_matrices
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -121,6 +121,48 @@ def test_rmatrix_check_decides_once(monkeypatch):
         assert len(coadjoint) <= 1, name
         duals += '"dual_algebra"' in out
     assert duals >= 3
+
+
+def test_coadjoint_rep_inverts_one_twist(monkeypatch):
+    """The adjoint representation's beta is alpha, so its dual inverts
+    one twist: every coadjoint_rep call makes one Matrix.inverse call."""
+    inverses, counts = [], []
+    inverse = Matrix.inverse
+
+    def counting_inverse(self):
+        if inverses:
+            inverses[-1] += 1
+        return inverse(self)
+
+    def recording(g):
+        inverses.append(0)
+        try:
+            return coadjoint_rep(g)
+        finally:
+            counts.append(inverses.pop())
+
+    monkeypatch.setattr(Matrix, "inverse", counting_inverse)
+    patch_everywhere(monkeypatch, coadjoint_rep, recording)
+    for name, argv in CASES.items():
+        assert _replay(argv)[1] == _expected(name)
+    assert counts and set(counts) == {1}, collections.Counter(counts)
+
+
+def test_cohomology_builds_no_action_matrix(monkeypatch):
+    """The axiom checks before a table and delta assembly read the
+    sparse tables: no cohomology case calls Representation.rho_of."""
+    calls = []
+    rho_of = Representation.rho_of
+
+    def counting(self, x):
+        calls.append(x)
+        return rho_of(self, x)
+
+    monkeypatch.setattr(Representation, "rho_of", counting)
+    cases = _cases("cohomology")
+    for name, argv in cases.items():
+        assert _replay(argv)[1] == _expected(name)
+    assert len(cases) >= 3 and calls == []
 
 
 def test_deform_extend_builds_the_complex_once(monkeypatch):
