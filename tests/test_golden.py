@@ -184,7 +184,7 @@ def test_deform_extend_builds_the_complex_once(monkeypatch):
         assert len(checks) == 1, name
         assert [args[1] for args in columns].count(1) == 1, name
         ran += 1
-    assert ran == 5
+    assert ran == 6
 
 
 def test_deform_extend_computes_each_inner_action_once(monkeypatch):
@@ -206,7 +206,7 @@ def test_deform_extend_computes_each_inner_action_once(monkeypatch):
         assert set(computed.values()) == {1}, name
         assert len(computed) == (reached + 1) * len(pairs), name
         ran += 1
-    assert ran == 5
+    assert ran == 6
 
 
 def test_nijenhuis_element_checks_the_base_and_element_once(monkeypatch):
