@@ -15,14 +15,18 @@ deformation reads {{T, T_{k+1}}} = Theta where
     Theta = -1/2 sum over i+j=k+1, i,j >= 1 of {{T_i, T_j}}
 
 is the obstruction; extending a deformation by one order is solving
-that linear equation over the twist-compatible maps.  By the
-identity {{T, X}} = -delta_T(X), the system is minus the differential
-delta_1 of the complex attached to T, restricted to its compatible
-basis; the derived bracket itself only computes Theta.  It is symmetric
-on maps V -> g, so Theta sums the pairs i <= j once each, doubling
-those with i < j.  extension_steps is the one extension loop: it checks
-the input deformation once, builds the operator complex, -delta_1 and
-dim H^2 once, and then per order computes Theta, solves, and checks the
+that linear equation over the twist-compatible maps.  Theta is the
+part of the deformed identity at order k+1 that does not involve
+T_{k+1}, so it is computed as that identity's defect with T_{k+1} = 0,
+from the same inner actions {T_j e_a, e_b} - {T_j e_b, e_a} as the
+order checks.  By the identity {{T, X}} = -delta_T(X), the system is
+minus the differential delta_1 of the complex attached to T,
+restricted to its compatible basis.  The derived bracket of
+homlie.graded is not used here: it stays the independent
+Maurer-Cartan route and the tests' oracle for Theta.
+extension_steps is the one extension loop: it checks the input
+deformation once, builds the operator complex, -delta_1 and dim H^2
+once, and then per order computes Theta, solves, and checks the
 deformed identity at the order it has just solved.
 
 A Nijenhuis element x (fixed by alpha, with vanishing squares
@@ -53,10 +57,8 @@ from .cochain import (
     coboundary_on_basis,
     zero_coboundary,
 )
-from .graded import build_theta, derived_bracket
 from .linalg import (
     Matrix,
-    Q,
     Vector,
     basis_vector,
     densify,
@@ -366,19 +368,31 @@ class FormalDeformationReport:
         return None
 
 
+def _defects(g: HomLieAlgebra, rep: Representation, coeffs: list, k: int,
+             inner: dict) -> list:
+    """lhs - rhs of the deformed identity at order k on each pair (a, b),
+    in pair_list order.  inner maps each pair (a, b) to
+    inner_actions(rep, coeffs, a, b)."""
+    return [vsub(*deformed_identity(g, rep, coeffs, k, a, b, inner[(a, b)]))
+            for (a, b) in pair_list(rep.dim)]
+
+
 def _order_failures(g: HomLieAlgebra, rep: Representation, coeffs: list,
-                    k: int, inner: dict | None = None) -> list:
-    """The failures of the deformed identity at order k.  inner maps each
-    pair (a, b) to inner_actions(rep, coeffs, a, b)."""
-    failures = []
-    for (a, b) in pair_list(rep.dim):
-        defect = vsub(*deformed_identity(
-            g, rep, coeffs, k, a, b,
-            None if inner is None else inner[(a, b)]))
-        if not is_zero_vector(defect):
-            failures.append(Failure("deformation_equation", (k, a, b),
-                                    defect, vzero(g.dim)))
-    return failures
+                    k: int, inner: dict) -> list:
+    """The failures of the deformed identity at order k."""
+    return [Failure("deformation_equation", (k, a, b), defect, vzero(g.dim))
+            for (a, b), defect in zip(pair_list(rep.dim),
+                                      _defects(g, rep, coeffs, k, inner))
+            if not is_zero_vector(defect)]
+
+
+def _next_defect(g: HomLieAlgebra, rep: Representation, coeffs: list,
+                 inner: dict) -> Cochain:
+    """Theta of the deformation with coefficients coeffs: the defect of
+    the deformed identity at order len(coeffs), whose coefficient is
+    zero."""
+    return Cochain(2, rep.dim, g.dim,
+                   tuple(_defects(g, rep, coeffs, len(coeffs), inner)))
 
 
 def _inner_table(rep: Representation, coeffs: list) -> dict:
@@ -455,27 +469,24 @@ def _require_valid(found: list) -> None:
         raise ValueError(f"obstruction needs a valid deformation: {found[0]}")
 
 
+def _checked_inner(g: HomLieAlgebra, rep: Representation,
+                   d: TruncatedDeformation) -> dict:
+    """_inner_table of d, once d has passed the formal check on it."""
+    _require_regular(g, rep)
+    inner = _inner_table(rep, d.coefficients())
+    _require_valid(formal_deformation_check(g, rep, d, _inner=inner).failures)
+    return inner
+
+
 def obstruction(g: HomLieAlgebra, rep: Representation,
-                d: TruncatedDeformation, _theta: Cochain | None = None
-                ) -> Cochain:
+                d: TruncatedDeformation) -> Cochain:
     """Theta = -1/2 sum over i+j=order+1, i,j >= 1 of {{T_i, T_j}}.
 
-    The deformation must be valid up to its stated order.  Since
-    {{T_i, T_j}} = {{T_j, T_i}}, the sum takes ceil(order/2) brackets.
-    _theta is build_theta(rep), from a caller that has checked d.
+    The deformation must be valid up to its stated order.  Theta is the
+    defect of the deformed identity at order+1 with T_{order+1} = 0,
+    read off the inner actions of the validity check.
     """
-    if _theta is None:
-        _require_regular(g, rep)
-        _require_valid(formal_deformation_check(g, rep, d).failures)
-        _theta = build_theta(rep)
-    total = Cochain.zero(2, rep.dim, g.dim)
-    k = d.order + 1
-    for i in range(1, k // 2 + 1):
-        part = derived_bracket(rep, Cochain.from_linear_map(d.coefficient(i)),
-                               Cochain.from_linear_map(d.coefficient(k - i)),
-                               _theta=_theta)
-        total = total + (part if 2 * i == k else part.scale(2))
-    return total.scale(Q(-1, 2))
+    return _next_defect(g, rep, d.coefficients(), _checked_inner(g, rep, d))
 
 
 @dataclass(frozen=True)
@@ -500,7 +511,8 @@ def extension_steps(g: HomLieAlgebra, rep: Representation,
     d is checked once, and that check certifies its base; the operator
     complex of the base, the system -delta_1 on the compatible basis, its
     rank dim_image and dim H^2 are built once, from the sparse images of
-    the basis.  Each step solves {{T, X}} = Theta with
+    the basis.  Each step reads Theta off the kept inner actions, as
+    obstruction does, and solves {{T, X}} = Theta with
     linalg.sparse_solve; its free variables are zero, so the chosen
     solution is canonical, and X is the sum of the basis flats with
     those coordinates.  Each solved order is checked against the deformed
@@ -510,10 +522,7 @@ def extension_steps(g: HomLieAlgebra, rep: Representation,
     deformation is obstructed and the class of Theta in H^2 is the
     witness.
     """
-    _require_regular(g, rep)
-    inner = _inner_table(rep, d.coefficients())
-    _require_valid(formal_deformation_check(g, rep, d, _inner=inner).failures)
-    theta = build_theta(rep)
+    inner = _checked_inner(g, rep, d)
     desc = operator_complex(g, rep, d.base, unchecked=True)
     flats, images = coboundary_on_basis(desc, 1)
     rows = [{b: -image[r] for b, image in enumerate(images) if r in image}
@@ -523,7 +532,7 @@ def extension_steps(g: HomLieAlgebra, rep: Representation,
     step = partial(ExtensionResult, dim_image=dim_image,
                    dim_h2=count - rank - dim_image)
     while d.order < order:
-        target = obstruction(g, rep, d, _theta=theta)
+        target = _next_defect(g, rep, d.coefficients(), inner)
         coords = sparse_solve(rows, len(flats), target.to_flat())
         if coords is None:
             yield step(theta=target, obstructed=True, solution=None,

@@ -154,16 +154,17 @@ def horizontal_lift(p: Cochain, algebra_dim: int) -> Cochain:
     return Cochain.from_values(p.arity, total, total, entries)
 
 
-def derived_bracket(rep: Representation, p: Cochain, q: Cochain,
-                    _theta: Cochain | None = None) -> Cochain:
+def derived_bracket(rep: Representation, p: Cochain, q: Cochain) -> Cochain:
     """{{P, Q}} = (-1)^n [[theta, lift(P)], lift(Q)] restricted to V -> g.
 
     Only the values the restriction reads are computed.  The outer
     bracket is evaluated on module tuples alone.  There it reads the
     inner bracket on module tuples, and on values of lift(Q), which lie
     in g, next to module arguments (the twist keeps V); so the inner
-    bracket is evaluated on the tuples with at most one g index.  _theta
-    is build_theta(rep), from a caller that brackets repeatedly.
+    bracket is evaluated on the tuples with at most one g index.  This
+    is the Maurer-Cartan route for O-operators ({{T, T}} = 0); the
+    deformation obstruction is computed from the deformed identity
+    instead, and the tests compare the two.
     """
     g = rep.algebra
     for f in (p, q):
@@ -173,7 +174,7 @@ def derived_bracket(rep: Representation, p: Cochain, q: Cochain,
             raise ValueError("use derived_bracket_zero for degree-zero elements")
     n_g, total = g.dim, g.dim + rep.dim
     twist = block_diag(g.alpha, rep.beta)
-    theta = build_theta(rep) if _theta is None else _theta
+    theta = build_theta(rep)
     # Increasing tuples: t[1] >= n_g leaves at most t[0] in g.
     near = [t for t in increasing_tuples(total, p.arity + 1) if t[1] >= n_g]
     inner = Cochain.from_values(p.arity + 1, total, total, dict(zip(

@@ -310,6 +310,8 @@ def load_json(path: str):
             return json.load(handle)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON ({exc})") from None
+    except RecursionError:
+        raise SchemaError(f"{path}: JSON nested too deeply") from None
 
 
 def load_algebra(path: str) -> HomLieAlgebra:

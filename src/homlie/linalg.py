@@ -268,7 +268,7 @@ class Matrix:
 
     @classmethod
     def diagonal(cls, entries: Iterable[ScalarLike]) -> "Matrix":
-        diag = [scalar(e) for e in entries]
+        diag = list(entries)
         n = len(diag)
         return cls(
             tuple(
@@ -288,7 +288,7 @@ class Matrix:
         if any(len(c) != height for c in columns):
             raise ValueError("columns of unequal length")
         return cls(
-            tuple(tuple(scalar(c[i]) for c in columns) for i in range(height)),
+            tuple(tuple(c[i] for c in columns) for i in range(height)),
             ncols=len(columns),
         )
 

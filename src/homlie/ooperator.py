@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .cochain import Cochain, ComplexDescriptor, coboundary
-from .graded import build_theta, derived_bracket
+from .graded import derived_bracket
 from .linalg import (
     Matrix,
     Q,
@@ -74,14 +74,16 @@ def deformed_identity(g: HomLieAlgebra, rep: Representation, coeffs,
         lhs = sum_{i+j=k} [T_i e_a, T_j e_b],
         rhs = sum_{i+j=k} T_i({T_j e_a, e_b} - {T_j e_b, e_a}),
 
-    for the coefficient list coeffs = [T_0, T_1, ...].  Order 0 on [T] is
-    the O-operator identity of T.  inner is inner_actions(rep, coeffs, a,
-    b), from a caller that checks several orders.
+    for the coefficient list coeffs = [T_0, T_1, ...], whose coefficients
+    past its end are zero.  Order 0 on [T] is the O-operator identity of
+    T.  inner is inner_actions(rep, coeffs, a, b), from a caller that
+    checks several orders.
     """
     if inner is None:
         inner = inner_actions(rep, coeffs[:k + 1], a, b)
     lhs = rhs = vzero(g.dim)
-    for i in range(k + 1):
+    low = max(0, k + 1 - len(coeffs))
+    for i in range(low, k + 1 - low):
         ti, tj = coeffs[i], coeffs[k - i]
         lhs = vadd(lhs, g.bracket(ti.column(a), tj.column(b)))
         rhs = vadd(rhs, ti.apply(inner[k - i]))
@@ -218,7 +220,7 @@ def o_operator_maurer_cartan_check(g: HomLieAlgebra, rep: Representation,
     """T as a Maurer-Cartan element: twist-compatible and {{T, T}} = 0."""
     compatible = (t @ rep.beta) == (g.alpha @ t)
     one = Cochain.from_linear_map(t)
-    square = derived_bracket(rep, one, one, _theta=build_theta(rep))
+    square = derived_bracket(rep, one, one)
     return MaurerCartanOperatorReport(
         twist_compatible=compatible,
         derived_square_zero=square.is_zero(),

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import os
 import random
 from fractions import Fraction as Q
@@ -17,7 +16,6 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import homlie.deformation as deformation_module
 from homlie.cli import main as cli_main
 from homlie.cochain import (
     Cochain,
@@ -37,12 +35,22 @@ from homlie.deformation import (
     obstruction,
     trivial_deformation_from_nijenhuis,
 )
-from homlie.graded import derived_bracket
+from homlie.graded import build_theta, derived_bracket
 from homlie.linalg import Matrix, basis_vector, matrix, vsub
 from homlie.ooperator import deformed_identity, is_o_operator, operator_complex
-from homlie.structures import Representation, adjoint_rep, catalog
+from homlie.structures import (
+    Representation,
+    adjoint_rep,
+    catalog,
+    coadjoint_rep,
+)
 
-from helpers import oracle_extend_order, oracle_obstruction, rand_scalar
+from helpers import (
+    count_calls,
+    oracle_extend_order,
+    oracle_obstruction,
+    rand_scalar,
+)
 
 FIXTURES = catalog()
 
@@ -349,6 +357,11 @@ def _extension_case(name):
     algebra, t = EXTENSION_CASES[name]
     g = FIXTURES[algebra]
     rep = adjoint_rep(g, 0)
+    return g, rep, t, _cocycles(g, rep, t)
+
+
+def _cocycles(g, rep, t):
+    """A basis of the twist-compatible 1-cocycles of the complex of T."""
     desc = operator_complex(g, rep, t)
     basis = compatible_subspace_basis(desc, 1)
     flats = [coboundary(desc, b).to_flat() for b in basis]
@@ -358,7 +371,7 @@ def _extension_case(name):
         for c, b in zip(kvec, basis):
             z = z + b.scale(c)
         cocycles.append(z.as_matrix())
-    return g, rep, t, cocycles
+    return cocycles
 
 
 def _random_cocycle(data, shape, cocycles):
@@ -409,30 +422,79 @@ def test_extension_steps_equal_single_steps_and_oracle(name, data):
         d = step.extended
 
 
-def test_deform_extend_calls_derived_bracket_only_for_theta(monkeypatch,
-                                                            capsys):
-    """Going from order m to M costs sum_{o=m}^{M-1} ceil(o/2) derived
-    brackets, the pairs i <= j of each Theta, and none for building the
-    systems."""
-    calls = []
+THETA_REPS = {
+    "adjoint-1": functools.partial(adjoint_rep, s=-1),
+    "adjoint0": functools.partial(adjoint_rep, s=0),
+    "adjoint1": functools.partial(adjoint_rep, s=1),
+    "coadjoint": coadjoint_rep,
+}
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return derived_bracket(*args, **kwargs)
 
-    monkeypatch.setattr(deformation_module, "derived_bracket", counting)
+@functools.cache
+def _theta_case(algebra, kind):
+    """(g, rep, [(T, 1-cocycles of T)]) for the O-operators T among the
+    twist-compatible basis maps V -> g and their pairwise sums."""
+    g = FIXTURES[algebra]
+    rep = THETA_REPS[kind](g)
+    basis = [b.as_matrix() for b in compatible_maps_basis(rep.beta, g.alpha, 1)]
+    candidates = basis + [x + y for x, y in itertools.combinations(basis, 2)]
+    operators = [t for t in candidates if is_o_operator(g, rep, t).ok]
+    return g, rep, [(t, _cocycles(g, rep, t)) for t in operators[:4]]
+
+
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("kind", sorted(THETA_REPS))
+@pytest.mark.parametrize("algebra", sorted(FIXTURES))
+def test_obstruction_is_the_derived_bracket_sum(algebra, kind, data):
+    """Theta = -1/2 sum over all i + j = order + 1, i, j >= 1 of the
+    derived brackets {{T_i, T_j}}, on deformations of orders 1 to 3 that
+    start from an O-operator and add a random 1-cocycle at every order."""
+    g, rep, operators = _theta_case(algebra, kind)
+    assert operators
+    t, cocycles = data.draw(st.sampled_from(operators))
+    d = TruncatedDeformation.of(t, [_random_cocycle(data, t.shape, cocycles)])
+    while True:
+        k = d.order + 1
+        total = Cochain.zero(2, rep.dim, g.dim)
+        for i in range(1, k):
+            total = total + derived_bracket(
+                rep, Cochain.from_linear_map(d.coefficient(i)),
+                Cochain.from_linear_map(d.coefficient(k - i)))
+        assert obstruction(g, rep, d) == total.scale(Q(-1, 2))
+        if d.order == 3:
+            break
+        step = extend_order(g, rep, d)
+        if step.obstructed:
+            break
+        d = TruncatedDeformation.of(t, [
+            *d.terms, step.solution + _random_cocycle(data, t.shape, cocycles)])
+
+
+def test_only_check_o_operator_calls_the_derived_bracket(monkeypatch,
+                                                         capsys):
+    """deform-extend and obstruction read Theta off the deformed
+    identity, so they build no theta and take no derived bracket;
+    check-o-operator still does, for its Maurer-Cartan route."""
+    brackets = count_calls(monkeypatch, derived_bracket)
+    thetas = count_calls(monkeypatch, build_theta)
     inputs = os.path.join(os.path.dirname(__file__), "golden", "inputs")
-    for rep_file, start, top in (
-            ("sl2.adjoint.rep.json", "sl2.start.json", 4),
-            ("heisenberg3.adjoint.rep.json", "heisenberg3.start.json", 5)):
-        calls.clear()
-        code = cli_main(["deform-extend", os.path.join(inputs, rep_file),
-                         os.path.join(inputs, start),
-                         "--max-order", str(top), "--json"])
-        assert code == 0
-        assert json.loads(capsys.readouterr().out)["data"][
-            "reached_order"] == top
-        assert len(calls) == sum((o + 1) // 2 for o in range(1, top))
+    for argv in (["deform-extend", "sl2.adjoint.rep.json", "sl2.start.json",
+                  "--max-order", "4"],
+                 ["deform-extend", "heisenberg3.adjoint.rep.json",
+                  "heisenberg3.start.json", "--max-order", "5"],
+                 ["obstruction", "sl2.adjoint.rep.json", "sl2.start.json"],
+                 ["obstruction", "aff1.adjoint.rep.json",
+                  "aff1-obstructed.start.json"]):
+        code = cli_main([argv[0], *(os.path.join(inputs, a) if a.endswith(
+            ".json") else a for a in argv[1:]), "--json"])
+        assert code == 0, argv
+        capsys.readouterr()
+        assert (brackets, thetas) == ([], []), argv
+    assert cli_main(["check-o-operator",
+                     os.path.join(inputs, "aff1.adjoint.rep.json"),
+                     os.path.join(inputs, "aff1.T.json"), "--json"]) == 0
+    assert brackets and thetas
 
 
 def test_formal_check_computes_each_inner_action_once(monkeypatch):

@@ -300,6 +300,18 @@ def test_cli_error_exits(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_refuses_deeply_nested_json(tmp_path, capsys):
+    """A document nested deeper than the parser's recursion limit is a
+    schema error naming the file, also when a rep points at it."""
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000, encoding="utf-8")
+    rep = write(tmp_path, "rep.json", {"algebra": "deep.json", "rho": []})
+    for argv in (["verify-algebra", str(deep)], ["verify-rep", rep]):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, ""), argv
+        assert err == f"error: {deep}: JSON nested too deeply\n", argv
+
+
 def test_cli_verify_rep_and_semidirect(tmp_path, capsys):
     rep_path = write(tmp_path, "rep.json", AFF1_REP)
     code, payload = run_json(capsys, ["verify-rep", rep_path])

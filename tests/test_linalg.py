@@ -242,6 +242,14 @@ def test_from_columns_and_is_zero():
     assert not m.is_zero()
     assert Matrix.zero(2, 3).is_zero()
     assert Matrix.diagonal([Q(1), Q(2)]).entry(1, 1) == Q(2)
+    from_ints = Matrix.from_columns([(1, 2), (0, "1/3")])
+    assert from_ints == Matrix.from_columns([(Q(1), Q(2)), (Q(0), Q(1, 3))])
+    diagonal = Matrix.diagonal(iter([3, -1]))
+    assert diagonal.rows == ((Q(3), Q(0)), (Q(0), Q(-1)))
+    for m in (from_ints, diagonal):
+        assert all(type(e) is Fraction for row in m.rows for e in row)
+    with pytest.raises(TypeError):
+        Matrix.diagonal([1.5])
 
 
 def test_matrix_refuses_ragged_rows():
