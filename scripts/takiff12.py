@@ -44,8 +44,13 @@ def exp_nilpotent(homlie, n):
         k += 1
 
 
-def descriptor(homlie, name: str):
-    """(descriptor, top arity) of one table."""
+def complex_of(homlie, name: str):
+    """(coefficient representation, top arity) of one table.
+
+    A checkout that still wraps the representation in
+    cochain.ComplexDescriptor gets the wrapped form, so that the script
+    runs on older checkouts too.
+    """
     s = homlie.structures
     takiff = s.semidirect_product(s.adjoint_rep(
         s.semidirect_product(s.adjoint_rep(s.sl2()))))
@@ -60,7 +65,8 @@ def descriptor(homlie, name: str):
              for j in range(takiff.dim)], nrows=takiff.dim)
         twisted = s.from_lie_with_morphism(takiff, exp_nilpotent(homlie, ad_e))
         rep, top = s.adjoint_rep(twisted), 2
-    return homlie.cochain.ComplexDescriptor.for_representation(rep), top
+    wrap = getattr(homlie.cochain, "ComplexDescriptor", None)
+    return (rep if wrap is None else wrap.for_representation(rep)), top
 
 
 def run_one(checkout: str, name: str) -> dict:
@@ -68,9 +74,9 @@ def run_one(checkout: str, name: str) -> dict:
     import homlie.cochain
     import homlie.structures
 
-    desc, top = descriptor(homlie, name)
+    rep, top = complex_of(homlie, name)
     start = time.process_time()
-    table = homlie.cochain.cohomology_table(desc, top)
+    table = homlie.cochain.cohomology_table(rep, top)
     cpu = time.process_time() - start
     # ru_maxrss is in kilobytes on Linux.
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024

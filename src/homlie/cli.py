@@ -20,7 +20,7 @@ import functools
 import json
 import sys
 
-from .cochain import ComplexDescriptor, coboundary, cohomology_table
+from .cochain import coboundary, cohomology_table
 from .deformation import (
     extension_steps,
     formal_deformation_check,
@@ -58,7 +58,6 @@ from .ooperator import (
     is_rota_baxter,
     nijenhuis_operator_check,
     o_operator_maurer_cartan_check,
-    operator_complex,
     rho_t,
     subadjacent,
     verify_hom_pre_lie,
@@ -115,14 +114,12 @@ def _cmd_semidirect(args):
 
 def _cmd_cohomology(args):
     rep = load_rep(args.rep)
+    coeff = rep
     if args.operator:
-        t = load_operator(args.operator)
-        desc = operator_complex(rep.algebra, rep, t)
-    else:
-        desc = ComplexDescriptor.for_representation(rep)
+        coeff = rho_t(rep.algebra, rep, load_operator(args.operator))
     top = args.max_arity
     if top is None:
-        top = desc.source_dim
+        top = coeff.algebra.dim
     if top < 0:
         raise SchemaError("--max-arity must be non-negative")
     kind = "operator" if args.operator else "representation"
@@ -140,8 +137,8 @@ def _cmd_cohomology(args):
         "cocycles": dims.dim_cocycles,
         "coboundaries": dims.dim_coboundaries,
         "h": dims.dim_h,
-    } for dims in cohomology_table(desc, top)]
-    data = {"complex": kind, "regular": desc.is_regular, "table": table}
+    } for dims in cohomology_table(coeff, top)]
+    data = {"complex": kind, "regular": coeff.is_regular, "table": table}
     return True, data, ()
 
 
@@ -159,7 +156,7 @@ def _cmd_check_o_operator(args):
         "nijenhuis_on_semidirect": _report_fields(
             nijenhuis, ("commutes_with_twist", "identity")),
     }
-    if g.is_regular and rep.beta.is_invertible():
+    if rep.is_regular:
         mc = o_operator_maurer_cartan_check(g, rep, t)
         data["maurer_cartan"] = _report_fields(
             mc, ("twist_compatible", "derived_square_zero"))
@@ -322,8 +319,7 @@ def _cmd_obstruction(args):
     g = rep.algebra
     d = load_deformation(args.deformation)
     theta = obstruction(g, rep, d)
-    desc = operator_complex(g, rep, d.base)
-    is_cocycle = coboundary(desc, theta).is_zero()
+    is_cocycle = coboundary(rho_t(g, rep, d.base), theta).is_zero()
     data = {
         "order": d.order + 1,
         "theta": cochain_to_dict(theta, source="V"),

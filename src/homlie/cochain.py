@@ -15,8 +15,11 @@ exactly.  The coboundary of an n-cochain f is
 
 The same machinery drives both directions of interest: cochains on g
 with values in a module V, and cochains on the sub-adjacent algebra of
-an O-operator with values back in g.  A ComplexDescriptor packages one
-such direction as (source algebra, coefficient representation).
+an O-operator with values back in g.  Each complex is fixed by its
+coefficient representation rep: the cochains live on rep.algebra,
+whose twist alpha is the source twist, and take values in rep, whose
+twist beta is the coefficient twist.  The complex of an O-operator T
+is the one of ooperator.rho_T.
 
 delta_n has a single implementation, delta_0 included: it is assembled
 once per (complex, arity) as a sparse column map on flat coordinates.
@@ -68,7 +71,7 @@ from .linalg import (
     vsub,
     vzero,
 )
-from .structures import HomLieAlgebra, Representation
+from .structures import Representation
 
 
 @lru_cache(maxsize=128)
@@ -212,44 +215,6 @@ def is_twist_compatible(f: Cochain, sigma: Matrix, tau: Matrix) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class ComplexDescriptor:
-    """One direction of the cohomology machinery.
-
-    source is the algebra whose wedge powers index the cochains; coeff is
-    a representation of source providing the values, the action, and the
-    coefficient twist.  The source twist is source.alpha, the coefficient
-    twist is coeff.beta.
-    """
-
-    source: HomLieAlgebra
-    coeff: Representation
-
-    def __post_init__(self):
-        if self.coeff.algebra is not self.source and self.coeff.algebra != self.source:
-            raise ValueError("the coefficients must represent the source algebra")
-
-    @classmethod
-    def for_representation(cls, rep: Representation) -> "ComplexDescriptor":
-        return cls(source=rep.algebra, coeff=rep)
-
-    @property
-    def source_dim(self) -> int:
-        return self.source.dim
-
-    @property
-    def target_dim(self) -> int:
-        return self.coeff.dim
-
-    @property
-    def is_regular(self) -> bool:
-        return (self.source.alpha.is_invertible()
-                and self.coeff.beta.is_invertible())
-
-    def zero(self, arity: int) -> Cochain:
-        return Cochain.zero(arity, self.source_dim, self.target_dim)
-
-
 def compatible_flats(sigma: Matrix, tau: Matrix, arity: int) -> list:
     """Canonical basis of the alternating maps f with f . sigma^n = tau . f,
     as sparse flats: {flat coordinate: Fraction} dicts of the nonzero
@@ -285,29 +250,29 @@ def compatible_maps_basis(sigma: Matrix, tau: Matrix, arity: int) -> list:
             for f in compatible_flats(sigma, tau, arity)]
 
 
-def compatible_subspace_basis(desc: ComplexDescriptor, arity: int) -> list:
-    """Canonical basis of the twist-compatible arity-cochains of desc."""
-    return compatible_maps_basis(desc.source.alpha, desc.coeff.beta, arity)
+def compatible_subspace_basis(rep: Representation, arity: int) -> list:
+    """Canonical basis of the twist-compatible arity-cochains of rep."""
+    return compatible_maps_basis(rep.algebra.alpha, rep.beta, arity)
 
 
-def zero_fixed_point_basis(desc: ComplexDescriptor) -> list:
+def zero_fixed_point_basis(rep: Representation) -> list:
     """Basis of C^0: the fixed points of the coefficient twist."""
-    return [densify(f, desc.target_dim) for f in
-            compatible_flats(desc.source.alpha, desc.coeff.beta, 0)]
+    return [densify(f, rep.dim) for f in
+            compatible_flats(rep.algebra.alpha, rep.beta, 0)]
 
 
-def zero_coboundary(desc: ComplexDescriptor, w: Vector) -> Cochain:
+def zero_coboundary(rep: Representation, w: Vector) -> Cochain:
     """delta_0 on a fixed point of the coefficient twist (regular only)."""
-    if not desc.source.alpha.is_invertible():
+    if not rep.algebra.alpha.is_invertible():
         raise ValueError("the degree-zero coboundary needs an invertible twist")
     w = tuple(Q(c) for c in w)
-    if desc.coeff.beta.apply(w) != w:
+    if rep.beta.apply(w) != w:
         raise ValueError("delta_0 is only defined on fixed points of the twist")
-    return _coboundary_of_flat(desc, 0, w)
+    return _coboundary_of_flat(rep, 0, w)
 
 
-def _flat_size(desc: ComplexDescriptor, arity: int) -> int:
-    return len(increasing_tuples(desc.source_dim, arity)) * desc.target_dim
+def _flat_size(rep: Representation, arity: int) -> int:
+    return len(increasing_tuples(rep.algebra.dim, arity)) * rep.dim
 
 
 def _action_entries(rep: Representation, x: Vector) -> list:
@@ -322,7 +287,7 @@ def _action_entries(rep: Representation, x: Vector) -> list:
     return [(t, u, c) for (t, u), c in sorted(entries.items()) if c]
 
 
-def _coboundary_columns(desc: ComplexDescriptor, arity: int) -> list:
+def _coboundary_columns(rep: Representation, arity: int) -> list:
     """delta_arity as a sparse column map.
 
     Entry k is a {flat row: coefficient} dict of the nonzero entries of
@@ -336,11 +301,10 @@ def _coboundary_columns(desc: ComplexDescriptor, arity: int) -> list:
     arity 0 only the first sum is left, with alpha^{-1}: that is delta_0,
     and it needs an invertible alpha.
     """
-    g, n, td = desc.source, arity, desc.target_dim
+    g, n, td = rep.algebra, arity, rep.dim
     col_position = _tuple_positions(g.dim, n)
     actor = g.alpha_power(n - 1)
-    acting = [_action_entries(desc.coeff, actor.column(i))
-              for i in range(g.dim)]
+    acting = [_action_entries(rep, actor.column(i)) for i in range(g.dim)]
     alpha_columns = [g.alpha.column(k) for k in range(g.dim)]
     columns = [{} for _ in range(len(col_position) * td)]
 
@@ -382,30 +346,30 @@ def _apply_columns(columns: list, flat: dict) -> dict:
     return {row: c for row, c in out.items() if c}
 
 
-def _coboundary_of_flat(desc: ComplexDescriptor, arity: int,
+def _coboundary_of_flat(rep: Representation, arity: int,
                         flat: Vector) -> Cochain:
-    image = _apply_columns(_coboundary_columns(desc, arity),
+    image = _apply_columns(_coboundary_columns(rep, arity),
                            {k: c for k, c in enumerate(flat) if c})
-    return Cochain.from_flat(arity + 1, desc.source_dim, desc.target_dim,
-                             densify(image, _flat_size(desc, arity + 1)))
+    return Cochain.from_flat(arity + 1, rep.algebra.dim, rep.dim,
+                             densify(image, _flat_size(rep, arity + 1)))
 
 
-def coboundary(desc: ComplexDescriptor, f: Cochain) -> Cochain:
+def coboundary(rep: Representation, f: Cochain) -> Cochain:
     """The coboundary of f; arity-0 inputs route through delta_0."""
-    if (f.source_dim, f.target_dim) != (desc.source_dim, desc.target_dim):
+    if (f.source_dim, f.target_dim) != (rep.algebra.dim, rep.dim):
         raise ValueError("cochain does not live on this complex")
     if f.arity == 0:
-        return zero_coboundary(desc, f.values[0])
-    return _coboundary_of_flat(desc, f.arity, f.to_flat())
+        return zero_coboundary(rep, f.values[0])
+    return _coboundary_of_flat(rep, f.arity, f.to_flat())
 
 
-def coboundary_matrix(desc: ComplexDescriptor, arity: int) -> Matrix:
+def coboundary_matrix(rep: Representation, arity: int) -> Matrix:
     """Matrix of the coboundary on full flat coordinates (arity >= 1)."""
     if arity < 1:
         raise ValueError("the matrix form starts at arity 1")
-    nrows = _flat_size(desc, arity + 1)
+    nrows = _flat_size(rep, arity + 1)
     return Matrix.from_columns(
-        [densify(column, nrows) for column in _coboundary_columns(desc, arity)],
+        [densify(column, nrows) for column in _coboundary_columns(rep, arity)],
         nrows=nrows)
 
 
@@ -421,7 +385,7 @@ class CohomologyDims:
         return self.dim_cocycles - self.dim_coboundaries
 
 
-def coboundary_on_basis(desc: ComplexDescriptor, arity: int) -> tuple:
+def coboundary_on_basis(rep: Representation, arity: int) -> tuple:
     """(compatible basis of the arity, delta image of each member).
 
     The basis members are the sparse flats of compatible_flats, and each
@@ -429,42 +393,43 @@ def coboundary_on_basis(desc: ComplexDescriptor, arity: int) -> tuple:
     delta_arity is assembled once and applied to every basis flat;
     arity 0 is delta_0 and so needs an invertible source twist.
     """
-    flats = compatible_flats(desc.source.alpha, desc.coeff.beta, arity)
+    flats = compatible_flats(rep.algebra.alpha, rep.beta, arity)
     if not flats:
         return flats, []
-    columns = _coboundary_columns(desc, arity)
+    columns = _coboundary_columns(rep, arity)
     return flats, [_apply_columns(columns, f) for f in flats]
 
 
-def _restricted_rank(desc: ComplexDescriptor, arity: int) -> tuple:
+def _restricted_rank(rep: Representation, arity: int) -> tuple:
     """(number of compatible basis cochains, rank of delta on them).
 
-    Degree zero counts only for a regular descriptor; otherwise the
+    Degree zero counts only for a regular representation; otherwise the
     complex starts at arity 1 and this returns (0, 0).
     """
-    if arity == 0 and not desc.is_regular:
+    if arity == 0 and not rep.is_regular:
         return 0, 0
-    basis, images = coboundary_on_basis(desc, arity)
+    basis, images = coboundary_on_basis(rep, arity)
     return len(basis), len(sparse_rref(images))
 
 
-def cohomology_dims(desc: ComplexDescriptor, arity: int) -> CohomologyDims:
+def cohomology_dims(rep: Representation, arity: int) -> CohomologyDims:
     """Exact dimensions of cochains, cocycles, coboundaries and H^n.
 
-    For a regular descriptor the complex is extended by the degree-zero
-    piece, so coboundaries in degree one include the image of delta_0.
+    For a regular representation the complex is extended by the
+    degree-zero piece, so coboundaries in degree one include the image
+    of delta_0.
     For a non-regular one the complex starts at arity 1 and degree zero
     reports zeros.
     """
     if arity < 0:
         raise ValueError("negative arity")
-    count, rank = _restricted_rank(desc, arity)
-    boundaries = _restricted_rank(desc, arity - 1)[1] if arity > 0 else 0
+    count, rank = _restricted_rank(rep, arity)
+    boundaries = _restricted_rank(rep, arity - 1)[1] if arity > 0 else 0
     return CohomologyDims(arity, count, count - rank, boundaries)
 
 
-def cohomology_table(desc: ComplexDescriptor, top: int) -> list:
-    """cohomology_dims(desc, n) for n = 0, ..., top in one pass.
+def cohomology_table(rep: Representation, top: int) -> list:
+    """cohomology_dims(rep, n) for n = 0, ..., top in one pass.
 
     The compatible basis and the restricted rank of each arity are
     computed once and shared by the rows n and n + 1 that need them.
@@ -474,7 +439,7 @@ def cohomology_table(desc: ComplexDescriptor, top: int) -> list:
     table = []
     boundaries = 0
     for n in range(top + 1):
-        count, rank = _restricted_rank(desc, n)
+        count, rank = _restricted_rank(rep, n)
         table.append(CohomologyDims(n, count, count - rank, boundaries))
         boundaries = rank
     return table

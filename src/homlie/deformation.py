@@ -20,13 +20,13 @@ part of the deformed identity at order k+1 that does not involve
 T_{k+1}, so it is computed as that identity's defect with T_{k+1} = 0,
 from the same inner actions {T_j e_a, e_b} - {T_j e_b, e_a} as the
 order checks.  By the identity {{T, X}} = -delta_T(X), the system is
-minus the differential delta_1 of the complex attached to T,
-restricted to its compatible basis.  The derived bracket of
-homlie.graded is not used here: it stays the independent
-Maurer-Cartan route and the tests' oracle for Theta.
+minus the differential delta_1 of the complex attached to T, that is
+of its representation rho_T, restricted to its compatible basis.
+The derived bracket of homlie.graded is not used here: it stays the
+independent Maurer-Cartan route and the tests' oracle for Theta.
 extension_steps is the one extension loop: it checks the input
-deformation once, builds the operator complex, -delta_1 and dim H^2
-once, and then per order computes Theta, solves, and checks the
+deformation once, builds rho_T, -delta_1 and dim H^2 once, and then
+per order computes Theta, solves, and checks the
 deformed identity at the order it has just solved.
 
 A Nijenhuis element x (fixed by alpha, with vanishing squares
@@ -35,7 +35,8 @@ generates the trivial linear deformation with generator
 
     K = delta_T(x),    K(v) = rho_T(beta^{-1}(v))(x),
 
-certified by the degree-wise O-operator homomorphism
+certified by the degree-wise O-operator homomorphism conditions of
+ooperator.o_operator_hom_conditions for
 (id + t ad_x^dag, id + t rho(x)^dag) from T_t to T, where
 ad_x^dag(y) = alpha^{-1}([x, y]) and rho(x)^dag(v) = beta^{-1}(rho(x)(v)).
 
@@ -73,7 +74,8 @@ from .ooperator import (
     deformed_identity,
     inner_actions,
     is_o_operator,
-    operator_complex,
+    o_operator_hom_conditions,
+    rho_t,
 )
 from .reporting import Failure, holds, matrix_failures
 from .structures import HomLieAlgebra, Representation, pair_list
@@ -211,85 +213,6 @@ def nijenhuis_element_check(g: HomLieAlgebra, rep: Representation,
     return NijenhuisElementReport(tuple(failures))
 
 
-@dataclass(frozen=True)
-class ConditionResult:
-    """One homomorphism condition at one polynomial degree."""
-
-    condition: str
-    degree: int
-    failures: tuple
-    holds = holds()
-
-
-def _coeff(terms: list, k: int, shape: tuple) -> Matrix:
-    if 0 <= k < len(terms):
-        return terms[k]
-    return Matrix.zero(*shape)
-
-
-def _morphism_conditions(g: HomLieAlgebra, rep: Representation,
-                         from_terms: list, to_terms: list,
-                         phi_g_terms: list, phi_v_terms: list,
-                         up_to: int) -> tuple:
-    """Degree-wise conditions for (phi_g_t, phi_v_t) to be an O-operator
-    homomorphism from the first polynomial family to the second."""
-    results = []
-    op_shape = from_terms[0].shape
-    g_shape = (g.dim, g.dim)
-    v_shape = (rep.dim, rep.dim)
-    for k in range(up_to + 1):
-        lhs = Matrix.zero(*op_shape)
-        rhs = Matrix.zero(*op_shape)
-        for i in range(k + 1):
-            lhs = lhs + _coeff(phi_g_terms, i, g_shape) @ _coeff(
-                from_terms, k - i, op_shape)
-            rhs = rhs + _coeff(to_terms, i, op_shape) @ _coeff(
-                phi_v_terms, k - i, v_shape)
-        results.append(ConditionResult("operator_intertwine", k, tuple(
-            matrix_failures("operator_intertwine", (k,), lhs, rhs))))
-    for k in range(up_to + 1):
-        failures = []
-        phi_k = _coeff(phi_g_terms, k, g_shape)
-        for (i, j) in pair_list(g.dim):
-            lhs = phi_k.apply(g.bracket_basis(i, j))
-            rhs = vzero(g.dim)
-            for a in range(k + 1):
-                rhs = vadd(rhs, g.bracket(
-                    _coeff(phi_g_terms, a, g_shape).column(i),
-                    _coeff(phi_g_terms, k - a, g_shape).column(j)))
-            if lhs != rhs:
-                failures.append(Failure("bracket_homomorphism", (k, i, j),
-                                        lhs, rhs))
-        results.append(ConditionResult("bracket_homomorphism", k,
-                                       tuple(failures)))
-    for k in range(up_to + 1):
-        failures = []
-        phi_v_k = _coeff(phi_v_terms, k, v_shape)
-        for j in range(g.dim):
-            lhs = Matrix.zero(*v_shape)
-            for a in range(k + 1):
-                lhs = lhs + rep.rho_of(
-                    _coeff(phi_g_terms, a, g_shape).column(j)
-                ) @ _coeff(phi_v_terms, k - a, v_shape)
-            rhs = phi_v_k @ rep.rho[j]
-            failures.extend(matrix_failures("action_equivariance", (k, j),
-                                            lhs, rhs))
-        results.append(ConditionResult("action_equivariance", k,
-                                       tuple(failures)))
-    for k in range(up_to + 1):
-        failures = []
-        phi_k = _coeff(phi_g_terms, k, g_shape)
-        phi_v_k = _coeff(phi_v_terms, k, v_shape)
-        failures.extend(matrix_failures("twist_commute_algebra", (k,),
-                                        phi_k @ g.alpha, g.alpha @ phi_k))
-        failures.extend(matrix_failures("twist_commute_module", (k,),
-                                        phi_v_k @ rep.beta,
-                                        rep.beta @ phi_v_k))
-        results.append(ConditionResult("twist_commute", k,
-                                       tuple(failures)))
-    return tuple(results)
-
-
 def _dagger_pair(g: HomLieAlgebra, rep: Representation, x: Vector) -> tuple:
     """(ad_x^dag, rho(x)^dag) = (alpha^{-1} ad_x, beta^{-1} rho(x))."""
     ad_x = Matrix.from_columns(
@@ -333,11 +256,11 @@ def trivial_deformation_from_nijenhuis(g: HomLieAlgebra, rep: Representation,
     if element is None:
         element = nijenhuis_element_check(g, rep, t, x)
     x = tuple(x)
-    desc = operator_complex(g, rep, t, unchecked=True)
-    generator = zero_coboundary(desc, x).as_matrix()
+    generator = zero_coboundary(rho_t(g, rep, t, unchecked=True),
+                                x).as_matrix()
     linear = linear_deformation_check(g, rep, t, generator, unchecked=True)
     ad_dag, rho_dag = _dagger_pair(g, rep, x)
-    certificate = _morphism_conditions(
+    certificate = o_operator_hom_conditions(
         g, rep,
         from_terms=[t, generator],
         to_terms=[t],
@@ -458,8 +381,7 @@ def infinitesimal_check(g: HomLieAlgebra, rep: Representation,
                                    note="trivial deformation, no infinitesimal")
     tk = d.coefficient(index)
     compatible = (tk @ rep.beta) == (g.alpha @ tk)
-    desc = operator_complex(g, rep, d.base)
-    image = coboundary(desc, Cochain.from_linear_map(tk))
+    image = coboundary(rho_t(g, rep, d.base), Cochain.from_linear_map(tk))
     return InfinitesimalReport(index=index, twist_compatible=compatible,
                                is_cocycle=image.is_zero())
 
@@ -508,11 +430,11 @@ def extension_steps(g: HomLieAlgebra, rep: Representation,
     """Extend d one order at a time up to order, yielding the
     ExtensionResult of each step; an obstructed step is the last.
 
-    d is checked once, and that check certifies its base; the operator
-    complex of the base, the system -delta_1 on the compatible basis, its
-    rank dim_image and dim H^2 are built once, from the sparse images of
-    the basis.  Each step reads Theta off the kept inner actions, as
-    obstruction does, and solves {{T, X}} = Theta with
+    d is checked once, and that check certifies its base; rho_T of the
+    base (its complex), the system -delta_1 on the compatible basis,
+    its rank dim_image and dim H^2 are built once, from the sparse
+    images of the basis.  Each step reads Theta off the kept inner
+    actions, as obstruction does, and solves {{T, X}} = Theta with
     linalg.sparse_solve; its free variables are zero, so the chosen
     solution is canonical, and X is the sum of the basis flats with
     those coordinates.  Each solved order is checked against the deformed
@@ -523,12 +445,12 @@ def extension_steps(g: HomLieAlgebra, rep: Representation,
     witness.
     """
     inner = _checked_inner(g, rep, d)
-    desc = operator_complex(g, rep, d.base, unchecked=True)
-    flats, images = coboundary_on_basis(desc, 1)
+    complex_t = rho_t(g, rep, d.base, unchecked=True)
+    flats, images = coboundary_on_basis(complex_t, 1)
     rows = [{b: -image[r] for b, image in enumerate(images) if r in image}
-            for r in range(_flat_size(desc, 2))]
+            for r in range(_flat_size(complex_t, 2))]
     dim_image = len(sparse_rref(images))
-    count, rank = _restricted_rank(desc, 2)
+    count, rank = _restricted_rank(complex_t, 2)
     step = partial(ExtensionResult, dim_image=dim_image,
                    dim_h2=count - rank - dim_image)
     while d.order < order:
@@ -541,7 +463,7 @@ def extension_steps(g: HomLieAlgebra, rep: Representation,
         solution = _apply_columns(flats, {b: c for b, c in enumerate(coords)
                                           if c})
         term = Cochain.from_flat(1, rep.dim, g.dim, densify(
-            solution, _flat_size(desc, 1))).as_matrix()
+            solution, _flat_size(complex_t, 1))).as_matrix()
         d = TruncatedDeformation(base=d.base, terms=d.terms + (term,))
         for (a, b), actions in inner.items():
             actions += inner_actions(rep, [term], a, b)
@@ -596,7 +518,7 @@ def equivalence_check(g: HomLieAlgebra, rep: Representation,
         up_to = max(d1.order, d2.order, 1 + len(phi_g_terms),
                     1 + len(phi_v_terms)) + 1
     ad_dag, rho_dag = _dagger_pair(g, rep, x)
-    conditions = _morphism_conditions(
+    conditions = o_operator_hom_conditions(
         g, rep,
         from_terms=d1.coefficients(),
         to_terms=d2.coefficients(),
@@ -604,8 +526,7 @@ def equivalence_check(g: HomLieAlgebra, rep: Representation,
         phi_v_terms=[Matrix.identity(rep.dim), rho_dag, *phi_v_terms],
         up_to=up_to,
     )
-    desc = operator_complex(g, rep, d1.base)
-    delta_x = zero_coboundary(desc, x).as_matrix()
+    delta_x = zero_coboundary(rho_t(g, rep, d1.base), x).as_matrix()
     relation = (d1.coefficient(1) - d2.coefficient(1)) == delta_x
     return EquivalenceReport(conditions=conditions,
                              infinitesimal_relation=relation)

@@ -45,7 +45,6 @@ from .linalg import (
     Matrix,
     Vector,
     basis_vector,
-    block_diag,
     is_zero_vector,
     vadd,
     vscale,
@@ -131,7 +130,7 @@ def check_maurer_cartan(rep: Representation) -> MaurerCartanReport:
     the representation axioms are assumed, since holding is exactly what
     this check decides.
     """
-    twist = block_diag(rep.algebra.alpha, rep.beta)
+    twist = rep.semidirect.alpha
     theta = build_theta(rep)
     compatible = is_twist_compatible(theta, twist, twist)
     square = nr_bracket(theta, theta, twist)
@@ -173,7 +172,7 @@ def derived_bracket(rep: Representation, p: Cochain, q: Cochain) -> Cochain:
         if f.arity < 1:
             raise ValueError("use derived_bracket_zero for degree-zero elements")
     n_g, total = g.dim, g.dim + rep.dim
-    twist = block_diag(g.alpha, rep.beta)
+    twist = rep.semidirect.alpha
     theta = build_theta(rep)
     # Increasing tuples: t[1] >= n_g leaves at most t[0] in g.
     near = [t for t in increasing_tuples(total, p.arity + 1) if t[1] >= n_g]
@@ -198,7 +197,7 @@ def derived_bracket_zero(rep: Representation, p, x: Vector) -> Cochain:
     element, giving {{x, y}} = [x, y]), or an arity-0 cochain.
     """
     g = rep.algebra
-    if not g.is_regular or not rep.beta.is_invertible():
+    if not rep.is_regular:
         raise ValueError("degree-zero derived brackets need invertible twists")
     x = tuple(x)
     if g.alpha.apply(x) != x:

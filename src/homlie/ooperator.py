@@ -18,6 +18,9 @@ representation rho_T of V^c back on g:
 
     rho_T(v)(x) = [T(v), x] + T({x, v}).
 
+That representation fixes the cochain complex of T, so homlie.cochain
+computes the cohomology of T on rho_t(g, rep, T) directly.
+
 A Rota-Baxter operator of weight lambda and degree s on g itself is an
 alpha-commuting R with
 
@@ -32,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .cochain import Cochain, ComplexDescriptor, coboundary
+from .cochain import Cochain
 from .graded import derived_bracket
 from .linalg import (
     Matrix,
@@ -320,7 +323,13 @@ def subadjacent(p: HomPreLie) -> HomLieAlgebra:
 def rho_t(g: HomLieAlgebra, rep: Representation, t: Matrix,
           unchecked: bool = False) -> Representation:
     """The action rho_T(v)(x) = [T(v), x] + T({x, v}) of the sub-adjacent
-    algebra of T back on (g, alpha)."""
+    algebra of T back on (g, alpha).
+
+    This representation is the cochain complex of T: the cochain
+    functions take it as they take any representation, so their
+    cochains live on V^c with values in (g, alpha).  unchecked skips the
+    O-operator check of T, for a caller that has made it.
+    """
     _require_o_operator(g, rep, t, unchecked)
     vc = subadjacent(induced_hom_pre_lie(g, rep, t, unchecked=True))
     rho = []
@@ -337,28 +346,100 @@ def rho_t(g: HomLieAlgebra, rep: Representation, t: Matrix,
                           beta=g.alpha, rho=tuple(rho))
 
 
-def operator_complex(g: HomLieAlgebra, rep: Representation, t: Matrix,
-                     unchecked: bool = False) -> ComplexDescriptor:
-    """The cochain complex of an O-operator: cochains on the sub-adjacent
-    algebra V^c with coefficients in (g, alpha) through rho_T."""
-    action = rho_t(g, rep, t, unchecked=unchecked)
-    return ComplexDescriptor(source=action.algebra, coeff=action)
+@dataclass(frozen=True)
+class ConditionResult:
+    """One homomorphism condition at one polynomial degree."""
+
+    condition: str
+    degree: int
+    failures: tuple
+    holds = holds()
 
 
-def operator_coboundary(g: HomLieAlgebra, rep: Representation, t: Matrix,
-                        p: Cochain, unchecked: bool = False) -> Cochain:
-    """The coboundary of the complex attached to the O-operator T."""
-    desc = operator_complex(g, rep, t, unchecked=unchecked)
-    return coboundary(desc, p)
+def _coeff(terms: list, k: int, shape: tuple) -> Matrix:
+    if 0 <= k < len(terms):
+        return terms[k]
+    return Matrix.zero(*shape)
+
+
+def o_operator_hom_conditions(g: HomLieAlgebra, rep: Representation,
+                              from_terms: list, to_terms: list,
+                              phi_g_terms: list, phi_v_terms: list,
+                              up_to: int) -> tuple:
+    """Degree-wise conditions for (phi_g_t, phi_v_t) to be an O-operator
+    homomorphism from the first polynomial family to the second:
+
+        sum_{i+j=k} phi_g_i . from_j = sum_{i+j=k} to_i . phi_v_j,
+        phi_g_k([x, y]) = sum_{i+j=k} [phi_g_i(x), phi_g_j(y)],
+        sum_{i+j=k} rho(phi_g_i(x)) . phi_v_j = phi_v_k . rho(x),
+        phi_g_k . alpha = alpha . phi_g_k,  phi_v_k . beta = beta . phi_v_k,
+
+    for each degree k = 0, ..., up_to; a failure's indices start with k.
+    Coefficients past the end of a list are zero.
+    """
+    results = []
+    op_shape = from_terms[0].shape
+    g_shape = (g.dim, g.dim)
+    v_shape = (rep.dim, rep.dim)
+    for k in range(up_to + 1):
+        lhs = Matrix.zero(*op_shape)
+        rhs = Matrix.zero(*op_shape)
+        for i in range(k + 1):
+            lhs = lhs + _coeff(phi_g_terms, i, g_shape) @ _coeff(
+                from_terms, k - i, op_shape)
+            rhs = rhs + _coeff(to_terms, i, op_shape) @ _coeff(
+                phi_v_terms, k - i, v_shape)
+        results.append(ConditionResult("operator_intertwine", k, tuple(
+            matrix_failures("operator_intertwine", (k,), lhs, rhs))))
+    for k in range(up_to + 1):
+        failures = []
+        phi_k = _coeff(phi_g_terms, k, g_shape)
+        for (i, j) in pair_list(g.dim):
+            lhs = phi_k.apply(g.bracket_basis(i, j))
+            rhs = vzero(g.dim)
+            for a in range(k + 1):
+                rhs = vadd(rhs, g.bracket(
+                    _coeff(phi_g_terms, a, g_shape).column(i),
+                    _coeff(phi_g_terms, k - a, g_shape).column(j)))
+            if lhs != rhs:
+                failures.append(Failure("bracket_homomorphism", (k, i, j),
+                                        lhs, rhs))
+        results.append(ConditionResult("bracket_homomorphism", k,
+                                       tuple(failures)))
+    for k in range(up_to + 1):
+        failures = []
+        phi_v_k = _coeff(phi_v_terms, k, v_shape)
+        for j in range(g.dim):
+            lhs = Matrix.zero(*v_shape)
+            for a in range(k + 1):
+                lhs = lhs + rep.rho_of(
+                    _coeff(phi_g_terms, a, g_shape).column(j)
+                ) @ _coeff(phi_v_terms, k - a, v_shape)
+            rhs = phi_v_k @ rep.rho[j]
+            failures.extend(matrix_failures("action_equivariance", (k, j),
+                                            lhs, rhs))
+        results.append(ConditionResult("action_equivariance", k,
+                                       tuple(failures)))
+    for k in range(up_to + 1):
+        failures = []
+        phi_k = _coeff(phi_g_terms, k, g_shape)
+        phi_v_k = _coeff(phi_v_terms, k, v_shape)
+        failures.extend(matrix_failures("twist_commute_algebra", (k,),
+                                        phi_k @ g.alpha, g.alpha @ phi_k))
+        failures.extend(matrix_failures("twist_commute_module", (k,),
+                                        phi_v_k @ rep.beta,
+                                        rep.beta @ phi_v_k))
+        results.append(ConditionResult("twist_commute", k,
+                                       tuple(failures)))
+    return tuple(results)
 
 
 @dataclass(frozen=True)
 class OperatorHomReport:
     failures: tuple
-    algebra_morphism = holds("endomorphism_twist_commute",
-                             "endomorphism_bracket")
+    algebra_morphism = holds("twist_commute_algebra", "bracket_homomorphism")
     operator_intertwine = holds("operator_intertwine")
-    module_twist = holds("module_twist_commute")
+    module_twist = holds("twist_commute_module")
     action_equivariant = holds("action_equivariance")
     ok = holds()
 
@@ -369,28 +450,17 @@ def o_operator_hom_check(g: HomLieAlgebra, rep: Representation,
     """Whether (phi_g, phi_v) is a homomorphism of O-operators from
     t_from to t_to on the same representation:
 
-        t_to . phi_v = phi_g . t_from,
+        phi_g . t_from = t_to . phi_v,
         phi_v . beta = beta . phi_v,
         phi_v({x, v}) = {phi_g(x), phi_v(v)},
 
-    with phi_g a hom-Lie endomorphism of g.
+    with phi_g a hom-Lie endomorphism of g.  This is the degree-0 case of
+    o_operator_hom_conditions, its failures flattened into one report.
     """
-    failures = matrix_failures("endomorphism_twist_commute", (),
-                               phi_g @ g.alpha, g.alpha @ phi_g)
-    for (i, j) in pair_list(g.dim):
-        lhs = phi_g.apply(g.bracket_basis(i, j))
-        rhs = g.bracket(phi_g.column(i), phi_g.column(j))
-        if lhs != rhs:
-            failures.append(Failure("endomorphism_bracket", (i, j), lhs, rhs))
-    failures += matrix_failures("operator_intertwine", (),
-                                t_to @ phi_v, phi_g @ t_from)
-    failures += matrix_failures("module_twist_commute", (),
-                                phi_v @ rep.beta, rep.beta @ phi_v)
-    for i in range(g.dim):
-        lhs = phi_v @ rep.rho[i]
-        rhs = rep.rho_of(phi_g.column(i)) @ phi_v
-        failures += matrix_failures("action_equivariance", (i,), lhs, rhs)
-    return OperatorHomReport(tuple(failures))
+    conditions = o_operator_hom_conditions(g, rep, [t_from], [t_to],
+                                           [phi_g], [phi_v], 0)
+    return OperatorHomReport(tuple(f for c in conditions
+                                   for f in c.failures))
 
 
 def rb_induced_bracket(g: HomLieAlgebra, r: Matrix, s: int = 0) -> HomLieAlgebra:

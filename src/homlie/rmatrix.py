@@ -384,6 +384,11 @@ def weak_homomorphism_check(g: HomLieAlgebra, phi: Matrix, psi: Matrix,
     from r2# to r1# over the coadjoint representation; the full weak
     homomorphism conditions hold exactly when that one does.
     """
+    for name, m in (("phi", phi), ("psi", psi)):
+        if m.shape != (g.dim, g.dim):
+            raise ValueError(f"{name} must map the algebra into itself: "
+                             f"expected {g.dim} x {g.dim}, got "
+                             f"{m.nrows} x {m.ncols}")
     _require_rmatrix_context(g, r1)
     _require_rmatrix_context(g, r2)
     failures = []

@@ -39,6 +39,7 @@ from .linalg import (
     Vector,
     basis_vector,
     bilinear,
+    block_diag,
     is_zero_vector,
     sparse_table,
     vadd,
@@ -247,6 +248,11 @@ class Representation:
         return sparse_table([[m.column(j) for j in range(self.dim)]
                              for m in self.rho])
 
+    @property
+    def is_regular(self) -> bool:
+        """Whether both twists, alpha and beta, are invertible."""
+        return self.algebra.is_regular and self.beta.is_invertible()
+
     @cached_property
     def semidirect(self) -> HomLieAlgebra:
         """semidirect_product(self), built once per object."""
@@ -384,12 +390,6 @@ def semidirect_product(rep: Representation) -> HomLieAlgebra:
     """
     g = rep.algebra
     n, m = g.dim, rep.dim
-    total = n + m
-    alpha_rows = []
-    for i in range(n):
-        alpha_rows.append(g.alpha.row(i) + vzero(m))
-    for a in range(m):
-        alpha_rows.append(vzero(n) + rep.beta.row(a))
     brackets = {}
     for (i, j) in pair_list(n):
         value = g.bracket_basis(i, j)
@@ -401,9 +401,9 @@ def semidirect_product(rep: Representation) -> HomLieAlgebra:
             if not is_zero_vector(value):
                 brackets[(i, n + a)] = vzero(n) + value
     return HomLieAlgebra.build(
-        dim=total,
+        dim=n + m,
         brackets=brackets,
-        alpha=Matrix(alpha_rows),
+        alpha=block_diag(g.alpha, rep.beta),
         basis=g.basis + rep.basis,
     )
 

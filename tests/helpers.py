@@ -186,7 +186,7 @@ def count_calls(monkeypatch, func) -> list:
 
 def record_cohomology_matrices(monkeypatch) -> list:
     """While homlie.cli runs cohomology_table, record one pair per Matrix
-    built: (the size of the descriptor's larger twist, the shape)."""
+    built: (the size of the complex's larger twist, the shape)."""
     import homlie.cli as cli_module
 
     record, twists = [], []
@@ -197,10 +197,10 @@ def record_cohomology_matrices(monkeypatch) -> list:
         if twists:
             record.append((twists[-1], self.shape))
 
-    def recording_table(desc, top):
-        twists.append(max(desc.source.alpha.nrows, desc.coeff.beta.nrows))
+    def recording_table(rep, top):
+        twists.append(max(rep.algebra.alpha.nrows, rep.beta.nrows))
         try:
-            return table(desc, top)
+            return table(rep, top)
         finally:
             twists.pop()
 
@@ -368,22 +368,22 @@ def _oracle_evaluate(f, vectors):
     return out
 
 
-def oracle_coboundary(desc, f):
+def oracle_coboundary(rep, f):
     """delta f (arity >= 1) by evaluating the defining formula pointwise."""
-    g = desc.source
+    g = rep.algebra
     n = f.arity
     alpha_nm1 = g.alpha_power(n - 1)
     alpha_cols = [g.alpha.column(i) for i in range(g.dim)]
     values = []
     for indices in increasing_tuples(g.dim, n + 1):
-        total = vzero(desc.target_dim)
+        total = vzero(rep.dim)
         for pos in range(n + 1):
             rest = indices[:pos] + indices[pos + 1:]
             inner = f.coeff(rest)
             if is_zero_vector(inner):
                 continue
             actor = alpha_nm1.column(indices[pos])
-            term = desc.coeff.act(actor, inner)
+            term = rep.act(actor, inner)
             total = vadd(total, term if pos % 2 == 0 else vscale(-1, term))
         for pi in range(n + 1):
             for pj in range(pi + 1, n + 1):
@@ -398,18 +398,18 @@ def oracle_coboundary(desc, f):
                 total = vadd(total,
                              term if (pi + pj) % 2 == 0 else vscale(-1, term))
         values.append(total)
-    return Cochain(n + 1, g.dim, desc.target_dim, tuple(values))
+    return Cochain(n + 1, g.dim, rep.dim, tuple(values))
 
 
-def oracle_coboundary_matrix(desc, arity):
+def oracle_coboundary_matrix(rep, arity):
     """delta_arity column by column: the oracle image of each unit cochain."""
-    sd, td = desc.source_dim, desc.target_dim
+    sd, td = rep.algebra.dim, rep.dim
     ncols = len(increasing_tuples(sd, arity)) * td
     nrows = len(increasing_tuples(sd, arity + 1)) * td
     columns = []
     for k in range(ncols):
         unit = Cochain.from_flat(arity, sd, td, basis_vector(ncols, k))
-        columns.append(oracle_coboundary(desc, unit).to_flat())
+        columns.append(oracle_coboundary(rep, unit).to_flat())
     return Matrix.from_columns(columns, nrows=nrows)
 
 
@@ -529,11 +529,10 @@ def oracle_extend_order(g, rep, d):
     """(next coefficient or None, dim_image, obstructed) of one extension
     step, with the system assembled from derived brackets."""
     from homlie.cochain import compatible_subspace_basis
-    from homlie.ooperator import operator_complex
+    from homlie.ooperator import rho_t
 
     theta = oracle_obstruction(g, rep, d)
-    desc = operator_complex(g, rep, d.base)
-    basis = compatible_subspace_basis(desc, 1)
+    basis = compatible_subspace_basis(rho_t(g, rep, d.base), 1)
     t_cochain = Cochain.from_linear_map(d.base)
     flat_len = len(theta.to_flat())
     columns = [oracle_derived_bracket(rep, t_cochain, b).to_flat()

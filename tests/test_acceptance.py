@@ -14,7 +14,6 @@ from functools import lru_cache
 
 from homlie.cochain import (
     Cochain,
-    ComplexDescriptor,
     coboundary,
     coboundary_matrix,
     cohomology_dims,
@@ -46,7 +45,6 @@ from homlie.ooperator import (
     is_rota_baxter,
     nijenhuis_operator_check,
     o_operator_maurer_cartan_check,
-    operator_complex,
     rho_t,
     subadjacent,
     verify_hom_pre_lie,
@@ -174,23 +172,21 @@ def test_criterion_03_coboundary_squares_to_zero():
             "dual_coadjoint": dual_rep(coadjoint_rep(g)),
         }
         for rep_name, rep in reps.items():
-            desc = ComplexDescriptor.for_representation(rep)
-            for w in zero_fixed_point_basis(desc):
-                assert coboundary(desc, zero_coboundary(desc, w)).is_zero(), (
+            for w in zero_fixed_point_basis(rep):
+                assert coboundary(rep, zero_coboundary(rep, w)).is_zero(), (
                     name, rep_name)
             for arity in range(1, g.dim + 1):
-                m_next = coboundary_matrix(desc, arity + 1)
-                m_this = coboundary_matrix(desc, arity)
+                m_next = coboundary_matrix(rep, arity + 1)
+                m_this = coboundary_matrix(rep, arity)
                 assert (m_next @ m_this).is_zero(), (name, rep_name, arity)
 
 
 def test_criterion_04_whitehead_sl2():
     """The adjoint complex of the simple dimension-3 fixture has exact
     H^1 = H^2 = 0."""
-    desc = ComplexDescriptor.for_representation(
-        adjoint_rep(FIXTURES["sl2"], 0))
-    assert cohomology_dims(desc, 1).dim_h == 0
-    assert cohomology_dims(desc, 2).dim_h == 0
+    rep = adjoint_rep(FIXTURES["sl2"], 0)
+    assert cohomology_dims(rep, 1).dim_h == 0
+    assert cohomology_dims(rep, 2).dim_h == 0
 
 
 @lru_cache(maxsize=1)
@@ -391,13 +387,13 @@ def test_criterion_08_operator_coboundary_is_derived_bracket():
         g = fixtures[name]
         rep = adjoint_rep(g, 0) if kind == "adjoint" else coadjoint_rep(g)
         assert is_o_operator(g, rep, t).ok, name
-        desc = operator_complex(g, rep, t)
+        rep_t = rho_t(g, rep, t)
         tc = Cochain.from_linear_map(t)
-        for x in zero_fixed_point_basis(desc):
-            assert zero_coboundary(desc, x) == derived_bracket_zero(
+        for x in zero_fixed_point_basis(rep_t):
+            assert zero_coboundary(rep_t, x) == derived_bracket_zero(
                 rep, tc, x), name
         for arity in (1, 2, 3):
-            basis = compatible_subspace_basis(desc, arity)
+            basis = compatible_subspace_basis(rep_t, arity)
             samples = list(basis) if name in FIXTURES else []
             for _ in range(1 if name in FIXTURES else 2):
                 if basis:
@@ -406,7 +402,7 @@ def test_criterion_08_operator_coboundary_is_derived_bracket():
                         combo = combo + b.scale(rand_scalar(rng))
                     samples.append(combo)
             for p in samples:
-                lhs = coboundary(desc, p)
+                lhs = coboundary(rep_t, p)
                 rhs = derived_bracket(rep, tc, p).scale(Q(-1))
                 assert lhs == rhs, (name, arity)
                 if not lhs.is_zero():
@@ -436,13 +432,13 @@ def test_criterion_09_deformation_suite():
     rank_checks = 0
     for name, rep, t in cases:
         g = rep.algebra
-        desc = operator_complex(g, rep, t)
-        basis = compatible_subspace_basis(desc, 1)
-        flats = [coboundary(desc, b).to_flat() for b in basis]
+        rep_t = rho_t(g, rep, t)
+        basis = compatible_subspace_basis(rep_t, 1)
+        flats = [coboundary(rep_t, b).to_flat() for b in basis]
         flat_len = len(flats[0])
         image = Matrix.from_columns(flats, nrows=flat_len)
         image_rank = image.rank()
-        dim_h2 = cohomology_dims(desc, 2).dim_h
+        dim_h2 = cohomology_dims(rep_t, 2).dim_h
         kernel = Matrix.from_columns(
             flats, nrows=flat_len).kernel_basis() if basis else []
 
@@ -450,7 +446,7 @@ def test_criterion_09_deformation_suite():
             nonlocal cocycle_checks, rank_checks
             assert formal_deformation_check(g, rep, d).ok
             theta = obstruction(g, rep, d)
-            assert coboundary(desc, theta).is_zero(), (name, d.order)
+            assert coboundary(rep_t, theta).is_zero(), (name, d.order)
             cocycle_checks += 1
             res = extend_order(g, rep, d)
             member = Matrix.from_columns(
@@ -490,7 +486,7 @@ def test_criterion_09_deformation_suite():
     assert formal_deformation_check(g, rep, d).ok
     res = extend_order(g, rep, d)
     assert res.obstructed
-    assert coboundary(operator_complex(g, rep, zero), res.theta).is_zero()
+    assert coboundary(rho_t(g, rep, zero), res.theta).is_zero()
 
     # (d) every Nijenhuis element found on a small grid certifies
     found = nonzero_generators = 0

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import pytest
 
-from homlie.cochain import ComplexDescriptor, cohomology_table
+from homlie.cochain import cohomology_table
 from homlie.structures import (
     adjoint_rep,
     catalog,
@@ -31,8 +31,7 @@ TAKIFF12 = semidirect_product(adjoint_rep(TAKIFF6))
 
 
 def betti(g) -> list:
-    desc = ComplexDescriptor.for_representation(trivial_rep(g))
-    return [row.dim_h for row in cohomology_table(desc, g.dim)]
+    return [row.dim_h for row in cohomology_table(trivial_rep(g), g.dim)]
 
 
 def convolution(a, b) -> list:

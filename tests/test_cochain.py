@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 from homlie.cochain import (
     Cochain,
-    ComplexDescriptor,
     _tuple_positions,
     coboundary,
     coboundary_matrix,
@@ -24,7 +23,7 @@ from homlie.cochain import (
     zero_fixed_point_basis,
 )
 from homlie.linalg import Matrix, basis_vector, matrix
-from homlie.ooperator import operator_complex
+from homlie.ooperator import rho_t
 from homlie.structures import (
     HomLieAlgebra,
     Representation,
@@ -87,49 +86,46 @@ def test_cochain_flat_roundtrip():
 
 def test_arity_zero_and_fixed_points():
     g = FIXTURES["aff1_twisted"]
-    desc = ComplexDescriptor.for_representation(adjoint_rep(g, 0))
-    fixed = zero_fixed_point_basis(desc)
+    rep = adjoint_rep(g, 0)
+    fixed = zero_fixed_point_basis(rep)
     # beta = alpha = diag(1,2): fixed points are spanned by e1
     assert fixed == [(Q(1), Q(0))]
-    delta0 = zero_coboundary(desc, (Q(1), Q(0)))
+    delta0 = zero_coboundary(rep, (Q(1), Q(0)))
     # delta0(e1)(x) = [alpha^{-1}(x), e1]
     assert delta0.coeff((0,)) == (Q(0), Q(0))
     assert delta0.coeff((1,)) == (Q(0), Q(-1))
     with pytest.raises(ValueError):
-        zero_coboundary(desc, (Q(0), Q(1)))
+        zero_coboundary(rep, (Q(0), Q(1)))
 
 
 def test_delta_zero_then_delta_one_is_zero():
     for name, g in FIXTURES.items():
         for rep_name, rep in rep_family(g).items():
-            desc = ComplexDescriptor.for_representation(rep)
-            for w in zero_fixed_point_basis(desc):
-                image = zero_coboundary(desc, w)
-                assert coboundary(desc, image).is_zero(), (name, rep_name)
+            for w in zero_fixed_point_basis(rep):
+                image = zero_coboundary(rep, w)
+                assert coboundary(rep, image).is_zero(), (name, rep_name)
 
 
 def test_coboundary_squared_zero_all_fixtures():
     for name, g in FIXTURES.items():
         for rep_name, rep in rep_family(g).items():
-            desc = ComplexDescriptor.for_representation(rep)
             for arity in range(1, g.dim + 1):
-                m_next = coboundary_matrix(desc, arity + 1)
-                m_this = coboundary_matrix(desc, arity)
+                m_next = coboundary_matrix(rep, arity + 1)
+                m_this = coboundary_matrix(rep, arity)
                 assert (m_next @ m_this).is_zero(), (name, rep_name, arity)
 
 
 def test_coboundary_matrix_matches_pointwise():
     g = FIXTURES["sl2"]
     rep = adjoint_rep(g, 0)
-    desc = ComplexDescriptor.for_representation(rep)
     rng = random.Random(11)
     for arity in (1, 2):
-        flat_len = len(Cochain.zero(arity, desc.source_dim,
-                                    desc.target_dim).to_flat())
+        flat_len = len(Cochain.zero(arity, rep.algebra.dim,
+                                    rep.dim).to_flat())
         flat = rand_vector(rng, flat_len)
-        c = Cochain.from_flat(arity, desc.source_dim, desc.target_dim, flat)
-        via_matrix = coboundary_matrix(desc, arity).apply(c.to_flat())
-        assert coboundary(desc, c).to_flat() == tuple(via_matrix)
+        c = Cochain.from_flat(arity, rep.algebra.dim, rep.dim, flat)
+        via_matrix = coboundary_matrix(rep, arity).apply(c.to_flat())
+        assert coboundary(rep, c).to_flat() == tuple(via_matrix)
 
 
 def test_known_coboundary_value():
@@ -137,9 +133,8 @@ def test_known_coboundary_value():
     with alpha = beta = id."""
     g = FIXTURES["aff1"]
     rep = adjoint_rep(g, 0)
-    desc = ComplexDescriptor.for_representation(rep)
     f = Cochain.from_linear_map(Matrix.identity(2))
-    image = coboundary(desc, f)
+    image = coboundary(rep, f)
     # delta id (x,y) = [x,y] - [y,x]... - id([x,y]) = [x,y]
     assert image.coeff((0, 1)) == g.bracket_basis(0, 1)
 
@@ -147,25 +142,24 @@ def test_known_coboundary_value():
 def test_compatible_subspace_membership():
     g = FIXTURES["aff1_twisted"]
     rep = adjoint_rep(g, 0)
-    desc = ComplexDescriptor.for_representation(rep)
     for arity in (1, 2):
-        basis = compatible_subspace_basis(desc, arity)
+        basis = compatible_subspace_basis(rep, arity)
         for c in basis:
             assert is_twist_compatible(c, g.alpha, rep.beta)
 
 
 def test_cohomology_dims_whitehead_sl2():
     g = FIXTURES["sl2"]
-    desc = ComplexDescriptor.for_representation(adjoint_rep(g, 0))
-    assert cohomology_dims(desc, 1).dim_h == 0
-    assert cohomology_dims(desc, 2).dim_h == 0
+    rep = adjoint_rep(g, 0)
+    assert cohomology_dims(rep, 1).dim_h == 0
+    assert cohomology_dims(rep, 2).dim_h == 0
 
 
 def test_cohomology_dims_abelian_trivial():
     g = FIXTURES["abelian2"]
-    desc = ComplexDescriptor.for_representation(trivial_rep(g, 1))
+    rep = trivial_rep(g, 1)
     for n in range(0, 4):
-        dims = cohomology_dims(desc, n)
+        dims = cohomology_dims(rep, n)
         expected = comb(2, n)
         assert dims.dim_h == expected, (n, dims)
 
@@ -173,28 +167,27 @@ def test_cohomology_dims_abelian_trivial():
 def test_cohomology_nonregular_starts_at_one():
     g = FIXTURES["aff1"]
     rep_nonreg = adjoint_rep(g, 0)
-    # build a non-regular descriptor: beta = 0 kills regularity
+    # a non-regular representation: beta = 0 kills regularity
     from homlie.structures import Representation
     rep = Representation.build(
         algebra=g, beta=Matrix.zero(1, 1), rho=(Matrix.zero(1, 1),
                                                 Matrix.zero(1, 1)))
-    desc = ComplexDescriptor(source=g, coeff=rep)
-    assert not desc.is_regular
-    dims0 = cohomology_dims(desc, 0)
+    assert not rep.is_regular
+    dims0 = cohomology_dims(rep, 0)
     assert dims0.dim_cochains == 0 and dims0.dim_h == 0
-    dims1 = cohomology_dims(desc, 1)
+    dims1 = cohomology_dims(rep, 1)
     assert dims1.dim_coboundaries == 0
     assert rep_nonreg is not None
 
 
 def test_cochain_errors():
     g = FIXTURES["aff1"]
-    desc = ComplexDescriptor.for_representation(adjoint_rep(g, 0))
+    rep = adjoint_rep(g, 0)
     wrong = Cochain.zero(1, 3, 2)
     with pytest.raises(ValueError):
-        coboundary(desc, wrong)
+        coboundary(rep, wrong)
     with pytest.raises(ValueError):
-        coboundary_matrix(desc, 0)
+        coboundary_matrix(rep, 0)
     with pytest.raises(ValueError):
         Cochain.from_values(arity=1, source_dim=2, target_dim=2,
                             entries={(2,): (Q(1), Q(0))})
@@ -202,15 +195,14 @@ def test_cochain_errors():
 
 def test_operator_complex_direction():
     """The same generic machinery runs with the module as the source."""
-    from homlie.ooperator import operator_complex
     g = FIXTURES["aff1"]
     rep = adjoint_rep(g, 0)
     t = matrix([[0, 1], [0, 0]])
-    desc = operator_complex(g, rep, t)
-    assert desc.source_dim == 2 and desc.target_dim == 2
+    complex_t = rho_t(g, rep, t)
+    assert complex_t.algebra.dim == 2 and complex_t.dim == 2
     for arity in (1, 2):
-        m_next = coboundary_matrix(desc, arity + 1)
-        m_this = coboundary_matrix(desc, arity)
+        m_next = coboundary_matrix(complex_t, arity + 1)
+        m_this = coboundary_matrix(complex_t, arity)
         assert (m_next @ m_this).is_zero()
 
 
@@ -222,7 +214,7 @@ def _catalog_complexes() -> dict:
     makers = {"adjoint": lambda g: adjoint_rep(g, 0),
               "coadjoint": coadjoint_rep,
               "trivial": trivial_rep}
-    return {f"{name}-{kind}": ComplexDescriptor.for_representation(make(g))
+    return {f"{name}-{kind}": make(g)
             for name, g in FIXTURES.items() for kind, make in makers.items()}
 
 
@@ -232,7 +224,7 @@ def _oracle_complexes() -> dict:
     semi = semidirect_product(adjoint_rep(FIXTURES["sl2"], 0))
     t = Matrix(tuple(tuple(1 if (i, j) == (1, 2) else 0 for j in range(6))
                      for i in range(6)), ncols=6)
-    complexes["sl2xsl2-operator"] = operator_complex(
+    complexes["sl2xsl2-operator"] = rho_t(
         semi, adjoint_rep(semi, 0), t)
     # sl2 twisted by its automorphism exp(ad e): h -> h - 2e, e -> e,
     # f -> f + h - e, an invertible twist that is not diagonal.
@@ -241,8 +233,7 @@ def _oracle_complexes() -> dict:
     for kind, rep in (("adjoint", adjoint_rep(twisted, 0)),
                       ("coadjoint", coadjoint_rep(twisted)),
                       ("trivial", trivial_rep(twisted))):
-        complexes[f"sl2_nondiagonal-{kind}"] = \
-            ComplexDescriptor.for_representation(rep)
+        complexes[f"sl2_nondiagonal-{kind}"] = rep
     return complexes
 
 
@@ -251,20 +242,20 @@ ORACLE_COMPLEXES = _oracle_complexes()
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 
-def _arities(desc, cap):
-    return st.integers(min_value=1, max_value=min(desc.source_dim, cap))
+def _arities(rep, cap):
+    return st.integers(min_value=1, max_value=min(rep.algebra.dim, cap))
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_COMPLEXES))
 @settings(max_examples=8, deadline=None)
 @given(data=st.data())
 def test_sparse_coboundary_matches_pointwise_oracle(name, data):
-    desc = ORACLE_COMPLEXES[name]
-    arity = data.draw(_arities(desc, 3))
-    length = comb(desc.source_dim, arity) * desc.target_dim
+    rep = ORACLE_COMPLEXES[name]
+    arity = data.draw(_arities(rep, 3))
+    length = comb(rep.algebra.dim, arity) * rep.dim
     flat = data.draw(st.lists(rationals, min_size=length, max_size=length))
-    f = Cochain.from_flat(arity, desc.source_dim, desc.target_dim, flat)
-    assert coboundary(desc, f) == oracle_coboundary(desc, f)
+    f = Cochain.from_flat(arity, rep.algebra.dim, rep.dim, flat)
+    assert coboundary(rep, f) == oracle_coboundary(rep, f)
 
 
 diagonal_entries = st.sampled_from(
@@ -306,33 +297,31 @@ def test_compatible_basis_equals_the_diagonal_read_off():
 @settings(max_examples=40, deadline=None)
 @given(name=st.sampled_from(sorted(ORACLE_COMPLEXES)), data=st.data())
 def test_coboundary_matrix_matches_oracle_columns(name, data):
-    desc = ORACLE_COMPLEXES[name]
-    arity = data.draw(_arities(desc, 2))
-    assert coboundary_matrix(desc, arity) == oracle_coboundary_matrix(
-        desc, arity)
+    rep = ORACLE_COMPLEXES[name]
+    arity = data.draw(_arities(rep, 2))
+    assert coboundary_matrix(rep, arity) == oracle_coboundary_matrix(
+        rep, arity)
 
 
 # ------------------------------------------------------- cohomology_table
 
 
 def test_cohomology_table_rows_match_cohomology_dims():
-    nonregular = ComplexDescriptor(
-        source=FIXTURES["aff1"],
-        coeff=Representation.build(
-            algebra=FIXTURES["aff1"], beta=Matrix.zero(1, 1),
-            rho=(Matrix.zero(1, 1), Matrix.zero(1, 1))))
+    nonregular = Representation.build(
+        algebra=FIXTURES["aff1"], beta=Matrix.zero(1, 1),
+        rho=(Matrix.zero(1, 1), Matrix.zero(1, 1)))
     complexes = dict(CATALOG_COMPLEXES, **{"aff1-nonregular": nonregular})
-    for name, desc in complexes.items():
-        top = desc.source_dim + 1
-        table = cohomology_table(desc, top)
-        assert table == [cohomology_dims(desc, n) for n in range(top + 1)], \
+    for name, rep in complexes.items():
+        top = rep.algebra.dim + 1
+        table = cohomology_table(rep, top)
+        assert table == [cohomology_dims(rep, n) for n in range(top + 1)], \
             name
     with pytest.raises(ValueError):
         cohomology_table(nonregular, -1)
 
 
-def _h_dims(desc):
-    return [row.dim_h for row in cohomology_table(desc, desc.source_dim)]
+def _h_dims(rep):
+    return [row.dim_h for row in cohomology_table(rep, rep.algebra.dim)]
 
 
 def test_cohomology_table_known_betti_numbers():
@@ -340,13 +329,13 @@ def test_cohomology_table_known_betti_numbers():
     assert _h_dims(CATALOG_COMPLEXES["sl2-trivial"]) == [1, 0, 0, 1]
     for dim in range(1, 7):
         abelian = HomLieAlgebra.build(dim=dim, brackets={})
-        desc = ComplexDescriptor.for_representation(trivial_rep(abelian))
-        assert _h_dims(desc) == [comb(dim, n) for n in range(dim + 1)], dim
+        rep = trivial_rep(abelian)
+        assert _h_dims(rep) == [comb(dim, n) for n in range(dim + 1)], dim
 
 
 def test_cohomology_table_euler_characteristic():
-    for name, desc in CATALOG_COMPLEXES.items():
-        table = cohomology_table(desc, desc.source_dim)
+    for name, rep in CATALOG_COMPLEXES.items():
+        table = cohomology_table(rep, rep.algebra.dim)
         chi_c = sum((-1) ** row.arity * row.dim_cochains for row in table)
         chi_h = sum((-1) ** row.arity * row.dim_h for row in table)
         assert chi_c == chi_h, name

@@ -37,7 +37,7 @@ from homlie.deformation import (
 )
 from homlie.graded import build_theta, derived_bracket
 from homlie.linalg import Matrix, basis_vector, matrix, vsub
-from homlie.ooperator import deformed_identity, is_o_operator, operator_complex
+from homlie.ooperator import deformed_identity, is_o_operator, rho_t
 from homlie.structures import (
     Representation,
     adjoint_rep,
@@ -276,7 +276,7 @@ def test_obstruction_is_cocycle_dim3():
     rep = adjoint_rep(g, 0)
     t = matrix([[0, 0, 0], [0, 0, 0], [0, 0, 1]])
     assert is_o_operator(g, rep, t).ok
-    desc = operator_complex(g, rep, t)
+    rep_t = rho_t(g, rep, t)
     t_cochain = Cochain.from_linear_map(t)
     candidates = compatible_maps_basis(rep.beta, g.alpha, 1)
     flats = [derived_bracket(rep, t_cochain, b).to_flat() for b in candidates]
@@ -293,7 +293,7 @@ def test_obstruction_is_cocycle_dim3():
         d = TruncatedDeformation.of(t, [k])
         assert formal_deformation_check(g, rep, d).ok
         theta = obstruction(g, rep, d)
-        assert coboundary(desc, theta).is_zero()
+        assert coboundary(rep_t, theta).is_zero()
         checked += 1
     assert checked == 10
 
@@ -362,9 +362,9 @@ def _extension_case(name):
 
 def _cocycles(g, rep, t):
     """A basis of the twist-compatible 1-cocycles of the complex of T."""
-    desc = operator_complex(g, rep, t)
-    basis = compatible_subspace_basis(desc, 1)
-    flats = [coboundary(desc, b).to_flat() for b in basis]
+    rep_t = rho_t(g, rep, t)
+    basis = compatible_subspace_basis(rep_t, 1)
+    flats = [coboundary(rep_t, b).to_flat() for b in basis]
     cocycles = []
     for kvec in Matrix.from_columns(flats).kernel_basis():
         z = Cochain.zero(1, rep.dim, g.dim)

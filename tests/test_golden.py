@@ -36,7 +36,7 @@ from homlie.deformation import (
 )
 from homlie.io import load_operator
 from homlie.linalg import Matrix, densify, rref_kernel
-from homlie.ooperator import inner_actions, is_o_operator, operator_complex
+from homlie.ooperator import inner_actions, is_o_operator, rho_t
 from homlie.rmatrix import is_r_matrix
 from homlie.structures import Representation, coadjoint_rep, semidirect_product
 
@@ -169,7 +169,7 @@ def test_deform_extend_builds_the_complex_once(monkeypatch):
     """One deform-extend call checks its input once and builds one
     operator complex and one delta_1, however many orders it solves,
     obstructed or not."""
-    complexes = count_calls(monkeypatch, operator_complex)
+    complexes = count_calls(monkeypatch, rho_t)
     checks = count_calls(monkeypatch, formal_deformation_check)
     columns = count_calls(monkeypatch, cochain_module._coboundary_columns)
     ran = 0
@@ -256,10 +256,10 @@ def test_cohomology_keeps_its_basis_sparse(monkeypatch):
                                         spy(func.__name__, func))
     table = cli_module.cohomology_table
 
-    def recording_table(desc, top):
-        active.append(desc)
+    def recording_table(rep, top):
+        active.append(rep)
         try:
-            return table(desc, top)
+            return table(rep, top)
         finally:
             active.pop()
 

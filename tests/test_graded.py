@@ -23,7 +23,7 @@ from homlie.graded import (
     nr_bracket,
 )
 from homlie.linalg import Matrix, basis_vector, matrix, vadd, vscale, vzero
-from homlie.ooperator import operator_complex
+from homlie.ooperator import rho_t
 from homlie.structures import (
     HomLieAlgebra,
     Representation,
@@ -369,9 +369,9 @@ def test_degree_zero_brackets():
     assert result.values[0] == g.bracket(x, x)
     # {{T, x}} equals the degree-zero coboundary in the operator complex
     t = matrix([[1, 0], [0, 0]])
-    desc = operator_complex(g, rep, t)
     tc = Cochain.from_linear_map(t)
-    assert derived_bracket_zero(rep, tc, x) == zero_coboundary(desc, x)
+    assert derived_bracket_zero(rep, tc, x) == zero_coboundary(
+        rho_t(g, rep, t), x)
 
 
 def test_degree_zero_requires_fixed_point():

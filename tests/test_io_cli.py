@@ -18,7 +18,7 @@ import pytest
 import homlie.cochain as cochain_module
 from homlie.alternating import wedge_coords
 from homlie.cli import main
-from homlie.cochain import Cochain, ComplexDescriptor, coboundary_matrix
+from homlie.cochain import Cochain, coboundary_matrix
 from homlie.io import (
     SchemaError,
     algebra_from_dict,
@@ -374,8 +374,8 @@ def test_cli_cohomology_refuses_invalid_input(tmp_path, capsys):
     code, _ = run_json(capsys, ["verify-rep", rep_path])
     assert code == 1
     # Not a complex: delta_2 . delta_1 does not vanish.
-    desc = ComplexDescriptor.for_representation(load_rep(rep_path))
-    square = coboundary_matrix(desc, 2) @ coboundary_matrix(desc, 1)
+    rep = load_rep(rep_path)
+    square = coboundary_matrix(rep, 2) @ coboundary_matrix(rep, 1)
     assert not square.is_zero()
 
     code, payload = run_json(capsys, ["cohomology", rep_path])
@@ -746,6 +746,22 @@ def test_cli_weak_hom_check(tmp_path, capsys):
     assert code == 1
     assert payload["data"]["tensor_condition"] is False
     assert payload["data"]["operator_hom_agrees"] is True
+
+
+def test_cli_weak_hom_check_refuses_non_square_maps(tmp_path, capsys):
+    """A phi or psi that is not dim x dim is a usage error naming the
+    map, not a traceback."""
+    alg_path = write(tmp_path, "ab2.json", {"dim": 2})
+    good = write(tmp_path, "id.json", ID2_DOC)
+    tall = write(tmp_path, "tall.json",
+                 {"matrix": [["2", "0"], ["0", "2"], ["0", "2"]]})
+    r1_path = write(tmp_path, "r1.json", {"wedge": {"0,1": 1}, "dim": 2})
+    r2_path = write(tmp_path, "r2.json", {"wedge": {"0,1": "1/2"}, "dim": 2})
+    for name, maps in (("phi", [tall, good]), ("psi", [good, tall])):
+        code, out, err = run(capsys, ["weak-hom-check", alg_path, *maps,
+                                      r1_path, r2_path])
+        assert (code, out) == (2, ""), name
+        assert err.startswith(f"error: {name} must map the algebra"), err
 
 
 def test_takiff12_cohomology_stays_sparse(tmp_path, capsys, monkeypatch):

@@ -26,8 +26,6 @@ from homlie.ooperator import (
     nijenhuis_operator_check,
     o_operator_hom_check,
     o_operator_maurer_cartan_check,
-    operator_coboundary,
-    operator_complex,
     rb_induced_bracket,
     rho_t,
     subadjacent,
@@ -243,7 +241,7 @@ def test_requires_certificate_unless_unchecked():
     rep = adjoint_rep(g, 0)
     bad = Matrix.identity(2)
     assert not is_o_operator(g, rep, bad).ok
-    for builder in (induced_hom_pre_lie, rho_t, operator_complex):
+    for builder in (induced_hom_pre_lie, rho_t):
         with pytest.raises(ValueError):
             builder(g, rep, bad)
         builder(g, rep, bad, unchecked=True)
@@ -276,15 +274,15 @@ def test_operator_complex_chain_condition():
          matrix([[0, 1, 0], [-1, 0, 0], [0, 0, 0]])),
     ]
     for g, rep, t in cases:
-        desc = operator_complex(g, rep, t)
+        rep_t = rho_t(g, rep, t)
         tc = Cochain.from_linear_map(t)
         nonzero = 0
         for arity in (1, 2):
             for p in compatible_maps_basis(rep.beta, g.alpha, arity):
-                direct = operator_coboundary(g, rep, t, p)
+                direct = coboundary(rep_t, p)
                 braided = derived_bracket(rep, tc, p)
                 assert direct == -braided, arity
-                assert coboundary(desc, direct).is_zero()
+                assert coboundary(rep_t, direct).is_zero()
                 nonzero += not direct.is_zero()
         assert nonzero, g.basis
 

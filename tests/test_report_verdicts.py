@@ -20,7 +20,6 @@ from functools import lru_cache
 import pytest
 
 from homlie.deformation import (
-    ConditionResult,
     FormalDeformationReport,
     LinearDeformationReport,
     NijenhuisElementReport,
@@ -40,6 +39,7 @@ from homlie.io import (
 )
 from homlie.linalg import Matrix, matrix
 from homlie.ooperator import (
+    ConditionResult,
     GraphReport,
     HomPreLie,
     HomPreLieReport,
@@ -112,10 +112,10 @@ VERDICT_LAWS = {
         "left_symmetry": ("left_symmetry",),
     },
     OperatorHomReport: {
-        "algebra_morphism": ("endomorphism_twist_commute",
-                             "endomorphism_bracket"),
+        "algebra_morphism": ("twist_commute_algebra",
+                             "bracket_homomorphism"),
         "operator_intertwine": ("operator_intertwine",),
-        "module_twist": ("module_twist_commute",),
+        "module_twist": ("twist_commute_module",),
         "action_equivariant": ("action_equivariance",),
     },
     LinearDeformationReport: {

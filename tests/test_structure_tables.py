@@ -22,9 +22,8 @@ from unittest import mock
 from hypothesis import given, settings, strategies as st
 
 import homlie.cochain as cochain_module
-from homlie.cochain import ComplexDescriptor
 from homlie.linalg import Matrix, Q, matrix
-from homlie.ooperator import HomPreLie, operator_complex
+from homlie.ooperator import HomPreLie, rho_t
 from homlie.rmatrix import WedgeTwoTensor, cybe_sum, invariant_two_tensor_basis
 from homlie.structures import (
     HomLieAlgebra,
@@ -162,8 +161,7 @@ def _oracle_reps() -> dict:
     reps["sl2xsl2-adjoint"] = adjoint_rep(semi, 0)
     t = Matrix(tuple(tuple(1 if (i, j) == (1, 2) else 0 for j in range(6))
                      for i in range(6)), ncols=6)
-    reps["sl2xsl2-operator"] = operator_complex(
-        semi, reps["sl2xsl2-adjoint"], t).coeff
+    reps["sl2xsl2-operator"] = rho_t(semi, reps["sl2xsl2-adjoint"], t)
     return reps
 
 
@@ -255,10 +253,9 @@ def test_delta_columns_equal_those_from_rho_of_entries(rep, data):
     """delta reads rho(alpha^{n-1} e_i) off the sparse table; with the
     entries of rho_of matrices instead, it gives the same columns, in
     the same order."""
-    desc = ComplexDescriptor.for_representation(rep)
     low = 0 if rep.algebra.is_regular else 1
     arity = data.draw(st.integers(min_value=low,
-                                  max_value=min(desc.source_dim, 3)))
+                                  max_value=min(rep.algebra.dim, 3)))
     actor = rep.algebra.alpha_power(arity - 1)
     for i in range(rep.algebra.dim):
         x = actor.column(i)
@@ -266,7 +263,7 @@ def test_delta_columns_equal_those_from_rho_of_entries(rep, data):
                 == oracle_action_entries(rep, x))
     with mock.patch.object(cochain_module, "_action_entries",
                            oracle_action_entries):
-        expected = cochain_module._coboundary_columns(desc, arity)
-    found = cochain_module._coboundary_columns(desc, arity)
+        expected = cochain_module._coboundary_columns(rep, arity)
+    found = cochain_module._coboundary_columns(rep, arity)
     assert [list(c.items()) for c in found] == [
         list(c.items()) for c in expected]
