@@ -724,6 +724,20 @@ def test_cli_rmatrix_convert_refuses_non_positive_dims(tmp_path, capsys):
         assert "must be positive" in err
 
 
+@pytest.mark.parametrize("rows, condition", [
+    ([["0", "1", "0"], ["-1", "0", "0"]], "needs a square matrix"),
+    ([["1", "0"], ["0", "1"]], "not skew-symmetric"),
+])
+def test_cli_rmatrix_convert_refuses_non_skew_matrices(tmp_path, capsys,
+                                                       rows, condition):
+    """Only a skew matrix is the r# of a two-tensor: a non-square or a
+    non-skew matrix is a usage error that names the condition."""
+    path = write(tmp_path, "m.json", {"matrix": rows})
+    code, out, err = run(capsys, ["rmatrix-convert", path, "--json"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and condition in err, err
+
+
 def test_cli_weak_hom_check(tmp_path, capsys):
     alg_path = write(tmp_path, "ab2.json", {"dim": 2})
     phi_path = write(tmp_path, "phi.json", {"matrix": [[2, 0], [0, 2]]})
