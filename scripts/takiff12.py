@@ -45,12 +45,7 @@ def exp_nilpotent(homlie, n):
 
 
 def complex_of(homlie, name: str):
-    """(coefficient representation, top arity) of one table.
-
-    A checkout that still wraps the representation in
-    cochain.ComplexDescriptor gets the wrapped form, so that the script
-    runs on older checkouts too.
-    """
+    """(coefficient representation, top arity) of one table."""
     s = homlie.structures
     takiff = s.semidirect_product(s.adjoint_rep(
         s.semidirect_product(s.adjoint_rep(s.sl2()))))
@@ -65,8 +60,7 @@ def complex_of(homlie, name: str):
              for j in range(takiff.dim)], nrows=takiff.dim)
         twisted = s.from_lie_with_morphism(takiff, exp_nilpotent(homlie, ad_e))
         rep, top = s.adjoint_rep(twisted), 2
-    wrap = getattr(homlie.cochain, "ComplexDescriptor", None)
-    return (rep if wrap is None else wrap.for_representation(rep)), top
+    return rep, top
 
 
 def run_one(checkout: str, name: str) -> dict:

@@ -65,8 +65,7 @@ from .ooperator import (
 from .rmatrix import (
     induced_dual_bracket,
     is_r_matrix,
-    operator_to_tensor,
-    tensor_to_operator,
+    require_skew,
     weak_homomorphism_check,
 )
 from .structures import verify_hom_lie, verify_representation
@@ -266,7 +265,7 @@ def _cmd_deform_check(args):
         "per_order": [{"order": k, "holds": h} for k, h in report.per_order],
         "first_failing_order": report.first_failing_order,
     }
-    if is_o_operator(g, rep, d.base).ok:
+    if report.base_ok:
         inf = infinitesimal_check(g, rep, d)
         data["infinitesimal"] = {
             "index": inf.index,
@@ -319,7 +318,8 @@ def _cmd_obstruction(args):
     g = rep.algebra
     d = load_deformation(args.deformation)
     theta = obstruction(g, rep, d)
-    is_cocycle = coboundary(rho_t(g, rep, d.base), theta).is_zero()
+    is_cocycle = coboundary(rho_t(g, rep, d.base, unchecked=True),
+                            theta).is_zero()
     data = {
         "order": d.order + 1,
         "theta": cochain_to_dict(theta, source="V"),
@@ -357,10 +357,10 @@ def _cmd_rmatrix_convert(args):
     document = load_json(args.input)
     if isinstance(document, dict) and "wedge" in document:
         r = rmatrix_from_dict(document, dim=args.dim, where=args.input)
-        payload = {"matrix": matrix_to_rows(tensor_to_operator(r))}
+        payload = {"matrix": matrix_to_rows(r)}
     elif isinstance(document, dict) and "matrix" in document:
         m = operator_from_dict(document, where=args.input)
-        payload = rmatrix_to_dict(operator_to_tensor(m))
+        payload = rmatrix_to_dict(require_skew(m))
     else:
         raise SchemaError(
             f'{args.input}: expected a "wedge" or "matrix" document')

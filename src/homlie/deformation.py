@@ -290,6 +290,12 @@ class FormalDeformationReport:
                 return k
         return None
 
+    @property
+    def base_ok(self) -> bool:
+        """Whether the base is an O-operator: every failure names its
+        order first, and order 0 is the base's own twist and identity."""
+        return all(f.indices[0] != 0 for f in self.failures)
+
 
 def _defects(g: HomLieAlgebra, rep: Representation, coeffs: list, k: int,
              inner: dict) -> list:
@@ -381,7 +387,8 @@ def infinitesimal_check(g: HomLieAlgebra, rep: Representation,
                                    note="trivial deformation, no infinitesimal")
     tk = d.coefficient(index)
     compatible = (tk @ rep.beta) == (g.alpha @ tk)
-    image = coboundary(rho_t(g, rep, d.base), Cochain.from_linear_map(tk))
+    image = coboundary(rho_t(g, rep, d.base, unchecked=True),
+                       Cochain.from_linear_map(tk))
     return InfinitesimalReport(index=index, twist_compatible=compatible,
                                is_cocycle=image.is_zero())
 
@@ -526,7 +533,8 @@ def equivalence_check(g: HomLieAlgebra, rep: Representation,
         phi_v_terms=[Matrix.identity(rep.dim), rho_dag, *phi_v_terms],
         up_to=up_to,
     )
-    delta_x = zero_coboundary(rho_t(g, rep, d1.base), x).as_matrix()
+    delta_x = zero_coboundary(rho_t(g, rep, d1.base, unchecked=True),
+                              x).as_matrix()
     relation = (d1.coefficient(1) - d2.coefficient(1)) == delta_x
     return EquivalenceReport(conditions=conditions,
                              infinitesimal_relation=relation)

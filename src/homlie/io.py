@@ -17,6 +17,8 @@ or strings "p" / "p/q"; floats are rejected so every load stays exact.
     deformation  {"base": <operator or bare rows>, "terms": [...],
                   "order": 2}
     two-tensor   {"wedge": {"0,1": "1/2"}, "dim": 2}
+                 (loaded as its skew matrix r#, written back from its
+                 upper triangle)
 
 Unknown keys are rejected.  Schema violations raise SchemaError, a
 ValueError subclass, so callers can treat malformed input and domain
@@ -33,7 +35,7 @@ from .cochain import Cochain
 from .deformation import TruncatedDeformation
 from .linalg import Matrix, Q, format_scalar, parse_scalar
 from .reporting import Failure
-from .rmatrix import WedgeTwoTensor
+from .rmatrix import skew_matrix, wedge_coeffs
 from .structures import HomLieAlgebra, Representation
 from .ooperator import HomPreLie
 
@@ -276,7 +278,7 @@ def deformation_to_dict(d: TruncatedDeformation) -> dict:
 
 
 def rmatrix_from_dict(data, dim: int | None = None,
-                      where: str = "two-tensor") -> WedgeTwoTensor:
+                      where: str = "two-tensor") -> Matrix:
     _require_keys(data, ("wedge",), ("dim",), where)
     if "dim" in data:
         declared = _int(data["dim"], f"{where}.dim")
@@ -289,14 +291,15 @@ def rmatrix_from_dict(data, dim: int | None = None,
                           f'"dim" key or pass one explicitly')
     if dim <= 0:
         raise SchemaError(f"{where}: dim {dim} must be positive")
-    return WedgeTwoTensor.from_dict(
+    return skew_matrix(
         dim, _pair_entries(data["wedge"], dim, f"{where}.wedge", _scalar))
 
 
-def rmatrix_to_dict(r: WedgeTwoTensor) -> dict:
+def rmatrix_to_dict(r: Matrix) -> dict:
     return {
-        "dim": r.dim,
-        "wedge": {f"{i},{j}": format_scalar(q) for (i, j), q in r.coeffs},
+        "dim": r.nrows,
+        "wedge": {f"{i},{j}": format_scalar(q)
+                  for (i, j), q in wedge_coeffs(r).items()},
     }
 
 
@@ -335,7 +338,7 @@ def load_deformation(path: str) -> TruncatedDeformation:
     return deformation_from_dict(load_json(path), where=path)
 
 
-def load_rmatrix(path: str, dim: int | None = None) -> WedgeTwoTensor:
+def load_rmatrix(path: str, dim: int | None = None) -> Matrix:
     return rmatrix_from_dict(load_json(path), dim=dim, where=path)
 
 
@@ -355,8 +358,6 @@ def jsonable(value):
         return algebra_to_dict(value)
     if isinstance(value, Representation):
         return rep_to_dict(value)
-    if isinstance(value, WedgeTwoTensor):
-        return rmatrix_to_dict(value)
     if isinstance(value, TruncatedDeformation):
         return deformation_to_dict(value)
     if isinstance(value, HomPreLie):

@@ -5,8 +5,13 @@ A skew two-tensor r = sum r_ab e_a wedge e_b on a regular algebra
 
     <xi, r#(eta)> = <xi (x) eta, r>,
 
-whose matrix in dual bases is the skew coefficient matrix itself.  For
-alpha-invariant r (meaning (alpha (x) alpha) r = r, in matrices
+whose matrix in dual bases is the skew coefficient matrix itself, so
+every function here takes and returns r as that Matrix.  skew_matrix
+builds it from the wedge coefficients r_ab (a < b), wedge_coeffs reads
+them back, and require_skew refuses a matrix that is not r# of any
+two-tensor.
+
+For alpha-invariant r (meaning (alpha (x) alpha) r = r, in matrices
 alpha R alpha^T = R) three characterizations of the r-matrix property
 are implemented side by side:
 
@@ -72,81 +77,33 @@ from .structures import HomLieAlgebra, Representation, coadjoint_rep, pair_list
 _ZERO = Q(0)
 
 
-@dataclass(frozen=True)
-class WedgeTwoTensor:
-    """A skew two-tensor stored by its coefficients on e_i wedge e_j, i < j."""
-
-    dim: int
-    coeffs: tuple
-
-    def __post_init__(self):
-        for (i, j), q in self.coeffs:
-            if not (0 <= i < j < self.dim):
-                raise ValueError(f"wedge index pair ({i}, {j}) out of order")
-
-    @classmethod
-    def from_dict(cls, dim: int, entries: dict) -> "WedgeTwoTensor":
-        coeffs = []
-        for (i, j) in sorted(entries):
-            q = Q(entries[(i, j)])
-            if q != 0:
-                coeffs.append(((i, j), q))
-        return cls(dim=dim, coeffs=tuple(coeffs))
-
-    def coeff_dict(self) -> dict:
-        return {pair: q for pair, q in self.coeffs}
-
-    def skew_matrix(self) -> Matrix:
-        """The matrix of r# in dual bases (also the coefficient matrix)."""
-        rows = [[Q(0)] * self.dim for _ in range(self.dim)]
-        for (i, j), q in self.coeffs:
-            rows[i][j] = q
-            rows[j][i] = -q
-        return Matrix(tuple(tuple(row) for row in rows), ncols=self.dim)
-
-    @classmethod
-    def from_skew_matrix(cls, m: Matrix) -> "WedgeTwoTensor":
-        if not m.is_square():
-            raise ValueError("a two-tensor needs a square matrix")
-        if m.transpose() != -m:
-            raise ValueError("the matrix is not skew-symmetric")
-        entries = {}
-        for (i, j) in pair_list(m.nrows):
-            if m.entry(i, j) != 0:
-                entries[(i, j)] = m.entry(i, j)
-        return cls.from_dict(m.nrows, entries)
-
-    def add(self, other: "WedgeTwoTensor") -> "WedgeTwoTensor":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        entries = self.coeff_dict()
-        for pair, q in other.coeffs:
-            entries[pair] = entries.get(pair, Q(0)) + q
-        return WedgeTwoTensor.from_dict(self.dim, entries)
-
-    def scale(self, c) -> "WedgeTwoTensor":
-        c = Q(c)
-        return WedgeTwoTensor.from_dict(
-            self.dim, {pair: c * q for pair, q in self.coeffs})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
+def skew_matrix(dim: int, entries: dict) -> Matrix:
+    """r# of sum q e_i wedge e_j over the {(i, j): q} entries, i < j."""
+    rows = [[_ZERO] * dim for _ in range(dim)]
+    for (i, j), q in entries.items():
+        rows[i][j] = Q(q)
+        rows[j][i] = -rows[i][j]
+    return Matrix(rows, ncols=dim)
 
 
-def tensor_to_operator(r: WedgeTwoTensor) -> Matrix:
-    """The map r#: g* -> g of a skew two-tensor, as a matrix."""
-    return r.skew_matrix()
+def wedge_coeffs(r: Matrix) -> dict:
+    """The nonzero coefficients {(i, j): r_ij}, i < j, in pair_list order."""
+    return {(i, j): r.entry(i, j) for (i, j) in pair_list(r.nrows)
+            if r.entry(i, j) != 0}
 
 
-def operator_to_tensor(m: Matrix) -> WedgeTwoTensor:
-    """The skew two-tensor of a map g* -> g; rejects non-skew matrices."""
-    return WedgeTwoTensor.from_skew_matrix(m)
+def require_skew(m: Matrix) -> Matrix:
+    """m itself, once it is checked to be r# of a skew two-tensor."""
+    if not m.is_square():
+        raise ValueError("a two-tensor needs a square matrix")
+    if m.transpose() != -m:
+        raise ValueError("the matrix is not skew-symmetric")
+    return m
 
 
-def is_invariant(g: HomLieAlgebra, r: WedgeTwoTensor) -> bool:
+def is_invariant(g: HomLieAlgebra, r: Matrix) -> bool:
     """Whether (alpha (x) alpha) r = r."""
-    m = r.skew_matrix()
-    return (g.alpha @ m @ g.alpha.transpose()) == m
+    return (g.alpha @ r @ g.alpha.transpose()) == r
 
 
 def invariant_wedge_basis(g: HomLieAlgebra, grade: int) -> list:
@@ -166,8 +123,8 @@ def invariant_wedge_basis(g: HomLieAlgebra, grade: int) -> list:
 
 
 def invariant_two_tensor_basis(g: HomLieAlgebra) -> list:
-    """The invariant wedge-square basis, wrapped as two-tensors."""
-    return [WedgeTwoTensor.from_dict(g.dim, d)
+    """The invariant wedge-square basis, as skew matrices r#."""
+    return [skew_matrix(g.dim, d)
             for d in invariant_wedge_basis(g, 2)]
 
 
@@ -199,9 +156,9 @@ def graded_bracket_wedge(g: HomLieAlgebra, u: dict, grade_u: int,
     return {indices: c for indices, c in out.items() if c != 0}
 
 
-def two_tensor_square(g: HomLieAlgebra, r: WedgeTwoTensor) -> dict:
+def two_tensor_square(g: HomLieAlgebra, r: Matrix) -> dict:
     """[r, r]_g as a sparse grade-3 coefficient dict."""
-    d = r.coeff_dict()
+    d = wedge_coeffs(r)
     return graded_bracket_wedge(g, d, 2, d, 2)
 
 
@@ -235,7 +192,7 @@ def _canonical3(store: dict) -> tuple:
     return tuple(sorted((k, q) for k, q in store.items() if q != 0))
 
 
-def cybe_sum(g: HomLieAlgebra, r: WedgeTwoTensor) -> CybeSum:
+def cybe_sum(g: HomLieAlgebra, r: Matrix) -> CybeSum:
     """The classical Yang-Baxter sum of r in g (x) g (x) g.
 
     With r = sum c_xy e_x (x) e_y over ordered pairs (c_yx = -c_xy) and
@@ -252,7 +209,7 @@ def cybe_sum(g: HomLieAlgebra, r: WedgeTwoTensor) -> CybeSum:
     alpha = sparse_table([[g.alpha.column(i) for i in range(g.dim)]])[0]
     pairs = [(x, y, [(k, c * a) for k, a in alpha[x]],
               [(k, c * a) for k, a in alpha[y]])
-             for (p, q), v in r.coeffs for x, y, c in ((p, q, v), (q, p, -v))]
+             for x, row in enumerate(r.rows) for y, c in enumerate(row) if c]
     bracket = g.structure_constants
     p1, p2, p3 = {}, {}, {}
     for x, y, ax, ay in pairs:
@@ -273,9 +230,10 @@ def cybe_sum(g: HomLieAlgebra, r: WedgeTwoTensor) -> CybeSum:
     )
 
 
-def _require_rmatrix_context(g: HomLieAlgebra, r: WedgeTwoTensor) -> None:
-    if r.dim != g.dim:
+def _require_rmatrix_context(g: HomLieAlgebra, r: Matrix) -> None:
+    if r.shape != (g.dim, g.dim):
         raise ValueError("the two-tensor does not live on this algebra")
+    require_skew(r)
     if not g.is_regular:
         raise ValueError("r-matrix checks need an invertible alpha")
     if not is_invariant(g, r):
@@ -298,10 +256,10 @@ class RMatrixReport:
                 == self.operator_report.ok)
 
 
-def is_r_matrix(g: HomLieAlgebra, r: WedgeTwoTensor) -> RMatrixReport:
+def is_r_matrix(g: HomLieAlgebra, r: Matrix) -> RMatrixReport:
     """Decide the r-matrix property along all three routes.
 
-    Requires a regular algebra and an invariant tensor (ValueError
+    Requires a regular algebra and an invariant skew r# (ValueError
     otherwise).  The verdict is the vanishing of [r, r]_g; the other two
     routes are computed independently and reported for comparison.
     """
@@ -313,14 +271,14 @@ def is_r_matrix(g: HomLieAlgebra, r: WedgeTwoTensor) -> RMatrixReport:
     coadj = coadjoint_rep(g)
     return RMatrixReport(
         cybe_zero=cybe.is_zero,
-        operator_report=is_o_operator(g, coadj, tensor_to_operator(r)),
+        operator_report=is_o_operator(g, coadj, r),
         wedge_square=tuple(sorted(square.items())),
         failures=tuple(failures),
         coadjoint=coadj,
     )
 
 
-def induced_dual_bracket(g: HomLieAlgebra, r: WedgeTwoTensor,
+def induced_dual_bracket(g: HomLieAlgebra, r: Matrix,
                          _report: RMatrixReport | None = None
                          ) -> HomLieAlgebra:
     """The hom-Lie algebra on g* induced by an r-matrix:
@@ -335,13 +293,12 @@ def induced_dual_bracket(g: HomLieAlgebra, r: WedgeTwoTensor,
     if not report.verdict:
         raise ValueError("the two-tensor is not an r-matrix")
     coadj = report.coadjoint
-    sharp = tensor_to_operator(r)
     brackets = {}
     for (a, b) in pair_list(g.dim):
         value = tuple(
             x - y for x, y in zip(
-                coadj.act(sharp.column(a), basis_vector(g.dim, b)),
-                coadj.act(sharp.column(b), basis_vector(g.dim, a)),
+                coadj.act(r.column(a), basis_vector(g.dim, b)),
+                coadj.act(r.column(b), basis_vector(g.dim, a)),
             )
         )
         if not is_zero_vector(value):
@@ -371,8 +328,7 @@ class WeakHomReport:
 
 
 def weak_homomorphism_check(g: HomLieAlgebra, phi: Matrix, psi: Matrix,
-                            r1: WedgeTwoTensor, r2: WedgeTwoTensor
-                            ) -> WeakHomReport:
+                            r1: Matrix, r2: Matrix) -> WeakHomReport:
     """Whether (phi, psi) is a weak homomorphism from r1 to r2:
 
         phi a hom-Lie endomorphism,
@@ -401,7 +357,7 @@ def weak_homomorphism_check(g: HomLieAlgebra, phi: Matrix, psi: Matrix,
         failures.append(Failure("phi_twist_commute", ()))
     if (psi @ g.alpha) != (g.alpha @ psi):
         failures.append(Failure("psi_twist_commute", ()))
-    if (psi @ r1.skew_matrix()) != (r2.skew_matrix() @ phi.transpose()):
+    if (psi @ r1) != (r2 @ phi.transpose()):
         failures.append(Failure("tensor_condition", ()))
     for i in range(g.dim):
         for j in range(g.dim):
@@ -413,7 +369,7 @@ def weak_homomorphism_check(g: HomLieAlgebra, phi: Matrix, psi: Matrix,
     operator_hom = o_operator_hom_check(
         g, coadjoint_rep(g),
         phi_g=phi, phi_v=psi.transpose(),
-        t_from=tensor_to_operator(r2), t_to=tensor_to_operator(r1),
+        t_from=r2, t_to=r1,
     )
     return WeakHomReport(operator_hom=operator_hom, failures=tuple(failures))
 
@@ -439,7 +395,7 @@ class TransferReport:
         return self.operator_valid and self.wedge_valid
 
 
-def rmatrix_deformation_transfer(g: HomLieAlgebra, r: WedgeTwoTensor,
+def rmatrix_deformation_transfer(g: HomLieAlgebra, r: Matrix,
                                  terms, mode: str = "auto") -> TransferReport:
     """Check a deformation of r along both routes and compare.
 
@@ -448,15 +404,16 @@ def rmatrix_deformation_transfer(g: HomLieAlgebra, r: WedgeTwoTensor,
     (a single generator tau) the full polynomial identity is required,
     with coefficients at t^0, t^1, t^2; in truncated mode the orders run
     up to the number of terms.  r must be an r-matrix and every term
-    invariant.
+    an invariant skew matrix.
     """
     terms = list(terms)
     report = is_r_matrix(g, r)
     if not report.verdict:
         raise ValueError("the base two-tensor is not an r-matrix")
     for k, tau in enumerate(terms):
-        if tau.dim != g.dim:
+        if tau.shape != (g.dim, g.dim):
             raise ValueError("deformation term does not live on this algebra")
+        require_skew(tau)
         if not is_invariant(g, tau):
             raise ValueError(f"deformation term {k + 1} is not invariant")
     if mode == "auto":
@@ -467,25 +424,21 @@ def rmatrix_deformation_transfer(g: HomLieAlgebra, r: WedgeTwoTensor,
     if linear and len(terms) != 1:
         raise ValueError("linear mode needs exactly one generator")
     coadj = coadjoint_rep(g)
-    sharp = tensor_to_operator(r)
     operator_linear = operator_formal = None
     if linear:
-        operator_linear = linear_deformation_check(
-            g, coadj, sharp, tensor_to_operator(terms[0]))
+        operator_linear = linear_deformation_check(g, coadj, r, terms[0])
         operator_valid = operator_linear.valid
     else:
-        deformation = TruncatedDeformation.of(
-            sharp, [tensor_to_operator(t) for t in terms])
-        operator_formal = formal_deformation_check(g, coadj, deformation)
+        operator_formal = formal_deformation_check(
+            g, coadj, TruncatedDeformation.of(r, terms))
         operator_valid = operator_formal.ok
-    tensors = [r, *terms]
+    coeffs = [wedge_coeffs(t) for t in (r, *terms)]
     top = 2 if linear else len(terms)
     wedge_orders = []
     for k in range(top + 1):
         total = {}
         for i in range(max(0, k - len(terms)), min(k, len(terms)) + 1):
-            part = graded_bracket_wedge(
-                g, tensors[i].coeff_dict(), 2, tensors[k - i].coeff_dict(), 2)
+            part = graded_bracket_wedge(g, coeffs[i], 2, coeffs[k - i], 2)
             for key, q in part.items():
                 total[key] = total.get(key, Q(0)) + q
         wedge_orders.append((k, not any(q != 0 for q in total.values())))

@@ -654,7 +654,8 @@ def oracle_cybe_sum(g, r):
     def unit(i, q=1):
         return [Fraction(q) if k == i else Fraction(0) for k in range(dim)]
 
-    terms = [(unit(a, q), unit(b)) for (a, b), q in r.coeffs]
+    terms = [(unit(a, r.entry(a, b)), unit(b))
+             for a in range(dim) for b in range(a + 1, dim) if r.entry(a, b)]
     twisted = [(_mat_apply(alpha_rows, x), _mat_apply(alpha_rows, y))
                for x, y in terms]
     p1, p2, p3 = {}, {}, {}

@@ -50,11 +50,10 @@ from homlie.ooperator import (
     verify_hom_pre_lie,
 )
 from homlie.rmatrix import (
-    WedgeTwoTensor,
     induced_dual_bracket,
     invariant_wedge_basis,
     is_r_matrix,
-    tensor_to_operator,
+    skew_matrix,
 )
 from homlie.structures import (
     HomLieAlgebra,
@@ -369,8 +368,7 @@ def test_criterion_08_operator_coboundary_is_derived_bracket():
         "abelian2": ("adjoint", matrix([[1, 2], [3, 4]])),
         "aff1": ("adjoint", matrix([[0, 1], [0, 0]])),
         "aff1_twisted": ("adjoint", matrix([[1, 0], [0, 0]])),
-        "sl2": ("coadjoint", tensor_to_operator(
-            WedgeTwoTensor.from_dict(3, {(0, 1): Q(1)}))),
+        "sl2": ("coadjoint", skew_matrix(3, {(0, 1): Q(1)})),
         "heisenberg3": ("adjoint",
                         matrix([[0, 0, 0], [0, 0, 0], [0, 0, 1]])),
         "heisenberg3_twisted": ("adjoint",
@@ -531,7 +529,7 @@ def test_criterion_10_rmatrix_routes_and_dual_bracket():
             for c, b in zip(coeffs, basis):
                 for key, val in b.items():
                     data[key] = data.get(key, Q(0)) + c * val
-            r = WedgeTwoTensor.from_dict(g.dim, data)
+            r = skew_matrix(g.dim, data)
             report = is_r_matrix(g, r)
             assert report.routes_agree, (name, coeffs)
             total += 1
@@ -540,8 +538,7 @@ def test_criterion_10_rmatrix_routes_and_dual_bracket():
                 continue
             certified += 1
             dual = induced_dual_bracket(g, r)
-            pre = induced_hom_pre_lie(g, coadjoint_rep(g),
-                                      tensor_to_operator(r), unchecked=True)
+            pre = induced_hom_pre_lie(g, coadjoint_rep(g), r, unchecked=True)
             via = subadjacent(pre)
             assert dual.brackets_dict() == via.brackets_dict(), (name, coeffs)
             assert dual.alpha == via.alpha, (name, coeffs)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 import os
 import random
 from fractions import Fraction as Q
@@ -36,19 +37,23 @@ from homlie.deformation import (
     trivial_deformation_from_nijenhuis,
 )
 from homlie.graded import build_theta, derived_bracket
+from homlie.io import load_deformation, load_rep
 from homlie.linalg import Matrix, basis_vector, matrix, vsub
 from homlie.ooperator import deformed_identity, is_o_operator, rho_t
 from homlie.structures import (
+    HomLieAlgebra,
     Representation,
     adjoint_rep,
     catalog,
     coadjoint_rep,
+    trivial_rep,
 )
 
 from helpers import (
     count_calls,
     oracle_extend_order,
     oracle_obstruction,
+    rand_matrix,
     rand_scalar,
 )
 
@@ -495,6 +500,47 @@ def test_only_check_o_operator_calls_the_derived_bracket(monkeypatch,
                      os.path.join(inputs, "aff1.adjoint.rep.json"),
                      os.path.join(inputs, "aff1.T.json"), "--json"]) == 0
     assert brackets and thetas
+
+
+def test_base_ok_is_the_o_operator_check_of_the_base():
+    """base_ok reads order 0 off the formal check, and it equals
+    is_o_operator on the base: for every deformation in the golden
+    corpus (aff1.bad included), and for seeded bases that break only the
+    twist (the zero action on a twisted abelian plane makes the identity
+    vacuous) or only the identity (aff1 has identity twists), each with
+    a random higher term that need not deform it."""
+    golden = os.path.join(os.path.dirname(__file__), "golden")
+    with open(os.path.join(golden, "cases.json"), encoding="utf-8") as handle:
+        cases = json.load(handle).values()
+    pairs = []
+    for rep_path, d_path in sorted({tuple(argv[1:3]) for argv in cases if argv[0]
+                                    in ("deform-check", "deform-extend",
+                                        "obstruction")}):
+        rep = load_rep(os.path.join(golden, rep_path))
+        pairs.append((rep, load_deformation(os.path.join(golden, d_path))))
+    rng = random.Random(15)
+    plane = HomLieAlgebra.build(dim=2, brackets={},
+                                alpha=Matrix.diagonal([1, 2]))
+    aff1 = FIXTURES["aff1"]
+    broken = set()
+    for rep, law in ((trivial_rep(plane, 2), "twist_intertwine"),
+                     (adjoint_rep(aff1, 0), "o_operator_identity")):
+        for _ in range(6):
+            base = rand_matrix(rng, 2, 2)
+            laws = {f.law for f in is_o_operator(rep.algebra, rep,
+                                                 base).failures}
+            assert laws <= {law}
+            broken |= laws
+            pairs.append((rep, TruncatedDeformation.of(
+                base, [rand_matrix(rng, 2, 2)])))
+    assert broken == {"twist_intertwine", "o_operator_identity"}
+    verdicts = set()
+    for rep, d in pairs:
+        g = rep.algebra
+        expected = is_o_operator(g, rep, d.base).ok
+        assert formal_deformation_check(g, rep, d).base_ok == expected
+        verdicts.add(expected)
+    assert verdicts == {True, False}
 
 
 def test_formal_check_computes_each_inner_action_once(monkeypatch):

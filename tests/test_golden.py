@@ -209,6 +209,25 @@ def test_deform_extend_computes_each_inner_action_once(monkeypatch):
     assert ran == 6
 
 
+def test_deformation_verbs_check_the_base_once(monkeypatch):
+    """deform-check reads the base's verdict off its formal check, and
+    only the infinitesimal check certifies the base once more;
+    obstruction validates the whole deformation first, so it makes no
+    is_o_operator call at all."""
+    calls = count_calls(monkeypatch, is_o_operator)
+    infinitesimals = 0
+    for name, argv in {**_cases("deform-check"),
+                       **_cases("obstruction")}.items():
+        calls.clear()
+        out = _replay(argv)[1]
+        assert out == _expected(name)
+        expected = (argv[0] == "deform-check"
+                    and json.loads(out)["data"]["infinitesimal"] is not None)
+        assert len(calls) == expected, name
+        infinitesimals += expected
+    assert infinitesimals == 3
+
+
 def test_nijenhuis_element_checks_the_base_and_element_once(monkeypatch):
     """nijenhuis-element certifies T with one is_o_operator call and runs
     nijenhuis_element_check once.  The only other is_o_operator call is

@@ -8,12 +8,17 @@ values already pinned by the per-module tests.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import os
 import sys
+import tempfile
 import time
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import homlie.cochain as cochain_module
 from homlie.alternating import wedge_coords
@@ -34,8 +39,8 @@ from homlie.io import (
     rmatrix_to_dict,
     vector_from_dict,
 )
-from homlie.linalg import Matrix, Q, matrix
-from homlie.rmatrix import WedgeTwoTensor
+from homlie.linalg import Matrix, Q, format_scalar, matrix
+from homlie.rmatrix import require_skew, skew_matrix, wedge_coeffs
 from homlie.structures import adjoint_rep, semidirect_product, sl2
 
 from helpers import record_cohomology_matrices
@@ -191,8 +196,8 @@ def test_deformation_doc():
 
 def test_rmatrix_doc():
     r = rmatrix_from_dict({"wedge": {"0,1": "1/2"}, "dim": 2})
-    assert r.coeffs == (((0, 1), Q(1, 2)),)
-    assert rmatrix_from_dict({"wedge": {}}, dim=3).dim == 3
+    assert r == skew_matrix(2, {(0, 1): Q(1, 2)})
+    assert rmatrix_from_dict({"wedge": {}}, dim=3) == Matrix.zero(3, 3)
     assert rmatrix_to_dict(r) == {"dim": 2, "wedge": {"0,1": "1/2"}}
     with pytest.raises(SchemaError):
         rmatrix_from_dict({"wedge": {"1,0": 1}, "dim": 2})
@@ -202,6 +207,42 @@ def test_rmatrix_doc():
         rmatrix_from_dict({"wedge": {"0,1": 1}})
     with pytest.raises(SchemaError):
         rmatrix_from_dict({"wedge": {"0,3": 1}, "dim": 2})
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_two_tensor_roundtrips_through_its_skew_matrix(data):
+    """{(i, j): q} with zeros mixed in, dims 1-5: the skew matrix gives
+    back the nonzero coefficients in pair order, passes require_skew, and
+    the wedge document survives the loader and rmatrix-convert both ways
+    in canonical form."""
+    dim = data.draw(st.integers(min_value=1, max_value=5))
+    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+    entries = {pair: data.draw(st.one_of(
+        st.just(Q(0)), st.fractions(min_value=-4, max_value=4,
+                                    max_denominator=5)))
+        for pair in data.draw(st.permutations(pairs))}
+    nonzero = sorted((pair, q) for pair, q in entries.items() if q)
+    m = skew_matrix(dim, entries)
+    assert list(wedge_coeffs(m).items()) == nonzero
+    assert require_skew(m) is m
+    doc = {"dim": dim, "wedge": {f"{i},{j}": format_scalar(q)
+                                 for (i, j), q in entries.items()}}
+    canonical = {"dim": dim, "wedge": {f"{i},{j}": format_scalar(q)
+                                       for (i, j), q in nonzero}}
+    assert rmatrix_to_dict(rmatrix_from_dict(doc)) == canonical
+    with tempfile.TemporaryDirectory() as tmp:
+        wedge_path = os.path.join(tmp, "wedge.json")
+        matrix_path = os.path.join(tmp, "matrix.json")
+        with open(wedge_path, "w", encoding="utf-8") as handle:
+            json.dump(doc, handle)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["rmatrix-convert", wedge_path,
+                         "--out", matrix_path]) == 0
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["rmatrix-convert", matrix_path, "--json"]) == 0
+    assert json.loads(out.getvalue())["data"] == canonical
 
 
 @pytest.mark.parametrize("keys", [("0,1", "0, 01"), ("0, 01", "0,1")])
@@ -235,8 +276,6 @@ def test_jsonable_conversions():
     assert jsonable(matrix([[0, 1], [0, 0]])) == [["0", "1"], ["0", "0"]]
     assert jsonable({(0, 1): Q(3)}) == {"0,1": "3"}
     assert jsonable([Q(1), None, True]) == ["1", None, True]
-    assert jsonable(WedgeTwoTensor.from_dict(2, {(0, 1): Q(2)})) == {
-        "dim": 2, "wedge": {"0,1": "2"}}
     c = Cochain.from_values(arity=1, source_dim=2, target_dim=2,
                             entries={(0,): (Q(0), Q(1))})
     assert jsonable(c) == {"arity": 1, "source": "", "coeffs": {"0": ["0", "1"]}}

@@ -59,7 +59,6 @@ from homlie.ooperator import (
 from homlie.rmatrix import (
     RMatrixReport,
     WeakHomReport,
-    WedgeTwoTensor,
     invariant_two_tensor_basis,
     is_r_matrix,
     weak_homomorphism_check,
@@ -199,9 +198,9 @@ def _random_pre_lie(rng, dim, twist) -> HomPreLie:
 
 
 def _random_invariant(rng, g):
-    total = WedgeTwoTensor.from_dict(g.dim, {})
+    total = Matrix.zero(g.dim, g.dim)
     for r in invariant_two_tensor_basis(g):
-        total = total.add(r.scale(rand_scalar(rng)))
+        total = total + r.scale(rand_scalar(rng))
     return total
 
 
@@ -255,7 +254,7 @@ def _rmatrix_reports(rng) -> list:
     reports = [is_r_matrix(g, _random_invariant(rng, g)) for g in algebras]
     for g in (algebras[3], algebras[-1]):
         r = _random_invariant(rng, g)
-        zero = WedgeTwoTensor.from_dict(g.dim, {})
+        zero = Matrix.zero(g.dim, g.dim)
         pairs = ((zero, zero), (r, r), (r, _random_invariant(rng, g)),
                  (r, zero), (zero, r))
         for phi, psi in itertools.product(KINDS, repeat=2):

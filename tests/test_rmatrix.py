@@ -18,7 +18,6 @@ from hypothesis import given, settings, strategies as st
 from homlie.linalg import Matrix, matrix
 from homlie.ooperator import induced_hom_pre_lie, rho_t, subadjacent
 from homlie.rmatrix import (
-    WedgeTwoTensor,
     cybe_sum,
     graded_bracket_wedge,
     induced_dual_bracket,
@@ -26,11 +25,12 @@ from homlie.rmatrix import (
     invariant_wedge_basis,
     is_invariant,
     is_r_matrix,
-    operator_to_tensor,
+    require_skew,
     rmatrix_deformation_transfer,
-    tensor_to_operator,
+    skew_matrix,
     two_tensor_square,
     weak_homomorphism_check,
+    wedge_coeffs,
 )
 from homlie.structures import (
     HomLieAlgebra,
@@ -45,32 +45,27 @@ FIXTURES = catalog()
 
 
 def wedge(dim, i, j, c=1):
-    return WedgeTwoTensor.from_dict(dim, {(i, j): Q(c)})
-
-
-def test_two_tensor_container():
-    r = WedgeTwoTensor.from_dict(3, {(0, 1): 2, (1, 2): 0})
-    assert r.coeffs == (((0, 1), Q(2)),)
-    assert r.coeff_dict() == {(0, 1): Q(2)}
-    assert not r.is_zero()
-    assert WedgeTwoTensor.from_dict(3, {}).is_zero()
-    assert r.add(r.scale(Q(-1))).is_zero()
-    assert r.scale(Q(1, 2)).coeff_dict() == {(0, 1): Q(1)}
-    with pytest.raises(ValueError):
-        WedgeTwoTensor(dim=2, coeffs=(((1, 0), Q(1)),))
-    with pytest.raises(ValueError):
-        wedge(2, 0, 1).add(wedge(3, 0, 1))
+    return skew_matrix(dim, {(i, j): Q(c)})
 
 
 def test_skew_matrix_roundtrip():
-    r = WedgeTwoTensor.from_dict(2, {(0, 1): Q(1)})
-    m = tensor_to_operator(r)
-    assert m == matrix([[0, 1], [-1, 0]])
-    assert operator_to_tensor(m) == r
+    """A two-tensor is its skew matrix r#: zero coefficients leave no
+    trace, sums and multiples are those of matrices, and only a square
+    skew matrix passes require_skew."""
+    r = skew_matrix(3, {(0, 1): 2, (1, 2): 0})
+    assert r == matrix([[0, 2, 0], [-2, 0, 0], [0, 0, 0]])
+    assert wedge_coeffs(r) == {(0, 1): Q(2)}
+    assert require_skew(r) is r
+    assert not r.is_zero() and skew_matrix(3, {}).is_zero()
+    assert (r + r.scale(Q(-1))).is_zero()
+    assert wedge_coeffs(r.scale(Q(1, 2))) == {(0, 1): Q(1)}
+    assert skew_matrix(2, {(0, 1): Q(1)}) == matrix([[0, 1], [-1, 0]])
+    with pytest.raises(ValueError, match="not skew-symmetric"):
+        require_skew(Matrix.identity(2))
+    with pytest.raises(ValueError, match="square matrix"):
+        require_skew(matrix([[0, 1, 0], [-1, 0, 0]]))
     with pytest.raises(ValueError):
-        operator_to_tensor(Matrix.identity(2))
-    with pytest.raises(ValueError):
-        operator_to_tensor(matrix([[0, 1, 0], [-1, 0, 0]]))
+        wedge(2, 0, 1) + wedge(3, 0, 1)
 
 
 def test_invariant_wedge_dimensions():
@@ -126,6 +121,8 @@ def test_r_matrix_requires_context():
         is_r_matrix(g, wedge(2, 0, 1))  # not invariant
     with pytest.raises(ValueError):
         is_r_matrix(FIXTURES["aff1"], wedge(3, 0, 1))  # wrong dimension
+    with pytest.raises(ValueError, match="not skew-symmetric"):
+        is_r_matrix(FIXTURES["aff1"], Matrix.identity(2))
     singular = HomLieAlgebra.build(dim=2, brackets={},
                                    alpha=Matrix.zero(2, 2))
     with pytest.raises(ValueError):
@@ -167,8 +164,7 @@ def test_dual_bracket_matches_subadjacent_route():
             continue
         direct = induced_dual_bracket(g, r)
         coadj = coadjoint_rep(g)
-        sharp = tensor_to_operator(r)
-        via = subadjacent(induced_hom_pre_lie(g, coadj, sharp))
+        via = subadjacent(induced_hom_pre_lie(g, coadj, r))
         assert direct.brackets_dict() == via.brackets_dict(), (name, i, j)
         assert direct.alpha == via.alpha, (name, i, j)
 
@@ -187,7 +183,7 @@ def test_rho_r_is_coadjoint_of_dual():
         g = FIXTURES[name]
         r = wedge(g.dim, i, j)
         dual = induced_dual_bracket(g, r)
-        action = rho_t(g, coadjoint_rep(g), tensor_to_operator(r))
+        action = rho_t(g, coadjoint_rep(g), r)
         dual_coadj = coadjoint_rep(dual)
         assert action.beta == dual_coadj.beta, name
         assert action.rho == dual_coadj.rho, name
@@ -284,7 +280,7 @@ def test_transfer_errors():
         rmatrix_deformation_transfer(g, wedge(3, 1, 2), [wedge(3, 0, 1)])
     twisted = FIXTURES["aff1_twisted"]
     with pytest.raises(ValueError):
-        rmatrix_deformation_transfer(twisted, WedgeTwoTensor.from_dict(2, {}),
+        rmatrix_deformation_transfer(twisted, skew_matrix(2, {}),
                                      [wedge(2, 0, 1)])
     aff1 = FIXTURES["aff1"]
     r = wedge(2, 0, 1)
@@ -294,6 +290,8 @@ def test_transfer_errors():
         rmatrix_deformation_transfer(aff1, r, [r], mode="bogus")
     with pytest.raises(ValueError):
         rmatrix_deformation_transfer(aff1, r, [wedge(3, 0, 1)])
+    with pytest.raises(ValueError, match="not skew-symmetric"):
+        rmatrix_deformation_transfer(aff1, r, [Matrix.identity(2)])
 
 
 def test_r_matrix_grid_route_agreement():

@@ -24,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 import homlie.cochain as cochain_module
 from homlie.linalg import Matrix, Q, matrix
 from homlie.ooperator import HomPreLie, rho_t
-from homlie.rmatrix import WedgeTwoTensor, cybe_sum, invariant_two_tensor_basis
+from homlie.rmatrix import cybe_sum, invariant_two_tensor_basis, skew_matrix
 from homlie.structures import (
     HomLieAlgebra,
     Representation,
@@ -128,7 +128,7 @@ def assert_cybe_equals_oracle(g, r):
 def test_cybe_sum_equals_the_twelve_term_oracle(name, data):
     g = FIXTURES[name]
     entries = {pair: data.draw(scalars) for pair in pair_list(g.dim)}
-    assert_cybe_equals_oracle(g, WedgeTwoTensor.from_dict(g.dim, entries))
+    assert_cybe_equals_oracle(g, skew_matrix(g.dim, entries))
 
 
 @settings(max_examples=20, deadline=None)
