@@ -423,7 +423,7 @@ def rmatrix_deformation_transfer(g: HomLieAlgebra, r: Matrix,
     linear = mode == "linear"
     if linear and len(terms) != 1:
         raise ValueError("linear mode needs exactly one generator")
-    coadj = coadjoint_rep(g)
+    coadj = report.coadjoint
     operator_linear = operator_formal = None
     if linear:
         operator_linear = linear_deformation_check(g, coadj, r, terms[0])

@@ -39,7 +39,7 @@ from homlie.structures import (
     verify_hom_lie,
 )
 
-from helpers import oracle_invariant_wedge_basis, rand_invertible
+from helpers import count_calls, oracle_invariant_wedge_basis, rand_invertible
 
 FIXTURES = catalog()
 
@@ -272,6 +272,17 @@ def test_transfer_truncated_mode():
         FIXTURES["sl2"], wedge(3, 0, 1), [wedge(3, 0, 2)],
         mode="truncated")
     assert not failing.ok and failing.routes_agree
+
+
+def test_transfer_builds_the_coadjoint_rep_once(monkeypatch):
+    """Both modes deform r# over the coadjoint representation that the
+    r-matrix check of the base already built."""
+    calls = count_calls(monkeypatch, coadjoint_rep)
+    r = wedge(2, 0, 1)
+    for terms in ([r.scale(Q(3))], [r, r]):
+        calls.clear()
+        assert rmatrix_deformation_transfer(FIXTURES["aff1"], r, terms).ok
+        assert len(calls) == 1, len(terms)
 
 
 def test_transfer_errors():
