@@ -15,6 +15,7 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from homlie.io import SchemaError, rmatrix_from_dict
 from homlie.linalg import Matrix, matrix
 from homlie.ooperator import induced_hom_pre_lie, rho_t, subadjacent
 from homlie.rmatrix import (
@@ -48,24 +49,33 @@ def wedge(dim, i, j, c=1):
     return skew_matrix(dim, {(i, j): Q(c)})
 
 
-def test_skew_matrix_roundtrip():
+def test_two_tensor_container():
     """A two-tensor is its skew matrix r#: zero coefficients leave no
-    trace, sums and multiples are those of matrices, and only a square
-    skew matrix passes require_skew."""
+    trace, sums and multiples are those of matrices, and a pair out of
+    order such as "1,0" is refused where pairs are read."""
     r = skew_matrix(3, {(0, 1): 2, (1, 2): 0})
-    assert r == matrix([[0, 2, 0], [-2, 0, 0], [0, 0, 0]])
     assert wedge_coeffs(r) == {(0, 1): Q(2)}
-    assert require_skew(r) is r
     assert not r.is_zero() and skew_matrix(3, {}).is_zero()
     assert (r + r.scale(Q(-1))).is_zero()
     assert wedge_coeffs(r.scale(Q(1, 2))) == {(0, 1): Q(1)}
+    with pytest.raises(SchemaError, match="needs 0 <= i < j < dim"):
+        rmatrix_from_dict({"wedge": {"1,0": 1}, "dim": 2})
+    with pytest.raises(ValueError):
+        wedge(2, 0, 1) + wedge(3, 0, 1)
+
+
+def test_skew_matrix_roundtrip():
+    """skew_matrix and wedge_coeffs invert each other, and only a square
+    skew matrix passes require_skew."""
+    r = skew_matrix(3, {(0, 1): 2, (1, 2): 0})
+    assert r == matrix([[0, 2, 0], [-2, 0, 0], [0, 0, 0]])
+    assert skew_matrix(3, wedge_coeffs(r)) == r
+    assert require_skew(r) is r
     assert skew_matrix(2, {(0, 1): Q(1)}) == matrix([[0, 1], [-1, 0]])
     with pytest.raises(ValueError, match="not skew-symmetric"):
         require_skew(Matrix.identity(2))
     with pytest.raises(ValueError, match="square matrix"):
         require_skew(matrix([[0, 1, 0], [-1, 0, 0]]))
-    with pytest.raises(ValueError):
-        wedge(2, 0, 1) + wedge(3, 0, 1)
 
 
 def test_invariant_wedge_dimensions():
