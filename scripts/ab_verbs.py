@@ -9,9 +9,12 @@ the names homlie_base and homlie_change.  Each verb of each workload
 (from this checkout's perfbench/workloads.py, which is only read) runs
 on both, alternating which one goes first, and its exit code, stdout and
 stderr must be identical.  Each pass prints the CPU time of both sides
-and their ratio change/base.  Because both sides share one process and
-every verb alternates, a drift in machine speed between processes does
-not enter the ratio.  Standard library only.
+and their ratio change/base.  After the passes, each workload prints
+both sides' op_tail_ms and its ratio, by the benchmark's own rule
+(perfbench/run.py's tail of each verb's median wall latency over the
+passes).  Because both sides share one process and every verb
+alternates, a drift in machine speed between processes does not enter
+the ratios.  Standard library only.
 """
 
 from __future__ import annotations
@@ -50,20 +53,23 @@ def load_cli(checkout: str, alias: str):
 
 
 def run_verb(cli, argv: list) -> tuple:
-    """(cpu_s, exit code, stdout, stderr) of one CLI call."""
+    """(cpu_s, wall_s, exit code, stdout, stderr) of one CLI call."""
     out, err = io.StringIO(), io.StringIO()
-    start = time.process_time()
+    start, wall = time.process_time(), time.perf_counter()
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(argv + ["--json"])
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 2
-    return time.process_time() - start, code, out.getvalue(), err.getvalue()
+    return (time.process_time() - start, time.perf_counter() - wall, code,
+            out.getvalue(), err.getvalue())
 
 
 def ab_pass(base, change, verbs: list, parity: int) -> tuple:
-    """One pass over verbs; (base cpu_s, change cpu_s, mismatching argv)."""
+    """One pass over verbs: (base cpu_s, change cpu_s, mismatching argv,
+    {side: each verb's wall latency})."""
     totals = {"base": 0.0, "change": 0.0}
+    latencies = {"base": [], "change": []}
     mismatches = []
     for k, verb in enumerate(verbs):
         order = [("base", base), ("change", change)]
@@ -71,12 +77,20 @@ def ab_pass(base, change, verbs: list, parity: int) -> tuple:
             order.reverse()
         results = {}
         for side, cli in order:
-            cpu, *outcome = run_verb(cli, verb["argv"])
+            cpu, wall, *outcome = run_verb(cli, verb["argv"])
             totals[side] += cpu
+            latencies[side].append(wall)
             results[side] = outcome
         if results["base"] != results["change"]:
             mismatches.append(" ".join(verb["argv"]))
-    return totals["base"], totals["change"], mismatches
+    return totals["base"], totals["change"], mismatches, latencies
+
+
+def op_tail_ms(run, passes: list) -> float:
+    """The benchmark's op_tail_ms: run.tail over verbs of each verb's
+    median latency over passes."""
+    per_verb = [statistics.median(lat) for lat in zip(*passes)]
+    return 1000 * run.tail(per_verb)[1]
 
 
 def main(argv=None) -> int:
@@ -92,6 +106,8 @@ def main(argv=None) -> int:
 
     workloads = load_module(
         "perfbench_workloads", os.path.join(ROOT, "perfbench", "workloads.py"))
+    run = load_module(
+        "perfbench_run", os.path.join(ROOT, "perfbench", "run.py"))
     base = load_cli(args.base, "homlie_base")
     change = load_cli(args.change, "homlie_change")
     failed = False
@@ -102,11 +118,14 @@ def main(argv=None) -> int:
             verbs = workloads.generate(workload, args.seed, directory)
             os.chdir(directory)
             ratios = []
+            latencies = {"base": [], "change": []}
             try:
                 for p in range(args.passes):
-                    cpu_base, cpu_change, mismatches = ab_pass(
+                    cpu_base, cpu_change, mismatches, walls = ab_pass(
                         base, change, verbs, p)
                     ratios.append(cpu_change / cpu_base)
+                    for side, lat in walls.items():
+                        latencies[side].append(lat)
                     print(f"{workload} pass {p + 1}: base {cpu_base:.3f} s, "
                           f"change {cpu_change:.3f} s, "
                           f"ratio {ratios[-1]:.3f}")
@@ -118,6 +137,11 @@ def main(argv=None) -> int:
             print(f"{workload}: {len(verbs)} verbs, median ratio "
                   f"{statistics.median(ratios):.3f} "
                   f"(min {min(ratios):.3f}, max {max(ratios):.3f})")
+            tails = {side: op_tail_ms(run, lat)
+                     for side, lat in latencies.items()}
+            print(f"{workload}: op_tail_ms base {tails['base']:.3f}, change "
+                  f"{tails['change']:.3f}, ratio "
+                  f"{tails['change'] / tails['base']:.3f}")
     return 1 if failed else 0
 
 

@@ -21,7 +21,7 @@ from bisect import bisect
 from itertools import combinations
 from typing import Iterator, Sequence
 
-from .linalg import Q, Vector
+from .linalg import Vector
 
 
 def increasing_tuples(dim: int, k: int) -> list:
@@ -54,7 +54,7 @@ def wedge_coords(vectors: Sequence[Vector], dim: int) -> dict:
     Every vector has dim coordinates.  Zero coefficients are omitted, and
     the empty wedge (k = 0) is {(): 1}.
     """
-    terms = {(): Q(1)}
+    terms = {(): 1}
     for v in vectors:
         if len(v) != dim:
             raise ValueError("wedge factor has the wrong length")

@@ -49,7 +49,7 @@ from .io import (
     rmatrix_from_dict,
     rmatrix_to_dict,
 )
-from .linalg import parse_scalar
+from .linalg import format_scalar, parse_scalar
 from .ooperator import (
     build_nt,
     graph_check,
@@ -173,7 +173,7 @@ def _cmd_check_rota_baxter(args):
     report = is_rota_baxter(g, r, s=args.degree, weight=weight)
     data = _report_fields(report, ("commutes_with_twist", "identity"))
     data["degree"] = args.degree
-    data["weight"] = weight
+    data["weight"] = format_scalar(weight)
     return report.ok, data, report.failures
 
 
@@ -266,7 +266,7 @@ def _cmd_deform_check(args):
         "first_failing_order": report.first_failing_order,
     }
     if report.base_ok:
-        inf = infinitesimal_check(g, rep, d)
+        inf = infinitesimal_check(g, rep, d, _formal=report)
         data["infinitesimal"] = {
             "index": inf.index,
             "twist_compatible": inf.twist_compatible,
@@ -343,7 +343,7 @@ def _cmd_rmatrix_check(args):
                                      ("intertwines", "quadratic")),
         "routes_agree": report.routes_agree,
         "wedge_square": {
-            ",".join(str(i) for i in idx): q
+            ",".join(str(i) for i in idx): format_scalar(q)
             for idx, q in report.wedge_square
         },
     }

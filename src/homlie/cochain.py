@@ -60,11 +60,11 @@ from itertools import combinations
 from .alternating import increasing_tuples, sort_with_sign, wedge_coords
 from .linalg import (
     Matrix,
-    Q,
     Vector,
     densify,
     is_zero_vector,
     rref_kernel,
+    scalar,
     sparse_rref,
     vadd,
     vscale,
@@ -181,7 +181,7 @@ class Cochain:
         return self.scale(-1)
 
     def scale(self, c) -> "Cochain":
-        c = Q(c)
+        c = scalar(c)
         return Cochain(self.arity, self.source_dim, self.target_dim,
                        tuple(vscale(c, v) for v in self.values))
 
@@ -265,7 +265,7 @@ def zero_coboundary(rep: Representation, w: Vector) -> Cochain:
     """delta_0 on a fixed point of the coefficient twist (regular only)."""
     if not rep.algebra.alpha.is_invertible():
         raise ValueError("the degree-zero coboundary needs an invertible twist")
-    w = tuple(Q(c) for c in w)
+    w = tuple(scalar(c) for c in w)
     if rep.beta.apply(w) != w:
         raise ValueError("delta_0 is only defined on fixed points of the twist")
     return _coboundary_of_flat(rep, 0, w)

@@ -371,11 +371,19 @@ class InfinitesimalReport:
 
 
 def infinitesimal_check(g: HomLieAlgebra, rep: Representation,
-                        d: TruncatedDeformation) -> InfinitesimalReport:
+                        d: TruncatedDeformation,
+                        _formal: FormalDeformationReport | None = None
+                        ) -> InfinitesimalReport:
     """Locate the first nonzero coefficient and test the cocycle condition
-    it must satisfy in the complex attached to the base."""
-    _require_regular(g, rep)
-    _require_base(g, rep, d.base)
+    it must satisfy in the complex attached to the base.
+
+    _formal is formal_deformation_check(g, rep, d), from a caller that
+    has it: when its base_ok holds, it has already certified regularity
+    and the base, so neither is checked again.
+    """
+    if _formal is None or not _formal.base_ok:
+        _require_regular(g, rep)
+        _require_base(g, rep, d.base)
     index = None
     for k in range(1, d.order + 1):
         if not d.coefficient(k).is_zero():

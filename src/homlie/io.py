@@ -61,7 +61,7 @@ def _scalar(value, where: str):
     if isinstance(value, bool):
         raise SchemaError(f"{where}: booleans are not scalars")
     if isinstance(value, int):
-        return Q(value)
+        return value
     if isinstance(value, str):
         try:
             return parse_scalar(value)

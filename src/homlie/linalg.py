@@ -1,8 +1,13 @@
 """Exact linear algebra over the rationals.
 
-Every computation in this package runs on fractions.Fraction, never on
-floats.  A vector is a tuple of Fractions and a matrix is an immutable
-Matrix wrapping a tuple of row tuples.
+Every scalar in this package is an exact rational: a Python int when
+the value is integral and a fractions.Fraction otherwise, never a float
+or a bool.  scalar() is the one coercion: it refuses floats and bools
+and turns an integral Fraction into its int, so integral data runs in
+int arithmetic and a Fraction appears only where a division makes one.
+The one division of scalars is the pivot scaling of sparse_rref, which
+divides exactly.  A vector is a tuple of scalars and a matrix is an
+immutable Matrix wrapping a tuple of row tuples.
 
 One eliminator, sparse_rref, serves every rank, kernel, solve and
 inverse.  It runs Gauss-Jordan elimination on sparse rows ({column:
@@ -17,10 +22,11 @@ layer hands it sparse rows directly and keeps its kernels sparse.
 
 The kernels (@, apply, vadd, vsub, vscale, bilinear and elimination)
 skip zero operands: a product or sum with a zero in it is never formed,
-because it cannot change an exact result, and vscale(1, u) is u when u
-is already a tuple of Fractions.  Every entry the kernels return is a
-Fraction, also when a caller passes ints, and an empty sum is
-Fraction(0).
+because it cannot change an exact result, and vscale(1, u) is u when
+every entry of u is already an int or a Fraction.  Every entry the
+kernels return is an int or a Fraction, and an empty sum is 0.  A
+product of Fractions may be an integral Fraction; it equals, hashes
+and formats as its int, so the kernels do not normalize it.
 
 A bilinear product reads its structure constants from a sparse table,
 built once per structure object by sparse_table: table[i][j] lists the
@@ -44,22 +50,28 @@ Q = Fraction
 Vector = tuple
 ScalarLike = Union[Fraction, int, str]
 
-# Shared constants: a Fraction is immutable, so one object can fill
-# every zero or unit entry without constructing a new one each time.
-_ZERO = Q(0)
-_ONE = Q(1)
+Scalar = Union[int, Fraction]
+
+# Int seeds keep a sum or product of integral entries an int.
+_ZERO = 0
+_ONE = 1
 
 
-def scalar(value: ScalarLike) -> Fraction:
-    """Coerce an int, string or Fraction to an exact rational."""
-    if isinstance(value, Fraction):
+def scalar(value: ScalarLike) -> Scalar:
+    """Coerce an int, string or Fraction to an exact rational: an int
+    when the value is integral, a Fraction otherwise."""
+    if type(value) is int:
         return value
-    if isinstance(value, bool) or isinstance(value, float):
+    if isinstance(value, (bool, float)):
         raise TypeError(f"refusing inexact scalar {value!r}")
-    return Fraction(value)
+    if isinstance(value, int):
+        return value
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
 
 
-def parse_scalar(text: str) -> Fraction:
+def parse_scalar(text: str) -> Scalar:
     """Parse "p" or "p/q" with integer p, q and q > 0 after reduction."""
     if not isinstance(text, str):
         raise ValueError(f"rational expected as string, got {text!r}")
@@ -72,13 +84,14 @@ def parse_scalar(text: str) -> Fraction:
     else:
         raise ValueError(f"malformed rational {text!r}")
     try:
-        value = Fraction(int(num), int(den))
+        p, q = int(num), int(den)
+        value = p if q == 1 else Fraction(p, q)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed rational {text!r}") from exc
-    return value
+    return scalar(value)
 
 
-def format_scalar(value: Fraction) -> str:
+def format_scalar(value: Scalar) -> str:
     """Render a rational as "p" or "p/q" in lowest terms."""
     return str(Fraction(value))
 
@@ -109,7 +122,8 @@ def vscale(c: ScalarLike, u: Vector) -> Vector:
     if not c:
         return (_ZERO,) * len(u)
     if c == 1:
-        if type(u) is tuple and all(type(a) is Q for a in u):
+        if type(u) is tuple and all(type(a) is int or type(a) is Q
+                                    for a in u):
             return u
         return tuple(scalar(a) for a in u)
     return tuple(c * a if a else _ZERO for a in u)
@@ -152,14 +166,15 @@ def bilinear(u: Vector, v: Vector, table, dim: int) -> Vector:
 def sparse_rref(rows: Iterable[dict]) -> dict:
     """Gauss-Jordan elimination on sparse rows.
 
-    Each row is a {column: Fraction} dict; zero values are ignored.  Returns
+    Each row is a {column: scalar} dict; zero values are ignored.  Returns
     the reduced row echelon form of the rows' span as {pivot column:
-    row}: each reduced row is a dict of its nonzero Fractions, with 1 at
+    row}: each reduced row is a dict of its nonzero scalars, with 1 at
     its pivot, which is its least column, and no entry in any other
     pivot column.  That form is unique, so it does not depend on the
     order of the rows.  Each incoming row is reduced against the pivot
     rows found so far, and its new pivot column is then cleared from
-    them.
+    them.  A row is scaled by its pivot with exact division, the only
+    division of scalars in the package.
     """
     reduced = {}
     for row in rows:
@@ -172,7 +187,7 @@ def sparse_rref(rows: Iterable[dict]) -> dict:
             pivot = min(row)
             lead = row[pivot]
             if lead != 1:
-                row = {c: e / lead for c, e in row.items()}
+                row = {c: scalar(Fraction(e, lead)) for c, e in row.items()}
             for other in reduced.values():
                 if pivot in other:
                     _clear(other, pivot, row)
@@ -196,7 +211,7 @@ def rref_kernel(reduced: dict, ncols: int) -> list:
     """The canonical kernel basis of a sparse_rref form on ncols columns.
 
     There is one vector per free column, in increasing order, as a
-    {column: Fraction} dict of its nonzero entries: 1 at its free column
+    {column: scalar} dict of its nonzero entries: 1 at its free column
     f and -row[f] at the pivot of each reduced row with an entry at f.
     densify writes one out in full.
     """
@@ -210,7 +225,7 @@ def rref_kernel(reduced: dict, ncols: int) -> list:
 
 
 def densify(entries: dict, size: int) -> Vector:
-    """The vector of length size with the {index: Fraction} entries."""
+    """The vector of length size with the {index: scalar} entries."""
     out = [_ZERO] * size
     for k, c in entries.items():
         out[k] = c
@@ -234,7 +249,7 @@ def sparse_solve(rows: Sequence[dict], ncols: int, b: Vector) -> Vector | None:
 class Matrix:
     """Immutable exact matrix.
 
-    Rows are stored as a tuple of tuples of Fractions.  The column count
+    Rows are stored as a tuple of tuples of scalars.  The column count
     is kept explicitly so zero-row matrices (which show up as boundary
     maps out of a zero-dimensional cochain space) still know their shape.
     The columns are computed on the first column() call and kept.
@@ -304,7 +319,7 @@ class Matrix:
     def shape(self) -> tuple:
         return (self.nrows, self._ncols)
 
-    def entry(self, i: int, j: int) -> Fraction:
+    def entry(self, i: int, j: int) -> Scalar:
         return self.rows[i][j]
 
     def row(self, i: int) -> Vector:

@@ -39,11 +39,11 @@ from .cochain import Cochain
 from .graded import derived_bracket
 from .linalg import (
     Matrix,
-    Q,
     Vector,
     basis_vector,
     bilinear,
     is_zero_vector,
+    scalar,
     sparse_table,
     vadd,
     vscale,
@@ -116,9 +116,9 @@ class RotaBaxterReport:
 
 
 def is_rota_baxter(g: HomLieAlgebra, r: Matrix, s: int = 0,
-                   weight=Q(0)) -> RotaBaxterReport:
+                   weight=0) -> RotaBaxterReport:
     """Check the degree-s, weight-lambda Rota-Baxter conditions."""
-    weight = Q(weight)
+    weight = scalar(weight)
     failures = matrix_failures("twist_commute", (),
                                r @ g.alpha, g.alpha @ r)
     alpha_s = g.alpha_power(s)

@@ -4,6 +4,8 @@ Every verifier in this package reports failures instead of raising, so a
 failing structure can be diagnosed from the CLI.  A Failure pins down one
 violated identity: the law's machine name, the basis indices where it
 breaks, and the two evaluated sides (coordinate tuples, exact rationals).
+Its text renders every coordinate as a Fraction, whether it is held as
+an int or a Fraction.
 
 A report stores its failures and the data that is not a verdict, never
 a verdict itself: each verdict is holds(...) of its laws, read off the
@@ -13,6 +15,7 @@ failure list, so the two cannot disagree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .linalg import Vector
 
@@ -30,7 +33,9 @@ class Failure:
         where = ",".join(str(i) for i in self.indices)
         if self.lhs is None and self.rhs is None:
             return f"{self.law} fails at ({where})"
-        return f"{self.law} fails at ({where}): lhs={self.lhs} rhs={self.rhs}"
+        lhs, rhs = (None if v is None else tuple(Fraction(x) for x in v)
+                    for v in (self.lhs, self.rhs))
+        return f"{self.law} fails at ({where}): lhs={lhs} rhs={rhs}"
 
 
 def holds(*laws: str) -> property:

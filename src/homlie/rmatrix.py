@@ -60,9 +60,9 @@ from .deformation import (
 )
 from .linalg import (
     Matrix,
-    Q,
     basis_vector,
     is_zero_vector,
+    scalar,
     sparse_table,
 )
 from .ooperator import (
@@ -74,14 +74,12 @@ from .ooperator import (
 from .reporting import Failure, holds
 from .structures import HomLieAlgebra, Representation, coadjoint_rep, pair_list
 
-_ZERO = Q(0)
-
 
 def skew_matrix(dim: int, entries: dict) -> Matrix:
     """r# of sum q e_i wedge e_j over the {(i, j): q} entries, i < j."""
-    rows = [[_ZERO] * dim for _ in range(dim)]
+    rows = [[0] * dim for _ in range(dim)]
     for (i, j), q in entries.items():
-        rows[i][j] = Q(q)
+        rows[i][j] = scalar(q)
         rows[j][i] = -rows[i][j]
     return Matrix(rows, ncols=dim)
 
@@ -145,14 +143,14 @@ def graded_bracket_wedge(g: HomLieAlgebra, u: dict, grade_u: int,
                     bracket = g.bracket_basis(iu[pi], iv[pj])
                     if is_zero_vector(bracket):
                         continue
-                    sign = Q(-1) if (pi + pj) % 2 == 1 else Q(1)
+                    sign = -1 if (pi + pj) % 2 == 1 else 1
                     vectors = [bracket]
                     vectors += [alpha_cols[iu[k]]
                                 for k in range(grade_u) if k != pi]
                     vectors += [alpha_cols[iv[k]]
                                 for k in range(grade_v) if k != pj]
                     for indices, minor in wedge_coords(vectors, g.dim).items():
-                        out[indices] = out.get(indices, Q(0)) + scale * sign * minor
+                        out[indices] = out.get(indices, 0) + scale * sign * minor
     return {indices: c for indices, c in out.items() if c != 0}
 
 
@@ -185,7 +183,7 @@ def _accumulate3(store: dict, first, second, third) -> None:
             cab = ca * cb
             for c, cc in third:
                 key = (a, b, c)
-                store[key] = store.get(key, _ZERO) + cab * cc
+                store[key] = store.get(key, 0) + cab * cc
 
 
 def _canonical3(store: dict) -> tuple:
@@ -220,7 +218,7 @@ def cybe_sum(g: HomLieAlgebra, r: Matrix) -> CybeSum:
     total = {}
     for part in (p1, p2, p3):
         for key, q in part.items():
-            total[key] = total.get(key, _ZERO) + q
+            total[key] = total.get(key, 0) + q
     return CybeSum(
         dim=g.dim,
         part_12_13=_canonical3(p1),
@@ -265,7 +263,7 @@ def is_r_matrix(g: HomLieAlgebra, r: Matrix) -> RMatrixReport:
     """
     _require_rmatrix_context(g, r)
     square = two_tensor_square(g, r)
-    failures = [Failure("wedge_square", indices, (square[indices],), (Q(0),))
+    failures = [Failure("wedge_square", indices, (square[indices],), (0,))
                 for indices in sorted(square)]
     cybe = cybe_sum(g, r)
     coadj = coadjoint_rep(g)
@@ -440,7 +438,7 @@ def rmatrix_deformation_transfer(g: HomLieAlgebra, r: Matrix,
         for i in range(max(0, k - len(terms)), min(k, len(terms)) + 1):
             part = graded_bracket_wedge(g, coeffs[i], 2, coeffs[k - i], 2)
             for key, q in part.items():
-                total[key] = total.get(key, Q(0)) + q
+                total[key] = total.get(key, 0) + q
         wedge_orders.append((k, not any(q != 0 for q in total.values())))
     return TransferReport(
         mode=mode,

@@ -41,6 +41,7 @@ from .linalg import (
     bilinear,
     block_diag,
     is_zero_vector,
+    scalar,
     sparse_table,
     vadd,
     vneg,
@@ -116,7 +117,7 @@ class HomLieAlgebra:
             if value is None:
                 table.append(vzero(dim))
             else:
-                table.append(tuple(Q(c) for c in value))
+                table.append(tuple(scalar(c) for c in value))
         if seen:
             raise ValueError(f"bracket keys must satisfy i < j, got {sorted(seen)}")
         return cls(dim=dim, basis=tuple(basis), alpha=alpha, table=tuple(table))
@@ -450,7 +451,7 @@ def heisenberg3_twisted() -> HomLieAlgebra:
     return HomLieAlgebra.build(
         dim=3,
         brackets={(0, 1): (0, 0, 1)},
-        alpha=Matrix.diagonal([Q(2), Q(1, 2), Q(1)]),
+        alpha=Matrix.diagonal([2, Q(1, 2), 1]),
     )
 
 

@@ -38,6 +38,13 @@ from homlie.linalg import (
 DENOMS = (1, 1, 1, 2, 3)
 
 
+def exact_scalars(values) -> bool:
+    """Whether every value is an int or a Fraction, and none is a bool or
+    a float: the package's scalar contract."""
+    return all(isinstance(x, (int, Fraction)) and not isinstance(x, bool)
+               for x in values)
+
+
 def rand_scalar(rng, lo=-2, hi=2) -> Fraction:
     return Fraction(rng.randint(lo, hi), rng.choice(DENOMS))
 
@@ -81,7 +88,7 @@ def oracle_det(m):
         result *= pivot
         for r in range(col + 1, n):
             if work[r][col] != 0:
-                factor = work[r][col] / pivot
+                factor = Fraction(work[r][col]) / pivot
                 work[r] = [
                     e - factor * p for e, p in zip(work[r], work[col])
                 ]
@@ -108,7 +115,8 @@ def oracle_rref(m):
             work[piv_row], work[found] = work[found], work[piv_row]
         pivot = work[piv_row][col]
         if pivot != 1:
-            work[piv_row] = [e / pivot if e else e for e in work[piv_row]]
+            work[piv_row] = [Fraction(e) / pivot if e else e
+                             for e in work[piv_row]]
         for r in range(len(work)):
             if r != piv_row and work[r][col]:
                 factor = work[r][col]

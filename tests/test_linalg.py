@@ -33,6 +33,7 @@ from homlie.ooperator import build_nt
 from homlie.structures import sl2
 
 from helpers import (
+    exact_scalars,
     oracle_apply,
     oracle_det,
     oracle_inverse,
@@ -113,7 +114,7 @@ def test_solve():
     assert singular.solve((Q(1), Q(2))) is None
     assert singular.solve((Q(1), Q(1))) is not None
     found = Matrix.identity(2).solve((2, -3))
-    assert found == (2, -3) and all(type(x) is Fraction for x in found)
+    assert found == (2, -3) and exact_scalars(found)
 
 
 def test_inverse_errors():
@@ -187,7 +188,7 @@ def test_bilinear_keeps_fractions_and_skips_zero_coordinates():
     assert out == (Q(1, 2), Q(1)) and seen == [(0, 1)]
     zero = bilinear((0, 0), (1, 1), value, 2)
     assert zero == (Q(0), Q(0))
-    assert all(type(c) is Fraction for c in out + zero)
+    assert exact_scalars(out + zero)
 
 
 def test_block_and_stack():
@@ -247,7 +248,7 @@ def test_from_columns_and_is_zero():
     diagonal = Matrix.diagonal(iter([3, -1]))
     assert diagonal.rows == ((Q(3), Q(0)), (Q(0), Q(-1)))
     for m in (from_ints, diagonal):
-        assert all(type(e) is Fraction for row in m.rows for e in row)
+        assert exact_scalars(e for row in m.rows for e in row)
     with pytest.raises(TypeError):
         Matrix.diagonal([1.5])
 
@@ -295,7 +296,7 @@ def test_sparse_kernels_equal_dense_oracles(data):
     assert results == [oracle_apply(a, u), oracle_vadd(u, v),
                        oracle_vsub(u, v), oracle_vscale(c_scale, u)]
     for out in (*product.rows, *results):
-        assert all(type(x) is Fraction for x in out)
+        assert exact_scalars(out)
     exact = tuple(Q(x) for x in u)
     assert vscale(1, exact) is exact
 
@@ -314,6 +315,27 @@ class CountingFraction(Fraction):
         return Fraction.__rmul__(self, other)
 
 
+class CountingInt(int):
+    """An int that counts the products it takes part in.  scalar() keeps
+    an int as it is, where it turns an integral Fraction into an int."""
+
+    def __mul__(self, other):
+        CountingFraction.products += 1
+        return int.__mul__(self, other)
+
+    def __rmul__(self, other):
+        CountingFraction.products += 1
+        return int.__rmul__(self, other)
+
+
+def counting(x):
+    """x as a counting scalar that Matrix and scalar() keep as it is."""
+    x = Q(x)
+    if x.denominator == 1:
+        return CountingInt(x.numerator)
+    return CountingFraction(x)
+
+
 def _nonzero_pairs(m, v):
     return sum(1 for row in m.rows for a, x in zip(row, v) if a and x)
 
@@ -323,8 +345,10 @@ def test_kernels_multiply_no_zero_operand():
     operands; the dense kernels formed one per pair of positions."""
     rng = random.Random(11)
     values = (0, 0, 0, 1, -2, Q(1, 3))
-    m = Matrix(tuple(tuple(CountingFraction(rng.choice(values))
+    m = Matrix(tuple(tuple(counting(rng.choice(values))
                            for _ in range(6)) for _ in range(6)))
+    assert all(type(e) in (CountingInt, CountingFraction)
+               for row in m.rows for e in row)
     nonzero = sum(1 for row in m.rows for x in row if x)
     assert 0 < nonzero < 36
     CountingFraction.products = 0
@@ -334,7 +358,7 @@ def test_kernels_multiply_no_zero_operand():
 
     t = matrix([[1, 0, 2], [0, 0, -1]])
     nt = build_nt(t)
-    v = tuple(CountingFraction(x) for x in (1, 0, 0, 2, Q(-1, 2)))
+    v = tuple(counting(x) for x in (1, 0, 0, 2, Q(-1, 2)))
     CountingFraction.products = 0
     image = nt.apply(v)
     assert CountingFraction.products == _nonzero_pairs(nt, v) == 2
@@ -418,7 +442,7 @@ def test_sparse_elimination_equals_dense_oracle_and_sympy(data):
     assert (found is None) == (augmented.rank() > s.rank())
 
     for out in (*kernel, *filter(None, (found, m.solve(consistent)))):
-        assert all(type(v) is Fraction for v in out)
+        assert exact_scalars(out)
 
     if nrows == ncols:
         if s.det() == 0:
