@@ -6,6 +6,9 @@ Takiff-12 is semidirect_product(adjoint_rep(semidirect_product(
 adjoint_rep(sl2)))): dim 12, identity twist, unimodular.  The tables are
 
     adjoint   the adjoint representation, arities 0..3;
+    adjoint-full
+              the adjoint representation, arities 0..12 (tens of
+              seconds; run only when named);
     twisted   Takiff-12 twisted by exp(ad e) (a twist that is not
               diagonal), adjoint representation, arities 0..2;
     trivial   trivial one-dimensional coefficients, arities 0..12.
@@ -28,7 +31,8 @@ import sys
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-TABLES = ("adjoint", "twisted", "trivial")
+TABLES = ("adjoint", "twisted", "trivial", "adjoint-full")
+DEFAULT_TABLES = TABLES[:3]
 
 
 def exp_nilpotent(homlie, n):
@@ -53,6 +57,8 @@ def complex_of(homlie, name: str):
         rep, top = s.trivial_rep(takiff), takiff.dim
     elif name == "adjoint":
         rep, top = s.adjoint_rep(takiff), 3
+    elif name == "adjoint-full":
+        rep, top = s.adjoint_rep(takiff), takiff.dim
     else:
         e = homlie.linalg.basis_vector(takiff.dim, 1)
         ad_e = homlie.linalg.Matrix.from_columns(
@@ -82,14 +88,15 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("checkout", nargs="?", default=ROOT)
     parser.add_argument("--table", action="append", choices=TABLES,
-                        help="repeatable; default all three")
+                        help="repeatable; default adjoint, twisted and "
+                             "trivial")
     parser.add_argument("--child", action="store_true",
                         help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
         print(json.dumps(run_one(args.checkout, args.table[0])))
         return 0
-    for name in args.table or TABLES:
+    for name in args.table or DEFAULT_TABLES:
         done = subprocess.run(
             [sys.executable, os.path.abspath(__file__), args.checkout,
              "--table", name, "--child"],

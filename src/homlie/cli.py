@@ -386,12 +386,88 @@ def _cmd_weak_hom_check(args):
     return report.ok, data, report.failures
 
 
+# verb: (handler, help, arguments); a str is a positional argument and a
+# pair is an option with its add_argument keywords.  Every verb also
+# takes --json.  Parsers list the verbs in this order.
+VERBS = {
+    "verify-algebra": (
+        _cmd_verify_algebra, "check the hom-Lie axioms of an algebra file",
+        ("algebra",)),
+    "verify-rep": (
+        _cmd_verify_rep, "check the representation axioms of a rep file",
+        ("rep",)),
+    "semidirect": (
+        _cmd_semidirect, "build the semidirect sum of a representation",
+        ("rep", ("--out", {"help": "write the resulting algebra to a file"}))),
+    "cohomology": (
+        _cmd_cohomology,
+        "cochain, cocycle, coboundary, and H dimensions per arity",
+        ("rep", ("--max-arity", {"type": int}),
+         ("--operator",
+          {"help": "use the complex attached to this O-operator"}))),
+    "check-o-operator": (
+        _cmd_check_o_operator,
+        "check an operator against a representation, all routes",
+        ("rep", "operator")),
+    "check-rota-baxter": (
+        _cmd_check_rota_baxter,
+        "check the degree-s weighted Rota-Baxter identity",
+        ("algebra", "operator", ("--degree", {"type": int, "default": 0}),
+         ("--weight", {"default": "0"}))),
+    "check-nijenhuis-operator": (
+        _cmd_check_nijenhuis_operator,
+        "check the Nijenhuis identity on an algebra", ("algebra", "operator")),
+    "induced-pre-lie": (
+        _cmd_induced_pre_lie,
+        "the product {T(u), v} on the module of an O-operator",
+        ("rep", "operator")),
+    "rho-t": (
+        _cmd_rho_t, "the representation induced by an O-operator",
+        ("rep", "operator")),
+    "check-linear-deformation": (
+        _cmd_check_linear_deformation,
+        "whether T + tK deforms the O-operator T linearly",
+        ("rep", "operator", "generator")),
+    "nijenhuis-element": (
+        _cmd_nijenhuis_element,
+        "check an element and certify the trivial deformation it makes",
+        ("rep", "operator", "element")),
+    "deform-check": (
+        _cmd_deform_check, "check a truncated deformation order by order",
+        ("rep", "deformation")),
+    "deform-extend": (
+        _cmd_deform_extend,
+        "extend a deformation order by order while unobstructed",
+        ("rep", "deformation", ("--max-order", {"type": int}),
+         ("--out", {"help": "write the extended deformation to a file"}))),
+    "obstruction": (
+        _cmd_obstruction,
+        "the obstruction cochain of the next order, and its cocycle test",
+        ("rep", "deformation")),
+    "rmatrix-check": (
+        _cmd_rmatrix_check,
+        "check a skew two-tensor along all three r-matrix routes",
+        ("algebra", "rmatrix")),
+    "rmatrix-convert": (
+        _cmd_rmatrix_convert,
+        "convert between wedge coefficients and the operator matrix",
+        ("input",
+         ("--dim", {"type": int,
+                    "help": "dimension for wedge input without a dim key"}),
+         ("--out", {"help": "write the converted form to a file"}))),
+    "weak-hom-check": (
+        _cmd_weak_hom_check, "check a weak homomorphism between two r-matrices",
+        ("algebra", "phi", "psi", "r1", "r2")),
+}
+
+
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The parser for every verb, built once per process.
+def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
+    """The root parser with the subparser of verb, or of every verb in
+    VERBS order when verb is None; each tree is built once per process.
 
     argparse keeps no state between parse_args calls and looks up
-    sys.stderr only when it prints, so one parser serves repeated main
+    sys.stderr only when it prints, so one tree serves repeated main
     calls, redirected streams and usage errors alike.
     """
     parser = argparse.ArgumentParser(
@@ -400,118 +476,33 @@ def build_parser() -> argparse.ArgumentParser:
                     "O-operators, deformations, and r-matrices.",
     )
     subparsers = parser.add_subparsers(dest="verb", required=True)
-
-    def sub(name, handler, help_text):
-        p = subparsers.add_parser(name, help=help_text)
-        p.add_argument("--json", action="store_true",
-                       help="emit one JSON object instead of text")
-        p.set_defaults(handler=handler)
-        return p
-
-    p = sub("verify-algebra", _cmd_verify_algebra,
-            "check the hom-Lie axioms of an algebra file")
-    p.add_argument("algebra")
-
-    p = sub("verify-rep", _cmd_verify_rep,
-            "check the representation axioms of a rep file")
-    p.add_argument("rep")
-
-    p = sub("semidirect", _cmd_semidirect,
-            "build the semidirect sum of a representation")
-    p.add_argument("rep")
-    p.add_argument("--out", help="write the resulting algebra to a file")
-
-    p = sub("cohomology", _cmd_cohomology,
-            "cochain, cocycle, coboundary, and H dimensions per arity")
-    p.add_argument("rep")
-    p.add_argument("--max-arity", type=int, default=None)
-    p.add_argument("--operator",
-                   help="use the complex attached to this O-operator")
-
-    p = sub("check-o-operator", _cmd_check_o_operator,
-            "check an operator against a representation, all routes")
-    p.add_argument("rep")
-    p.add_argument("operator")
-
-    p = sub("check-rota-baxter", _cmd_check_rota_baxter,
-            "check the degree-s weighted Rota-Baxter identity")
-    p.add_argument("algebra")
-    p.add_argument("operator")
-    p.add_argument("--degree", type=int, default=0)
-    p.add_argument("--weight", default="0")
-
-    p = sub("check-nijenhuis-operator", _cmd_check_nijenhuis_operator,
-            "check the Nijenhuis identity on an algebra")
-    p.add_argument("algebra")
-    p.add_argument("operator")
-
-    p = sub("induced-pre-lie", _cmd_induced_pre_lie,
-            "the product {T(u), v} on the module of an O-operator")
-    p.add_argument("rep")
-    p.add_argument("operator")
-
-    p = sub("rho-t", _cmd_rho_t,
-            "the representation induced by an O-operator")
-    p.add_argument("rep")
-    p.add_argument("operator")
-
-    p = sub("check-linear-deformation", _cmd_check_linear_deformation,
-            "whether T + tK deforms the O-operator T linearly")
-    p.add_argument("rep")
-    p.add_argument("operator")
-    p.add_argument("generator")
-
-    p = sub("nijenhuis-element", _cmd_nijenhuis_element,
-            "check an element and certify the trivial deformation it makes")
-    p.add_argument("rep")
-    p.add_argument("operator")
-    p.add_argument("element")
-
-    p = sub("deform-check", _cmd_deform_check,
-            "check a truncated deformation order by order")
-    p.add_argument("rep")
-    p.add_argument("deformation")
-
-    p = sub("deform-extend", _cmd_deform_extend,
-            "extend a deformation order by order while unobstructed")
-    p.add_argument("rep")
-    p.add_argument("deformation")
-    p.add_argument("--max-order", type=int, default=None)
-    p.add_argument("--out", help="write the extended deformation to a file")
-
-    p = sub("obstruction", _cmd_obstruction,
-            "the obstruction cochain of the next order, and its cocycle test")
-    p.add_argument("rep")
-    p.add_argument("deformation")
-
-    p = sub("rmatrix-check", _cmd_rmatrix_check,
-            "check a skew two-tensor along all three r-matrix routes")
-    p.add_argument("algebra")
-    p.add_argument("rmatrix")
-
-    p = sub("rmatrix-convert", _cmd_rmatrix_convert,
-            "convert between wedge coefficients and the operator matrix")
-    p.add_argument("input")
-    p.add_argument("--dim", type=int, default=None,
-                   help="dimension for wedge input without a dim key")
-    p.add_argument("--out", help="write the converted form to a file")
-
-    p = sub("weak-hom-check", _cmd_weak_hom_check,
-            "check a weak homomorphism between two r-matrices")
-    p.add_argument("algebra")
-    p.add_argument("phi")
-    p.add_argument("psi")
-    p.add_argument("r1")
-    p.add_argument("r2")
-
+    for name in VERBS if verb is None else (verb,):
+        _, help_text, arguments = VERBS[name]
+        sub = subparsers.add_parser(name, help=help_text)
+        sub.add_argument("--json", action="store_true",
+                         help="emit one JSON object instead of text")
+        for argument in arguments:
+            if isinstance(argument, str):
+                sub.add_argument(argument)
+            else:
+                sub.add_argument(argument[0], **argument[1])
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one verb; argv defaults to sys.argv[1:].
+
+    A known verb is parsed by its own one-verb tree.  --help, no verb,
+    an unknown verb and unrecognised arguments go to the full tree,
+    whose help and usage list every verb.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    verb = argv[0] if argv and argv[0] in VERBS else None
+    args, extra = build_parser(verb).parse_known_args(argv)
+    if extra:
+        build_parser().parse_args(argv)
     try:
-        verdict, data, failures = args.handler(args)
+        verdict, data, failures = VERBS[args.verb][0](args)
     except (SchemaError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -38,7 +38,7 @@ diagonal twist and a short combination otherwise.  coboundary_on_basis
 applies delta to those flats, reading only the columns of their
 entries, and gives sparse images.  cohomology_table takes that
 restriction once per arity and hands the images straight to
-linalg.sparse_rref, so every rank of a table is computed exactly once
+linalg.sparse_echelon, so every rank of a table is computed exactly once
 and nothing the size of a cochain space is written out densely: no
 basis cochain becomes a Cochain on the way.  extend_order solves its
 deformation equations on the same images and sums the basis flats into
@@ -65,6 +65,7 @@ from .linalg import (
     is_zero_vector,
     rref_kernel,
     scalar,
+    sparse_echelon,
     sparse_rref,
     vadd,
     vscale,
@@ -409,7 +410,7 @@ def _restricted_rank(rep: Representation, arity: int) -> tuple:
     if arity == 0 and not rep.is_regular:
         return 0, 0
     basis, images = coboundary_on_basis(rep, arity)
-    return len(basis), len(sparse_rref(images))
+    return len(basis), len(sparse_echelon(images))
 
 
 def cohomology_dims(rep: Representation, arity: int) -> CohomologyDims:

@@ -64,7 +64,7 @@ from .linalg import (
     basis_vector,
     densify,
     is_zero_vector,
-    sparse_rref,
+    sparse_echelon,
     sparse_solve,
     vadd,
     vsub,
@@ -464,7 +464,7 @@ def extension_steps(g: HomLieAlgebra, rep: Representation,
     flats, images = coboundary_on_basis(complex_t, 1)
     rows = [{b: -image[r] for b, image in enumerate(images) if r in image}
             for r in range(_flat_size(complex_t, 2))]
-    dim_image = len(sparse_rref(images))
+    dim_image = len(sparse_echelon(images))
     count, rank = _restricted_rank(complex_t, 2)
     step = partial(ExtensionResult, dim_image=dim_image,
                    dim_h2=count - rank - dim_image)

@@ -93,7 +93,7 @@ def _matrix(obj, where: str) -> Matrix:
     for k, row in enumerate(rows):
         if len(row) != ncols:
             raise SchemaError(f"{where}: row {k} has a different length")
-    return Matrix(tuple(rows), ncols=ncols)
+    return Matrix._trusted(tuple(rows), ncols)
 
 
 def _index_pair(key: str, where: str) -> tuple:

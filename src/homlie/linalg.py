@@ -5,19 +5,27 @@ the value is integral and a fractions.Fraction otherwise, never a float
 or a bool.  scalar() is the one coercion: it refuses floats and bools
 and turns an integral Fraction into its int, so integral data runs in
 int arithmetic and a Fraction appears only where a division makes one.
-The one division of scalars is the pivot scaling of sparse_rref, which
-divides exactly.  A vector is a tuple of scalars and a matrix is an
-immutable Matrix wrapping a tuple of row tuples.
+It runs where scalars enter (Matrix(...), matrix, diagonal,
+from_columns, vscale's factor); rows the kernels build from checked
+scalars become a Matrix through the unchecked Matrix._trusted.  A vector
+is a tuple of scalars and a matrix is an immutable Matrix wrapping a
+tuple of row tuples.
 
-One eliminator, sparse_rref, serves every rank, kernel, solve and
-inverse.  It runs Gauss-Jordan elimination on sparse rows ({column:
-value} dicts) and returns their reduced row echelon form, which is
-unique whatever order the rows come in.  So ranks, kernel bases
+One eliminator serves every rank, kernel, solve and inverse, in two
+stages on sparse rows ({column: value} dicts).  sparse_echelon is
+fraction-free forward elimination: each row is scaled to coprime ints
+and reduced by a * row - b * pivot_row, then divided by its content.
+Its length is the rank, so ranks (Matrix.rank, is_invertible and the
+cochain layer's) read the echelon alone.  sparse_rref back-substitutes
+from the last pivot up, still in ints, and returns the reduced row
+echelon form.  The one division in the package that can make a
+Fraction is its final scaling of each row by its pivot entry.  The
+reduced form is unique whatever order the rows come in, so kernel bases
 (rref_kernel), solutions with free variables zero (sparse_solve) and
 inverses are functions of the row space alone.  rref_kernel returns each
 kernel vector sparse, as a {column: value} dict, and densify writes one
-out in full.  The Matrix methods rank, rref, kernel_basis, solve and
-inverse hand their rows to it, and kernel_basis densifies; the cochain
+out in full.  The Matrix methods rref, kernel_basis, solve and inverse
+hand their rows to sparse_rref, and kernel_basis densifies; the cochain
 layer hands it sparse rows directly and keeps its kernels sparse.
 
 The kernels (@, apply, vadd, vsub, vscale, bilinear and elimination)
@@ -43,6 +51,7 @@ construction, so no extra canonicalization step is needed).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 Q = Fraction
@@ -101,16 +110,12 @@ def vzero(n: int) -> Vector:
 
 
 def vadd(u: Vector, v: Vector) -> Vector:
-    return tuple(
-        scalar(a + b if a and b else a or b)
-        for a, b in zip(u, v, strict=True)
-    )
+    return tuple(a + b if a and b else a or b
+                 for a, b in zip(u, v, strict=True))
 
 
 def vsub(u: Vector, v: Vector) -> Vector:
-    return tuple(
-        scalar(a - b if b else a) for a, b in zip(u, v, strict=True)
-    )
+    return tuple(a - b if b else a for a, b in zip(u, v, strict=True))
 
 
 def vneg(u: Vector) -> Vector:
@@ -163,48 +168,98 @@ def bilinear(u: Vector, v: Vector, table, dim: int) -> Vector:
     return tuple(out)
 
 
-def sparse_rref(rows: Iterable[dict]) -> dict:
-    """Gauss-Jordan elimination on sparse rows.
+def sparse_echelon(rows: Iterable[dict]) -> dict:
+    """Fraction-free forward elimination of sparse rows.
 
-    Each row is a {column: scalar} dict; zero values are ignored.  Returns
-    the reduced row echelon form of the rows' span as {pivot column:
-    row}: each reduced row is a dict of its nonzero scalars, with 1 at
-    its pivot, which is its least column, and no entry in any other
-    pivot column.  That form is unique, so it does not depend on the
-    order of the rows.  Each incoming row is reduced against the pivot
-    rows found so far, and its new pivot column is then cleared from
-    them.  A row is scaled by its pivot with exact division, the only
-    division of scalars in the package.
+    Each row is a {column: scalar} dict; zero values are ignored.
+    Returns a row echelon form of the rows' span as {pivot column: row}:
+    each row is a dict of nonzero coprime ints whose least column is its
+    pivot, and no two rows share a pivot.  Its length is the rank.  Each
+    incoming row is scaled to coprime ints and its least column is
+    cleared against the pivot row there, a * row - b * pivot_row, until
+    that column is not a pivot; the result is divided by its content
+    (the gcd of its entries, an exact int division) after every step, so
+    no Fraction is made here.
     """
-    reduced = {}
+    echelon = {}
     for row in rows:
-        row = {c: e for c, e in row.items() if e}
-        # A pivot row has no entry in another pivot column, so clearing
-        # one pivot column of row leaves the others as they were.
-        for col in [c for c in row if c in reduced]:
-            _clear(row, col, reduced[col])
-        if row:
-            pivot = min(row)
-            lead = row[pivot]
-            if lead != 1:
-                row = {c: scalar(Fraction(e, lead)) for c, e in row.items()}
-            for other in reduced.values():
-                if pivot in other:
-                    _clear(other, pivot, row)
-            reduced[pivot] = row
-    return reduced
+        row = _primitive(row)
+        while row:
+            col = min(row)
+            pivot_row = echelon.get(col)
+            if pivot_row is None:
+                echelon[col] = row
+                break
+            row = _combine(row, col, pivot_row)
+    return echelon
 
 
-def _clear(row: dict, col, pivot_row: dict) -> None:
-    """row -= row[col] * pivot_row in place, for pivot_row[col] == 1."""
-    factor = row.pop(col)
+def sparse_rref(rows: Iterable[dict]) -> dict:
+    """The reduced row echelon form of sparse rows' span.
+
+    Returns {pivot column: row}: each reduced row is a dict of its
+    nonzero scalars, with 1 at its pivot, which is its least column, and
+    no entry in any other pivot column.  That form is unique, so it does
+    not depend on the order of the rows.  sparse_echelon runs first;
+    back-substitution then clears each pivot column from the rows above
+    it, from the last pivot up, still in coprime ints, and each row is
+    divided by its pivot entry only as it is written out: the one
+    division in the package that can make a Fraction.
+    """
+    done = {}
+    for col, row in sorted(sparse_echelon(rows).items(), reverse=True):
+        for other in [c for c in row if c != col and c in done]:
+            row = _combine(row, other, done[other])
+        done[col] = row
+    return {col: _divided(row, row[col]) for col, row in done.items()}
+
+
+def _primitive(row: dict) -> dict:
+    """The nonzero entries of row scaled to coprime ints.
+
+    A row that is not all ints is read by numerator and denominator, so
+    an integral Fraction that a product left becomes its int."""
+    row = {c: e for c, e in row.items() if e}
+    if not all(type(e) is int for e in row.values()):
+        den = lcm(*[e.denominator for e in row.values()])
+        row = {c: e.numerator * (den // e.denominator)
+               for c, e in row.items()}
+    return _content_free(row)
+
+
+def _combine(row: dict, col, pivot_row: dict) -> dict:
+    """a * row - b * pivot_row, which has no entry at col, divided by its
+    content; a and b are the coprime ints with a * row[col] equal to
+    b * pivot_row[col]."""
+    x, y = row.pop(col), pivot_row[col]
+    g = gcd(x, y)
+    a, b = y // g, x // g
+    if a != 1:
+        row = {c: a * e for c, e in row.items()}
     for c, e in pivot_row.items():
         if c != col:
-            value = row.get(c, _ZERO) - factor * e
+            value = row.get(c, _ZERO) - b * e
             if value:
                 row[c] = value
             else:
                 del row[c]
+    return _content_free(row)
+
+
+def _content_free(row: dict) -> dict:
+    """An int row divided by the gcd of its entries."""
+    g = gcd(*row.values())
+    if g > 1:
+        return {c: e // g for c, e in row.items()}
+    return row
+
+
+def _divided(row: dict, lead: int) -> dict:
+    """An int row divided by lead, exactly: ints where lead divides."""
+    if lead == 1:
+        return row
+    return {c: e // lead if not e % lead else Fraction(e, lead)
+            for c, e in row.items()}
 
 
 def rref_kernel(reduced: dict, ncols: int) -> list:
@@ -274,12 +329,20 @@ class Matrix:
             self._ncols = ncols
 
     @classmethod
+    def _trusted(cls, rows: tuple, ncols: int) -> "Matrix":
+        """A Matrix of rows built from scalars already checked: a tuple
+        of tuples of ncols ints and Fractions each, taken as it is."""
+        m = object.__new__(cls)
+        m.rows, m._ncols, m._columns = rows, ncols, None
+        return m
+
+    @classmethod
     def zero(cls, nrows: int, ncols: int) -> "Matrix":
-        return cls(((_ZERO,) * ncols,) * nrows, ncols=ncols)
+        return cls._trusted(((_ZERO,) * ncols,) * nrows, ncols)
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls(tuple(basis_vector(n, i) for i in range(n)), ncols=n)
+        return cls._trusted(tuple(basis_vector(n, i) for i in range(n)), n)
 
     @classmethod
     def diagonal(cls, entries: Iterable[ScalarLike]) -> "Matrix":
@@ -349,24 +412,24 @@ class Matrix:
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._require_same_shape(other)
-        return Matrix(
+        return Matrix._trusted(
             tuple(vadd(r, s) for r, s in zip(self.rows, other.rows)),
-            ncols=self._ncols,
-        )
+            self._ncols)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._require_same_shape(other)
-        return Matrix(
+        return Matrix._trusted(
             tuple(vsub(r, s) for r, s in zip(self.rows, other.rows)),
-            ncols=self._ncols,
-        )
+            self._ncols)
 
     def __neg__(self) -> "Matrix":
-        return Matrix(tuple(vneg(r) for r in self.rows), ncols=self._ncols)
+        return Matrix._trusted(tuple(vneg(r) for r in self.rows),
+                               self._ncols)
 
     def scale(self, c: ScalarLike) -> "Matrix":
         c = scalar(c)
-        return Matrix(tuple(vscale(c, r) for r in self.rows), ncols=self._ncols)
+        return Matrix._trusted(tuple(vscale(c, r) for r in self.rows),
+                               self._ncols)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self._ncols != other.nrows:
@@ -381,7 +444,7 @@ class Matrix:
                     for j, b in right[k]:
                         acc[j] += a * b
             out.append(tuple(acc))
-        return Matrix(tuple(out), ncols=cols)
+        return Matrix._trusted(tuple(out), cols)
 
     def apply(self, v: Vector) -> Vector:
         if len(v) != self._ncols:
@@ -398,9 +461,8 @@ class Matrix:
         return tuple(out)
 
     def transpose(self) -> "Matrix":
-        return Matrix(
-            tuple(self.column(j) for j in range(self._ncols)), ncols=self.nrows
-        )
+        return Matrix._trusted(
+            tuple(self.column(j) for j in range(self._ncols)), self.nrows)
 
     def is_zero(self) -> bool:
         return all(is_zero_vector(r) for r in self.rows)
@@ -440,10 +502,10 @@ class Matrix:
         rows = [tuple(reduced[p].get(j, _ZERO) for j in range(self._ncols))
                 for p in pivots]
         rows += [(_ZERO,) * self._ncols] * (self.nrows - len(pivots))
-        return Matrix(tuple(rows), ncols=self._ncols), pivots
+        return Matrix._trusted(tuple(rows), self._ncols), pivots
 
     def rank(self) -> int:
-        return len(sparse_rref(self._sparse_rows()))
+        return len(sparse_echelon(self._sparse_rows()))
 
     def kernel_basis(self) -> list:
         """Basis of the right kernel, one vector per free column (see
@@ -468,11 +530,9 @@ class Matrix:
                               for i, row in enumerate(self._sparse_rows()))
         if any(i not in reduced for i in range(n)):
             raise ValueError("matrix is singular")
-        return Matrix(
+        return Matrix._trusted(
             tuple(tuple(reduced[i].get(n + j, _ZERO) for j in range(n))
-                  for i in range(n)),
-            ncols=n,
-        )
+                  for i in range(n)), n)
 
     def is_invertible(self) -> bool:
         return self.is_square() and self.rank() == self.nrows
@@ -486,4 +546,4 @@ def block_diag(top: Matrix, bottom: Matrix) -> Matrix:
     """The block-diagonal sum, e.g. the twist of a direct sum space."""
     rows = [row + vzero(bottom.ncols) for row in top.rows]
     rows += [vzero(top.ncols) + row for row in bottom.rows]
-    return Matrix(tuple(rows), ncols=top.ncols + bottom.ncols)
+    return Matrix._trusted(tuple(rows), top.ncols + bottom.ncols)

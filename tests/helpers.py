@@ -131,6 +131,41 @@ def oracle_rref(m):
     return work, tuple(pivots)
 
 
+def oracle_sparse_rref(rows):
+    """Gauss-Jordan elimination on sparse {column: scalar} rows, the
+    library's eliminator before it went fraction-free: each incoming row
+    is reduced against the pivot rows found so far, scaled by its pivot
+    entry, and its pivot column is then cleared from them.  Returns the
+    reduced row echelon form as {pivot column: row}."""
+    reduced = {}
+    for row in rows:
+        row = {c: e for c, e in row.items() if e}
+        for col in [c for c in row if c in reduced]:
+            _oracle_clear(row, col, reduced[col])
+        if row:
+            pivot = min(row)
+            lead = row[pivot]
+            if lead != 1:
+                row = {c: Fraction(e, lead) for c, e in row.items()}
+            for other in reduced.values():
+                if pivot in other:
+                    _oracle_clear(other, pivot, row)
+            reduced[pivot] = row
+    return reduced
+
+
+def _oracle_clear(row, col, pivot_row):
+    """row -= row[col] * pivot_row in place, for pivot_row[col] == 1."""
+    factor = row.pop(col)
+    for c, e in pivot_row.items():
+        if c != col:
+            value = row.get(c, 0) - factor * e
+            if value:
+                row[c] = value
+            else:
+                del row[c]
+
+
 def oracle_kernel_basis(m):
     """One kernel vector per free column of oracle_rref, with a 1 there."""
     work, pivots = oracle_rref(m)
@@ -194,16 +229,25 @@ def count_calls(monkeypatch, func) -> list:
 
 def record_cohomology_matrices(monkeypatch) -> list:
     """While homlie.cli runs cohomology_table, record one pair per Matrix
-    built: (the size of the complex's larger twist, the shape)."""
+    built, through Matrix(...) or Matrix._trusted: (the size of the
+    complex's larger twist, the shape)."""
     import homlie.cli as cli_module
 
     record, twists = [], []
     build, table = Matrix.__init__, cli_module.cohomology_table
+    trusted = Matrix._trusted.__func__
+
+    def note(matrix):
+        if twists:
+            record.append((twists[-1], matrix.shape))
+        return matrix
 
     def recording_init(self, rows, ncols=None):
         build(self, rows, ncols)
-        if twists:
-            record.append((twists[-1], self.shape))
+        note(self)
+
+    def recording_trusted(cls, rows, ncols):
+        return note(trusted(cls, rows, ncols))
 
     def recording_table(rep, top):
         twists.append(max(rep.algebra.alpha.nrows, rep.beta.nrows))
@@ -213,6 +257,7 @@ def record_cohomology_matrices(monkeypatch) -> list:
             twists.pop()
 
     monkeypatch.setattr(Matrix, "__init__", recording_init)
+    monkeypatch.setattr(Matrix, "_trusted", classmethod(recording_trusted))
     monkeypatch.setattr(cli_module, "cohomology_table", recording_table)
     return record
 

@@ -25,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homlie.alternating import wedge_coords
-from homlie.cli import build_parser, main
+from homlie.cli import VERBS, main
 from homlie.linalg import (
     Matrix,
     bilinear,
@@ -219,9 +219,7 @@ def _locals_at_return(handler, args) -> tuple:
 
 def test_golden_verbs_hold_no_float_or_bool_scalar(monkeypatch):
     counts = {"scalars": 0, "failures": 0}
-    verbs = build_parser()._subparsers._group_actions[0].choices
-    for verb, parser in verbs.items():
-        handler = parser._defaults["handler"]
+    for verb, (handler, *entry) in VERBS.items():
 
         def walked(args, handler=handler, verb=verb):
             result, held = _locals_at_return(handler, args)
@@ -233,7 +231,7 @@ def test_golden_verbs_hold_no_float_or_bool_scalar(monkeypatch):
                 _walk(value, f"{verb} {name}", counts)
             return result
 
-        monkeypatch.setitem(parser._defaults, "handler", walked)
+        monkeypatch.setitem(VERBS, verb, (walked, *entry))
     for name, argv in golden.CASES.items():
         assert golden._replay(argv)[1] == golden._expected(name), name
     assert counts["scalars"] > 1000 and counts["failures"] > 20, counts

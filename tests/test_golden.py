@@ -312,8 +312,10 @@ def test_cohomology_builds_no_matrix_larger_than_its_twists(monkeypatch):
 
 def test_repeated_calls_in_one_process_share_one_parser(monkeypatch):
     """The whole corpus twice, forwards then backwards, with two usage
-    errors in between: every output is still the golden one, and the
-    parser tree (1 root + 17 verb parsers) is built exactly once."""
+    errors in between: every output is still the golden one, and each
+    parser node is built exactly once: every verb's one-verb tree (the
+    root and its verb) on its first call, and the full tree (the root and
+    17 verbs) on the first usage error; the backwards pass builds none."""
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -337,9 +339,38 @@ def test_repeated_calls_in_one_process_share_one_parser(monkeypatch):
         assert exited.value.code == 2
         assert err.getvalue().startswith("usage: homlie")
         assert message in err.getvalue()
+    assert collections.Counter(built) == {
+        "homlie": 18, **{f"homlie {verb}": 2 for verb in cli_module.VERBS}}
+    before = len(built)
     for name in reversed(names):
         assert _replay(CASES[name]) == (codes[name], _expected(name)), name
-    assert len(built) == 18
+    assert len(built) == before
+
+
+def test_one_call_builds_the_root_and_its_verb_parser():
+    """One main call in a fresh interpreter constructs exactly two
+    ArgumentParsers: the root and the parser of its verb."""
+    script = (
+        "import argparse, contextlib, io, sys\n"
+        "from homlie.cli import main\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *args, **kwargs):\n"
+        "    built.append(kwargs.get('prog'))\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(sys.argv[1:])\n"
+        "print(code, built)\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
+    argv = _resolve(["cohomology", "inputs/sl2.adjoint.rep.json", "--json"])
+    done = subprocess.run([sys.executable, "-c", script, *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=120, check=True)
+    assert done.stdout.split(None, 1) == [
+        "0", "['homlie', 'homlie cohomology']\n"]
 
 
 def test_python_m_homlie_matches_in_process_main():

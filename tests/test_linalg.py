@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from homlie.linalg import (
     parse_scalar,
     rref_kernel,
     scalar,
+    sparse_echelon,
     sparse_rref,
     sparse_solve,
     sparse_table,
@@ -41,6 +43,7 @@ from helpers import (
     oracle_matmul,
     oracle_rref,
     oracle_solve,
+    oracle_sparse_rref,
     oracle_vadd,
     oracle_vscale,
     oracle_vsub,
@@ -467,3 +470,101 @@ def test_sparse_elimination_equals_dense_oracle_and_sympy(data):
     assert [densify(v, ncols) for v in sparse_kernel] == kernel
     assert all(all(v.values()) for v in sparse_kernel)
     assert sparse_solve(rows, ncols, b) == found
+
+
+# The fraction-free eliminator against Gauss-Jordan on Fractions (the
+# eliminator it replaced, kept as helpers.oracle_sparse_rref) and sympy,
+# on rows as the cochain layer hands them over: sparse, with large
+# denominators, rescaled copies of other rows, zero rows, and integral
+# Fractions such as Fraction(-1, 1) that a product of Fractions leaves.
+
+wide_scalars = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-3, 3).map(Fraction),
+    st.builds(Fraction, st.integers(-10 ** 12, 10 ** 12),
+              st.integers(1, 10 ** 9)))
+
+
+@st.composite
+def elimination_rows(draw, ncols):
+    """Sparse rows on ncols columns; some rescale or combine earlier ones,
+    and some are zero or hold explicit zeros."""
+    rows = []
+    for _ in range(draw(st.integers(0, 7))):
+        kind = draw(st.sampled_from(("fresh", "fresh", "rescaled", "sum",
+                                     "zero")))
+        if kind == "zero" or not ncols:
+            rows.append(dict.fromkeys(draw(st.sets(
+                st.integers(0, ncols - 1), max_size=2)) if ncols else (), 0))
+        elif kind == "fresh" or not rows:
+            columns = draw(st.sets(st.integers(0, ncols - 1), min_size=1))
+            rows.append({c: draw(wide_scalars) for c in columns})
+        elif kind == "rescaled":
+            c = draw(wide_scalars.filter(bool))
+            rows.append({k: c * e for k, e in draw(st.sampled_from(
+                rows)).items()})
+        else:
+            first, second = draw(st.sampled_from(rows)), draw(
+                st.sampled_from(rows))
+            rows.append({k: first.get(k, 0) + second.get(k, 0)
+                         for k in {*first, *second}})
+    return rows
+
+
+def _sympy_rows(rows, ncols):
+    return sympy.Matrix(len(rows), ncols, [
+        sympy.Rational(Q(x).numerator, Q(x).denominator)
+        for row in rows for x in densify(row, ncols)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_fraction_free_elimination_equals_gauss_jordan_and_sympy(data):
+    ncols = data.draw(st.integers(0, 6))
+    rows = data.draw(elimination_rows(ncols))
+    reduced = sparse_rref(rows)
+    assert reduced == oracle_sparse_rref(rows)
+    s = _sympy_rows(rows, ncols)
+    s_reduced, s_pivots = s.rref()
+    assert sorted(reduced) == list(s_pivots)
+    for p, row in reduced.items():
+        assert exact_scalars(row.values()) and row[p] == 1
+        assert row == {j: e for j, e in enumerate(_from_sympy(
+            s_reduced.tolist())[s_pivots.index(p)]) if e}
+
+    echelon = sparse_echelon(rows)
+    assert sorted(echelon) == sorted(reduced)
+    assert len(echelon) == s.rank()
+    for p, row in echelon.items():
+        assert min(row) == p and all(type(e) is int and e for e in
+                                     row.values())
+        assert math.gcd(*row.values()) == 1
+    m = Matrix(tuple(densify(row, ncols) for row in rows), ncols=ncols) \
+        if rows else Matrix.zero(0, ncols)
+    assert m.rank() == s.rank()
+    assert m.is_invertible() == (s.rows == s.cols and s.rank() == s.rows)
+
+    kernel = rref_kernel(reduced, ncols)
+    assert kernel == rref_kernel(oracle_sparse_rref(rows), ncols)
+    assert [densify(v, ncols) for v in kernel] == [
+        _from_sympy(v.T.tolist())[0] for v in s.nullspace()]
+
+    b = data.draw(st.lists(wide_scalars, min_size=len(rows),
+                           max_size=len(rows)))
+    found = sparse_solve(rows, ncols, b)
+    augmented = oracle_sparse_rref(
+        {**row, ncols: c} if c else row for row, c in zip(rows, b))
+    if ncols in augmented:
+        assert found is None
+    else:
+        assert found == tuple(augmented[p].get(ncols, 0) if p in augmented
+                              else 0 for p in range(ncols))
+        assert all(sum(row.get(j, 0) * found[j] for j in range(ncols)) == c
+                   for row, c in zip(rows, b))
+
+    if m.is_square():
+        if m.is_invertible():
+            assert m.inverse().rows == _from_sympy(s.inv().tolist())
+        else:
+            with pytest.raises(ValueError):
+                m.inverse()
