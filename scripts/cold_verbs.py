@@ -10,41 +10,28 @@ first verbs of each pass.  ab_verbs.py runs both sides in one process
 and cannot see it; this script can.  Each pass is a fresh interpreter
 that imports homlie.cli from one checkout's src/ untimed, as perfbench's
 set-up does, then runs every verb of the workload once through cli.main
-with --json (the verbs come from this checkout's perfbench/workloads.py,
-which is only read) and times each.  It runs P pairs of passes, one per
-side, and the side that goes first alternates from pair to pair.  Each
-verb's exit code, stdout and stderr must be identical on both sides.
-For each side it prints the median over passes of the first verb's
-latency and of the sum of a pass, and op_tail_ms by perfbench/run.py's
-rule: the tail over verbs of each verb's median latency.  Standard
-library only.
+with --json, timed as ab_verbs.py times it (the verbs come from this
+checkout's perfbench/workloads.py, which is only read).  It runs P pairs
+of passes, one per side, and the side that goes first alternates from
+pair to pair.  Each verb's exit code, stdout and stderr must be
+identical on both sides.  For each side it prints the median over
+passes of the first verb's latency and of the sum of a pass, and
+op_tail_ms by perfbench/run.py's rule: the tail over verbs of each
+verb's median latency.  Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import hashlib
-import importlib.util
-import io
 import json
 import os
 import statistics
 import subprocess
 import sys
 import tempfile
-import time
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-WORKLOADS = ("cohomology-tables", "operator-routes", "deformation-chain")
-
-
-def load_module(name: str, path: str):
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return module
+from ab_verbs import ROOT, WORKLOADS, load_module, run_verb
 
 
 def child(checkout: str, verbs_path: str) -> dict:
@@ -61,17 +48,10 @@ def child(checkout: str, verbs_path: str) -> dict:
         verbs = json.load(handle)
     latencies, outputs = [], []
     for argv in verbs:
-        out, err = io.StringIO(), io.StringIO()
-        start = time.perf_counter()
-        try:
-            with contextlib.redirect_stdout(out), \
-                    contextlib.redirect_stderr(err):
-                code = cli.main(argv + ["--json"])
-        except SystemExit as exc:
-            code = exc.code if isinstance(exc.code, int) else 2
-        latencies.append(time.perf_counter() - start)
-        outputs.append(hashlib.sha256(json.dumps(
-            [code, out.getvalue(), err.getvalue()]).encode()).hexdigest())
+        _, wall, *outcome = run_verb(cli, argv)
+        latencies.append(wall)
+        outputs.append(hashlib.sha256(
+            json.dumps(outcome).encode()).hexdigest())
     return {"latencies": latencies, "outputs": outputs}
 
 

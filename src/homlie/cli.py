@@ -456,7 +456,8 @@ VERBS = {
                     "help": "dimension for wedge input without a dim key"}),
          ("--out", {"help": "write the converted form to a file"}))),
     "weak-hom-check": (
-        _cmd_weak_hom_check, "check a weak homomorphism between two r-matrices",
+        _cmd_weak_hom_check,
+        "check a weak homomorphism between two r-matrices",
         ("algebra", "phi", "psi", "r1", "r2")),
 }
 

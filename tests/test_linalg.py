@@ -554,9 +554,10 @@ def test_fraction_free_elimination_equals_gauss_jordan_and_sympy(data):
     found = sparse_solve(rows, ncols, b)
     augmented = oracle_sparse_rref(
         {**row, ncols: c} if c else row for row, c in zip(rows, b))
-    if ncols in augmented:
-        assert found is None
-    else:
+    s_augmented = s.row_join(_sympy_rows([{0: c} for c in b], 1))
+    assert (found is None) == (ncols in augmented) == (
+        s_augmented.rank() > s.rank())
+    if found is not None:
         assert found == tuple(augmented[p].get(ncols, 0) if p in augmented
                               else 0 for p in range(ncols))
         assert all(sum(row.get(j, 0) * found[j] for j in range(ncols)) == c
@@ -564,7 +565,9 @@ def test_fraction_free_elimination_equals_gauss_jordan_and_sympy(data):
 
     if m.is_square():
         if m.is_invertible():
+            assert m.inverse() == oracle_inverse(m)
             assert m.inverse().rows == _from_sympy(s.inv().tolist())
         else:
-            with pytest.raises(ValueError):
-                m.inverse()
+            for inverse in (m.inverse, lambda: oracle_inverse(m)):
+                with pytest.raises(ValueError):
+                    inverse()
