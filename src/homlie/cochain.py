@@ -21,6 +21,13 @@ whose twist alpha is the source twist, and take values in rep, whose
 twist beta is the coefficient twist.  The complex of an O-operator T
 is the one of ooperator.rho_T.
 
+A Cochain is its nonzero values: an {increasing tuple: coefficient
+vector} dict with no zero vector in it, so equal maps compare equal.
+Every other layer sees only Cochains.  The elimination works on flat
+coordinates instead, the integer position * target_dim + t of entry t
+of the value on the tuple at position p in combinations order, and
+they stay in this module: _flatten and _unflatten convert at its edge.
+
 delta_n has a single implementation, delta_0 included: it is assembled
 once per (complex, arity) as a sparse column map on flat coordinates.
 One walk over the increasing (n+1)-tuples emits every entry; the
@@ -28,8 +35,8 @@ rho-term reads the nonzero entries of each rho(alpha^{n-1} e_i) once,
 straight off the coefficient's sparse structure constants, and the
 bracket term takes one wedge_coords expansion of [e_a, e_b] ^ alpha
 e_... per tuple and pair with a nonzero bracket.  coboundary applies
-that map to one cochain, and coboundary_matrix, part of the public API,
-is its dense form.
+that map to the flat of one cochain, and coboundary_matrix, part of the
+public API, is its dense form.
 
 The compatible basis is the kernel of one sparse system for every pair
 of twists, and compatible_flats returns it as sparse flats: one
@@ -40,10 +47,12 @@ entries, and gives sparse images.  cohomology_table takes that
 restriction once per arity and hands the images straight to
 linalg.sparse_echelon, so every rank of a table is computed exactly once
 and nothing the size of a cochain space is written out densely: no
-basis cochain becomes a Cochain on the way.  extend_order solves its
-deformation equations on the same images and sums the basis flats into
-its solution.  compatible_maps_basis and compatible_subspace_basis wrap
-the flats as Cochains for callers that want them.
+basis cochain becomes a Cochain on the way.  coboundary_solver takes
+the same images once and solves delta X = target on them for as many
+targets as its caller has (the extension loop of homlie.deformation),
+taking and returning Cochains.  compatible_maps_basis and
+compatible_subspace_basis wrap the flats as Cochains for callers that
+want them.
 
 For regular structures the complex extends to degree zero: C^0 is the
 fixed-point space of the coefficient twist and
@@ -67,9 +76,9 @@ from .linalg import (
     scalar,
     sparse_echelon,
     sparse_rref,
+    sparse_solve,
     vadd,
     vscale,
-    vsub,
     vzero,
 )
 from .structures import Representation
@@ -82,63 +91,64 @@ def _tuple_positions(dim: int, arity: int) -> dict:
 
 @dataclass(frozen=True)
 class Cochain:
-    """An alternating map stored densely on increasing basis tuples.
+    """An alternating map, stored as its nonzero values.
 
-    values holds one coefficient vector (length target_dim) per
-    increasing arity-tuple of source indices, in combinations order.
-    Arity 0 stores the single value on the empty tuple.
+    values maps each increasing arity-tuple of source indices on which
+    the map is nonzero to its coefficient vector (length target_dim); a
+    missing tuple has the value zero.  The constructor drops zero
+    vectors and refuses a key that is not an increasing tuple of arity
+    indices below source_dim, so equal maps have equal values.  Arity 0
+    keeps its value on the empty tuple.
     """
 
     arity: int
     source_dim: int
     target_dim: int
-    values: tuple
+    values: dict
 
     def __post_init__(self):
-        expected = len(increasing_tuples(self.source_dim, self.arity))
-        if len(self.values) != expected:
-            raise ValueError("wrong number of coefficient vectors")
-        for v in self.values:
+        values = {}
+        for key, v in self.values.items():
+            bounds = (-1, *key, self.source_dim)
+            if len(key) != self.arity or any(
+                    a >= b for a, b in zip(bounds, bounds[1:])):
+                raise ValueError(
+                    f"keys must be increasing {self.arity}-tuples of indices "
+                    f"below {self.source_dim}, got {key!r}")
             if len(v) != self.target_dim:
                 raise ValueError("coefficient vector has the wrong length")
+            if not is_zero_vector(v):
+                values[key] = tuple(v)
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def zero(cls, arity: int, source_dim: int, target_dim: int) -> "Cochain":
-        count = len(increasing_tuples(source_dim, arity))
-        return cls(arity, source_dim, target_dim,
-                   tuple(vzero(target_dim) for _ in range(count)))
+        return cls(arity, source_dim, target_dim, {})
 
     @classmethod
     def from_values(cls, arity, source_dim, target_dim, entries) -> "Cochain":
-        """Build from a sparse {increasing tuple: vector} dict."""
-        values = []
-        seen = set(entries)
-        for t in increasing_tuples(source_dim, arity):
-            seen.discard(t)
-            v = entries.get(t)
-            values.append(vzero(target_dim) if v is None else vscale(1, v))
-        if seen:
-            raise ValueError(
-                f"keys must be increasing index tuples, got {sorted(seen)}")
-        return cls(arity, source_dim, target_dim, tuple(values))
+        """Build from an {increasing tuple: vector} dict, coercing every
+        entry to an exact scalar."""
+        return cls(arity, source_dim, target_dim,
+                   {t: vscale(1, v) for t, v in entries.items()})
 
     @classmethod
     def from_linear_map(cls, m: Matrix) -> "Cochain":
         """Wrap a matrix as the arity-1 cochain e_j -> column j."""
         return cls(1, m.ncols, m.nrows,
-                   tuple(m.column(j) for j in range(m.ncols)))
+                   {(j,): m.column(j) for j in range(m.ncols)})
 
     def as_matrix(self) -> Matrix:
         if self.arity != 1:
             raise ValueError("only arity-1 cochains are matrices")
-        return Matrix.from_columns(list(self.values), nrows=self.target_dim)
-
-    @property
-    def index_tuples(self) -> list:
-        return increasing_tuples(self.source_dim, self.arity)
+        return Matrix.from_columns(
+            [self.coeff((j,)) for j in range(self.source_dim)],
+            nrows=self.target_dim)
 
     def coeff(self, indices: tuple) -> Vector:
-        return self.values[_tuple_positions(self.source_dim, self.arity)[indices]]
+        """The value on an increasing tuple, zero when none is stored."""
+        value = self.values.get(indices)
+        return vzero(self.target_dim) if value is None else value
 
     def evaluate_basis(self, indices) -> Vector:
         """Value on basis vectors in any order, with the alternating sign."""
@@ -155,12 +165,14 @@ class Cochain:
         if len(vectors) != self.arity:
             raise ValueError("wrong number of arguments")
         if self.arity == 0:
-            return self.values[0]
+            return self.coeff(())
         out = list(vzero(self.target_dim))
         for indices, minor in wedge_coords(vectors, self.source_dim).items():
-            for t, c in enumerate(self.coeff(indices)):
-                if c:
-                    out[t] += minor * c
+            value = self.values.get(indices)
+            if value is not None:
+                for t, c in enumerate(value):
+                    if c:
+                        out[t] += minor * c
         return tuple(out)
 
     def _require_like(self, other: "Cochain") -> None:
@@ -170,13 +182,13 @@ class Cochain:
 
     def __add__(self, other: "Cochain") -> "Cochain":
         self._require_like(other)
-        return Cochain(self.arity, self.source_dim, self.target_dim,
-                       tuple(vadd(a, b) for a, b in zip(self.values, other.values)))
+        values = dict(self.values)
+        for key, v in other.values.items():
+            values[key] = vadd(values[key], v) if key in values else v
+        return Cochain(self.arity, self.source_dim, self.target_dim, values)
 
     def __sub__(self, other: "Cochain") -> "Cochain":
-        self._require_like(other)
-        return Cochain(self.arity, self.source_dim, self.target_dim,
-                       tuple(vsub(a, b) for a, b in zip(self.values, other.values)))
+        return self + other.scale(-1)
 
     def __neg__(self) -> "Cochain":
         return self.scale(-1)
@@ -184,42 +196,47 @@ class Cochain:
     def scale(self, c) -> "Cochain":
         c = scalar(c)
         return Cochain(self.arity, self.source_dim, self.target_dim,
-                       tuple(vscale(c, v) for v in self.values))
+                       {key: vscale(c, v) for key, v in self.values.items()})
 
     def is_zero(self) -> bool:
-        return all(is_zero_vector(v) for v in self.values)
-
-    def to_flat(self) -> Vector:
-        """Concatenation of the coefficient vectors, combinations order."""
-        out = []
-        for v in self.values:
-            out.extend(v)
-        return tuple(out)
-
-    @classmethod
-    def from_flat(cls, arity, source_dim, target_dim, flat) -> "Cochain":
-        count = len(increasing_tuples(source_dim, arity))
-        if len(flat) != count * target_dim:
-            raise ValueError("flat vector has the wrong length")
-        flat = tuple(flat)
-        return cls(arity, source_dim, target_dim,
-                   tuple(flat[p * target_dim:(p + 1) * target_dim]
-                         for p in range(count)))
+        return not self.values
 
 
 def is_twist_compatible(f: Cochain, sigma: Matrix, tau: Matrix) -> bool:
     """Whether f(sigma v_1, ..., sigma v_n) = tau(f(v_1, ..., v_n))."""
-    for indices in f.index_tuples:
+    for indices in increasing_tuples(f.source_dim, f.arity):
         args = [sigma.column(i) for i in indices]
         if f.evaluate(args) != tau.apply(f.coeff(indices)):
             return False
     return True
 
 
+def _flatten(f: Cochain) -> dict:
+    """The nonzero entries of f at their flat coordinates: entry t of
+    the value on the increasing tuple at position p (combinations order)
+    has coordinate p * target_dim + t."""
+    position, td = _tuple_positions(f.source_dim, f.arity), f.target_dim
+    return {position[key] * td + t: c for key, v in f.values.items()
+            for t, c in enumerate(v) if c}
+
+
+def _unflatten(arity: int, source_dim: int, target_dim: int,
+               flat: dict) -> Cochain:
+    """The Cochain whose flat coordinates (see _flatten) hold the
+    {coordinate: value} entries of flat."""
+    tuples = increasing_tuples(source_dim, arity)
+    vectors = {}
+    for k, c in flat.items():
+        p, t = divmod(k, target_dim)
+        vectors.setdefault(p, [0] * target_dim)[t] = c
+    return Cochain(arity, source_dim, target_dim,
+                   {tuples[p]: tuple(v) for p, v in vectors.items()})
+
+
 def compatible_flats(sigma: Matrix, tau: Matrix, arity: int) -> list:
     """Canonical basis of the alternating maps f with f . sigma^n = tau . f,
-    as sparse flats: {flat coordinate: Fraction} dicts of the nonzero
-    entries, in the coordinates of Cochain.to_flat.
+    as sparse flats: {flat coordinate: scalar} dicts of the nonzero
+    entries, in the coordinates of _flatten.
 
     Solves the sparse linear system f(sigma e_I) = tau(f(e_I)) over the
     flat coordinates; the canonical kernel basis makes the result stable.
@@ -245,21 +262,13 @@ def compatible_flats(sigma: Matrix, tau: Matrix, arity: int) -> list:
 
 def compatible_maps_basis(sigma: Matrix, tau: Matrix, arity: int) -> list:
     """The basis of compatible_flats(sigma, tau, arity) as Cochains."""
-    sd, td = sigma.nrows, tau.nrows
-    size = len(increasing_tuples(sd, arity)) * td
-    return [Cochain.from_flat(arity, sd, td, densify(f, size))
+    return [_unflatten(arity, sigma.nrows, tau.nrows, f)
             for f in compatible_flats(sigma, tau, arity)]
 
 
 def compatible_subspace_basis(rep: Representation, arity: int) -> list:
     """Canonical basis of the twist-compatible arity-cochains of rep."""
     return compatible_maps_basis(rep.algebra.alpha, rep.beta, arity)
-
-
-def zero_fixed_point_basis(rep: Representation) -> list:
-    """Basis of C^0: the fixed points of the coefficient twist."""
-    return [densify(f, rep.dim) for f in
-            compatible_flats(rep.algebra.alpha, rep.beta, 0)]
 
 
 def zero_coboundary(rep: Representation, w: Vector) -> Cochain:
@@ -269,7 +278,7 @@ def zero_coboundary(rep: Representation, w: Vector) -> Cochain:
     w = tuple(scalar(c) for c in w)
     if rep.beta.apply(w) != w:
         raise ValueError("delta_0 is only defined on fixed points of the twist")
-    return _coboundary_of_flat(rep, 0, w)
+    return _coboundary_of_flat(rep, 0, {t: c for t, c in enumerate(w) if c})
 
 
 def _flat_size(rep: Representation, arity: int) -> int:
@@ -292,7 +301,7 @@ def _coboundary_columns(rep: Representation, arity: int) -> list:
     """delta_arity as a sparse column map.
 
     Entry k is a {flat row: coefficient} dict of the nonzero entries of
-    column k, in the flat coordinates of Cochain.to_flat on both sides.
+    column k, in the flat coordinates of _flatten on both sides.
     Row (I, t) of delta f collects
 
         sum_pos (-1)^pos rho(alpha^{n-1} e_{i_pos})_{t,u} f_u(I - i_pos)
@@ -348,11 +357,9 @@ def _apply_columns(columns: list, flat: dict) -> dict:
 
 
 def _coboundary_of_flat(rep: Representation, arity: int,
-                        flat: Vector) -> Cochain:
-    image = _apply_columns(_coboundary_columns(rep, arity),
-                           {k: c for k, c in enumerate(flat) if c})
-    return Cochain.from_flat(arity + 1, rep.algebra.dim, rep.dim,
-                             densify(image, _flat_size(rep, arity + 1)))
+                        flat: dict) -> Cochain:
+    image = _apply_columns(_coboundary_columns(rep, arity), flat)
+    return _unflatten(arity + 1, rep.algebra.dim, rep.dim, image)
 
 
 def coboundary(rep: Representation, f: Cochain) -> Cochain:
@@ -360,8 +367,8 @@ def coboundary(rep: Representation, f: Cochain) -> Cochain:
     if (f.source_dim, f.target_dim) != (rep.algebra.dim, rep.dim):
         raise ValueError("cochain does not live on this complex")
     if f.arity == 0:
-        return zero_coboundary(rep, f.values[0])
-    return _coboundary_of_flat(rep, f.arity, f.to_flat())
+        return zero_coboundary(rep, f.coeff(()))
+    return _coboundary_of_flat(rep, f.arity, _flatten(f))
 
 
 def coboundary_matrix(rep: Representation, arity: int) -> Matrix:
@@ -401,7 +408,7 @@ def coboundary_on_basis(rep: Representation, arity: int) -> tuple:
     return flats, [_apply_columns(columns, f) for f in flats]
 
 
-def _restricted_rank(rep: Representation, arity: int) -> tuple:
+def restricted_rank(rep: Representation, arity: int) -> tuple:
     """(number of compatible basis cochains, rank of delta on them).
 
     Degree zero counts only for a regular representation; otherwise the
@@ -411,6 +418,36 @@ def _restricted_rank(rep: Representation, arity: int) -> tuple:
         return 0, 0
     basis, images = coboundary_on_basis(rep, arity)
     return len(basis), len(sparse_echelon(images))
+
+
+def coboundary_solver(rep: Representation, arity: int) -> tuple:
+    """(rank of delta_arity on the compatible basis, solve).
+
+    solve(target) is the compatible arity-cochain X with
+    delta X = target, or None when there is none.  Its coordinates on
+    the basis come from linalg.sparse_solve on the transposed images, so
+    every free coordinate is zero and X is canonical.  delta_arity is
+    assembled and restricted once, however many targets are solved.
+    """
+    flats, images = coboundary_on_basis(rep, arity)
+    rows = [{} for _ in range(_flat_size(rep, arity + 1))]
+    for b, image in enumerate(images):
+        for r, c in image.items():
+            rows[r][b] = c
+    shape = (arity + 1, rep.algebra.dim, rep.dim)
+
+    def solve(target: Cochain) -> Cochain | None:
+        if (target.arity, target.source_dim, target.target_dim) != shape:
+            raise ValueError("target does not live on this complex")
+        rhs = _flatten(target)
+        coords = sparse_solve(rows, len(flats),
+                              [rhs.get(r, 0) for r in range(len(rows))])
+        if coords is None:
+            return None
+        return _unflatten(arity, rep.algebra.dim, rep.dim, _apply_columns(
+            flats, {b: c for b, c in enumerate(coords) if c}))
+
+    return len(sparse_echelon(images)), solve
 
 
 def cohomology_dims(rep: Representation, arity: int) -> CohomologyDims:
@@ -424,8 +461,8 @@ def cohomology_dims(rep: Representation, arity: int) -> CohomologyDims:
     """
     if arity < 0:
         raise ValueError("negative arity")
-    count, rank = _restricted_rank(rep, arity)
-    boundaries = _restricted_rank(rep, arity - 1)[1] if arity > 0 else 0
+    count, rank = restricted_rank(rep, arity)
+    boundaries = restricted_rank(rep, arity - 1)[1] if arity > 0 else 0
     return CohomologyDims(arity, count, count - rank, boundaries)
 
 
@@ -440,7 +477,7 @@ def cohomology_table(rep: Representation, top: int) -> list:
     table = []
     boundaries = 0
     for n in range(top + 1):
-        count, rank = _restricted_rank(rep, n)
+        count, rank = restricted_rank(rep, n)
         table.append(CohomologyDims(n, count, count - rank, boundaries))
         boundaries = rank
     return table

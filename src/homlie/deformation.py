@@ -19,15 +19,16 @@ that linear equation over the twist-compatible maps.  Theta is the
 part of the deformed identity at order k+1 that does not involve
 T_{k+1}, so it is computed as that identity's defect with T_{k+1} = 0,
 from the same inner actions {T_j e_a, e_b} - {T_j e_b, e_a} as the
-order checks.  By the identity {{T, X}} = -delta_T(X), the system is
-minus the differential delta_1 of the complex attached to T, that is
-of its representation rho_T, restricted to its compatible basis.
-The derived bracket of homlie.graded is not used here: it stays the
-independent Maurer-Cartan route and the tests' oracle for Theta.
-extension_steps is the one extension loop: it checks the input
-deformation once, builds rho_T, -delta_1 and dim H^2 once, and then
-per order computes Theta, solves, and checks the
-deformed identity at the order it has just solved.
+order checks.  By the identity {{T, X}} = -delta_T(X), the equation
+is delta_1 X = -Theta in the complex attached to T, that is of its
+representation rho_T, over its compatible basis.  Theta and X are
+Cochains: how the cochain layer lays out and solves that system is
+its own affair.  The derived bracket of homlie.graded is not used
+here: it stays the independent Maurer-Cartan route and the tests'
+oracle for Theta.  extension_steps is the one extension loop: it
+checks the input deformation once, builds rho_T, the solver of
+delta_1 and dim H^2 once, and then per order computes Theta, solves,
+and checks the deformed identity at the order it has just solved.
 
 A Nijenhuis element x (fixed by alpha, with vanishing squares
 [[x, y], [x, z]], rho([x, y]) rho(x) and [x, T rho(x)(v) + [T(v), x]])
@@ -51,21 +52,16 @@ from functools import partial
 
 from .cochain import (
     Cochain,
-    _apply_columns,
-    _flat_size,
-    _restricted_rank,
     coboundary,
-    coboundary_on_basis,
+    coboundary_solver,
+    restricted_rank,
     zero_coboundary,
 )
 from .linalg import (
     Matrix,
     Vector,
     basis_vector,
-    densify,
     is_zero_vector,
-    sparse_echelon,
-    sparse_solve,
     vadd,
     vsub,
     vzero,
@@ -320,8 +316,8 @@ def _next_defect(g: HomLieAlgebra, rep: Representation, coeffs: list,
     """Theta of the deformation with coefficients coeffs: the defect of
     the deformed identity at order len(coeffs), whose coefficient is
     zero."""
-    return Cochain(2, rep.dim, g.dim,
-                   tuple(_defects(g, rep, coeffs, len(coeffs), inner)))
+    return Cochain(2, rep.dim, g.dim, dict(zip(
+        pair_list(rep.dim), _defects(g, rep, coeffs, len(coeffs), inner))))
 
 
 def _inner_table(rep: Representation, coeffs: list) -> dict:
@@ -446,39 +442,31 @@ def extension_steps(g: HomLieAlgebra, rep: Representation,
     ExtensionResult of each step; an obstructed step is the last.
 
     d is checked once, and that check certifies its base; rho_T of the
-    base (its complex), the system -delta_1 on the compatible basis,
-    its rank dim_image and dim H^2 are built once, from the sparse
-    images of the basis.  Each step reads Theta off the kept inner
-    actions, as obstruction does, and solves {{T, X}} = Theta with
-    linalg.sparse_solve; its free variables are zero, so the chosen
-    solution is canonical, and X is the sum of the basis flats with
-    those coordinates.  Each solved order is checked against the deformed
-    identity, raising the ValueError of obstruction on a failure; the
-    check reuses the inner actions of the input check and adds only
-    those of the new term.  When the system is inconsistent the
-    deformation is obstructed and the class of Theta in H^2 is the
-    witness.
+    base (its complex), dim H^2 and the solver of delta_1 on the
+    compatible basis, with its rank dim_image, are built once.  Each
+    step reads Theta off the kept inner actions, as obstruction does,
+    and solves {{T, X}} = Theta, that is delta_T X = -Theta, with
+    cochain.coboundary_solver, whose solution is canonical.  Each solved
+    order is checked against the deformed identity, raising the
+    ValueError of obstruction on a failure; the check reuses the inner
+    actions of the input check and adds only those of the new term.
+    When the system is inconsistent the deformation is obstructed and
+    the class of Theta in H^2 is the witness.
     """
     inner = _checked_inner(g, rep, d)
     complex_t = rho_t(g, rep, d.base, unchecked=True)
-    flats, images = coboundary_on_basis(complex_t, 1)
-    rows = [{b: -image[r] for b, image in enumerate(images) if r in image}
-            for r in range(_flat_size(complex_t, 2))]
-    dim_image = len(sparse_echelon(images))
-    count, rank = _restricted_rank(complex_t, 2)
+    dim_image, solve = coboundary_solver(complex_t, 1)
+    count, rank = restricted_rank(complex_t, 2)
     step = partial(ExtensionResult, dim_image=dim_image,
                    dim_h2=count - rank - dim_image)
     while d.order < order:
         target = _next_defect(g, rep, d.coefficients(), inner)
-        coords = sparse_solve(rows, len(flats), target.to_flat())
-        if coords is None:
+        solution = solve(-target)
+        if solution is None:
             yield step(theta=target, obstructed=True, solution=None,
                        extended=None)
             return
-        solution = _apply_columns(flats, {b: c for b, c in enumerate(coords)
-                                          if c})
-        term = Cochain.from_flat(1, rep.dim, g.dim, densify(
-            solution, _flat_size(complex_t, 1))).as_matrix()
+        term = solution.as_matrix()
         d = TruncatedDeformation(base=d.base, terms=d.terms + (term,))
         for (a, b), actions in inner.items():
             actions += inner_actions(rep, [term], a, b)

@@ -16,6 +16,10 @@ the arity-2 element theta = mu + rho, and theta is a Maurer-Cartan
 element exactly when the bracket satisfies the axioms and the action is
 a representation.
 
+A Cochain stores only its nonzero values.  The first block of a shuffle
+is increasing, so the circle product reads psi's value on it straight
+off psi.values and skips the shuffles on which psi vanishes.
+
 The derived bracket on maps P: wedge^n V -> g is
 
     {{P, Q}} = (-1)^n [[theta, lift(P)], lift(Q)]
@@ -63,8 +67,8 @@ def _circle_values(phi: Cochain, psi: Cochain, twist: Matrix,
     for indices in tuples:
         total = list(vzero(twist.nrows))
         for perm, sign in shuffles(b, a - 1):
-            inner = psi.evaluate_basis(tuple(indices[p] for p in perm[:b]))
-            if is_zero_vector(inner):
+            inner = psi.values.get(tuple(indices[p] for p in perm[:b]))
+            if inner is None:
                 continue
             args = [inner] + [twist_power.column(indices[p]) for p in perm[b:]]
             for t, c in enumerate(phi.evaluate(args)):
@@ -92,8 +96,9 @@ def _on_every_tuple(values, phi: Cochain, psi: Cochain,
     if phi.arity < 1 or psi.arity < 1:
         raise ValueError("circle product needs arity at least 1")
     arity = phi.arity + psi.arity - 1
-    return Cochain(arity, twist.nrows, twist.nrows, tuple(values(
-        phi, psi, twist, increasing_tuples(twist.nrows, arity))))
+    tuples = increasing_tuples(twist.nrows, arity)
+    return Cochain(arity, twist.nrows, twist.nrows,
+                   dict(zip(tuples, values(phi, psi, twist, tuples))))
 
 
 def circle_product(phi: Cochain, psi: Cochain, twist: Matrix) -> Cochain:
@@ -142,15 +147,10 @@ def check_maurer_cartan(rep: Representation) -> MaurerCartanReport:
 
 def horizontal_lift(p: Cochain, algebra_dim: int) -> Cochain:
     """Extend P: wedge^n V -> g to g + V by killing the g-components."""
-    n_g = algebra_dim
-    m = p.source_dim
-    total = n_g + m
-    entries = {}
-    for indices in increasing_tuples(m, p.arity):
-        value = p.coeff(indices)
-        if not is_zero_vector(value):
-            entries[tuple(n_g + a for a in indices)] = value + vzero(m)
-    return Cochain.from_values(p.arity, total, total, entries)
+    n_g, m = algebra_dim, p.source_dim
+    return Cochain(p.arity, n_g + m, n_g + m,
+                   {tuple(n_g + a for a in indices): value + vzero(m)
+                    for indices, value in p.values.items()})
 
 
 def derived_bracket(rep: Representation, p: Cochain, q: Cochain) -> Cochain:
@@ -176,18 +176,18 @@ def derived_bracket(rep: Representation, p: Cochain, q: Cochain) -> Cochain:
     theta = build_theta(rep)
     # Increasing tuples: t[1] >= n_g leaves at most t[0] in g.
     near = [t for t in increasing_tuples(total, p.arity + 1) if t[1] >= n_g]
-    inner = Cochain.from_values(p.arity + 1, total, total, dict(zip(
+    inner = Cochain(p.arity + 1, total, total, dict(zip(
         near, _bracket_values(theta, horizontal_lift(p, n_g), twist, near))))
     arity = p.arity + q.arity
     module = [t for t in increasing_tuples(total, arity) if t[0] >= n_g]
     sign = -1 if p.arity % 2 else 1
-    values = []
-    for value in _bracket_values(inner, horizontal_lift(q, n_g), twist,
-                                 module):
+    values = {}
+    for t, value in zip(module, _bracket_values(
+            inner, horizontal_lift(q, n_g), twist, module)):
         if not is_zero_vector(value[n_g:]):
             raise ValueError("derived bracket left the operator complex")
-        values.append(vscale(sign, value[:n_g]))
-    return Cochain(arity, rep.dim, g.dim, tuple(values))
+        values[tuple(a - n_g for a in t)] = vscale(sign, value[:n_g])
+    return Cochain(arity, rep.dim, g.dim, values)
 
 
 def derived_bracket_zero(rep: Representation, p, x: Vector) -> Cochain:
@@ -203,17 +203,16 @@ def derived_bracket_zero(rep: Representation, p, x: Vector) -> Cochain:
     if g.alpha.apply(x) != x:
         raise ValueError("the degree-zero element must be fixed by alpha")
     if isinstance(p, Cochain) and p.arity == 0:
-        p = p.values[0]
+        p = p.coeff(())
     if not isinstance(p, Cochain):
-        value = g.bracket(tuple(p), x)
-        return Cochain(0, rep.dim, g.dim, (value,))
+        return Cochain(0, rep.dim, g.dim, {(): g.bracket(tuple(p), x)})
     if p.source_dim != rep.dim or p.target_dim != g.dim:
         raise ValueError("derived bracket needs maps from the module to g")
     n = p.arity
     alpha_inv = g.alpha.inverse()
     beta_inv = rep.beta.inverse()
     alpha_nm1_x = g.alpha_power(n - 1).apply(x)
-    values = []
+    values = {}
     for indices in increasing_tuples(rep.dim, n):
         total = vzero(g.dim)
         for perm, sign in shuffles(1, n - 1):
@@ -223,5 +222,5 @@ def derived_bracket_zero(rep: Representation, p, x: Vector) -> Cochain:
             ]
             total = vadd(total, vscale(sign, p.evaluate(args)))
         closing = g.bracket(alpha_inv.apply(p.coeff(indices)), alpha_nm1_x)
-        values.append(vadd(total, closing))
-    return Cochain(n, rep.dim, g.dim, tuple(values))
+        values[indices] = vadd(total, closing)
+    return Cochain(n, rep.dim, g.dim, values)

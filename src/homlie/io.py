@@ -234,12 +234,8 @@ def vector_from_dict(data, where: str = "vector") -> tuple:
 
 
 def cochain_to_dict(c: Cochain, source: str) -> dict:
-    coeffs = {}
-    for indices in c.index_tuples:
-        value = c.coeff(indices)
-        if any(x != 0 for x in value):
-            coeffs[",".join(str(i) for i in indices)] = [
-                format_scalar(x) for x in value]
+    coeffs = {",".join(map(str, indices)): [format_scalar(x) for x in value]
+              for indices, value in sorted(c.values.items())}
     return {"arity": c.arity, "source": source, "coeffs": coeffs}
 
 

@@ -41,8 +41,9 @@ deformations along r -> r# are implemented as route-by-route checks.
 
 Invariant wedge vectors have no solver of their own: w in Lambda^k g is
 fixed by Lambda^k(alpha) exactly when the scalar map e_I -> w_I is
-compatible with (alpha^T, id), so invariant_wedge_basis reads the basis
-off the cochain layer's compatible_maps_basis.
+compatible with (alpha^T, id), so invariant_wedge_basis reads each
+basis vector off the nonzero values of a Cochain of the cochain layer's
+compatible_maps_basis.
 """
 
 from __future__ import annotations
@@ -116,8 +117,8 @@ def invariant_wedge_basis(g: HomLieAlgebra, grade: int) -> list:
     """
     basis = compatible_maps_basis(g.alpha.transpose(), Matrix.identity(1),
                                   grade)
-    return [{indices: v[0] for indices, v in zip(b.index_tuples, b.values)
-             if v[0] != 0} for b in basis]
+    return [{indices: v[0] for indices, v in sorted(b.values.items())}
+            for b in basis]
 
 
 def invariant_two_tensor_basis(g: HomLieAlgebra) -> list:

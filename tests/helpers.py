@@ -394,6 +394,34 @@ def rep_tables(rep):
 # and take kernels from oracle_rref, so they share no expansion, assembly
 # or elimination code with the library.  The diagonal-twist shortcut the
 # compatible basis once took is kept here as a second oracle.
+#
+# A Cochain keeps only its nonzero values; the oracles compute a value on
+# every increasing tuple and compare dense flats, written out by
+# dense_flat and read back by cochain_from_dense.
+
+
+def cochain_on_tuples(arity, source_dim, target_dim, values):
+    """The Cochain with one value per increasing tuple, in combinations
+    order."""
+    return Cochain.from_values(arity, source_dim, target_dim, dict(zip(
+        increasing_tuples(source_dim, arity), values, strict=True)))
+
+
+def dense_flat(c) -> tuple:
+    """The coefficient vectors of c on every increasing tuple, in
+    combinations order, concatenated."""
+    return tuple(x for t in increasing_tuples(c.source_dim, c.arity)
+                 for x in c.coeff(t))
+
+
+def cochain_from_dense(arity, source_dim, target_dim, flat):
+    """The Cochain whose dense_flat is flat."""
+    flat = tuple(flat)
+    count = len(increasing_tuples(source_dim, arity))
+    if len(flat) != count * target_dim:
+        raise ValueError("flat vector has the wrong length")
+    return cochain_on_tuples(arity, source_dim, target_dim, [
+        flat[p * target_dim:(p + 1) * target_dim] for p in range(count)])
 
 
 def oracle_wedge_coords(vectors, dim):
@@ -411,6 +439,20 @@ def oracle_wedge_coords(vectors, dim):
         if value != 0:
             coords[index] = value
     return coords
+
+
+def oracle_evaluate_dense(flat, source_dim, target_dim, vectors):
+    """The cochain with dense_flat flat on arbitrary vectors: the sum over
+    increasing tuples I of the minor of the arguments in rows I times
+    the value on I."""
+    minors = oracle_wedge_coords(vectors, source_dim)
+    out = [Q(0)] * target_dim
+    tuples = combinations(range(source_dim), len(vectors))
+    for p, indices in enumerate(tuples):
+        minor = minors.get(indices, Q(0))
+        for t in range(target_dim):
+            out[t] += minor * flat[p * target_dim + t]
+    return tuple(out)
 
 
 def _oracle_evaluate(f, vectors):
@@ -451,7 +493,7 @@ def oracle_coboundary(rep, f):
                 total = vadd(total,
                              term if (pi + pj) % 2 == 0 else vscale(-1, term))
         values.append(total)
-    return Cochain(n + 1, g.dim, rep.dim, tuple(values))
+    return cochain_on_tuples(n + 1, g.dim, rep.dim, values)
 
 
 def oracle_coboundary_matrix(rep, arity):
@@ -461,8 +503,8 @@ def oracle_coboundary_matrix(rep, arity):
     nrows = len(increasing_tuples(sd, arity + 1)) * td
     columns = []
     for k in range(ncols):
-        unit = Cochain.from_flat(arity, sd, td, basis_vector(ncols, k))
-        columns.append(oracle_coboundary(rep, unit).to_flat())
+        unit = cochain_from_dense(arity, sd, td, basis_vector(ncols, k))
+        columns.append(dense_flat(oracle_coboundary(rep, unit)))
     return Matrix.from_columns(columns, nrows=nrows)
 
 
@@ -488,7 +530,7 @@ def oracle_compatible_maps_basis(sigma, tau, arity):
                 row[p * td + u] -= tau.entry(t, u)
             rows.append(tuple(row))
     kernel = oracle_kernel_basis(Matrix(tuple(rows), ncols=nflat))
-    return [Cochain.from_flat(arity, sd, td, v) for v in kernel]
+    return [cochain_from_dense(arity, sd, td, v) for v in kernel]
 
 
 def oracle_diagonal_compatible_basis(sigma, tau, arity):
@@ -500,15 +542,13 @@ def oracle_diagonal_compatible_basis(sigma, tau, arity):
                for j in range(m.ncols) if i != j):
             raise ValueError("the twists must be diagonal")
     sd, td = sigma.nrows, tau.nrows
-    tuples = increasing_tuples(sd, arity)
     basis = []
-    for p, indices in enumerate(tuples):
+    for indices in increasing_tuples(sd, arity):
         weight = prod((sigma.entry(i, i) for i in indices), start=Q(1))
         for t in range(td):
             if weight == tau.entry(t, t):
-                values = [vzero(td)] * len(tuples)
-                values[p] = basis_vector(td, t)
-                basis.append(Cochain(arity, sd, td, tuple(values)))
+                basis.append(Cochain.from_values(
+                    arity, sd, td, {indices: basis_vector(td, t)}))
     return basis
 
 
@@ -540,7 +580,7 @@ def _oracle_circle_product(phi, psi, twist):
                               for p in perm[b:]]
             total = vadd(total, vscale(sign, phi.evaluate(args)))
         values.append(total)
-    return Cochain(a + b - 1, dim, dim, tuple(values))
+    return cochain_on_tuples(a + b - 1, dim, dim, values)
 
 
 def _oracle_nr_bracket(phi, psi, twist):
@@ -563,7 +603,7 @@ def oracle_derived_bracket(rep, p, q):
         if not is_zero_vector(value[g.dim:]):
             raise ValueError("derived bracket left the operator complex")
         values.append(value[:g.dim])
-    result = Cochain(p.arity + q.arity, rep.dim, g.dim, tuple(values))
+    result = cochain_on_tuples(p.arity + q.arity, rep.dim, g.dim, values)
     return -result if p.arity % 2 == 1 else result
 
 
@@ -587,11 +627,11 @@ def oracle_extend_order(g, rep, d):
     theta = oracle_obstruction(g, rep, d)
     basis = compatible_subspace_basis(rho_t(g, rep, d.base), 1)
     t_cochain = Cochain.from_linear_map(d.base)
-    flat_len = len(theta.to_flat())
-    columns = [oracle_derived_bracket(rep, t_cochain, b).to_flat()
+    flat_len = len(dense_flat(theta))
+    columns = [dense_flat(oracle_derived_bracket(rep, t_cochain, b))
                for b in basis]
     system = Matrix.from_columns(columns, nrows=flat_len)
-    coords = oracle_solve(system, theta.to_flat())
+    coords = oracle_solve(system, dense_flat(theta))
     dim_image = len(oracle_rref(system)[1])
     if coords is None:
         return None, dim_image, True

@@ -50,7 +50,9 @@ from homlie.structures import (
 )
 
 from helpers import (
+    cochain_from_dense,
     count_calls,
+    dense_flat,
     oracle_extend_order,
     oracle_obstruction,
     rand_matrix,
@@ -284,7 +286,8 @@ def test_obstruction_is_cocycle_dim3():
     rep_t = rho_t(g, rep, t)
     t_cochain = Cochain.from_linear_map(t)
     candidates = compatible_maps_basis(rep.beta, g.alpha, 1)
-    flats = [derived_bracket(rep, t_cochain, b).to_flat() for b in candidates]
+    flats = [dense_flat(derived_bracket(rep, t_cochain, b))
+             for b in candidates]
     system = Matrix.from_columns(flats, nrows=len(flats[0]))
     kernel = system.kernel_basis()
     assert kernel
@@ -294,7 +297,7 @@ def test_obstruction_is_cocycle_dim3():
         coords = [rand_scalar(rng) for _ in kernel]
         flat = [sum(c * v[i] for c, v in zip(coords, kernel))
                 for i in range(len(kernel[0]))]
-        k = Cochain.from_flat(1, rep.dim, g.dim, flat).as_matrix()
+        k = cochain_from_dense(1, rep.dim, g.dim, flat).as_matrix()
         d = TruncatedDeformation.of(t, [k])
         assert formal_deformation_check(g, rep, d).ok
         theta = obstruction(g, rep, d)
@@ -369,7 +372,7 @@ def _cocycles(g, rep, t):
     """A basis of the twist-compatible 1-cocycles of the complex of T."""
     rep_t = rho_t(g, rep, t)
     basis = compatible_subspace_basis(rep_t, 1)
-    flats = [coboundary(rep_t, b).to_flat() for b in basis]
+    flats = [dense_flat(coboundary(rep_t, b)) for b in basis]
     cocycles = []
     for kvec in Matrix.from_columns(flats).kernel_basis():
         z = Cochain.zero(1, rep.dim, g.dim)

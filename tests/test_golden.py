@@ -248,8 +248,8 @@ def test_nijenhuis_element_checks_the_base_and_element_once(monkeypatch):
 
 def test_cohomology_keeps_its_basis_sparse(monkeypatch):
     """While cohomology_table runs, every compatible basis stays a list of
-    sparse flats: no Cochain.from_flat, Cochain.to_flat, densify or
-    Matrix.kernel_basis call, and rref_kernel returns only dicts."""
+    sparse flats: no Cochain is built, densify and Matrix.kernel_basis are
+    not called, and rref_kernel returns only dicts."""
     active, written = [], []
 
     def spy(name, func):
@@ -262,10 +262,8 @@ def test_cohomology_keeps_its_basis_sparse(monkeypatch):
             return result
         return recording
 
-    for cls, name in ((Cochain, "to_flat"), (Matrix, "kernel_basis")):
+    for cls, name in ((Cochain, "__post_init__"), (Matrix, "kernel_basis")):
         monkeypatch.setattr(cls, name, spy(name, getattr(cls, name)))
-    monkeypatch.setattr(Cochain, "from_flat", classmethod(
-        spy("from_flat", Cochain.from_flat.__func__)))
     for func in (densify, rref_kernel):
         for module in (m for n, m in list(sys.modules.items())
                        if n == "homlie" or n.startswith("homlie.")):
@@ -293,6 +291,25 @@ def test_cohomology_keeps_its_basis_sparse(monkeypatch):
         assert written == [], (name, collections.Counter(written))
         assert tables > before or code != 0, name
     assert tables == 3
+
+
+def test_golden_verbs_build_no_cochain_holding_a_zero_vector(monkeypatch):
+    """A Cochain keeps only its nonzero values: no Cochain built on the
+    way through any golden case stores a zero coefficient vector."""
+    counts = collections.Counter()
+    post_init = Cochain.__post_init__
+
+    def checked(self):
+        post_init(self)
+        counts["cochains"] += 1
+        counts["values"] += len(self.values)
+        counts["zero"] += sum(not any(v) for v in self.values.values())
+
+    monkeypatch.setattr(Cochain, "__post_init__", checked)
+    for name, argv in CASES.items():
+        assert _replay(argv)[1] == _expected(name), name
+    assert counts["zero"] == 0, counts
+    assert counts["cochains"] > 50 and counts["values"] > 100, counts
 
 
 def test_cohomology_builds_no_matrix_larger_than_its_twists(monkeypatch):

@@ -13,6 +13,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from homlie.alternating import increasing_tuples
 from homlie.cochain import Cochain, compatible_maps_basis, zero_coboundary
 from homlie.graded import (
     build_theta,
@@ -35,6 +36,7 @@ from homlie.structures import (
 )
 
 from helpers import (
+    cochain_from_dense,
     oracle_derived_bracket,
     rand_matrix,
     rand_scalar,
@@ -254,16 +256,16 @@ def test_derived_bracket_matches_expansion():
                     continue
                 result = derived_bracket(rep, p, q)
                 assert result.arity == a + b
-                for indices in result.index_tuples:
+                for indices in increasing_tuples(rep.dim, a + b):
                     vs = [basis_vector(rep.dim, i) for i in indices]
                     assert result.coeff(indices) == expanded_derived(
                         g, rep, p, q, vs), (name, a, b, indices)
 
 
 def _rand_cochain(rng, arity, source_dim, target_dim):
-    count = len(Cochain.zero(arity, source_dim, target_dim).values)
-    return Cochain.from_flat(arity, source_dim, target_dim,
-                             rand_vector(rng, count * target_dim))
+    count = len(increasing_tuples(source_dim, arity))
+    return cochain_from_dense(arity, source_dim, target_dim,
+                              rand_vector(rng, count * target_dim))
 
 
 def test_derived_bracket_equals_full_oracle_on_catalog():
@@ -366,7 +368,7 @@ def test_degree_zero_brackets():
     x = basis_vector(2, 0)
     result = derived_bracket_zero(rep, x, x)
     assert result.arity == 0
-    assert result.values[0] == g.bracket(x, x)
+    assert result.coeff(()) == g.bracket(x, x)
     # {{T, x}} equals the degree-zero coboundary in the operator complex
     t = matrix([[1, 0], [0, 0]])
     tc = Cochain.from_linear_map(t)

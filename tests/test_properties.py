@@ -7,11 +7,15 @@ input (rank-nullity, determinant multiplicativity, codec roundtrips).
 
 from __future__ import annotations
 
+import functools
 import math
+from itertools import combinations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 from sympy.combinatorics import Permutation
 
+import homlie.cochain as cochain_module
 from homlie.alternating import shuffles, wedge_coords
 from homlie.cochain import Cochain
 from homlie.io import algebra_from_dict, algebra_to_dict, format_scalar, parse_scalar
@@ -19,8 +23,14 @@ from homlie.linalg import Matrix, Q
 
 from helpers import (
     algebra_tables,
+    cochain_from_dense,
+    dense_flat,
     exact_scalars,
     oracle_det,
+    oracle_evaluate_dense,
+    oracle_vadd,
+    oracle_vscale,
+    oracle_vsub,
     oracle_wedge_coords,
 )
 
@@ -105,6 +115,80 @@ def test_algebra_dict_roundtrip(dim, data):
     assert algebra_to_dict(g2) == doc2
 
 
+# ------------------------------------------------ the Cochain container
+
+small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def cochain_data(draw, arity=None):
+    """(arity, source_dim, target_dim, values): one coefficient vector per
+    increasing tuple, in combinations order, a whole zero vector about
+    half of the time."""
+    if arity is None:
+        arity = draw(st.integers(min_value=0, max_value=3))
+    source_dim = draw(st.integers(min_value=1, max_value=4))
+    target_dim = draw(st.integers(min_value=1, max_value=3))
+    zero = (Q(0),) * target_dim
+    vector = st.one_of(st.just(zero), st.tuples(*[small] * target_dim))
+    count = math.comb(source_dim, arity)
+    values = draw(st.lists(vector, min_size=count, max_size=count))
+    return arity, source_dim, target_dim, values
+
+
+@settings(deadline=None)
+@given(cochain_data())
+def test_cochain_keeps_only_its_nonzero_values(case):
+    arity, sd, td, values = case
+    every = dict(zip(combinations(range(sd), arity), values))
+    nonzero = {t: v for t, v in every.items() if any(v)}
+    c = Cochain.from_values(arity, sd, td, every)
+    assert c == Cochain.from_values(arity, sd, td, nonzero)
+    assert c.values == nonzero
+    assert c.is_zero() == (not nonzero)
+    assert all(c.coeff(t) == v for t, v in every.items())
+
+
+@settings(deadline=None)
+@given(st.integers(min_value=0, max_value=3),
+       st.integers(min_value=1, max_value=4),
+       st.sampled_from([Q(0), Q(1)]), st.data())
+def test_cochain_refuses_keys_that_are_not_increasing_tuples(
+        arity, source_dim, entry, data):
+    """A key of the wrong length, not strictly increasing, or with an
+    index outside range(source_dim) is refused, even with a zero value."""
+    index = st.integers(min_value=-1, max_value=source_dim)
+    key = tuple(data.draw(st.one_of(
+        st.lists(index, min_size=arity, max_size=arity),
+        st.lists(index, max_size=4))))
+    build = functools.partial(Cochain.from_values, arity, source_dim, 1,
+                              {key: (entry,)})
+    if key in set(combinations(range(source_dim), arity)):
+        assert build().coeff(key) == (entry,)
+    else:
+        with pytest.raises(ValueError):
+            build()
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_cochain_arithmetic_agrees_with_the_dense_oracle(data):
+    arity, sd, td, values = data.draw(cochain_data())
+    other = data.draw(st.lists(
+        st.tuples(*[small] * td), min_size=len(values),
+        max_size=len(values)))
+    c = data.draw(small)
+    a = cochain_from_dense(arity, sd, td, [x for v in values for x in v])
+    b = cochain_from_dense(arity, sd, td, [x for v in other for x in v])
+    fa, fb = dense_flat(a), dense_flat(b)
+    assert dense_flat(a + b) == oracle_vadd(fa, fb)
+    assert dense_flat(a - b) == oracle_vsub(fa, fb)
+    assert dense_flat(a.scale(c)) == oracle_vscale(c, fa)
+    assert (a - a).is_zero() and a.scale(0) == Cochain.zero(arity, sd, td)
+    vectors = [data.draw(st.tuples(*[small] * sd)) for _ in range(arity)]
+    assert a.evaluate(vectors) == oracle_evaluate_dense(fa, sd, td, vectors)
+
+
 @settings(deadline=None)
 @given(
     st.integers(min_value=1, max_value=3),
@@ -113,13 +197,17 @@ def test_algebra_dict_roundtrip(dim, data):
     st.data(),
 )
 def test_cochain_flat_roundtrip(arity, source_dim, target_dim, data):
+    """The cochain layer's private flat coordinates: entry t of the value
+    on the tuple at position p holds coordinate p * target_dim + t, and
+    a cochain survives the round trip through them."""
     length = math.comb(source_dim, arity) * target_dim
     flat = tuple(data.draw(rationals) for _ in range(length))
-    c = Cochain.from_flat(arity, source_dim, target_dim, flat)
-    assert c.to_flat() == flat
-    back = Cochain.from_flat(arity, source_dim, target_dim, c.to_flat())
-    assert back == c
-    assert (c + back.scale(Q(-1))).is_zero()
+    c = cochain_from_dense(arity, source_dim, target_dim, flat)
+    assert dense_flat(c) == flat
+    sparse = cochain_module._flatten(c)
+    assert sparse == {k: x for k, x in enumerate(flat) if x}
+    assert cochain_module._unflatten(arity, source_dim, target_dim,
+                                     sparse) == c
 
 
 @st.composite
