@@ -222,10 +222,10 @@ def test_deformation_verbs_check_the_base_once(monkeypatch):
         out = _replay(argv)[1]
         assert out == _expected(name)
         assert len(calls) == 0, name
-        data = json.loads(out)["data"]
+        data = json.loads(out)["data"] if out else {}
         infinitesimals += (argv[0] == "deform-check"
-                           and data["infinitesimal"] is not None)
-    assert infinitesimals == 3
+                           and data.get("infinitesimal") is not None)
+    assert infinitesimals == 4
 
 
 def test_nijenhuis_element_checks_the_base_and_element_once(monkeypatch):
@@ -290,7 +290,7 @@ def test_cohomology_keeps_its_basis_sparse(monkeypatch):
         tables += '"table"' in out
         assert written == [], (name, collections.Counter(written))
         assert tables > before or code != 0, name
-    assert tables == 3
+    assert tables == 5
 
 
 def test_golden_verbs_build_no_cochain_holding_a_zero_vector(monkeypatch):
@@ -324,7 +324,7 @@ def test_cohomology_builds_no_matrix_larger_than_its_twists(monkeypatch):
         assert all(max(shape) <= twist for twist, shape in built), (
             name, max(built, key=lambda entry: max(entry[1])))
         tables += bool(built)
-    assert tables == 3
+    assert tables == 5
 
 
 def test_repeated_calls_in_one_process_share_one_parser(monkeypatch):
