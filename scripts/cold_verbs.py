@@ -17,7 +17,8 @@ pair to pair.  Each verb's exit code, stdout and stderr must be
 identical on both sides.  For each side it prints the median over
 passes of the first verb's latency and of the sum of a pass, and
 op_tail_ms by perfbench/run.py's rule: the tail over verbs of each
-verb's median latency.  Standard library only.
+verb's median latency, followed by the verb that sets it.  Standard
+library only.
 """
 
 from __future__ import annotations
@@ -114,11 +115,13 @@ def main(argv=None) -> int:
     for side, runs in passes.items():
         lat = [r["latencies"] for r in runs]
         per_verb = [statistics.median(v) for v in zip(*lat)]
+        tail = run.tail(per_verb)[1]
         summary[side] = (1000 * statistics.median(r[0] for r in lat),
                          1000 * statistics.median(sum(r) for r in lat),
-                         1000 * run.tail(per_verb)[1])
+                         1000 * tail)
         print(f"{side:6}: first verb {summary[side][0]:.2f} ms, pass sum "
-              f"{summary[side][1]:.2f} ms, op_tail_ms {summary[side][2]:.2f}")
+              f"{summary[side][1]:.2f} ms, op_tail_ms {summary[side][2]:.2f} "
+              f"({' '.join(verbs[per_verb.index(tail)]['argv'])})")
     ratios = [c / b for b, c in zip(summary["base"], summary["change"])]
     print("ratio : first verb {:.3f}, pass sum {:.3f}, op_tail_ms {:.3f}"
           .format(*ratios))

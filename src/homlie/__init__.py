@@ -8,6 +8,8 @@ is exact and every reported failure pinpoints the basis tuple that
 breaks the law being tested.
 """
 
+from types import ModuleType as _ModuleType
+
 from .linalg import Matrix, Q, format_scalar, parse_scalar
 from .cochain import (
     Cochain,
@@ -90,77 +92,8 @@ from .structures import (
     verify_representation,
 )
 
-__all__ = [
-    "Cochain",
-    "CohomologyDims",
-    "EquivalenceReport",
-    "ExtensionResult",
-    "FormalDeformationReport",
-    "HomLieAlgebra",
-    "HomPreLie",
-    "InfinitesimalReport",
-    "LinearDeformationReport",
-    "Matrix",
-    "NijenhuisElementReport",
-    "Q",
-    "Representation",
-    "TrivialDeformationResult",
-    "TruncatedDeformation",
-    "adjoint_rep",
-    "build_nt",
-    "build_theta",
-    "catalog",
-    "check_maurer_cartan",
-    "circle_product",
-    "coadjoint_rep",
-    "coboundary",
-    "coboundary_matrix",
-    "cohomology_dims",
-    "cohomology_table",
-    "compatible_subspace_basis",
-    "cybe_sum",
-    "derived_bracket",
-    "derived_bracket_zero",
-    "dual_rep",
-    "equivalence_check",
-    "extend_order",
-    "extension_steps",
-    "formal_deformation_check",
-    "format_scalar",
-    "from_lie_with_morphism",
-    "graded_bracket_wedge",
-    "graph_check",
-    "induced_dual_bracket",
-    "induced_hom_pre_lie",
-    "infinitesimal_check",
-    "invariant_two_tensor_basis",
-    "invariant_wedge_basis",
-    "is_invariant",
-    "is_o_operator",
-    "is_r_matrix",
-    "is_rota_baxter",
-    "linear_deformation_check",
-    "nijenhuis_element_check",
-    "nijenhuis_operator_check",
-    "nr_bracket",
-    "o_operator_hom_check",
-    "o_operator_maurer_cartan_check",
-    "obstruction",
-    "parse_scalar",
-    "rb_induced_bracket",
-    "require_skew",
-    "rho_t",
-    "rmatrix_deformation_transfer",
-    "semidirect_product",
-    "skew_matrix",
-    "subadjacent",
-    "trivial_deformation_from_nijenhuis",
-    "trivial_rep",
-    "two_tensor_square",
-    "verify_hom_lie",
-    "verify_hom_pre_lie",
-    "verify_representation",
-    "weak_homomorphism_check",
-    "wedge_coeffs",
-    "zero_coboundary",
-]
+# The public API is every name imported above; the submodules, bound on
+# the package by those imports, are not part of it.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_")
+                 and not isinstance(value, _ModuleType))

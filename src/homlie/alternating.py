@@ -2,13 +2,16 @@
 
 Alternating k-linear maps are stored by their values on strictly
 increasing basis index tuples.  Evaluating such a map on arbitrary
-vectors expands the wedge of the arguments in the basis.  wedge_coords
-is the one such expansion in the package: it multiplies the factors in
-one at a time, extending every monomial by each nonzero coordinate of
-the next factor.  A repeated index is skipped before any sorting, and a
-new index is inserted into the sorted monomial, with the sign of the
-transpositions it passes.  The work follows the nonzero coordinates, not
-the C(dim, k) index sets.
+vectors expands the wedge of the arguments in the basis.  wedge_extend
+is the one wedge step in the package: it multiplies a wedge, given by
+its coordinates, by one more factor, extending every monomial by each
+nonzero coordinate of that factor.  A repeated index is skipped before
+any sorting, and a new index is inserted into the sorted monomial, with
+the sign of the transpositions it passes.  The work follows the nonzero
+coordinates, not the C(dim, k) index sets.  wedge_coords multiplies its
+factors in one step at a time; tuple_wedges expands the wedges of every
+k-subset of a list of vectors, each one step from the wedge of its
+prefix, so subsets that share a prefix share its expansion.
 
 Shuffle permutations are produced by choosing which argument positions
 feed each block; the sign of a shuffle is the sign sort_with_sign finds
@@ -58,20 +61,43 @@ def wedge_coords(vectors: Sequence[Vector], dim: int) -> dict:
     for v in vectors:
         if len(v) != dim:
             raise ValueError("wedge factor has the wrong length")
-        support = [(b, entry) for b, entry in enumerate(v) if entry]
-        expanded = {}
-        for monomial, c in terms.items():
-            for b, entry in support:
-                if b in monomial:
-                    continue
-                # Inserting b passes every index above it: one
-                # transposition each.
-                at = bisect(monomial, b)
-                key = monomial[:at] + (b,) + monomial[at:]
-                term = -(c * entry) if (len(monomial) - at) % 2 else c * entry
-                expanded[key] = expanded[key] + term if key in expanded else term
-        terms = {key: c for key, c in expanded.items() if c}
+        terms = wedge_extend(terms, v)
     return terms
+
+
+def wedge_extend(terms: dict, v: Vector) -> dict:
+    """The coordinates of w ^ v, for w given by its coordinates terms
+    (an {increasing tuple: scalar} dict) and v a coordinate vector."""
+    support = [(b, entry) for b, entry in enumerate(v) if entry]
+    expanded = {}
+    for monomial, c in terms.items():
+        for b, entry in support:
+            if b in monomial:
+                continue
+            # Inserting b passes every index above it: one
+            # transposition each.
+            at = bisect(monomial, b)
+            key = monomial[:at] + (b,) + monomial[at:]
+            term = -(c * entry) if (len(monomial) - at) % 2 else c * entry
+            expanded[key] = expanded[key] + term if key in expanded else term
+    return {key: c for key, c in expanded.items() if c}
+
+
+def tuple_wedges(vectors: Sequence[Vector], k: int) -> list:
+    """[(I, wedge_coords of the vectors[i], i in I)] for every increasing
+    k-tuple I of range(len(vectors)), in combinations order.
+
+    Each wedge is one wedge_extend step from the wedge of its prefix
+    I[:-1], so tuples that share a prefix share its expansion.
+    """
+    n = len(vectors)
+    level = [((), {(): 1})]
+    for depth in range(k):
+        last = n - k + depth  # the largest index that still leaves room
+        level = [(tup + (i,), wedge_extend(w, vectors[i]))
+                 for tup, w in level
+                 for i in range(tup[-1] + 1 if tup else 0, last + 1)]
+    return level
 
 
 def shuffles(p: int, q: int) -> Iterator[tuple]:

@@ -30,18 +30,24 @@ they stay in this module: _flatten and _unflatten convert at its edge.
 
 delta_n has a single implementation, delta_0 included: it is assembled
 once per (complex, arity) as a sparse column map on flat coordinates.
-One walk over the increasing (n+1)-tuples emits every entry; the
-rho-term reads the nonzero entries of each rho(alpha^{n-1} e_i) once,
-straight off the coefficient's sparse structure constants, and the
-bracket term takes one wedge_coords expansion of [e_a, e_b] ^ alpha
-e_... per tuple and pair with a nonzero bracket.  coboundary applies
-that map to the flat of one cochain, and coboundary_matrix, part of the
-public API, is its dense form.
+The rho-term walks the increasing (n+1)-tuples and reads the nonzero
+entries of each rho(alpha^{n-1} e_i) once, straight off the
+coefficient's sparse structure constants.  The bracket term walks the
+nonzero brackets [e_a, e_b] instead, and for each the (n-1)-subsets K
+of the other indices: the twisted wedge alpha e_K of each K that meets
+a bracket is expanded once, one alternating.wedge_extend step from its
+prefix's, and one more step multiplies in the bracket.  coboundary
+applies that map to the flat of one cochain, and coboundary_matrix,
+part of the public API, is its dense form.
 
 The compatible basis is the kernel of one sparse system for every pair
 of twists, and compatible_flats returns it as sparse flats: one
 {flat coordinate: value} dict per basis cochain, a single unit for a
-diagonal twist and a short combination otherwise.  coboundary_on_basis
+diagonal twist and a short combination otherwise.  The system is
+integral: with s the lcm of the denominators of sigma and tau, the
+twist minors are those of s sigma, which alternating.tuple_wedges
+expands for all n-tuples from shared prefixes, and the equations are
+multiplied by s^max(n, 1), which changes no kernel.  coboundary_on_basis
 applies delta to those flats, reading only the columns of their
 entries, and gives sparse images.  cohomology_table takes that
 restriction once per arity and hands the images straight to
@@ -62,11 +68,14 @@ fixed-point space of the coefficient twist and
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from math import lcm
 
-from .alternating import increasing_tuples, sort_with_sign, wedge_coords
+from .alternating import (increasing_tuples, sort_with_sign, tuple_wedges,
+                          wedge_coords, wedge_extend)
 from .linalg import (
     Matrix,
     Vector,
@@ -239,25 +248,34 @@ def compatible_flats(sigma: Matrix, tau: Matrix, arity: int) -> list:
     entries, in the coordinates of _flatten.
 
     Solves the sparse linear system f(sigma e_I) = tau(f(e_I)) over the
-    flat coordinates; the canonical kernel basis makes the result stable.
-    Arity 0 gives the fixed points of tau.  For diagonal twists each row
-    has at most one entry, and the kernel is the unit cochains
-    e_I (x) v_t with prod_{i in I} sigma_ii = tau_tt.
+    flat coordinates, in ints: times s^max(n, 1), where s is the lcm of
+    the denominators of sigma and tau; the canonical kernel basis makes
+    the result stable.  Arity 0 gives the fixed points of tau.  For
+    diagonal twists each row has at most one entry, and the kernel is
+    the unit cochains e_I (x) v_t with prod_{i in I} sigma_ii = tau_tt.
     """
     sd, td = sigma.nrows, tau.nrows
-    tuples = increasing_tuples(sd, arity)
     position = _tuple_positions(sd, arity)
-    columns_of_sigma = [sigma.column(i) for i in range(sd)]
+    # The minors of s sigma are s^n times those of sigma.  With tau times
+    # s^max(n, 1) and the identity side of arity 0 times s, every
+    # equation is s^max(n, 1) times its own, in ints.
+    s = lcm(*(e.denominator for m in (sigma, tau) for row in m.rows
+              for e in row))
+    lift = s ** max(arity, 1)
+    side = lift // s ** arity
+    columns = [tuple((s * e).numerator for e in sigma.column(i))
+               for i in range(sd)]
+    tau_rows = [[(u, -(lift * c).numerator) for u, c in enumerate(row) if c]
+                for row in tau.rows]
     rows = []
-    for p, indices in enumerate(tuples):
-        minors = wedge_coords([columns_of_sigma[i] for i in indices], sd)
+    for p, (_, minors) in enumerate(tuple_wedges(columns, arity)):
         for t in range(td):
-            row = {p * td + u: -c for u, c in enumerate(tau.row(t)) if c}
+            row = {p * td + u: c for u, c in tau_rows[t]}
             for other, minor in minors.items():
                 k = position[other] * td + t
-                row[k] = row.get(k, 0) + minor
+                row[k] = row.get(k, 0) + side * minor
             rows.append(row)
-    return rref_kernel(sparse_rref(rows), len(tuples) * td)
+    return rref_kernel(sparse_rref(rows), len(position) * td)
 
 
 def compatible_maps_basis(sigma: Matrix, tau: Matrix, arity: int) -> list:
@@ -273,7 +291,7 @@ def compatible_subspace_basis(rep: Representation, arity: int) -> list:
 
 def zero_coboundary(rep: Representation, w: Vector) -> Cochain:
     """delta_0 on a fixed point of the coefficient twist (regular only)."""
-    if not rep.algebra.alpha.is_invertible():
+    if not rep.algebra.is_regular:
         raise ValueError("the degree-zero coboundary needs an invertible twist")
     w = tuple(scalar(c) for c in w)
     if rep.beta.apply(w) != w:
@@ -307,9 +325,11 @@ def _coboundary_columns(rep: Representation, arity: int) -> list:
         sum_pos (-1)^pos rho(alpha^{n-1} e_{i_pos})_{t,u} f_u(I - i_pos)
         + sum_{p<q} (-1)^{p+q} f_t([e_{i_p}, e_{i_q}], alpha e_..., ...),
 
-    and the second argument list is expanded into wedge monomials.  At
-    arity 0 only the first sum is left, with alpha^{-1}: that is delta_0,
-    and it needs an invertible alpha.
+    and the second argument list is expanded into wedge monomials.  The
+    second sum is taken bracket by bracket: for a nonzero [e_a, e_b]
+    and an (n-1)-subset K of the other indices it lands in the row of
+    the tuple K + {a, b}.  At arity 0 only the first sum is left, with
+    alpha^{-1}: that is delta_0, and it needs an invertible alpha.
     """
     g, n, td = rep.algebra, arity, rep.dim
     col_position = _tuple_positions(g.dim, n)
@@ -329,15 +349,28 @@ def _coboundary_columns(rep: Representation, arity: int) -> list:
             sign = 1 if pos % 2 == 0 else -1
             for t, u, c in acting[i]:
                 emit(base + t, rest + u, sign * c)
-        for p, q in combinations(range(n + 1), 2):
-            bracket = g.bracket_basis(indices[p], indices[q])
-            if is_zero_vector(bracket):
-                continue
-            sign = 1 if (p + q) % 2 == 0 else -1
-            args = [bracket] + [alpha_columns[k]
-                                for pos, k in enumerate(indices)
-                                if pos != p and pos != q]
-            for monomial, c in wedge_coords(args, g.dim).items():
+    row_position = _tuple_positions(g.dim, n + 1)
+    # twisted[K] = alpha e_K1 ^ ... ^ alpha e_Km, built from its prefix's
+    # the first time a bracket needs it.
+    twisted = {(): {(): 1}}
+
+    def twisted_wedge(kept):
+        if kept not in twisted:
+            twisted[kept] = wedge_extend(twisted_wedge(kept[:-1]),
+                                         alpha_columns[kept[-1]])
+        return twisted[kept]
+
+    brackets = g.brackets_dict() if n else {}  # delta_0 has no bracket term
+    for (a, b), bracket in brackets.items():
+        others = [k for k in range(g.dim) if k != a and k != b]
+        for kept in combinations(others, n - 1):
+            # [e_a, e_b] ^ w = (-1)^(n-1) w ^ [e_a, e_b], and a, b sit at
+            # positions p < q of the merged (n+1)-tuple.
+            p, q = bisect(kept, a), bisect(kept, b) + 1
+            sign = -1 if (p + q + n - 1) % 2 else 1
+            base = row_position[tuple(sorted(kept + (a, b)))] * td
+            for monomial, c in wedge_extend(twisted_wedge(kept),
+                                            bracket).items():
                 col = col_position[monomial] * td
                 for t in range(td):
                     emit(base + t, col + t, sign * c)

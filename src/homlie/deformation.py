@@ -80,7 +80,7 @@ from .structures import HomLieAlgebra, Representation, pair_list
 def _require_regular(g: HomLieAlgebra, rep: Representation) -> None:
     if not g.is_regular:
         raise ValueError("deformation theory needs an invertible alpha")
-    if not rep.beta.is_invertible():
+    if not rep.is_regular:
         raise ValueError("deformation theory needs an invertible beta")
 
 

@@ -57,20 +57,25 @@ def _require_keys(data: dict, required: tuple, optional: tuple,
             raise SchemaError(f"{where}: unknown key {key!r}")
 
 
-def _scalar(value, where: str):
+def _exact(value):
+    """A JSON int or rational string as an exact scalar; ValueError
+    without a location otherwise."""
     if isinstance(value, bool):
-        raise SchemaError(f"{where}: booleans are not scalars")
+        raise ValueError("booleans are not scalars")
     if isinstance(value, int):
         return value
     if isinstance(value, str):
-        try:
-            return parse_scalar(value)
-        except ValueError as exc:
-            raise SchemaError(f"{where}: {exc}") from None
+        return parse_scalar(value)
     if isinstance(value, float):
-        raise SchemaError(
-            f"{where}: floats are not exact; write the value as a string")
-    raise SchemaError(f"{where}: cannot read {value!r} as a scalar")
+        raise ValueError("floats are not exact; write the value as a string")
+    raise ValueError(f"cannot read {value!r} as a scalar")
+
+
+def _scalar(value, where: str):
+    try:
+        return _exact(value)
+    except ValueError as exc:
+        raise SchemaError(f"{where}: {exc}") from None
 
 
 def _int(value, where: str) -> int:
@@ -82,7 +87,14 @@ def _int(value, where: str) -> int:
 def _vector(obj, where: str) -> tuple:
     if not isinstance(obj, list):
         raise SchemaError(f"{where}: expected a list of scalars")
-    return tuple(_scalar(x, f"{where}[{k}]") for k, x in enumerate(obj))
+    scalars = []
+    for x in obj:
+        try:
+            scalars.append(_exact(x))
+        except ValueError as exc:
+            # The location is built only for the entry refused.
+            raise SchemaError(f"{where}[{len(scalars)}]: {exc}") from None
+    return tuple(scalars)
 
 
 def _matrix(obj, where: str) -> Matrix:

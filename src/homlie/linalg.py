@@ -15,8 +15,12 @@ One eliminator serves every rank, kernel, solve and inverse, in two
 stages on sparse rows ({column: value} dicts).  sparse_echelon is
 fraction-free forward elimination: each row is scaled to coprime ints
 and reduced by a * row - b * pivot_row, then divided by its content.
-Its length is the rank, so ranks (Matrix.rank, is_invertible and the
-cochain layer's) read the echelon alone.  sparse_rref back-substitutes
+It takes the rows shortest first (a stable sort on their nonzero
+count), so that short pivot rows reduce the long ones and little fill
+appears; the pivot columns, the rank and the reduced form do not depend
+on the order.  Its length is the rank, so ranks (Matrix.rank,
+is_invertible, which a Matrix decides once, and the cochain layer's)
+read the echelon alone.  sparse_rref back-substitutes
 from the last pivot up, still in ints, and returns the reduced row
 echelon form.  The one division in the package that can make a
 Fraction is its final scaling of each row by its pivot entry.  The
@@ -175,15 +179,15 @@ def sparse_echelon(rows: Iterable[dict]) -> dict:
     Returns a row echelon form of the rows' span as {pivot column: row}:
     each row is a dict of nonzero coprime ints whose least column is its
     pivot, and no two rows share a pivot.  Its length is the rank.  Each
-    incoming row is scaled to coprime ints and its least column is
+    row is scaled to coprime ints, and the rows are taken shortest first
+    (a stable sort on their nonzero count).  Each row's least column is
     cleared against the pivot row there, a * row - b * pivot_row, until
     that column is not a pivot; the result is divided by its content
     (the gcd of its entries, an exact int division) after every step, so
     no Fraction is made here.
     """
     echelon = {}
-    for row in rows:
-        row = _primitive(row)
+    for row in sorted(map(_primitive, rows), key=len):
         while row:
             col = min(row)
             pivot_row = echelon.get(col)
@@ -217,9 +221,12 @@ def sparse_rref(rows: Iterable[dict]) -> dict:
 def _primitive(row: dict) -> dict:
     """The nonzero entries of row scaled to coprime ints.
 
-    A row that is not all ints is read by numerator and denominator, so
-    an integral Fraction that a product left becomes its int."""
+    A one-entry row is the unit row at its column.  A row that is not
+    all ints is read by numerator and denominator, so an integral
+    Fraction that a product left becomes its int."""
     row = {c: e for c, e in row.items() if e}
+    if len(row) == 1:
+        return dict.fromkeys(row, 1)
     if not all(type(e) is int for e in row.values()):
         den = lcm(*[e.denominator for e in row.values()])
         row = {c: e.numerator * (den // e.denominator)
@@ -307,14 +314,15 @@ class Matrix:
     Rows are stored as a tuple of tuples of scalars.  The column count
     is kept explicitly so zero-row matrices (which show up as boundary
     maps out of a zero-dimensional cochain space) still know their shape.
-    The columns are computed on the first column() call and kept.
+    The columns are computed on the first column() call and kept, and so
+    is the verdict of is_invertible.
     """
 
-    __slots__ = ("rows", "_ncols", "_columns")
+    __slots__ = ("rows", "_ncols", "_columns", "_invertible")
 
     def __init__(self, rows: Sequence[Sequence[ScalarLike]], ncols: int | None = None):
         self.rows = tuple(tuple(scalar(e) for e in row) for row in rows)
-        self._columns = None
+        self._columns = self._invertible = None
         if self.rows:
             widths = {len(row) for row in self.rows}
             if len(widths) != 1:
@@ -333,7 +341,8 @@ class Matrix:
         """A Matrix of rows built from scalars already checked: a tuple
         of tuples of ncols ints and Fractions each, taken as it is."""
         m = object.__new__(cls)
-        m.rows, m._ncols, m._columns = rows, ncols, None
+        m.rows, m._ncols = rows, ncols
+        m._columns = m._invertible = None
         return m
 
     @classmethod
@@ -535,7 +544,11 @@ class Matrix:
                   for i in range(n)), n)
 
     def is_invertible(self) -> bool:
-        return self.is_square() and self.rank() == self.nrows
+        """Whether the matrix is square of full rank, decided on the
+        first call and kept (a Matrix never changes)."""
+        if self._invertible is None:
+            self._invertible = self.is_square() and self.rank() == self.nrows
+        return self._invertible
 
 
 def matrix(rows: Sequence[Sequence[ScalarLike]], ncols: int | None = None) -> Matrix:

@@ -143,8 +143,9 @@ class HomLieAlgebra:
     def alpha_power(self, s: int) -> Matrix:
         return self.alpha.power(s)
 
-    @property
+    @cached_property
     def is_regular(self) -> bool:
+        """Whether alpha is invertible, decided once per object."""
         return self.alpha.is_invertible()
 
     def brackets_dict(self) -> dict:
@@ -249,9 +250,10 @@ class Representation:
         return sparse_table([[m.column(j) for j in range(self.dim)]
                              for m in self.rho])
 
-    @property
+    @cached_property
     def is_regular(self) -> bool:
-        """Whether both twists, alpha and beta, are invertible."""
+        """Whether both twists, alpha and beta, are invertible, decided
+        once per object."""
         return self.algebra.is_regular and self.beta.is_invertible()
 
     @cached_property

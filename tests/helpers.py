@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import prod
 
-from homlie.alternating import increasing_tuples, shuffles
+from homlie.alternating import increasing_tuples, shuffles, wedge_coords
 from homlie.cochain import Cochain
 from homlie.graded import build_theta, horizontal_lift
 from homlie.reporting import Failure, matrix_failures
@@ -30,6 +30,8 @@ from homlie.linalg import (
     basis_vector,
     block_diag,
     is_zero_vector,
+    rref_kernel,
+    sparse_rref,
     vadd,
     vscale,
     vzero,
@@ -856,3 +858,67 @@ def oracle_action_entries(rep, x):
     m = rep.rho_of(x)
     return [(t, u, c) for t in range(rep.dim)
             for u, c in enumerate(m.row(t)) if c != 0]
+
+
+# ---------------------------------------------------------------------------
+# The sparse assembly of the cochain layer before it moved to integers:
+# the compatible system in Fractions, one wedge expansion of the twist's
+# columns per index tuple, and delta's bracket term from every pair of
+# every (n + 1)-tuple, one wedge expansion per pair with a nonzero
+# bracket.
+
+
+def oracle_compatible_flats(sigma, tau, arity):
+    """compatible_flats as it was assembled in Fractions, tuple by tuple."""
+    sd, td = sigma.nrows, tau.nrows
+    tuples = increasing_tuples(sd, arity)
+    position = {t: p for p, t in enumerate(tuples)}
+    columns_of_sigma = [sigma.column(i) for i in range(sd)]
+    rows = []
+    for p, indices in enumerate(tuples):
+        minors = wedge_coords([columns_of_sigma[i] for i in indices], sd)
+        for t in range(td):
+            row = {p * td + u: -c for u, c in enumerate(tau.row(t)) if c}
+            for other, minor in minors.items():
+                k = position[other] * td + t
+                row[k] = row.get(k, 0) + minor
+            rows.append(row)
+    return rref_kernel(sparse_rref(rows), len(tuples) * td)
+
+
+def oracle_coboundary_columns(rep, arity):
+    """delta_arity's sparse columns, its bracket term summed over every
+    pair of every (n + 1)-tuple."""
+    g, n, td = rep.algebra, arity, rep.dim
+    col_position = {t: p for p, t in enumerate(increasing_tuples(g.dim, n))}
+    actor = g.alpha_power(n - 1)
+    acting = [oracle_action_entries(rep, actor.column(i))
+              for i in range(g.dim)]
+    alpha_columns = [g.alpha.column(k) for k in range(g.dim)]
+    columns = [{} for _ in range(len(col_position) * td)]
+
+    def emit(row, col, c):
+        column = columns[col]
+        column[row] = column.get(row, 0) + c
+
+    for r, indices in enumerate(increasing_tuples(g.dim, n + 1)):
+        base = r * td
+        for pos, i in enumerate(indices):
+            rest = col_position[indices[:pos] + indices[pos + 1:]] * td
+            sign = 1 if pos % 2 == 0 else -1
+            for t, u, c in acting[i]:
+                emit(base + t, rest + u, sign * c)
+        for p, q in combinations(range(n + 1), 2):
+            bracket = g.bracket_basis(indices[p], indices[q])
+            if is_zero_vector(bracket):
+                continue
+            sign = 1 if (p + q) % 2 == 0 else -1
+            args = [bracket] + [alpha_columns[k]
+                                for pos, k in enumerate(indices)
+                                if pos != p and pos != q]
+            for monomial, c in wedge_coords(args, g.dim).items():
+                col = col_position[monomial] * td
+                for t in range(td):
+                    emit(base + t, col + t, sign * c)
+    return [{row: c for row, c in column.items() if c != 0}
+            for column in columns]

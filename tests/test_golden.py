@@ -293,6 +293,27 @@ def test_cohomology_keeps_its_basis_sparse(monkeypatch):
     assert tables == 5
 
 
+def test_each_twist_is_eliminated_at_most_once_per_verb(monkeypatch):
+    """Regularity is decided once per twist: in every golden verb no
+    Matrix is ranked twice, even where two structures share a twist (the
+    operator complex of cohomology --operator swaps alpha and beta), and
+    cohomology, deform-extend and obstruction rank two twists at most."""
+    ranked = []
+    rank = Matrix.rank
+
+    def recording(self):
+        ranked.append(self)
+        return rank(self)
+
+    monkeypatch.setattr(Matrix, "rank", recording)
+    for name, argv in CASES.items():
+        ranked.clear()
+        assert _replay(argv)[1] == _expected(name), name
+        assert len({id(m) for m in ranked}) == len(ranked), name
+        if argv[0] in ("cohomology", "deform-extend", "obstruction"):
+            assert len(ranked) <= 2, (name, len(ranked))
+
+
 def test_golden_verbs_build_no_cochain_holding_a_zero_vector(monkeypatch):
     """A Cochain keeps only its nonzero values: no Cochain built on the
     way through any golden case stores a zero coefficient vector."""

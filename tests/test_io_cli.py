@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import homlie.cochain as cochain_module
-from homlie.alternating import wedge_coords
+from homlie.alternating import wedge_extend
 from homlie.cli import main
 from homlie.cochain import Cochain, coboundary_matrix
 from homlie.io import (
@@ -130,6 +130,45 @@ def test_scalar_forms():
         algebra_from_dict(dict(AFF1, alpha=[["1/0", 0], [0, 2]]))
     with pytest.raises(SchemaError):
         algebra_from_dict(dict(AFF1, alpha=[["x", 0], [0, 2]]))
+
+
+SCALAR_REFUSALS = (
+    (True, "booleans are not scalars"),
+    (1.5, "floats are not exact; write the value as a string"),
+    ("1/0", "malformed rational '1/0'"),
+    ("x", "malformed rational 'x'"),
+    (None, "cannot read None as a scalar"),
+    ([], "cannot read [] as a scalar"),
+)
+
+
+def test_scalar_refusals_name_the_entry():
+    """A refused scalar is named by its place in the document, whichever
+    entry of a vector, a matrix row, an action matrix or a bracket it
+    is; the texts are the ones the reader always gave."""
+    doc = {"algebra": dict(AFF1, alpha=[[1, 0], [0, 1]]),
+           "beta": [[1, 0], [0, 1]], "rho": AFF1_REP["rho"]}
+    slots = [(("beta", r, c), f".beta[{r}][{c}]")
+             for r in range(2) for c in range(2)]
+    slots += [(("rho", i, r, c), f".rho[{i}][{r}][{c}]")
+              for i in range(2) for r in range(2) for c in range(2)]
+    slots += [(("algebra", "alpha", r, c), f".algebra.alpha[{r}][{c}]")
+              for r in range(2) for c in range(2)]
+    slots += [(("algebra", "brackets", "0,1", k),
+               f".algebra.brackets['0,1'][{k}]") for k in range(2)]
+    for path, where in slots:
+        for bad, reason in SCALAR_REFUSALS:
+            broken = json.loads(json.dumps(doc))
+            node = broken
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = bad
+            with pytest.raises(SchemaError) as refused:
+                rep_from_dict(broken, where="rep.json")
+            assert str(refused.value) == f"rep.json{where}: {reason}"
+    with pytest.raises(SchemaError) as refused:
+        vector_from_dict({"vector": [0, "1/2", False]}, where="v.json")
+    assert str(refused.value) == "v.json.vector[2]: booleans are not scalars"
 
 
 def test_algebra_schema_violations():
@@ -428,19 +467,23 @@ def test_cli_cohomology_refuses_invalid_input(tmp_path, capsys):
 def test_cli_cohomology_assembles_without_determinants(tmp_path, capsys,
                                                        monkeypatch):
     """A timing-free guard on the cost model of the cohomology verb: no
-    determinants, one compatible basis per arity, and at most one wedge
-    expansion per (index tuple, bracket pair) while assembling delta_n,
-    n = 1..3, on dim 6.  Evaluating cochains pointwise would take far
-    more."""
+    determinants, one compatible basis per arity, and few wedge_extend
+    steps (one wedge factor each) while assembling delta_n and the
+    compatible system, n = 1..3, on dim 6: one per nonzero bracket and
+    (n - 1)-subset K of the other indices, one per prefix of a K whose
+    twisted wedge is expanded, and one per prefix of the n-tuples whose
+    twist minors the compatible system reads.  Expanding every bracket
+    pair of every (n + 1)-tuple took 339 steps here; evaluating cochains
+    pointwise would take far more."""
     semi = semidirect_product(adjoint_rep(sl2(), 0))
     rep_path = write(tmp_path, "semi.json",
                      jsonable(rep_to_dict(adjoint_rep(semi, 0))))
-    counts = {"wedge_coords": 0}
+    counts = {"wedge_extend": 0}
     basis_arities = []
 
-    def counting_wedge_coords(vectors, dim):
-        counts["wedge_coords"] += 1
-        return wedge_coords(vectors, dim)
+    def counting_wedge_extend(terms, v):
+        counts["wedge_extend"] += 1
+        return wedge_extend(terms, v)
 
     basis = cochain_module.compatible_flats
 
@@ -450,16 +493,19 @@ def test_cli_cohomology_assembles_without_determinants(tmp_path, capsys,
 
     for name, module in list(sys.modules.items()):
         if name.startswith("homlie") and \
-                getattr(module, "wedge_coords", None) is wedge_coords:
-            monkeypatch.setattr(module, "wedge_coords", counting_wedge_coords)
+                getattr(module, "wedge_extend", None) is wedge_extend:
+            monkeypatch.setattr(module, "wedge_extend", counting_wedge_extend)
     monkeypatch.setattr(cochain_module, "compatible_flats", recording_basis)
     code, payload = run_json(
         capsys, ["cohomology", rep_path, "--max-arity", "3"])
     assert code == 0
     assert [row["h"] for row in payload["data"]["table"]] == [0, 1, 1, 0]
     assert not hasattr(Matrix, "det")
-    assert counts["wedge_coords"] <= sum(
-        comb(6, n + 1) * comb(n + 1, 2) for n in range(1, 4))  # 165
+    brackets = len(semi.brackets_dict())  # 9
+    prefixes = [sum(comb(6, j) for j in range(1, n + 1)) for n in range(4)]
+    assert 0 < counts["wedge_extend"] <= sum(
+        brackets * comb(4, n - 1) + prefixes[n - 1] + prefixes[n]
+        for n in range(1, 4))  # 194
     assert basis_arities == [0, 1, 2, 3]
 
 

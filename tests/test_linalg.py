@@ -519,6 +519,27 @@ def _sympy_rows(rows, ncols):
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
+def test_row_order_changes_no_pivot_rank_or_reduced_form(data):
+    """sparse_echelon takes its rows shortest first, and whatever order
+    they arrive in, shuffled or reversed, the pivot columns, the rank,
+    the reduced form and a solution read off it stay the same."""
+    ncols = data.draw(st.integers(0, 6))
+    rows = data.draw(elimination_rows(ncols))
+    b = data.draw(st.lists(wide_scalars, min_size=len(rows),
+                           max_size=len(rows)))
+    pivots, reduced = sorted(sparse_echelon(rows)), sparse_rref(rows)
+    solution = sparse_solve(rows, ncols, b)
+    order = data.draw(st.permutations(range(len(rows))))
+    for permutation in (order, order[::-1], range(len(rows))[::-1]):
+        moved = [rows[k] for k in permutation]
+        assert sorted(sparse_echelon(moved)) == pivots
+        assert sparse_rref(moved) == reduced
+        assert sparse_solve(moved, ncols, [b[k] for k in permutation]) \
+            == solution
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
 def test_fraction_free_elimination_equals_gauss_jordan_and_sympy(data):
     ncols = data.draw(st.integers(0, 6))
     rows = data.draw(elimination_rows(ncols))
