@@ -12,9 +12,12 @@ stderr must be identical.  Each pass prints the CPU time of both sides
 and their ratio change/base.  After the passes, each workload prints
 both sides' op_tail_ms and its ratio, by the benchmark's own rule
 (perfbench/run.py's tail of each verb's median wall latency over the
-passes).  Because both sides share one process and every verb
-alternates, a drift in machine speed between processes does not enter
-the ratios.  Standard library only.
+passes), and a line per verb name (argv[0]): the median change/base
+ratio of those verbs' median latencies, and on each side how many of
+the verbs at or above the op_tail percentile carry the name.  Because
+both sides share one process and every verb alternates, a drift in
+machine speed between processes does not enter the ratios.  Standard
+library only.
 """
 
 from __future__ import annotations
@@ -86,11 +89,37 @@ def ab_pass(base, change, verbs: list, parity: int) -> tuple:
     return totals["base"], totals["change"], mismatches, latencies
 
 
+def per_verb(passes: list) -> list:
+    """Each verb's median latency over passes."""
+    return [statistics.median(lat) for lat in zip(*passes)]
+
+
 def op_tail_ms(run, passes: list) -> float:
     """The benchmark's op_tail_ms: run.tail over verbs of each verb's
     median latency over passes."""
-    per_verb = [statistics.median(lat) for lat in zip(*passes)]
-    return 1000 * run.tail(per_verb)[1]
+    return 1000 * run.tail(per_verb(passes))[1]
+
+
+def by_verb_name(run, verbs: list, latencies: dict) -> list:
+    """Lines of the per-verb-name breakdown: the median change/base
+    ratio of the verbs' median latencies, and for each side how many
+    verbs at or above its op_tail percentile carry the name."""
+    medians = {side: per_verb(lat) for side, lat in latencies.items()}
+    names = [verb["argv"][0] for verb in verbs]
+    tails = {}
+    for side, lat in medians.items():
+        label, cut = run.tail(lat)
+        tails[side] = label, [n for n, x in zip(names, lat) if x >= cut]
+    lines = []
+    for name in sorted(set(names)):
+        ratios = [c / b for n, b, c in zip(names, medians["base"],
+                                           medians["change"]) if n == name]
+        counts = ", ".join(f"{side} {tail.count(name)}/{len(tail)} at or "
+                           f"above {label}"
+                           for side, (label, tail) in tails.items())
+        lines.append(f"  {name}: {len(ratios)} verbs, median ratio "
+                     f"{statistics.median(ratios):.3f}; tail verbs: {counts}")
+    return lines
 
 
 def main(argv=None) -> int:
@@ -142,6 +171,7 @@ def main(argv=None) -> int:
             print(f"{workload}: op_tail_ms base {tails['base']:.3f}, change "
                   f"{tails['change']:.3f}, ratio "
                   f"{tails['change'] / tails['base']:.3f}")
+            print("\n".join(by_verb_name(run, verbs, latencies)))
     return 1 if failed else 0
 
 

@@ -45,7 +45,6 @@ from .graded import (
     check_maurer_cartan,
     circle_product,
     derived_bracket,
-    derived_bracket_zero,
     nr_bracket,
 )
 from .ooperator import (

@@ -16,11 +16,17 @@ the arity-2 element theta = mu + rho, and theta is a Maurer-Cartan
 element exactly when the bracket satisfies the axioms and the action is
 a representation.
 
-A Cochain stores only its nonzero values.  The first block of a shuffle
-is increasing, so the circle product reads psi's value on it straight
-off psi.values and skips the shuffles on which psi vanishes.
+A Cochain stores only its nonzero values, and one circle product is
+one walk over psi's: each value psi(e_J) meets every (a-1)-tuple K of
+the other indices, the shuffle of J and K is sorted (with its sign)
+into the tuple it lands on, and phi is evaluated on psi(e_J) and
+sigma^{b-1} e_K.  phi is read from a sparse table built once per
+product: its columns at arity 1, its signed bilinear table at arity 2
+(for theta, the brackets of the semidirect sum), and Cochain.evaluate
+above.  A predicate restricts the walk to the tuples its caller reads;
+circle_product, nr_bracket and derived_bracket all use it.
 
-The derived bracket on maps P: wedge^n V -> g is
+The derived bracket on maps P: wedge^n V -> g, n >= 1, is
 
     {{P, Q}} = (-1)^n [[theta, lift(P)], lift(Q)]
 
@@ -28,94 +34,120 @@ restricted back to arguments from V, where lift(P) extends P to g + V
 by killing the g-components.  Only what the restriction keeps is
 computed: the outer bracket on tuples of module indices, and the inner
 bracket [theta, lift(P)] on the tuples with at most one g index, the
-only ones the outer bracket reads.  Degree-zero elements x of g (fixed by
-alpha) pair with an n-cochain P through
-
-    {{P, x}}(v_1, ..., v_n)
-        = sum over (1, n-1)-shuffles tau of sign(tau) *
-          P({x, beta^{-1} v_{tau(1)}}, v_{tau(2)}, ..., v_{tau(n)})
-        + [alpha^{-1} P(v_1, ..., v_n), alpha^{n-1} x]
-
-and two degree-zero elements through {{x, y}} = [x, y].
+only ones the outer bracket reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
-from .alternating import increasing_tuples, shuffles
+from .alternating import sort_with_sign
 from .cochain import Cochain, is_twist_compatible
-from .linalg import (
-    Matrix,
-    Vector,
-    basis_vector,
-    is_zero_vector,
-    vadd,
-    vscale,
-    vsub,
-    vzero,
-)
-from .structures import Representation
+from .linalg import Matrix, densify, vscale, vzero
+from .structures import Representation, pair_list
 
 
-def _circle_values(phi: Cochain, psi: Cochain, twist: Matrix,
-                   tuples) -> list:
-    """phi . psi on the given increasing index tuples, in their order."""
-    a, b = phi.arity, psi.arity
-    twist_power = twist.power(b - 1)
-    values = []
-    for indices in tuples:
-        total = list(vzero(twist.nrows))
-        for perm, sign in shuffles(b, a - 1):
-            inner = psi.values.get(tuple(indices[p] for p in perm[:b]))
-            if inner is None:
+def _entries(v) -> list:
+    return [(k, c) for k, c in enumerate(v) if c]
+
+
+def _table(phi: Cochain) -> list:
+    """phi's sparse table, built once per product: [i][l] holds the
+    nonzero (t, c) of phi(e_i, e_l) at arity 2 (for theta, the brackets
+    of the semidirect sum), and [i][0] those of phi(e_i) at arity 1."""
+    dim = phi.source_dim
+    table = [[()] * (dim if phi.arity == 2 else 1) for _ in range(dim)]
+    for key, v in phi.values.items():
+        entries = _entries(v)
+        if phi.arity == 1:
+            table[key[0]][0] = entries
+        else:
+            table[key[0]][key[1]] = entries
+            table[key[1]][key[0]] = [(t, -c) for t, c in entries]
+    return table
+
+
+def _circle_walk(phi: Cochain, psi: Cochain, twist: Matrix, keep,
+                 out: dict, sign: int, table=None) -> None:
+    """Add sign * (phi . psi) into out, an {increasing tuple: list}
+    dict, on the tuples that keep accepts (all when keep is None).
+
+    One walk over psi's nonzero values: each value psi(e_J) meets every
+    (a-1)-tuple K of the other indices, the shuffle of J and K is sorted
+    into the tuple it lands on, and phi is evaluated on psi(e_J) and
+    sigma^{b-1} e_K: from its table at arity 1 and 2 (table, when the
+    caller has it, else _table(phi)), by Cochain.evaluate above."""
+    dim, a, b = twist.nrows, phi.arity, psi.arity
+    power = twist.power(b - 1) if a > 1 and b > 1 else None
+    # The sparse sigma^{b-1} e_l; arity 1 reads [i][0] alone.
+    columns = [((l if a > 1 else 0, 1),) if power is None
+               else _entries(power.column(l)) for l in range(dim)]
+    if table is None and a <= 2:
+        table = _table(phi)
+    for j, w in psi.values.items():
+        plus = _entries(w)
+        minus = [(i, -c) for i, c in plus]
+        rest = [i for i in range(dim) if i not in j]
+        for k in combinations(rest, a - 1):
+            indices, s = sort_with_sign(j + k) if k else (j, 1)
+            if keep is not None and not keep(indices):
                 continue
-            args = [inner] + [twist_power.column(indices[p]) for p in perm[b:]]
-            for t, c in enumerate(phi.evaluate(args)):
-                if c:
-                    total[t] += c if sign == 1 else -c
-        values.append(tuple(total))
-    return values
+            total = out.setdefault(indices, [0] * dim)
+            if table is None:
+                value = phi.evaluate(
+                    [w, *(densify(dict(columns[i]), dim) for i in k)])
+                for t, c in enumerate(value):
+                    if c:
+                        total[t] += c if s == sign else -c
+                continue
+            for i, x in plus if s == sign else minus:
+                row = table[i]
+                for l, y in columns[k[0] if k else 0]:
+                    for t, c in row[l]:
+                        total[t] += x * y * c
 
 
-def _bracket_values(phi: Cochain, psi: Cochain, twist: Matrix,
-                    tuples) -> list:
-    """[phi, psi] on the given increasing index tuples, in their order."""
-    sign = -1 if (phi.arity - 1) * (psi.arity - 1) % 2 else 1
-    return [vsub(vscale(sign, left), right) for left, right in zip(
-        _circle_values(phi, psi, twist, tuples),
-        _circle_values(psi, phi, twist, tuples))]
+def _bracket_walk(phi: Cochain, psi: Cochain, twist: Matrix,
+                  keep=None, phi_table=None) -> dict:
+    """[phi, psi] = (-1)^{pq} phi . psi - psi . phi on the tuples that
+    keep accepts, as an {increasing tuple: list} dict."""
+    out = {}
+    odd = (phi.arity - 1) * (psi.arity - 1) % 2
+    _circle_walk(phi, psi, twist, keep, out, -1 if odd else 1, phi_table)
+    _circle_walk(psi, phi, twist, keep, out, -1)
+    return out
 
 
-def _on_every_tuple(values, phi: Cochain, psi: Cochain,
-                    twist: Matrix) -> Cochain:
-    """The cochain values(phi, psi, twist, tuples) on all tuples."""
+def _product_arity(phi: Cochain, psi: Cochain, twist: Matrix) -> int:
+    """The arity of phi . psi, once both factors are checked."""
     for f in (phi, psi):
         if f.source_dim != twist.nrows or f.target_dim != twist.nrows:
             raise ValueError("circle product needs endomorphism-valued cochains")
     if phi.arity < 1 or psi.arity < 1:
         raise ValueError("circle product needs arity at least 1")
-    arity = phi.arity + psi.arity - 1
-    tuples = increasing_tuples(twist.nrows, arity)
-    return Cochain(arity, twist.nrows, twist.nrows,
-                   dict(zip(tuples, values(phi, psi, twist, tuples))))
+    return phi.arity + psi.arity - 1
 
 
 def circle_product(phi: Cochain, psi: Cochain, twist: Matrix) -> Cochain:
     """The twisted circle product; both factors live on (W, twist)."""
-    return _on_every_tuple(_circle_values, phi, psi, twist)
+    arity, out = _product_arity(phi, psi, twist), {}
+    _circle_walk(phi, psi, twist, None, out, 1)
+    return Cochain(arity, twist.nrows, twist.nrows, out)
 
 
 def nr_bracket(phi: Cochain, psi: Cochain, twist: Matrix) -> Cochain:
     """[phi, psi] = (-1)^{pq} phi . psi - psi . phi, degrees p, q."""
-    return _on_every_tuple(_bracket_values, phi, psi, twist)
+    return Cochain(_product_arity(phi, psi, twist), twist.nrows, twist.nrows,
+                   _bracket_walk(phi, psi, twist))
 
 
 def build_theta(rep: Representation) -> Cochain:
     """The arity-2 element mu + rho on g + V encoding bracket and action:
     the bracket table of the semidirect sum, read as a cochain."""
     semi = rep.semidirect
-    return Cochain.from_values(2, semi.dim, semi.dim, semi.brackets_dict())
+    return Cochain(2, semi.dim, semi.dim, {
+        pair: v for pair, v in zip(pair_list(semi.dim), semi.table) if any(v)})
 
 
 @dataclass(frozen=True)
@@ -170,57 +202,21 @@ def derived_bracket(rep: Representation, p: Cochain, q: Cochain) -> Cochain:
         if f.source_dim != rep.dim or f.target_dim != g.dim:
             raise ValueError("derived bracket needs maps from the module to g")
         if f.arity < 1:
-            raise ValueError("use derived_bracket_zero for degree-zero elements")
+            raise ValueError("derived brackets need arity at least 1")
     n_g, total = g.dim, g.dim + rep.dim
-    twist = rep.semidirect.alpha
-    theta = build_theta(rep)
-    # Increasing tuples: t[1] >= n_g leaves at most t[0] in g.
-    near = [t for t in increasing_tuples(total, p.arity + 1) if t[1] >= n_g]
-    inner = Cochain(p.arity + 1, total, total, dict(zip(
-        near, _bracket_values(theta, horizontal_lift(p, n_g), twist, near))))
-    arity = p.arity + q.arity
-    module = [t for t in increasing_tuples(total, arity) if t[0] >= n_g]
+    semi = rep.semidirect
+    lift_p = horizontal_lift(p, n_g)
+    lift_q = lift_p if q is p else horizontal_lift(q, n_g)
+    # theta's table is the semidirect sum's structure constants.  On
+    # increasing tuples, t[1] >= n_g leaves at most t[0] in g.
+    inner = Cochain(p.arity + 1, total, total, _bracket_walk(
+        build_theta(rep), lift_p, semi.alpha, lambda t: t[1] >= n_g,
+        semi.structure_constants))
     sign = -1 if p.arity % 2 else 1
     values = {}
-    for t, value in zip(module, _bracket_values(
-            inner, horizontal_lift(q, n_g), twist, module)):
-        if not is_zero_vector(value[n_g:]):
+    for t, value in _bracket_walk(inner, lift_q, semi.alpha,
+                                  lambda t: t[0] >= n_g).items():
+        if any(value[n_g:]):
             raise ValueError("derived bracket left the operator complex")
         values[tuple(a - n_g for a in t)] = vscale(sign, value[:n_g])
-    return Cochain(arity, rep.dim, g.dim, values)
-
-
-def derived_bracket_zero(rep: Representation, p, x: Vector) -> Cochain:
-    """{{P, x}} for a degree-zero element x of g fixed by alpha.
-
-    p may be a cochain of arity >= 1, a vector of g (another degree-zero
-    element, giving {{x, y}} = [x, y]), or an arity-0 cochain.
-    """
-    g = rep.algebra
-    if not rep.is_regular:
-        raise ValueError("degree-zero derived brackets need invertible twists")
-    x = tuple(x)
-    if g.alpha.apply(x) != x:
-        raise ValueError("the degree-zero element must be fixed by alpha")
-    if isinstance(p, Cochain) and p.arity == 0:
-        p = p.coeff(())
-    if not isinstance(p, Cochain):
-        return Cochain(0, rep.dim, g.dim, {(): g.bracket(tuple(p), x)})
-    if p.source_dim != rep.dim or p.target_dim != g.dim:
-        raise ValueError("derived bracket needs maps from the module to g")
-    n = p.arity
-    alpha_inv = g.alpha.inverse()
-    beta_inv = rep.beta.inverse()
-    alpha_nm1_x = g.alpha_power(n - 1).apply(x)
-    values = {}
-    for indices in increasing_tuples(rep.dim, n):
-        total = vzero(g.dim)
-        for perm, sign in shuffles(1, n - 1):
-            first = rep.act(x, beta_inv.column(indices[perm[0]]))
-            args = [first] + [
-                basis_vector(rep.dim, indices[k]) for k in perm[1:]
-            ]
-            total = vadd(total, vscale(sign, p.evaluate(args)))
-        closing = g.bracket(alpha_inv.apply(p.coeff(indices)), alpha_nm1_x)
-        values[indices] = vadd(total, closing)
-    return Cochain(n, rep.dim, g.dim, values)
+    return Cochain(p.arity + q.arity, rep.dim, g.dim, values)

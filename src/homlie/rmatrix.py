@@ -49,8 +49,9 @@ compatible_maps_basis.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import lcm
 
-from .alternating import wedge_coords
+from .alternating import sort_with_sign, wedge_coords, wedge_extend
 from .cochain import compatible_maps_basis
 from .deformation import (
     FormalDeformationReport,
@@ -61,6 +62,7 @@ from .deformation import (
 )
 from .linalg import (
     Matrix,
+    Q,
     basis_vector,
     is_zero_vector,
     scalar,
@@ -127,32 +129,64 @@ def invariant_two_tensor_basis(g: HomLieAlgebra) -> list:
             for d in invariant_wedge_basis(g, 2)]
 
 
+def _int_scale(coefficients) -> int:
+    """The lcm of the denominators: scaled by it, each is an int."""
+    return lcm(1, *(c.denominator for c in coefficients))
+
+
+def _scaled(c, s: int) -> int:
+    """The int c * s, for c with a denominator dividing s."""
+    return c.numerator * (s // c.denominator)
+
+
+def _unscaled(q, s: int):
+    """The exact q / s, an int when integral, for a sum q of values
+    scaled by s."""
+    return scalar(q if s == 1 else Q(q, s))
+
+
 def graded_bracket_wedge(g: HomLieAlgebra, u: dict, grade_u: int,
                          v: dict, grade_v: int) -> dict:
-    """The graded bracket of wedge vectors, as sparse coefficient dicts."""
+    """The graded bracket of wedge vectors, as sparse coefficient dicts.
+
+    Each pair of monomials, and of positions in them with a nonzero
+    bracket [e_x, e_y], gives the term [e_x, e_y] ^ alpha e_R, where R
+    lists the other factors' indices in order.  Sorting R only changes
+    the sign, and a repeated index gives zero, so the brackets are first
+    summed into one vector S_R per sorted R, straight from the
+    structure-constant table.  Each S_R then meets the wedge of the
+    alpha columns of R once: S_R ^ alpha e_R = (-1)^|R| (alpha e_R) ^
+    S_R, one wedge_extend step.  u and v are scaled to ints by the lcms
+    su and sv of their denominators, and the sum is divided by su * sv
+    once at the end.
+    """
+    if any(len(i) != grade_u for i in u) or any(len(i) != grade_v for i in v):
+        raise ValueError("monomial does not match the stated grade")
+    su, sv = _int_scale(u.values()), _int_scale(v.values())
+    bracket = g.structure_constants
+    sums = {}
+    for iu, cu in u.items():
+        for iv, cv in v.items():
+            scale = _scaled(cu, su) * _scaled(cv, sv)
+            for pi, x in enumerate(iu):
+                for pj, y in enumerate(iv):
+                    rest = bracket[x][y] and sort_with_sign(
+                        iu[:pi] + iu[pi + 1:] + iv[:pj] + iv[pj + 1:])
+                    if not rest:
+                        continue
+                    total = sums.setdefault(rest[0], [0] * g.dim)
+                    signed = scale * rest[1] * (-1 if (pi + pj) % 2 else 1)
+                    for k, c in bracket[x][y]:
+                        total[k] += signed * c
     alpha_cols = [g.alpha.column(i) for i in range(g.dim)]
     out = {}
-    for iu, cu in u.items():
-        if len(iu) != grade_u:
-            raise ValueError("monomial does not match the stated grade")
-        for iv, cv in v.items():
-            if len(iv) != grade_v:
-                raise ValueError("monomial does not match the stated grade")
-            scale = cu * cv
-            for pi in range(grade_u):
-                for pj in range(grade_v):
-                    bracket = g.bracket_basis(iu[pi], iv[pj])
-                    if is_zero_vector(bracket):
-                        continue
-                    sign = -1 if (pi + pj) % 2 == 1 else 1
-                    vectors = [bracket]
-                    vectors += [alpha_cols[iu[k]]
-                                for k in range(grade_u) if k != pi]
-                    vectors += [alpha_cols[iv[k]]
-                                for k in range(grade_v) if k != pj]
-                    for indices, minor in wedge_coords(vectors, g.dim).items():
-                        out[indices] = out.get(indices, 0) + scale * sign * minor
-    return {indices: c for indices, c in out.items() if c != 0}
+    for rest, total in sums.items():
+        sign = -1 if len(rest) % 2 else 1
+        wedge = wedge_coords([alpha_cols[i] for i in rest], g.dim)
+        for indices, c in wedge_extend(wedge, total).items():
+            out[indices] = out.get(indices, 0) + sign * c
+    return {indices: _unscaled(c, su * sv)
+            for indices, c in out.items() if c != 0}
 
 
 def two_tensor_square(g: HomLieAlgebra, r: Matrix) -> dict:
@@ -187,8 +221,9 @@ def _accumulate3(store: dict, first, second, third) -> None:
                 store[key] = store.get(key, 0) + cab * cc
 
 
-def _canonical3(store: dict) -> tuple:
-    return tuple(sorted((k, q) for k, q in store.items() if q != 0))
+def _canonical3(store: dict, s: int) -> tuple:
+    return tuple(sorted((k, _unscaled(q, s)) for k, q in store.items()
+                        if q != 0))
 
 
 def cybe_sum(g: HomLieAlgebra, r: Matrix) -> CybeSum:
@@ -199,33 +234,41 @@ def cybe_sum(g: HomLieAlgebra, r: Matrix) -> CybeSum:
 
         [r12, r13] = sum c_xy c_zw [e_x, e_z] (x) alpha e_y (x) alpha e_w,
         [r12, r23] = sum c_xy c_zw alpha e_x (x) [e_y, e_z] (x) alpha e_w,
-        [r13, r23] = sum c_xy c_zw alpha e_x (x) alpha e_z (x) [e_y, e_w],
+        [r13, r23] = sum c_xy c_zw alpha e_x (x) alpha e_z (x) [e_y, e_w].
 
-    expanded from the bracket's structure constants and the sparse
-    columns of alpha, each pair's coefficient folded into its two twisted
-    columns c_xy alpha e_x and c_xy alpha e_y.
+    Each passive index is summed first: with the twisted rows
+    R_x = sum_y c_xy alpha e_y and columns C_y = sum_x c_xy alpha e_x,
+
+        [r12, r13] = sum_{x,z} [e_x, e_z] (x) R_x (x) R_z,
+        [r12, r23] = sum_{y,z} C_y (x) [e_y, e_z] (x) R_z,
+        [r13, r23] = sum_{y,w} C_y (x) C_w (x) [e_y, e_w],
+
+    one product per nonzero entry of the sparse bracket table; empty
+    brackets are skipped.  The c_xy are scaled to ints by the lcm s of
+    their denominators, and every sum is divided by s^2 once at the end.
     """
-    alpha = sparse_table([[g.alpha.column(i) for i in range(g.dim)]])[0]
-    pairs = [(x, y, [(k, c * a) for k, a in alpha[x]],
-              [(k, c * a) for k, a in alpha[y]])
-             for x, row in enumerate(r.rows) for y, c in enumerate(row) if c]
+    s = _int_scale(c for row in r.rows for c in row)
+    scaled = [[_scaled(c, s) for c in row] for row in r.rows]
+    rows, cols = sparse_table([[g.alpha.apply(row) for row in scaled],
+                               [g.alpha.apply(col) for col in zip(*scaled)]])
     bracket = g.structure_constants
     p1, p2, p3 = {}, {}, {}
-    for x, y, ax, ay in pairs:
-        for z, w, az, aw in pairs:
-            _accumulate3(p1, bracket[x][z], ay, aw)
-            _accumulate3(p2, ax, bracket[y][z], aw)
-            _accumulate3(p3, ax, az, bracket[y][w])
+    for x in range(g.dim):
+        for z in range(g.dim):
+            if bracket[x][z]:
+                _accumulate3(p1, bracket[x][z], rows[x], rows[z])
+                _accumulate3(p2, cols[x], bracket[x][z], rows[z])
+                _accumulate3(p3, cols[x], cols[z], bracket[x][z])
     total = {}
     for part in (p1, p2, p3):
         for key, q in part.items():
             total[key] = total.get(key, 0) + q
     return CybeSum(
         dim=g.dim,
-        part_12_13=_canonical3(p1),
-        part_12_23=_canonical3(p2),
-        part_13_23=_canonical3(p3),
-        total=_canonical3(total),
+        part_12_13=_canonical3(p1, s * s),
+        part_12_23=_canonical3(p2, s * s),
+        part_13_23=_canonical3(p3, s * s),
+        total=_canonical3(total, s * s),
     )
 
 

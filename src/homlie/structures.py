@@ -311,21 +311,24 @@ def verify_representation(rep: Representation) -> RepresentationReport:
     return RepresentationReport(tuple(failures))
 
 
+def _exact(rows: list, ncols: int) -> Matrix:
+    """The Matrix of rows of exact sums of products, with every integral
+    Fraction among them written as its int."""
+    return Matrix._trusted(tuple(tuple(x if type(x) is int else scalar(x)
+                                       for x in row) for row in rows), ncols)
+
+
 def adjoint_rep(g: HomLieAlgebra, s: int = 0) -> Representation:
     """The alpha^s-twisted adjoint action ad^s_x(y) = [alpha^s(x), y].
 
-    Negative s needs a regular algebra.
+    Column j of rho(e_i) is [alpha^s e_i, e_j], read off the structure
+    constants by bracket.  Negative s needs a regular algebra.
     """
-    alpha_s = g.alpha_power(s)
-    rho = tuple(
-        Matrix.from_columns(
-            [g.bracket(alpha_s.column(i), basis_vector(g.dim, j))
-             for j in range(g.dim)],
-            nrows=g.dim,
-        )
-        for i in range(g.dim)
-    )
-    return Representation(algebra=g, dim=g.dim, basis=g.basis,
+    alpha_s, n = g.alpha_power(s), g.dim
+    units = [basis_vector(n, j) for j in range(n)]
+    rho = tuple(_exact(zip(*[g.bracket(alpha_s.column(i), e) for e in units]), n)
+                for i in range(n))
+    return Representation(algebra=g, dim=n, basis=g.basis,
                           beta=g.alpha, rho=rho)
 
 
@@ -348,8 +351,9 @@ def dual_rep(rep: Representation) -> Representation:
         rho*(x) = -(rho(alpha^{-1}(x)) . beta^{-2})^T,
 
     which satisfies both representation axioms whenever rep does.  Row c
-    of rho*(e_i) is -act(alpha^{-1} e_i, beta^{-2} v_c), so no action
-    matrix is built, and when beta is alpha it is inverted once.
+    of rho*(e_i) is -act(alpha^{-1} e_i, beta^{-2} v_c), read off the
+    action table, so no action matrix is built, and when beta is alpha
+    it is inverted once.
     """
     g = rep.algebra
     inverses = {}
@@ -364,8 +368,8 @@ def dual_rep(rep: Representation) -> Representation:
     beta_minus2 = beta_inv @ beta_inv
     columns = [beta_minus2.column(c) for c in range(rep.dim)]
     rho_star = tuple(
-        Matrix([vneg(rep.act(alpha_inv.column(i), column))
-                for column in columns], ncols=rep.dim)
+        _exact([vneg(rep.act(alpha_inv.column(i), column))
+                for column in columns], rep.dim)
         for i in range(g.dim)
     )
     return Representation(

@@ -609,6 +609,55 @@ def oracle_derived_bracket(rep, p, q):
     return -result if p.arity % 2 == 1 else result
 
 
+# The derived bracket in degree zero, which no verb reaches.  A
+# degree-zero element x of g (fixed by alpha) pairs with an n-cochain P
+# through
+#
+#     {{P, x}}(v_1, ..., v_n)
+#         = sum over (1, n-1)-shuffles tau of sign(tau) *
+#           P({x, beta^{-1} v_{tau(1)}}, v_{tau(2)}, ..., v_{tau(n)})
+#         + [alpha^{-1} P(v_1, ..., v_n), alpha^{n-1} x]
+#
+# and two degree-zero elements through {{x, y}} = [x, y].  The tests
+# compare it with the degree-zero coboundary of the operator complex.
+
+
+def derived_bracket_zero(rep, p, x):
+    """{{P, x}} for a degree-zero element x of g fixed by alpha.
+
+    p may be a cochain of arity >= 1, a vector of g (another degree-zero
+    element, giving {{x, y}} = [x, y]), or an arity-0 cochain.
+    """
+    g = rep.algebra
+    if not rep.is_regular:
+        raise ValueError("degree-zero derived brackets need invertible twists")
+    x = tuple(x)
+    if g.alpha.apply(x) != x:
+        raise ValueError("the degree-zero element must be fixed by alpha")
+    if isinstance(p, Cochain) and p.arity == 0:
+        p = p.coeff(())
+    if not isinstance(p, Cochain):
+        return Cochain(0, rep.dim, g.dim, {(): g.bracket(tuple(p), x)})
+    if p.source_dim != rep.dim or p.target_dim != g.dim:
+        raise ValueError("derived bracket needs maps from the module to g")
+    n = p.arity
+    alpha_inv = g.alpha.inverse()
+    beta_inv = rep.beta.inverse()
+    alpha_nm1_x = g.alpha_power(n - 1).apply(x)
+    values = {}
+    for indices in increasing_tuples(rep.dim, n):
+        total = vzero(g.dim)
+        for perm, sign in shuffles(1, n - 1):
+            first = rep.act(x, beta_inv.column(indices[perm[0]]))
+            args = [first] + [
+                basis_vector(rep.dim, indices[k]) for k in perm[1:]
+            ]
+            total = vadd(total, vscale(sign, p.evaluate(args)))
+        closing = g.bracket(alpha_inv.apply(p.coeff(indices)), alpha_nm1_x)
+        values[indices] = vadd(total, closing)
+    return Cochain(n, rep.dim, g.dim, values)
+
+
 def oracle_obstruction(g, rep, d):
     """Theta = -1/2 sum over all i + j = order + 1, i, j >= 1."""
     k = d.order + 1
@@ -776,6 +825,35 @@ def oracle_cybe_sum(g, r):
                  for part in (p1, p2, p3, total))
 
 
+# graded_bracket_wedge as it was before it walked the structure
+# constants in ints: one wedge_coords of the dense bracket and alpha
+# columns per pair of positions, in the coefficients' own Fractions.
+
+
+def oracle_graded_bracket_wedge(g, u, grade_u, v, grade_v):
+    alpha_cols = [g.alpha.column(i) for i in range(g.dim)]
+    out = {}
+    for iu, cu in u.items():
+        assert len(iu) == grade_u
+        for iv, cv in v.items():
+            assert len(iv) == grade_v
+            for pi in range(grade_u):
+                for pj in range(grade_v):
+                    bracket = g.bracket_basis(iu[pi], iv[pj])
+                    if is_zero_vector(bracket):
+                        continue
+                    sign = -1 if (pi + pj) % 2 == 1 else 1
+                    vectors = [bracket]
+                    vectors += [alpha_cols[iu[k]]
+                                for k in range(grade_u) if k != pi]
+                    vectors += [alpha_cols[iv[k]]
+                                for k in range(grade_v) if k != pj]
+                    for indices, minor in wedge_coords(vectors, g.dim).items():
+                        out[indices] = (out.get(indices, 0)
+                                        + cu * cv * sign * minor)
+    return {indices: c for indices, c in out.items() if c != 0}
+
+
 # ---------------------------------------------------------------------------
 # The structure checks, the dual and the action entries of delta as they
 # were before they read the sparse tables column by column: one dense
@@ -826,6 +904,18 @@ def oracle_verify_representation(rep):
         rhs = ai @ rep.rho[j] - aj @ rep.rho[i]
         failures += matrix_failures("module_equation", (i, j), lhs, rhs)
     return RepresentationReport(tuple(failures))
+
+
+def oracle_adjoint_rep(g, s=0):
+    """adjoint_rep as it was before it read the structure constants:
+    dense brackets [alpha^s e_i, e_j] as the columns of each rho(e_i)."""
+    alpha_s = g.alpha_power(s)
+    rho = tuple(
+        Matrix.from_columns([g.bracket(alpha_s.column(i), basis_vector(g.dim, j))
+                             for j in range(g.dim)], nrows=g.dim)
+        for i in range(g.dim))
+    return Representation(algebra=g, dim=g.dim, basis=g.basis,
+                          beta=g.alpha, rho=rho)
 
 
 def oracle_dual_rep(rep):

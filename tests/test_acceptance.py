@@ -12,7 +12,10 @@ import itertools
 import random
 from functools import lru_cache
 
+from hypothesis import given, settings, strategies as st
+
 from homlie.cochain import (
+    compatible_maps_basis,
     Cochain,
     coboundary,
     coboundary_matrix,
@@ -33,7 +36,6 @@ from homlie.deformation import (
 from homlie.graded import (
     check_maurer_cartan,
     derived_bracket,
-    derived_bracket_zero,
     nr_bracket,
 )
 from homlie.linalg import Matrix, Q, basis_vector, densify, matrix
@@ -70,10 +72,12 @@ from homlie.structures import (
 from helpers import (
     algebra_tables,
     dense_flat,
+    derived_bracket_zero,
     oracle_hom_lie,
     rand_matrix,
     rand_scalar,
 )
+from test_assembly import complexes
 from test_graded import expanded_derived, rand_compatible
 
 FIXTURES = catalog()
@@ -263,6 +267,33 @@ def test_criterion_05_maurer_cartan_equivalences():
     assert certified["aff1"] >= 5
     assert certified["aff1_twisted"] >= 2
     assert rejected >= 100
+
+
+SCALARS = st.sampled_from((0, 0, 1, -1, Q(1, 2), Q(-1, 3), Q(2, 5)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(complexes(max_dim=3), st.data())
+def test_criterion_05_routes_agree_on_generated_twists(rep, data):
+    """The operator routes agree on twisted structures that are not
+    diagonal (exp(ad x)) or not regular (projections): candidates are
+    combinations of twist-compatible maps V -> g, which include r# of
+    every invariant two-tensor on a coadjoint representation, or
+    arbitrary matrices.  The Maurer-Cartan route runs when the twists
+    are invertible, as in check-o-operator."""
+    g = rep.algebra
+    if data.draw(st.booleans()):
+        t = Matrix.zero(g.dim, rep.dim)
+        for b in compatible_maps_basis(rep.beta, g.alpha, 1):
+            t = t + b.as_matrix().scale(data.draw(SCALARS))
+    else:
+        t = Matrix([[data.draw(SCALARS) for _ in range(rep.dim)]
+                    for _ in range(g.dim)], ncols=rep.dim)
+    routes = [is_o_operator(g, rep, t).ok, graph_check(g, rep, t).ok,
+              nijenhuis_operator_check(rep.semidirect, build_nt(t)).ok]
+    if rep.is_regular:
+        routes.append(o_operator_maurer_cartan_check(g, rep, t).ok)
+    assert len(set(routes)) == 1, (t.rows, routes)
 
 
 def test_criterion_06_derived_bracket_expansion_and_graded_laws():

@@ -91,9 +91,11 @@ TWISTS = {name: (nilpotent_ads(g), diagonal_projections(g))
 
 
 @st.composite
-def complexes(draw):
-    """A coefficient representation on a twisted algebra of dim <= 5."""
-    name = draw(st.sampled_from(sorted(LIE) + sorted(TWISTED)))
+def twisted_algebras(draw, max_dim=5):
+    """A catalog or small Lie algebra of dim <= max_dim, Lie algebras
+    possibly twisted by exp(c ad x) or by a projection."""
+    name = draw(st.sampled_from([n for n in sorted(LIE) + sorted(TWISTED)
+                                 if {**LIE, **TWISTED}[n].dim <= max_dim]))
     if name in TWISTED:
         g = TWISTED[name]
     else:
@@ -111,6 +113,13 @@ def complexes(draw):
                 twist = e @ twist @ e.inverse() if kind == "projection" \
                     else e
             g = from_lie_with_morphism(g, twist)
+    return g
+
+
+@st.composite
+def complexes(draw, max_dim=5):
+    """A coefficient representation on an algebra of twisted_algebras."""
+    g = draw(twisted_algebras(max_dim))
     makers = [lambda h: adjoint_rep(h, 0), trivial_rep]
     if g.is_regular:
         makers.append(coadjoint_rep)

@@ -20,7 +20,6 @@ from homlie.graded import (
     check_maurer_cartan,
     circle_product,
     derived_bracket,
-    derived_bracket_zero,
     nr_bracket,
 )
 from homlie.linalg import Matrix, basis_vector, matrix, vadd, vscale, vzero
@@ -37,6 +36,7 @@ from homlie.structures import (
 
 from helpers import (
     cochain_from_dense,
+    derived_bracket_zero,
     oracle_derived_bracket,
     rand_matrix,
     rand_scalar,

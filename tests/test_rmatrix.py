@@ -41,6 +41,7 @@ from homlie.structures import (
 )
 
 from helpers import count_calls, oracle_invariant_wedge_basis, rand_invertible
+from test_assembly import twisted_algebras
 
 FIXTURES = catalog()
 
@@ -325,6 +326,20 @@ def test_r_matrix_grid_route_agreement():
             for c in scalars:
                 report = is_r_matrix(g, r0.scale(c))
                 assert report.routes_agree, (name, c)
+
+
+@settings(max_examples=40, deadline=None)
+@given(twisted_algebras().filter(lambda g: g.is_regular), st.data())
+def test_r_matrix_routes_agree_on_generated_twists(g, data):
+    """The three routes agree on combinations of the invariant
+    two-tensors of a Yau-twisted algebra (exp(ad x) is not diagonal),
+    with coefficients whose denominators are 2, 3 and 5."""
+    basis = invariant_two_tensor_basis(g)
+    r = skew_matrix(g.dim, {})
+    for b in basis:
+        r = r + b.scale(data.draw(st.sampled_from(
+            (0, 1, -1, Q(1, 2), Q(-2, 3), Q(3, 5)))))
+    assert is_r_matrix(g, r).routes_agree
 
 
 # ------------------------------------------- invariant wedges vs oracle
