@@ -85,10 +85,10 @@ def _circle_walk(phi: Cochain, psi: Cochain, twist: Matrix, keep,
                else _entries(power.column(l)) for l in range(dim)]
     if table is None and a <= 2:
         table = _table(phi)
+    signed = {sign: columns, -sign: [[(l, -y) for l, y in column]
+                                     for column in columns]}
     for j, w in psi.values.items():
-        plus = _entries(w)
-        minus = [(i, -c) for i, c in plus]
-        rest = [i for i in range(dim) if i not in j]
+        rest = [i for i in range(dim) if i not in j] if a > 1 else ()
         for k in combinations(rest, a - 1):
             indices, s = sort_with_sign(j + k) if k else (j, 1)
             if keep is not None and not keep(indices):
@@ -101,11 +101,11 @@ def _circle_walk(phi: Cochain, psi: Cochain, twist: Matrix, keep,
                     if c:
                         total[t] += c if s == sign else -c
                 continue
-            for i, x in plus if s == sign else minus:
-                row = table[i]
-                for l, y in columns[k[0] if k else 0]:
-                    for t, c in row[l]:
-                        total[t] += x * y * c
+            for i, x in enumerate(w):
+                if x:
+                    for l, y in signed[s][k[0] if k else 0]:
+                        for t, c in table[i][l]:
+                            total[t] += x * y * c
 
 
 def _bracket_walk(phi: Cochain, psi: Cochain, twist: Matrix,
