@@ -48,10 +48,6 @@ from .linalg import Matrix, densify, vscale, vzero
 from .structures import Representation, pair_list
 
 
-def _entries(v) -> list:
-    return [(k, c) for k, c in enumerate(v) if c]
-
-
 def _table(phi: Cochain) -> list:
     """phi's sparse table, built once per product: [i][l] holds the
     nonzero (t, c) of phi(e_i, e_l) at arity 2 (for theta, the brackets
@@ -59,7 +55,7 @@ def _table(phi: Cochain) -> list:
     dim = phi.source_dim
     table = [[()] * (dim if phi.arity == 2 else 1) for _ in range(dim)]
     for key, v in phi.values.items():
-        entries = _entries(v)
+        entries = [(t, c) for t, c in enumerate(v) if c]
         if phi.arity == 1:
             table[key[0]][0] = entries
         else:
@@ -81,10 +77,13 @@ def _circle_walk(phi: Cochain, psi: Cochain, twist: Matrix, keep,
     dim, a, b = twist.nrows, phi.arity, psi.arity
     power = twist.power(b - 1) if a > 1 and b > 1 else None
     # The sparse sigma^{b-1} e_l; arity 1 reads [i][0] alone.
-    columns = [((l if a > 1 else 0, 1),) if power is None
-               else _entries(power.column(l)) for l in range(dim)]
+    columns = [((l, 1),) if power is None else
+               [(t, c) for t, c in enumerate(power.column(l)) if c]
+               for l in range(dim if a > 1 else 1)]
     if table is None and a <= 2:
         table = _table(phi)
+    # signed[s] is columns times sign * s: a shuffle of sign s adds
+    # sign * s * phi(psi(e_J), sigma^{b-1} e_K).
     signed = {sign: columns, -sign: [[(l, -y) for l, y in column]
                                      for column in columns]}
     for j, w in psi.values.items():
@@ -93,19 +92,19 @@ def _circle_walk(phi: Cochain, psi: Cochain, twist: Matrix, keep,
             indices, s = sort_with_sign(j + k) if k else (j, 1)
             if keep is not None and not keep(indices):
                 continue
-            total = out.setdefault(indices, [0] * dim)
             if table is None:
                 value = phi.evaluate(
                     [w, *(densify(dict(columns[i]), dim) for i in k)])
-                for t, c in enumerate(value):
-                    if c:
-                        total[t] += c if s == sign else -c
-                continue
-            for i, x in enumerate(w):
-                if x:
-                    for l, y in signed[s][k[0] if k else 0]:
-                        for t, c in table[i][l]:
-                            total[t] += x * y * c
+                terms = [(t, c if s == sign else -c)
+                         for t, c in enumerate(value) if c]
+            else:
+                terms = [(t, x * y * c) for i, x in enumerate(w) if x
+                         for l, y in signed[s][k[0] if k else 0]
+                         for t, c in table[i][l]]
+            if terms:
+                total = out.setdefault(indices, [0] * dim)
+                for t, c in terms:
+                    total[t] += c
 
 
 def _bracket_walk(phi: Cochain, psi: Cochain, twist: Matrix,

@@ -24,9 +24,9 @@ are implemented side by side:
   * the classical Yang-Baxter sum
     [r^12, r^13] + [r^12, r^23] + [r^13, r^23] vanishes in g (x) g (x) g,
     expanded with tilde(x) = alpha(x) on the passive slots.  Writing
-    r = sum c_xy e_x (x) e_y over ordered pairs, each part is one sum
-    over two pairs of products of structure constants (see cybe_sum),
-    read from the algebra's sparse bracket table;
+    r = sum c_xy e_x (x) e_y over ordered pairs and summing each
+    passive index first, each part is one sum over the entries of the
+    algebra's sparse bracket table (see cybe_sum);
 
   * r# is an O-operator with respect to the coadjoint representation.
 
@@ -44,6 +44,18 @@ fixed by Lambda^k(alpha) exactly when the scalar map e_I -> w_I is
 compatible with (alpha^T, id), so invariant_wedge_basis reads each
 basis vector off the nonzero values of a Cochain of the cochain layer's
 compatible_maps_basis.
+
+The wedge route and the tensor route are computed in ints where r
+allows it.  Both are quadratic in r: every term of [r, r]_g and of each
+Yang-Baxter part is a product of two coefficients of r with structure
+constants and twist entries.  With L the lcm of the denominators of the
+coefficients, L r has integer coefficients, so the same sums on L r
+give exactly L^2 times each value.  graded_bracket_wedge and cybe_sum
+sum on the scaled coefficients and divide by L^2 once at the end: the
+result is the same rational, written as an int when it is integral,
+and only the intermediate products stay in ints instead of Fractions.
+The twist and the structure constants are not scaled, so their own
+denominators (the 1/2 of heisenberg3_twisted) still give Fractions.
 """
 
 from __future__ import annotations
@@ -134,11 +146,6 @@ def _int_scale(coefficients) -> int:
     return lcm(1, *(c.denominator for c in coefficients))
 
 
-def _scaled(c, s: int) -> int:
-    """The int c * s, for c with a denominator dividing s."""
-    return c.numerator * (s // c.denominator)
-
-
 def _unscaled(q, s: int):
     """The exact q / s, an int when integral, for a sum q of values
     scaled by s."""
@@ -167,7 +174,7 @@ def graded_bracket_wedge(g: HomLieAlgebra, u: dict, grade_u: int,
     sums = {}
     for iu, cu in u.items():
         for iv, cv in v.items():
-            scale = _scaled(cu, su) * _scaled(cv, sv)
+            scale = int(cu * su) * int(cv * sv)  # both integral
             for pi, x in enumerate(iu):
                 for pj, y in enumerate(iv):
                     rest = bracket[x][y] and sort_with_sign(
@@ -248,7 +255,7 @@ def cybe_sum(g: HomLieAlgebra, r: Matrix) -> CybeSum:
     their denominators, and every sum is divided by s^2 once at the end.
     """
     s = _int_scale(c for row in r.rows for c in row)
-    scaled = [[_scaled(c, s) for c in row] for row in r.rows]
+    scaled = [[int(c * s) for c in row] for row in r.rows]
     rows, cols = sparse_table([[g.alpha.apply(row) for row in scaled],
                                [g.alpha.apply(col) for col in zip(*scaled)]])
     bracket = g.structure_constants

@@ -132,9 +132,13 @@ class HomLieAlgebra:
 
     @cached_property
     def structure_constants(self) -> tuple:
-        """[e_i, e_j] for all i, j as a sparse table."""
-        return sparse_table([[self.bracket_basis(i, j) for j in range(self.dim)]
-                             for i in range(self.dim)])
+        """[e_i, e_j] for all i, j as a sparse table, read off the pair
+        table once: [e_j, e_i] holds the negated entries of [e_i, e_j]."""
+        rows = [[()] * self.dim for _ in range(self.dim)]
+        for (i, j), value in zip(pair_list(self.dim), self.table):
+            rows[i][j] = tuple((k, scalar(c)) for k, c in enumerate(value) if c)
+            rows[j][i] = tuple((k, -c) for k, c in rows[i][j])
+        return tuple(map(tuple, rows))
 
     def bracket(self, u: Vector, v: Vector) -> Vector:
         """Bilinear extension of the basis bracket."""
