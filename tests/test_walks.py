@@ -3,8 +3,8 @@
 derived_bracket, circle_product and nr_bracket walk the nonzero values
 of one factor; graded_bracket_wedge sums the brackets per set of other
 factors from the structure constants, and cybe_sum sums each passive
-index first, both in ints; adjoint_rep and dual_rep read the structure
-constants.  helpers keeps the shuffle oracle of the derived bracket,
+index first, both in ints; the structure constants are read off the
+pair table, and adjoint_rep and dual_rep read them.  helpers keeps the shuffle oracle of the derived bracket,
 the dense wedge bracket, the 12-term Yang-Baxter loop and the dense
 adjoint and dual representations.  The algebras are the catalog and
 small Lie algebras twisted by exp(c ad x) and by projections
@@ -21,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 from homlie.alternating import increasing_tuples
 from homlie.cochain import Cochain
 from homlie.graded import derived_bracket
+from homlie.linalg import sparse_table
 from homlie.rmatrix import (
     cybe_sum,
     graded_bracket_wedge,
@@ -112,6 +113,11 @@ def test_wedge_brackets_and_cybe_parts_equal_the_replaced_loops(g, data):
 @settings(max_examples=60, deadline=None)
 @given(twisted_algebras(), st.integers(-1, 2))
 def test_adjoint_and_dual_equal_the_dense_constructions(g, s):
+    """The structure constants read off the pair table are the sparse
+    table of every [e_i, e_j]; the adjoint and dual representations
+    built from them are the dense constructions."""
+    assert g.structure_constants == sparse_table(
+        [[g.bracket_basis(i, j) for j in range(g.dim)] for i in range(g.dim)])
     if s < 0 and not g.is_regular:
         s = -s
     adjoint = adjoint_rep(g, s)
