@@ -567,7 +567,7 @@ def oracle_diagonal_compatible_basis(sigma, tau, arity):
 # determinants, instead of the compatible-map solver.
 
 
-def _oracle_circle_product(phi, psi, twist):
+def oracle_circle_product(phi, psi, twist):
     dim = twist.nrows
     a, b = phi.arity, psi.arity
     twist_power = twist.power(b - 1)
@@ -585,20 +585,20 @@ def _oracle_circle_product(phi, psi, twist):
     return cochain_on_tuples(a + b - 1, dim, dim, values)
 
 
-def _oracle_nr_bracket(phi, psi, twist):
-    left = _oracle_circle_product(phi, psi, twist)
+def oracle_nr_bracket(phi, psi, twist):
+    left = oracle_circle_product(phi, psi, twist)
     if (phi.arity - 1) * (psi.arity - 1) % 2 == 1:
         left = -left
-    return left - _oracle_circle_product(psi, phi, twist)
+    return left - oracle_circle_product(psi, phi, twist)
 
 
 def oracle_derived_bracket(rep, p, q):
     """(-1)^n [[theta, lift(P)], lift(Q)] on all of g + V, restricted."""
     g = rep.algebra
     twist = block_diag(g.alpha, rep.beta)
-    inner = _oracle_nr_bracket(build_theta(rep), horizontal_lift(p, g.dim),
+    inner = oracle_nr_bracket(build_theta(rep), horizontal_lift(p, g.dim),
                                twist)
-    outer = _oracle_nr_bracket(inner, horizontal_lift(q, g.dim), twist)
+    outer = oracle_nr_bracket(inner, horizontal_lift(q, g.dim), twist)
     values = []
     for indices in increasing_tuples(rep.dim, p.arity + q.arity):
         value = outer.coeff(tuple(g.dim + a for a in indices))

@@ -1,11 +1,12 @@
 """The graded and r-matrix walks against the code they replaced.
 
-derived_bracket, circle_product and nr_bracket walk the nonzero values
+circle_product, nr_bracket and derived_bracket walk the nonzero values
 of one factor; graded_bracket_wedge sums the brackets per set of other
 factors from the structure constants, and cybe_sum sums each passive
 index first, both in ints; the structure constants are read off the
-pair table, and adjoint_rep and dual_rep read them.  helpers keeps the shuffle oracle of the derived bracket,
-the dense wedge bracket, the 12-term Yang-Baxter loop and the dense
+pair table, and adjoint_rep and dual_rep read them.  helpers keeps the
+shuffle oracles of the circle product and the derived bracket, the
+dense wedge bracket, the 12-term Yang-Baxter loop and the dense
 adjoint and dual representations.  The algebras are the catalog and
 small Lie algebras twisted by exp(c ad x) and by projections
 (test_assembly's Yau twists), with coefficients whose denominators
@@ -20,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from homlie.alternating import increasing_tuples
 from homlie.cochain import Cochain
-from homlie.graded import derived_bracket
+from homlie.graded import circle_product, derived_bracket, nr_bracket
 from homlie.linalg import sparse_table
 from homlie.rmatrix import (
     cybe_sum,
@@ -34,10 +35,12 @@ from homlie.structures import adjoint_rep, coadjoint_rep, dual_rep
 
 from helpers import (
     oracle_adjoint_rep,
+    oracle_circle_product,
     oracle_cybe_sum,
     oracle_derived_bracket,
     oracle_dual_rep,
     oracle_graded_bracket_wedge,
+    oracle_nr_bracket,
 )
 from test_assembly import complexes, twisted_algebras
 
@@ -52,9 +55,9 @@ def canonical(values) -> bool:
 
 
 @st.composite
-def sparse_maps(draw, source_dim: int, target_dim: int):
-    """A cochain of arity 1 or 2 with a few nonzero values."""
-    arity = draw(st.integers(1, 2))
+def sparse_maps(draw, source_dim: int, target_dim: int, top: int = 2):
+    """A cochain of arity 1 to top with a few nonzero values."""
+    arity = draw(st.integers(1, top))
     tuples = increasing_tuples(source_dim, arity)
     keys = draw(st.lists(st.sampled_from(tuples), unique=True,
                          max_size=3)) if tuples else []
@@ -72,6 +75,18 @@ def combination(data, basis: list) -> dict:
         for key, q in b.items():
             out[key] = out.get(key, 0) + c * q
     return {key: q for key, q in out.items() if q}
+
+
+@settings(max_examples=40, deadline=None)
+@given(twisted_algebras(max_dim=3), st.data())
+def test_circle_walk_equals_the_shuffle_product(g, data):
+    """Endomorphism-valued cochains of arities 1-3 on (g, alpha)."""
+    phi = data.draw(sparse_maps(g.dim, g.dim, 3))
+    psi = data.draw(sparse_maps(g.dim, g.dim, 3))
+    assert circle_product(phi, psi, g.alpha) == oracle_circle_product(
+        phi, psi, g.alpha)
+    assert nr_bracket(phi, psi, g.alpha) == oracle_nr_bracket(
+        phi, psi, g.alpha)
 
 
 @settings(max_examples=40, deadline=None)
