@@ -7,11 +7,17 @@ adjoint_rep(sl2)))): dim 12, identity twist, unimodular.  The tables are
 
     adjoint   the adjoint representation, arities 0..3;
     adjoint-full
-              the adjoint representation, arities 0..12 (tens of
-              seconds; run only when named);
+              the adjoint representation, arities 0..12 (run only
+              when named);
     twisted   Takiff-12 twisted by exp(ad e) (a twist that is not
-              diagonal), adjoint representation, arities 0..2;
+              diagonal), adjoint representation, arities 0..4;
+    diagonal  Takiff-12 twisted by D = diag(1, 2, 1/2) on each (h, e, f)
+              block (diagonal, with denominators), adjoint
+              representation, arities 0..12;
     trivial   trivial one-dimensional coefficients, arities 0..12.
+
+Both twists are Lie automorphisms of Takiff-12, applied with
+from_lie_with_morphism.
 
 CHECKOUT is a checkout root (default this one); its src/homlie is
 imported.  Each table runs in a fresh interpreter, so each line reports
@@ -31,8 +37,8 @@ import sys
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-TABLES = ("adjoint", "twisted", "trivial", "adjoint-full")
-DEFAULT_TABLES = TABLES[:3]
+TABLES = ("adjoint", "twisted", "diagonal", "trivial", "adjoint-full")
+DEFAULT_TABLES = TABLES[:4]
 
 
 def exp_nilpotent(homlie, n):
@@ -59,13 +65,17 @@ def complex_of(homlie, name: str):
         rep, top = s.adjoint_rep(takiff), 3
     elif name == "adjoint-full":
         rep, top = s.adjoint_rep(takiff), takiff.dim
+    elif name == "diagonal":
+        d = homlie.linalg.Matrix.diagonal([1, 2, homlie.linalg.Q(1, 2)] * 4)
+        rep = s.adjoint_rep(s.from_lie_with_morphism(takiff, d))
+        top = takiff.dim
     else:
         e = homlie.linalg.basis_vector(takiff.dim, 1)
         ad_e = homlie.linalg.Matrix.from_columns(
             [takiff.bracket(e, homlie.linalg.basis_vector(takiff.dim, j))
              for j in range(takiff.dim)], nrows=takiff.dim)
         twisted = s.from_lie_with_morphism(takiff, exp_nilpotent(homlie, ad_e))
-        rep, top = s.adjoint_rep(twisted), 2
+        rep, top = s.adjoint_rep(twisted), 4
     return rep, top
 
 
@@ -88,8 +98,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("checkout", nargs="?", default=ROOT)
     parser.add_argument("--table", action="append", choices=TABLES,
-                        help="repeatable; default adjoint, twisted and "
-                             "trivial")
+                        help="repeatable; default adjoint, twisted, "
+                             "diagonal and trivial")
     parser.add_argument("--child", action="store_true",
                         help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -105,7 +115,7 @@ def main(argv=None) -> int:
             sys.stderr.write(done.stderr)
             return 1
         row = json.loads(done.stdout)
-        print(f"{row['table']:8} H = {', '.join(map(str, row['h']))}; "
+        print(f"{row['table']:12} H = {', '.join(map(str, row['h']))}; "
               f"{row['cpu_s']:.2f} s CPU, {row['maxrss_mb']:.1f} MB maxrss")
     return 0
 

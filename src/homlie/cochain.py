@@ -28,28 +28,34 @@ coordinates instead, the integer position * target_dim + t of entry t
 of the value on the tuple at position p in combinations order, and
 they stay in this module: _flatten and _unflatten convert at its edge.
 
-delta_n has a single implementation, delta_0 included: it is assembled
-once per (complex, arity) as a sparse column map on flat coordinates.
-The rho-term walks the increasing (n+1)-tuples and reads the nonzero
-entries of each rho(alpha^{n-1} e_i) once, straight off the
-coefficient's sparse structure constants.  The bracket term walks the
-nonzero brackets [e_a, e_b] instead, and for each the (n-1)-subsets K
-of the other indices: the twisted wedge alpha e_K of each K that meets
-a bracket is expanded once, one alternating.wedge_extend step from its
-prefix's, and one more step multiplies in the bracket.  coboundary
-applies that map to the flat of one cochain, and coboundary_matrix,
-part of the public API, is its dense form.
+delta_n has a single implementation, delta_0 included:
+_coboundary_columns builds the sparse columns of delta_n at the flat
+coordinates its caller reads, and no others: coboundary asks for those
+of its cochain's entries, coboundary_on_basis for those of the
+compatible basis, and coboundary_matrix, part of the public API, for
+all of them, written out densely.  A column (J, u) finds its own rows.
+The rho-term inserts each index i outside J, with the sign of its
+position, and reads the entries of rho(alpha^{n-1} e_i) in column u,
+straight off the coefficient's sparse structure constants.  The bracket
+term expands the coefficient of e_J in [e_a, e_b] ^ alpha e_K along its
+first factor: a bracket with an e_c coefficient, c in J, is looked up
+by c, and the minors of alpha on the other rows of J are the wedges of
+alpha's rows, each one alternating.wedge_extend step from its prefix's
+(alternating.tuple_wedges).  Under a twist only a part of the flat
+coordinates is compatible, so only that part of delta is built.
 
 The compatible basis is the kernel of one sparse system for every pair
 of twists, and compatible_flats returns it as sparse flats: one
-{flat coordinate: value} dict per basis cochain, a single unit for a
-diagonal twist and a short combination otherwise.  The system is
-integral: with s the lcm of the denominators of sigma and tau, the
-twist minors are those of s sigma, which alternating.tuple_wedges
+{flat coordinate: value} dict per basis cochain.  When both twists are
+diagonal every equation has one entry, and the kernel is read off the
+diagonals by weight: the int unit cochains e_I (x) v_t with
+prod_{i in I} sigma_ii = tau_tt, in flat order.  Any other pair is
+solved, in ints: with s the lcm of the denominators of sigma and tau,
+the twist minors are those of s sigma, which alternating.tuple_wedges
 expands for all n-tuples from shared prefixes, and the equations are
-multiplied by s^max(n, 1), which changes no kernel.  coboundary_on_basis
-applies delta to those flats, reading only the columns of their
-entries, and gives sparse images.  cohomology_table takes that
+multiplied by s^max(n, 1), which changes no kernel; each basis cochain
+is then a short combination.  coboundary_on_basis applies delta to
+those flats and gives sparse images.  cohomology_table takes that
 restriction once per arity and hands the images straight to
 linalg.sparse_echelon, so every rank of a table is computed exactly once
 and nothing the size of a cochain space is written out densely: no
@@ -71,11 +77,10 @@ from __future__ import annotations
 from bisect import bisect
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
-from math import lcm
+from math import lcm, prod
 
 from .alternating import (increasing_tuples, sort_with_sign, tuple_wedges,
-                          wedge_coords, wedge_extend)
+                          wedge_coords)
 from .linalg import (
     Matrix,
     Vector,
@@ -247,15 +252,24 @@ def compatible_flats(sigma: Matrix, tau: Matrix, arity: int) -> list:
     as sparse flats: {flat coordinate: scalar} dicts of the nonzero
     entries, in the coordinates of _flatten.
 
-    Solves the sparse linear system f(sigma e_I) = tau(f(e_I)) over the
-    flat coordinates, in ints: times s^max(n, 1), where s is the lcm of
-    the denominators of sigma and tau; the canonical kernel basis makes
-    the result stable.  Arity 0 gives the fixed points of tau.  For
-    diagonal twists each row has at most one entry, and the kernel is
-    the unit cochains e_I (x) v_t with prod_{i in I} sigma_ii = tau_tt.
+    When sigma and tau are both diagonal the system is a set of single
+    entries, and its kernel is read off the diagonals: the int unit
+    cochains e_I (x) v_t with prod_{i in I} sigma_ii = tau_tt, in flat
+    order.  Any other pair of twists solves the sparse linear system
+    f(sigma e_I) = tau(f(e_I)) over the flat coordinates, in ints: times
+    s^max(n, 1), where s is the lcm of the denominators of sigma and
+    tau; the canonical kernel basis makes the result stable.  Arity 0
+    gives the fixed points of tau.
     """
     sd, td = sigma.nrows, tau.nrows
     position = _tuple_positions(sd, arity)
+    weights, targets = sigma.diagonal_entries(), tau.diagonal_entries()
+    if weights is not None and targets is not None:
+        units = {}
+        for t, w in enumerate(targets):
+            units.setdefault(w, []).append(t)
+        return [{p * td + t: 1} for p, tup in enumerate(position)
+                for t in units.get(prod(weights[i] for i in tup), ())]
     # The minors of s sigma are s^n times those of sigma.  With tau times
     # s^max(n, 1) and the identity side of arity 0 times s, every
     # equation is s^max(n, 1) times its own, in ints.
@@ -315,73 +329,86 @@ def _action_entries(rep: Representation, x: Vector) -> list:
     return [(t, u, c) for (t, u), c in sorted(entries.items()) if c]
 
 
-def _coboundary_columns(rep: Representation, arity: int) -> list:
-    """delta_arity as a sparse column map.
+def _coboundary_columns(rep: Representation, arity: int, wanted) -> dict:
+    """The columns of delta_arity at the flat coordinates wanted.
 
-    Entry k is a {flat row: coefficient} dict of the nonzero entries of
-    column k, in the flat coordinates of _flatten on both sides.
-    Row (I, t) of delta f collects
+    Returns {k: column} for each k in wanted, a column being a {flat
+    row: coefficient} dict of its nonzero entries, in the flat
+    coordinates of _flatten on both sides.  Row (I, t) of delta f is
 
         sum_pos (-1)^pos rho(alpha^{n-1} e_{i_pos})_{t,u} f_u(I - i_pos)
         + sum_{p<q} (-1)^{p+q} f_t([e_{i_p}, e_{i_q}], alpha e_..., ...),
 
-    and the second argument list is expanded into wedge monomials.  The
-    second sum is taken bracket by bracket: for a nonzero [e_a, e_b]
-    and an (n-1)-subset K of the other indices it lands in the row of
-    the tuple K + {a, b}.  At arity 0 only the first sum is left, with
-    alpha^{-1}: that is delta_0, and it needs an invertible alpha.
+    so column (J, u) meets the rows of J with one index i inserted, at
+    position pos, through the entries of rho(alpha^{n-1} e_i) in column
+    u.  Its bracket rows come from the first-column expansion of the
+    wedge: the coefficient of e_J in [e_a, e_b] ^ alpha e_K is the sum
+    over the positions q of J of (-1)^q [e_a, e_b]_{J_q} times the minor
+    of alpha on the rows J - J_q and the columns K, and those minors
+    are the wedge of the rows of alpha, one wedge_extend step from their
+    prefix's.  The brackets with an e_c coefficient are looked up by c,
+    and the rows of J are shared by every u.  At arity 0 only the first
+    sum is left, with alpha^{-1}: that is delta_0, and it needs an
+    invertible alpha.
     """
     g, n, td = rep.algebra, arity, rep.dim
-    col_position = _tuple_positions(g.dim, n)
-    actor = g.alpha_power(n - 1)
-    acting = [_action_entries(rep, actor.column(i)) for i in range(g.dim)]
-    alpha_columns = [g.alpha.column(k) for k in range(g.dim)]
-    columns = [{} for _ in range(len(col_position) * td)]
-
-    def emit(row, col, c):
-        column = columns[col]
-        column[row] = column.get(row, 0) + c
-
-    for r, indices in enumerate(increasing_tuples(g.dim, n + 1)):
-        base = r * td
-        for pos, i in enumerate(indices):
-            rest = col_position[indices[:pos] + indices[pos + 1:]] * td
-            sign = 1 if pos % 2 == 0 else -1
-            for t, u, c in acting[i]:
-                emit(base + t, rest + u, sign * c)
+    tuples = list(_tuple_positions(g.dim, n))
     row_position = _tuple_positions(g.dim, n + 1)
-    # twisted[K] = alpha e_K1 ^ ... ^ alpha e_Km, built from its prefix's
-    # the first time a bracket needs it.
-    twisted = {(): {(): 1}}
-
-    def twisted_wedge(kept):
-        if kept not in twisted:
-            twisted[kept] = wedge_extend(twisted_wedge(kept[:-1]),
-                                         alpha_columns[kept[-1]])
-        return twisted[kept]
-
-    brackets = g.brackets_dict() if n else {}  # delta_0 has no bracket term
-    for (a, b), bracket in brackets.items():
-        others = [k for k in range(g.dim) if k != a and k != b]
-        for kept in combinations(others, n - 1):
-            # [e_a, e_b] ^ w = (-1)^(n-1) w ^ [e_a, e_b], and a, b sit at
-            # positions p < q of the merged (n+1)-tuple.
-            p, q = bisect(kept, a), bisect(kept, b) + 1
-            sign = -1 if (p + q + n - 1) % 2 else 1
-            base = row_position[tuple(sorted(kept + (a, b)))] * td
-            for monomial, c in wedge_extend(twisted_wedge(kept),
-                                            bracket).items():
-                col = col_position[monomial] * td
-                for t in range(td):
-                    emit(base + t, col + t, sign * c)
-    return [{row: c for row, c in column.items() if c != 0}
-            for column in columns]
+    actor = g.alpha_power(n - 1)
+    acting = [{} for _ in range(g.dim)]  # acting[i][u] = [(t, c), ...]
+    for i in range(g.dim):
+        for t, u, c in _action_entries(rep, actor.column(i)):
+            acting[i].setdefault(u, []).append((t, c))
+    landing = [[] for _ in range(g.dim)]  # c -> [(a, b, [e_a, e_b]_c)]
+    for (a, b), bracket in (g.brackets_dict() if n else {}).items():
+        for c, x in enumerate(bracket):
+            if x:
+                landing[c].append((a, b, x))
+    # minors[J'][K] is the minor of alpha on the rows J', columns K.
+    minors = dict(tuple_wedges(g.alpha.rows, n - 1)) if any(landing) else {}
+    by_monomial = {}
+    for k in wanted:
+        by_monomial.setdefault(k // td, []).append(k % td)
+    columns = {}
+    for position, coefficients in by_monomial.items():
+        monomial = tuples[position]
+        found = {u: {} for u in coefficients}
+        for i, entries_of in enumerate(acting):
+            if entries_of and i not in monomial:
+                at = bisect(monomial, i)
+                base = row_position[monomial[:at] + (i,) + monomial[at:]] * td
+                for u, entries in entries_of.items():
+                    if u in found:
+                        for t, c in entries:
+                            found[u][base + t] = -c if at % 2 else c
+        brackets = {}
+        for q, c in enumerate(monomial):
+            if not landing[c]:
+                continue
+            for kept, minor in minors[monomial[:q] + monomial[q + 1:]].items():
+                for a, b, x in landing[c]:
+                    if a not in kept and b not in kept:
+                        # a < b land at positions p < p' of the row tuple.
+                        p, p2 = bisect(kept, a), bisect(kept, b) + 1
+                        row = row_position[tuple(sorted(kept + (a, b)))] * td
+                        x *= -minor if (q + p + p2) % 2 else minor
+                        brackets[row] = brackets.get(row, 0) + x
+        for u, column in found.items():
+            for row, c in brackets.items():
+                column[row + u] = column.get(row + u, 0) + c
+            columns[position * td + u] = {
+                row: c for row, c in column.items() if c} \
+                if brackets else column
+    return columns
 
 
 def _apply_columns(columns: list, flat: dict) -> dict:
     """The image of a sparse flat ({coordinate: value} dict) under a
     sparse column map, as a {flat row: coefficient} dict of its nonzero
     entries.  Only the columns of the flat's entries are read."""
+    if len(flat) == 1:  # a unit of a diagonal twist, say
+        (k, x), = flat.items()
+        return {row: c * x for row, c in columns[k].items()}
     out = {}
     for k, x in flat.items():
         for row, c in columns[k].items():
@@ -391,7 +418,7 @@ def _apply_columns(columns: list, flat: dict) -> dict:
 
 def _coboundary_of_flat(rep: Representation, arity: int,
                         flat: dict) -> Cochain:
-    image = _apply_columns(_coboundary_columns(rep, arity), flat)
+    image = _apply_columns(_coboundary_columns(rep, arity, flat), flat)
     return _unflatten(arity + 1, rep.algebra.dim, rep.dim, image)
 
 
@@ -408,10 +435,10 @@ def coboundary_matrix(rep: Representation, arity: int) -> Matrix:
     """Matrix of the coboundary on full flat coordinates (arity >= 1)."""
     if arity < 1:
         raise ValueError("the matrix form starts at arity 1")
-    nrows = _flat_size(rep, arity + 1)
+    nrows, ncols = _flat_size(rep, arity + 1), _flat_size(rep, arity)
+    columns = _coboundary_columns(rep, arity, range(ncols))
     return Matrix.from_columns(
-        [densify(column, nrows) for column in _coboundary_columns(rep, arity)],
-        nrows=nrows)
+        [densify(columns[k], nrows) for k in range(ncols)], nrows=nrows)
 
 
 @dataclass(frozen=True)
@@ -431,13 +458,14 @@ def coboundary_on_basis(rep: Representation, arity: int) -> tuple:
 
     The basis members are the sparse flats of compatible_flats, and each
     image is a {flat row: coefficient} dict of its nonzero entries.
-    delta_arity is assembled once and applied to every basis flat;
-    arity 0 is delta_0 and so needs an invertible source twist.
+    delta_arity is assembled once, on the columns the flats' entries
+    occupy, and applied to every basis flat; arity 0 is delta_0 and so
+    needs an invertible source twist.
     """
     flats = compatible_flats(rep.algebra.alpha, rep.beta, arity)
     if not flats:
         return flats, []
-    columns = _coboundary_columns(rep, arity)
+    columns = _coboundary_columns(rep, arity, set().union(*flats))
     return flats, [_apply_columns(columns, f) for f in flats]
 
 

@@ -531,10 +531,22 @@ class Matrix:
             raise ValueError("right-hand side has the wrong length")
         return sparse_solve(self._sparse_rows(), self._ncols, b)
 
+    def diagonal_entries(self) -> list | None:
+        """The diagonal of a square matrix with no entry off it, else None."""
+        if not self.is_square() or any(
+                e for i, row in enumerate(self.rows)
+                for j, e in enumerate(row) if i != j):
+            return None
+        return [row[i] for i, row in enumerate(self.rows)]
+
     def inverse(self) -> "Matrix":
+        """The exact inverse: entrywise for a diagonal matrix, by
+        elimination otherwise."""
         if not self.is_square():
             raise ValueError("inverse of a non-square matrix")
-        n = self.nrows
+        n, diagonal = self.nrows, self.diagonal_entries()
+        if diagonal is not None and all(diagonal):
+            return Matrix.diagonal([1 / Fraction(e) for e in diagonal])
         reduced = sparse_rref({**row, n + i: _ONE}
                               for i, row in enumerate(self._sparse_rows()))
         if any(i not in reduced for i in range(n)):

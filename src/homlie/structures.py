@@ -199,10 +199,13 @@ def from_lie_with_morphism(g: HomLieAlgebra, phi: Matrix) -> HomLieAlgebra:
     """Twist an ordinary Lie algebra (alpha = id) along an endomorphism.
 
     phi must commute with the brackets; the result has bracket
-    phi([x, y]) and twist phi.
+    phi([x, y]) and twist phi, with each integral entry of phi read as
+    an int (Matrix.scale, for one, can leave a Fraction 2/1), so the
+    cochain layer meets ints wherever the twist is integral.
     """
     if g.alpha != Matrix.identity(g.dim):
         raise ValueError("the input must be an ordinary Lie algebra (alpha = id)")
+    phi = Matrix(phi.rows, phi.ncols)
     columns = [phi.column(i) for i in range(g.dim)]
     for (i, j) in pair_list(g.dim):
         lhs = phi.apply(g.bracket_basis(i, j))
@@ -357,7 +360,8 @@ def dual_rep(rep: Representation) -> Representation:
     which satisfies both representation axioms whenever rep does.  Row c
     of rho*(e_i) is -act(alpha^{-1} e_i, beta^{-2} v_c), read off the
     action table, so no action matrix is built, and when beta is alpha
-    it is inverted once.
+    it is inverted once; an identity or diagonal twist is inverted
+    entry by entry (Matrix.inverse), with no elimination.
     """
     g = rep.algebra
     inverses = {}

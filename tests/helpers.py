@@ -923,7 +923,7 @@ def oracle_dual_rep(rep):
     inverses = []
     for twist, name in ((g.alpha, "alpha"), (rep.beta, "beta")):
         try:
-            inverses.append(twist.inverse())
+            inverses.append(oracle_inverse(twist))
         except ValueError:
             raise ValueError(
                 f"dual representation needs an invertible {name}") from None

@@ -127,6 +127,26 @@ def test_inverse_errors():
         matrix([[1, 2, 3]]).inverse()
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(scalars, min_size=1, max_size=5))
+def test_diagonal_inverse_is_entrywise(entries):
+    """A diagonal matrix is inverted entry by entry, with no elimination:
+    the same value and scalar types as the eliminated inverse, and the
+    same refusal when an entry is zero."""
+    m = Matrix.diagonal(entries)
+    assert m.diagonal_entries() == [scalar(e) for e in entries]
+    if not all(entries):
+        with pytest.raises(ValueError):
+            m.inverse()
+        return
+    found = m.inverse()
+    assert found == oracle_inverse(m)
+    assert all(type(e) is int or e.denominator > 1
+               for row in found.rows for e in row)
+    assert Matrix.identity(len(entries)) @ found == found
+    assert matrix([[1, 1], [0, 1]]).diagonal_entries() is None
+
+
 def test_power_negative_needs_inverse():
     m = matrix([[2, 0], [0, 3]])
     assert m.power(-1) == matrix([["1/2", 0], [0, "1/3"]])

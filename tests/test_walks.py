@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 from homlie.alternating import increasing_tuples
 from homlie.cochain import Cochain
 from homlie.graded import circle_product, derived_bracket, nr_bracket
-from homlie.linalg import sparse_table
+from homlie.linalg import sparse_rref, sparse_table
 from homlie.rmatrix import (
     cybe_sum,
     graded_bracket_wedge,
@@ -34,6 +34,7 @@ from homlie.rmatrix import (
 from homlie.structures import adjoint_rep, coadjoint_rep, dual_rep
 
 from helpers import (
+    count_calls,
     oracle_adjoint_rep,
     oracle_circle_product,
     oracle_cybe_sum,
@@ -42,7 +43,7 @@ from helpers import (
     oracle_graded_bracket_wedge,
     oracle_nr_bracket,
 )
-from test_assembly import complexes, twisted_algebras
+from test_assembly import LIE, complexes, twisted_algebras
 
 SCALARS = st.sampled_from((0, 0, 1, -1, 2, Q(1, 2), Q(-1, 3), Q(2, 5),
                            Q(-3, 5), Q(5, 6)))
@@ -123,6 +124,17 @@ def test_wedge_brackets_and_cybe_parts_equal_the_replaced_loops(g, data):
     parts = (cybe.part_12_13, cybe.part_12_23, cybe.part_13_23, cybe.total)
     assert parts == oracle_cybe_sum(g, r)
     assert all(canonical(q for _, q in part) for part in parts)
+
+
+def test_untwisted_coadjoint_inverts_no_twist_by_elimination(monkeypatch):
+    """dual_rep of an identity twist runs no elimination and still gives
+    the dense dual."""
+    expected = {name: oracle_dual_rep(oracle_adjoint_rep(g, 0))
+                for name, g in LIE.items()}
+    calls = count_calls(monkeypatch, sparse_rref)
+    for name, g in LIE.items():
+        assert coadjoint_rep(g) == expected[name]
+    assert calls == []
 
 
 @settings(max_examples=60, deadline=None)
