@@ -344,10 +344,10 @@ def _coboundary_columns(rep: Representation, arity: int, wanted) -> dict:
     u.  Its bracket rows come from the first-column expansion of the
     wedge: the coefficient of e_J in [e_a, e_b] ^ alpha e_K is the sum
     over the positions q of J of (-1)^q [e_a, e_b]_{J_q} times the minor
-    of alpha on the rows J - J_q and the columns K, and those minors
-    are the wedge of the rows of alpha, one wedge_extend step from their
-    prefix's.  The brackets with an e_c coefficient are looked up by c,
-    and the rows of J are shared by every u.  At arity 0 only the first
+    of alpha on the rows J - J_q and the columns K; those minors are the
+    wedges of the rows of alpha (alternating.tuple_wedges).  The
+    brackets with an e_c coefficient are looked up by c, and the rows of
+    J are shared by every u.  At arity 0 only the first
     sum is left, with alpha^{-1}: that is delta_0, and it needs an
     invertible alpha.
     """
@@ -391,8 +391,9 @@ def _coboundary_columns(rep: Representation, arity: int, wanted) -> dict:
                         # a < b land at positions p < p' of the row tuple.
                         p, p2 = bisect(kept, a), bisect(kept, b) + 1
                         row = row_position[tuple(sorted(kept + (a, b)))] * td
-                        x *= -minor if (q + p + p2) % 2 else minor
-                        brackets[row] = brackets.get(row, 0) + x
+                        term = x * minor
+                        brackets[row] = brackets.get(row, 0) + (
+                            -term if (q + p + p2) % 2 else term)
         for u, column in found.items():
             for row, c in brackets.items():
                 column[row + u] = column.get(row + u, 0) + c
