@@ -79,8 +79,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm, prod
 
-from .alternating import (increasing_tuples, sort_with_sign, tuple_wedges,
-                          wedge_coords)
+from .alternating import increasing_tuples, tuple_wedges, wedge_coords
 from .linalg import (
     Matrix,
     Vector,
@@ -163,15 +162,6 @@ class Cochain:
         """The value on an increasing tuple, zero when none is stored."""
         value = self.values.get(indices)
         return vzero(self.target_dim) if value is None else value
-
-    def evaluate_basis(self, indices) -> Vector:
-        """Value on basis vectors in any order, with the alternating sign."""
-        sorted_sign = sort_with_sign(tuple(indices))
-        if sorted_sign is None:
-            return vzero(self.target_dim)
-        ordered, sign = sorted_sign
-        value = self.coeff(ordered)
-        return value if sign == 1 else vscale(sign, value)
 
     def evaluate(self, vectors) -> Vector:
         """Multilinear evaluation on arbitrary coordinate vectors."""

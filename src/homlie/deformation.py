@@ -18,17 +18,21 @@ is the obstruction; extending a deformation by one order is solving
 that linear equation over the twist-compatible maps.  Theta is the
 part of the deformed identity at order k+1 that does not involve
 T_{k+1}, so it is computed as that identity's defect with T_{k+1} = 0,
-from the same inner actions {T_j e_a, e_b} - {T_j e_b, e_a} as the
-order checks.  By the identity {{T, X}} = -delta_T(X), the equation
-is delta_1 X = -Theta in the complex attached to T, that is of its
-representation rho_T, over its compatible basis.  Theta and X are
-Cochains: how the cochain layer lays out and solves that system is
-its own affair.  The derived bracket of homlie.graded is not used
-here: it stays the independent Maurer-Cartan route and the tests'
-oracle for Theta.  extension_steps is the one extension loop: it
-checks the input deformation once, builds rho_T, the solver of
-delta_1 and dim H^2 once, and then per order computes Theta, solves,
-and checks the deformed identity at the order it has just solved.
+from the same sparse columns and inner actions
+{T_j e_a, e_b} - {T_j e_b, e_a} of each coefficient as the order
+checks (ooperator.coefficient_terms, walked by ooperator.identity_sides
+over the nonzero structure constants).  By the identity
+{{T, X}} = -delta_T(X), the equation is delta_1 X = -Theta in the
+complex attached to T, that is of its representation rho_T, over its
+compatible basis.  Theta and X are Cochains: how the cochain layer
+lays out and solves that system is its own affair.  The derived
+bracket of homlie.graded is not used here: it stays the independent
+Maurer-Cartan route and the tests' oracle for Theta.  extension_steps
+is the one extension loop: it checks the input deformation once,
+builds rho_T, the solver of delta_1 and dim H^2 once, and then per
+order computes Theta, solves, and checks the deformed identity at the
+order it has just solved as Theta plus the terms that hold the new
+coefficient.
 
 A Nijenhuis element x (fixed by alpha, with vanishing squares
 [[x, y], [x, z]], rho([x, y]) rho(x) and [x, T rho(x)(v) + [T(v), x]])
@@ -67,8 +71,8 @@ from .linalg import (
     vzero,
 )
 from .ooperator import (
-    deformed_identity,
-    inner_actions,
+    coefficient_terms,
+    identity_sides,
     is_o_operator,
     o_operator_hom_conditions,
     rho_t,
@@ -147,10 +151,10 @@ def linear_deformation_check(g: HomLieAlgebra, rep: Representation,
         raise ValueError("the generator must have the operator's shape")
     failures = matrix_failures("generator_twist", (), k @ rep.beta,
                                g.alpha @ k)
-    for (a, b) in pair_list(rep.dim):
-        lhs, rhs = deformed_identity(g, rep, [t, k], 1, a, b)
+    for pair, (lhs, rhs) in zip(pair_list(rep.dim), identity_sides(
+            g, [coefficient_terms(rep, t), coefficient_terms(rep, k)], 1)):
         if lhs != rhs:
-            failures.append(Failure("deformation_cocycle", (a, b), lhs, rhs))
+            failures.append(Failure("deformation_cocycle", pair, lhs, rhs))
     for f in is_o_operator(g, rep, k).failures:
         if f.law == "o_operator_identity":
             failures.append(Failure("generator_o_operator", f.indices,
@@ -293,50 +297,42 @@ class FormalDeformationReport:
         return all(f.indices[0] != 0 for f in self.failures)
 
 
-def _defects(g: HomLieAlgebra, rep: Representation, coeffs: list, k: int,
-             inner: dict) -> list:
+def _defects(g: HomLieAlgebra, terms: list, k: int, indices=None) -> list:
     """lhs - rhs of the deformed identity at order k on each pair (a, b),
-    in pair_list order.  inner maps each pair (a, b) to
-    inner_actions(rep, coeffs, a, b)."""
-    return [vsub(*deformed_identity(g, rep, coeffs, k, a, b, inner[(a, b)]))
-            for (a, b) in pair_list(rep.dim)]
+    in pair_list order, from identity_sides over the coefficient indices
+    given (all by default); terms[i] is coefficient_terms(rep, T_i)."""
+    return [vsub(lhs, rhs)
+            for lhs, rhs in identity_sides(g, terms, k, indices)]
 
 
-def _order_failures(g: HomLieAlgebra, rep: Representation, coeffs: list,
-                    k: int, inner: dict) -> list:
-    """The failures of the deformed identity at order k."""
-    return [Failure("deformation_equation", (k, a, b), defect, vzero(g.dim))
-            for (a, b), defect in zip(pair_list(rep.dim),
-                                      _defects(g, rep, coeffs, k, inner))
-            if not is_zero_vector(defect)]
+def _order_failures(pairs: list, k: int, defects: list) -> list:
+    """The failures of the deformed identity at order k, from the defect
+    of each pair in pairs."""
+    return [Failure("deformation_equation", (k, *pair), defect,
+                    vzero(len(defect)))
+            for pair, defect in zip(pairs, defects) if any(defect)]
 
 
-def _next_defect(g: HomLieAlgebra, rep: Representation, coeffs: list,
-                 inner: dict) -> Cochain:
-    """Theta of the deformation with coefficients coeffs: the defect of
-    the deformed identity at order len(coeffs), whose coefficient is
-    zero."""
+def _next_defect(g: HomLieAlgebra, rep: Representation,
+                 terms: list) -> Cochain:
+    """Theta of the deformation whose coefficients have the terms given:
+    the defect of the deformed identity at order len(terms), whose
+    coefficient is zero."""
     return Cochain(2, rep.dim, g.dim, dict(zip(
-        pair_list(rep.dim), _defects(g, rep, coeffs, len(coeffs), inner))))
-
-
-def _inner_table(rep: Representation, coeffs: list) -> dict:
-    """inner_actions(rep, coeffs, a, b) for every pair (a, b)."""
-    return {(a, b): inner_actions(rep, coeffs, a, b)
-            for (a, b) in pair_list(rep.dim)}
+        pair_list(rep.dim), _defects(g, terms, len(terms)))))
 
 
 def formal_deformation_check(g: HomLieAlgebra, rep: Representation,
-                             d: TruncatedDeformation, _inner: dict | None = None
+                             d: TruncatedDeformation, _terms: list | None = None
                              ) -> FormalDeformationReport:
     """Check the deformed identity order by order up to d.order and the
     twist compatibility of every coefficient.
 
     The order-0 equation is the O-operator identity of the base, so a
-    passing report certifies the base as well.  Each inner action
-    {T_j e_a, e_b} - {T_j e_b, e_a} is computed once and serves every
-    order; _inner is _inner_table(rep, d.coefficients()), from a caller
-    that keeps it.
+    passing report certifies the base as well.  The sparse columns and
+    inner actions {T_j e_a, e_b} - {T_j e_b, e_a} of each coefficient
+    (coefficient_terms) are computed once and serve every order; _terms
+    is that list for d.coefficients(), from a caller that keeps it.
     """
     _require_regular(g, rep)
     coeffs = d.coefficients()
@@ -344,10 +340,11 @@ def formal_deformation_check(g: HomLieAlgebra, rep: Representation,
     for k, ti in enumerate(coeffs):
         failures += matrix_failures("twist_intertwine", (k,),
                                     ti @ rep.beta, g.alpha @ ti)
-    inner = _inner_table(rep, coeffs) if _inner is None else _inner
-    per_order = []
+    if _terms is None:
+        _terms = [coefficient_terms(rep, t) for t in coeffs]
+    per_order, pairs = [], pair_list(rep.dim)
     for k in range(d.order + 1):
-        found = _order_failures(g, rep, coeffs, k, inner)
+        found = _order_failures(pairs, k, _defects(g, _terms, k))
         failures.extend(found)
         per_order.append((k, not found))
     return FormalDeformationReport(per_order=tuple(per_order),
@@ -402,13 +399,14 @@ def _require_valid(found: list) -> None:
         raise ValueError(f"obstruction needs a valid deformation: {found[0]}")
 
 
-def _checked_inner(g: HomLieAlgebra, rep: Representation,
-                   d: TruncatedDeformation) -> dict:
-    """_inner_table of d, once d has passed the formal check on it."""
+def _checked_terms(g: HomLieAlgebra, rep: Representation,
+                   d: TruncatedDeformation) -> list:
+    """The coefficient_terms of each coefficient of d, once d has passed
+    the formal check on them."""
     _require_regular(g, rep)
-    inner = _inner_table(rep, d.coefficients())
-    _require_valid(formal_deformation_check(g, rep, d, _inner=inner).failures)
-    return inner
+    terms = [coefficient_terms(rep, t) for t in d.coefficients()]
+    _require_valid(formal_deformation_check(g, rep, d, _terms=terms).failures)
+    return terms
 
 
 def obstruction(g: HomLieAlgebra, rep: Representation,
@@ -417,9 +415,9 @@ def obstruction(g: HomLieAlgebra, rep: Representation,
 
     The deformation must be valid up to its stated order.  Theta is the
     defect of the deformed identity at order+1 with T_{order+1} = 0,
-    read off the inner actions of the validity check.
+    read off the coefficient terms of the validity check.
     """
-    return _next_defect(g, rep, d.coefficients(), _checked_inner(g, rep, d))
+    return _next_defect(g, rep, _checked_terms(g, rep, d))
 
 
 @dataclass(frozen=True)
@@ -444,23 +442,28 @@ def extension_steps(g: HomLieAlgebra, rep: Representation,
     d is checked once, and that check certifies its base; rho_T of the
     base (its complex), dim H^2 and the solver of delta_1 on the
     compatible basis, with its rank dim_image, are built once.  Each
-    step reads Theta off the kept inner actions, as obstruction does,
-    and solves {{T, X}} = Theta, that is delta_T X = -Theta, with
-    cochain.coboundary_solver, whose solution is canonical.  Each solved
-    order is checked against the deformed identity, raising the
-    ValueError of obstruction on a failure; the check reuses the inner
-    actions of the input check and adds only those of the new term.
-    When the system is inconsistent the deformation is obstructed and
-    the class of Theta in H^2 is the witness.
+    step reads Theta_k off the kept coefficient terms, as obstruction
+    does, and solves {{T, X}} = Theta, that is delta_T X = -Theta, with
+    cochain.coboundary_solver, whose solution is canonical.  The solved
+    order k is then checked against the deformed identity, raising the
+    ValueError of obstruction on a failure.  Its defect is Theta_k plus
+    the four terms that hold the new T_k, [T_0 e_a, T_k e_b],
+    [T_k e_a, T_0 e_b], T_0 of T_k's inner action and T_k of T_0's
+    (identity_sides on the indices 0 and k): the same exact sum as the
+    full identity, so the check is still a full proof of order k, and
+    only the new term's coefficient_terms are computed.  When the system
+    is inconsistent the deformation is obstructed and the class of Theta
+    in H^2 is the witness.
     """
-    inner = _checked_inner(g, rep, d)
+    terms = _checked_terms(g, rep, d)
+    pairs = pair_list(rep.dim)
     complex_t = rho_t(g, rep, d.base, unchecked=True)
     dim_image, solve = coboundary_solver(complex_t, 1)
     count, rank = restricted_rank(complex_t, 2)
     step = partial(ExtensionResult, dim_image=dim_image,
                    dim_h2=count - rank - dim_image)
     while d.order < order:
-        target = _next_defect(g, rep, d.coefficients(), inner)
+        target = _next_defect(g, rep, terms)
         solution = solve(-target)
         if solution is None:
             yield step(theta=target, obstructed=True, solution=None,
@@ -468,10 +471,10 @@ def extension_steps(g: HomLieAlgebra, rep: Representation,
             return
         term = solution.as_matrix()
         d = TruncatedDeformation(base=d.base, terms=d.terms + (term,))
-        for (a, b), actions in inner.items():
-            actions += inner_actions(rep, [term], a, b)
-        _require_valid(_order_failures(g, rep, d.coefficients(), d.order,
-                                       inner))
+        terms.append(coefficient_terms(rep, term))
+        _require_valid(_order_failures(pairs, d.order, [
+            vadd(target.coeff(pair), new) for pair, new in
+            zip(pairs, _defects(g, terms, d.order, (0, d.order)))]))
         yield step(theta=target, obstructed=False, solution=term,
                    extended=d)
 

@@ -42,9 +42,13 @@ and formats as its int, so the kernels do not normalize it.
 
 A bilinear product reads its structure constants from a sparse table,
 built once per structure object by sparse_table: table[i][j] lists the
-pairs (k, c) with c the nonzero k-th coordinate of e_i . e_j.  bilinear
-forms one product u_i v_j per pair of nonzero coordinates whose table
-entry is not empty, and one product per constant of that entry.
+pairs (k, c) with c the nonzero k-th coordinate of e_i . e_j.  One
+kernel, add_bilinear, adds such a product of two sparse vectors (lists
+of (index, value) pairs) into an accumulator: one product x y per pair
+of nonzero coordinates whose table entry is not empty, and one product
+per constant of that entry.  bilinear is that kernel on dense vectors,
+and a matrix read as a table with one right index (column_table) makes
+it apply a linear map to a sparse vector.
 
 Scalars serialize as "p" or "p/q" with the sign on the numerator, which
 is exactly what Fraction's constructor and str() produce once the value
@@ -56,6 +60,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import itemgetter
 from typing import Iterable, Sequence, Union
 
 Q = Fraction
@@ -68,6 +73,8 @@ Scalar = Union[int, Fraction]
 # Int seeds keep a sum or product of integral entries an int.
 _ZERO = 0
 _ONE = 1
+# The value of an (index, value) pair; nonzeros filters on it.
+_VALUE = itemgetter(1)
 
 
 def scalar(value: ScalarLike) -> Scalar:
@@ -155,20 +162,48 @@ def sparse_table(values) -> tuple:
                        for v in row) for row in values)
 
 
+def nonzeros(v: Vector) -> list:
+    """v as a sparse vector: the pairs (i, v_i) with v_i nonzero."""
+    return list(filter(_VALUE, enumerate(v)))
+
+
+# The sparse right argument that makes a column_table a linear map.
+UNIT = ((0, _ONE),)
+
+
+def column_table(m: "Matrix") -> tuple:
+    """m as a sparse table with one right index: [j][0] holds the
+    nonzero (k, c) of column j, so add_bilinear(out, x, UNIT, table)
+    adds m(x)."""
+    return sparse_table([[m.column(j)] for j in range(m.ncols)])
+
+
+def add_bilinear(out: list, left, right, table) -> None:
+    """Add sum x y table[p][q] into out over the pairs (p, x) of left and
+    (q, y) of right, two sparse vectors, for a sparse_table table."""
+    for p, x in left:
+        row = table[p]
+        for q, y in right:
+            entries = row[q]
+            if entries:
+                xy = x * y
+                for k, c in entries:
+                    out[k] += xy * c
+
+
+def bilinear_sum(dim: int, *terms) -> Vector:
+    """The sum of add_bilinear over the (left, right, table) terms, as a
+    vector of length dim."""
+    out = [_ZERO] * dim
+    for left, right, table in terms:
+        add_bilinear(out, left, right, table)
+    return tuple(out)
+
+
 def bilinear(u: Vector, v: Vector, table, dim: int) -> Vector:
     """sum over i, j of u_i v_j e_i . e_j for a sparse_table table."""
     out = [_ZERO] * dim
-    right = [(j, b) for j, b in enumerate(v) if b]
-    for i, a in enumerate(u):
-        if not a:
-            continue
-        row = table[i]
-        for j, b in right:
-            entries = row[j]
-            if entries:
-                ab = a * b
-                for k, c in entries:
-                    out[k] += ab * c
+    add_bilinear(out, filter(_VALUE, enumerate(u)), nonzeros(v), table)
     return tuple(out)
 
 

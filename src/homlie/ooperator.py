@@ -38,11 +38,16 @@ from functools import cached_property
 from .cochain import Cochain
 from .graded import derived_bracket
 from .linalg import (
+    UNIT,
     Matrix,
     Vector,
+    add_bilinear,
     basis_vector,
     bilinear,
+    bilinear_sum,
+    column_table,
     is_zero_vector,
+    nonzeros,
     scalar,
     sparse_table,
     vadd,
@@ -62,35 +67,44 @@ class OOperatorReport:
     ok = holds()
 
 
-def inner_actions(rep: Representation, coeffs, a: int, b: int) -> list:
-    """{T e_a, e_b} - {T e_b, e_a} for each T in coeffs: the vectors the
-    deformed identity maps."""
-    ea, eb = basis_vector(rep.dim, a), basis_vector(rep.dim, b)
-    return [vsub(rep.act(t.column(a), eb), rep.act(t.column(b), ea))
-            for t in coeffs]
+def coefficient_terms(rep: Representation, t: Matrix) -> tuple:
+    """What the deformed identity reads of one coefficient T: its
+    column_table, whose [a][0] is the sparse T e_a, and the sparse inner
+    action {T e_a, e_b} - {T e_b, e_a} of every pair a < b, in an
+    {(a, b): sparse vector} dict in pair_list order."""
+    table, rho = column_table(t), rep.structure_constants
+    return table, {(a, b): nonzeros(bilinear_sum(
+        rep.dim, (table[a][0], ((b, 1),), rho),
+        (table[b][0], ((a, -1),), rho))) for (a, b) in pair_list(rep.dim)}
 
 
-def deformed_identity(g: HomLieAlgebra, rep: Representation, coeffs,
-                      k: int, a: int, b: int, inner=None) -> tuple:
-    """(lhs, rhs) of the order-k deformed O-operator identity at (e_a, e_b):
+def identity_sides(g: HomLieAlgebra, terms: list, k: int,
+                   indices=None) -> list:
+    """(lhs, rhs) of the order-k deformed O-operator identity at each
+    pair (e_a, e_b), in pair_list order:
 
         lhs = sum_{i+j=k} [T_i e_a, T_j e_b],
         rhs = sum_{i+j=k} T_i({T_j e_a, e_b} - {T_j e_b, e_a}),
 
-    for the coefficient list coeffs = [T_0, T_1, ...], whose coefficients
-    past its end are zero.  Order 0 on [T] is the O-operator identity of
-    T.  inner is inner_actions(rep, coeffs, a, b), from a caller that
-    checks several orders.
+    where terms[i] is coefficient_terms(rep, T_i) and coefficients past
+    the end of terms are zero.  Both sides are add_bilinear walks: lhs
+    over the nonzero structure constants, rhs over the nonzero
+    coordinates z of each inner action, adding z T_i e_r.  indices, when
+    given, restricts the sum to those i.  Order 0 on [T] is the
+    O-operator identity of T.
     """
-    if inner is None:
-        inner = inner_actions(rep, coeffs[:k + 1], a, b)
-    lhs = rhs = vzero(g.dim)
-    low = max(0, k + 1 - len(coeffs))
-    for i in range(low, k + 1 - low):
-        ti, tj = coeffs[i], coeffs[k - i]
-        lhs = vadd(lhs, g.bracket(ti.column(a), tj.column(b)))
-        rhs = vadd(rhs, ti.apply(inner[k - i]))
-    return lhs, rhs
+    low = max(0, k + 1 - len(terms))
+    if indices is None:
+        indices = range(low, k + 1 - low)
+    bracket, sides = g.structure_constants, []
+    for (a, b) in terms[0][1]:
+        lhs, rhs = [0] * g.dim, [0] * g.dim
+        for i in indices:
+            ti, tj = terms[i][0], terms[k - i]
+            add_bilinear(lhs, ti[a][0], tj[0][b][0], bracket)
+            add_bilinear(rhs, tj[1][(a, b)], UNIT, ti)
+        sides.append((tuple(lhs), tuple(rhs)))
+    return sides
 
 
 def is_o_operator(g: HomLieAlgebra, rep: Representation, t: Matrix) -> OOperatorReport:
@@ -99,11 +113,11 @@ def is_o_operator(g: HomLieAlgebra, rep: Representation, t: Matrix) -> OOperator
         raise ValueError("operator must map the module into the algebra")
     failures = matrix_failures("twist_intertwine", (), t @ rep.beta,
                                g.alpha @ t)
-    for (a, b) in pair_list(rep.dim):
-        defect = vsub(*deformed_identity(g, rep, [t], 0, a, b))
-        if not is_zero_vector(defect):
-            failures.append(Failure("o_operator_identity", (a, b),
-                                    defect, vzero(g.dim)))
+    for pair, (lhs, rhs) in zip(pair_list(rep.dim), identity_sides(
+            g, [coefficient_terms(rep, t)], 0)):
+        if lhs != rhs:
+            failures.append(Failure("o_operator_identity", pair,
+                                    vsub(lhs, rhs), vzero(g.dim)))
     return OOperatorReport(tuple(failures))
 
 
@@ -299,13 +313,12 @@ def verify_hom_pre_lie(p: HomPreLie) -> HomPreLieReport:
 
 def induced_hom_pre_lie(g: HomLieAlgebra, rep: Representation, t: Matrix,
                         unchecked: bool = False) -> HomPreLie:
-    """The product u . v = {T(u), v} on V induced by an O-operator."""
+    """The product u . v = {T(u), v} on V induced by an O-operator, read
+    off the action table and T's column_table by add_bilinear."""
     _require_o_operator(g, rep, t, unchecked)
-    table = tuple(
-        tuple(rep.act(t.column(a), basis_vector(rep.dim, b))
-              for b in range(rep.dim))
-        for a in range(rep.dim)
-    )
+    columns, rho = column_table(t), rep.structure_constants
+    table = tuple(tuple(bilinear_sum(rep.dim, (columns[a][0], ((b, 1),), rho))
+                        for b in range(rep.dim)) for a in range(rep.dim))
     return HomPreLie(dim=rep.dim, basis=rep.basis, twist=rep.beta, table=table)
 
 
@@ -323,7 +336,8 @@ def subadjacent(p: HomPreLie) -> HomLieAlgebra:
 def rho_t(g: HomLieAlgebra, rep: Representation, t: Matrix,
           unchecked: bool = False) -> Representation:
     """The action rho_T(v)(x) = [T(v), x] + T({x, v}) of the sub-adjacent
-    algebra of T back on (g, alpha).
+    algebra of T back on (g, alpha), column x = e_j of rho_T(v_a) read
+    off the structure constants and T's column_table by add_bilinear.
 
     This representation is the cochain complex of T: the cochain
     functions take it as they take any representation, so their
@@ -332,18 +346,14 @@ def rho_t(g: HomLieAlgebra, rep: Representation, t: Matrix,
     """
     _require_o_operator(g, rep, t, unchecked)
     vc = subadjacent(induced_hom_pre_lie(g, rep, t, unchecked=True))
-    rho = []
-    for a in range(rep.dim):
-        ta = t.column(a)
-        columns = [
-            vadd(g.bracket(ta, basis_vector(g.dim, j)),
-                 t.apply(rep.act(basis_vector(g.dim, j),
-                                 basis_vector(rep.dim, a))))
-            for j in range(g.dim)
-        ]
-        rho.append(Matrix.from_columns(columns, nrows=g.dim))
-    return Representation(algebra=vc, dim=g.dim, basis=g.basis,
-                          beta=g.alpha, rho=tuple(rho))
+    table, rho, bracket = column_table(t), rep.structure_constants, \
+        g.structure_constants
+    columns = [[bilinear_sum(g.dim, (table[a][0], ((j, 1),), bracket),
+                             (rho[j][a], UNIT, table))
+                for j in range(g.dim)] for a in range(rep.dim)]
+    return Representation(algebra=vc, dim=g.dim, basis=g.basis, beta=g.alpha,
+                          rho=tuple(Matrix.from_columns(c, nrows=g.dim)
+                                    for c in columns))
 
 
 @dataclass(frozen=True)

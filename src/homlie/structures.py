@@ -22,30 +22,36 @@ frozen fields and kept on the object, so it cannot go stale.  Verifiers
 return structured reports and never raise on a failing law, so broken
 inputs can be diagnosed.
 
-The verifiers and the builders of derived representations read the
-columns of alpha, beta and each rho_i once and evaluate every law with
-bracket and act on those tables, one basis vector at a time: they build
-no action matrix and no matrix product per basis vector or pair.
+The verifiers walk those tables: every side of every law is a sum of
+add_bilinear calls on the nonzero structure constants and the sparse
+columns of alpha, beta and each rho_i, so they call neither bracket nor
+act, and build no action matrix and no matrix product.  The builders of
+derived representations read the columns of alpha, beta and each rho_i
+once and evaluate bracket and act on those tables, one basis vector at
+a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import product
 
 from .linalg import (
+    UNIT,
     Matrix,
     Q,
     Vector,
+    add_bilinear,
     basis_vector,
     bilinear,
+    bilinear_sum,
     block_diag,
+    column_table,
     is_zero_vector,
     scalar,
     sparse_table,
-    vadd,
     vneg,
-    vsub,
     vzero,
 )
 from .reporting import Failure, holds
@@ -172,26 +178,35 @@ class HomLieReport:
 
 
 def verify_hom_lie(g: HomLieAlgebra) -> HomLieReport:
-    """Check multiplicativity and hom-Jacobi on all basis tuples."""
-    alpha = [g.alpha.column(i) for i in range(g.dim)]
+    """Check multiplicativity and hom-Jacobi on all basis tuples.
+
+    Both laws walk the nonzero structure constants and the sparse
+    columns of alpha with add_bilinear.  Each nonzero [e_j, e_k] adds
+    [alpha e_i, [e_j, e_k]] into the hom-Jacobi defect of the sorted
+    triple of i, j, k, for every other i, with the sign -1 when
+    j < i < k, where the cyclic term is [alpha e_i, [e_k, e_j]].  A
+    triple that no term reaches has zero defect, so every triple is
+    still checked, and failures come in lexicographic order.
+    """
+    n, table, alpha = g.dim, g.structure_constants, column_table(g.alpha)
+    columns = [column[0] for column in alpha]
+    negated = [[(p, -x) for p, x in column] for column in columns]
     failures = []
-    for (i, j) in pair_list(g.dim):
-        lhs = g.alpha.apply(g.bracket_basis(i, j))
-        rhs = g.bracket(alpha[i], alpha[j])
+    for (i, j) in pair_list(n):
+        lhs = bilinear_sum(n, (table[i][j], UNIT, alpha))
+        rhs = bilinear_sum(n, (columns[i], columns[j], table))
         if lhs != rhs:
             failures.append(Failure("multiplicativity", (i, j), lhs, rhs))
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            for k in range(j + 1, g.dim):
-                defect = vadd(
-                    vadd(g.bracket(alpha[i], g.bracket_basis(j, k)),
-                         g.bracket(alpha[j], g.bracket_basis(k, i))),
-                    g.bracket(alpha[k], g.bracket_basis(i, j)),
-                )
-                if not is_zero_vector(defect):
-                    failures.append(
-                        Failure("hom_jacobi", (i, j, k), defect, vzero(g.dim))
-                    )
+    defects = {}
+    for (j, k) in pair_list(n):
+        for i in range(n) if table[j][k] else ():
+            if i not in (j, k):
+                add_bilinear(defects.setdefault(tuple(sorted((i, j, k))),
+                                                [0] * n),
+                             negated[i] if j < i < k else columns[i],
+                             table[j][k], table)
+    failures += [Failure("hom_jacobi", triple, tuple(defect), vzero(n))
+                 for triple, defect in sorted(defects.items()) if any(defect)]
     return HomLieReport(tuple(failures), regular=g.is_regular)
 
 
@@ -290,31 +305,29 @@ class RepresentationReport:
 def verify_representation(rep: Representation) -> RepresentationReport:
     """Check both representation axioms on all basis vectors and pairs.
 
-    Both sides are compared column by column, on each basis vector v_c
-    of V, with act: the columns of alpha, beta and each rho_i are read
-    once, and no action matrix is built.  A failure names the basis
-    tuple and then c.
+    Both sides are compared on each basis vector v_c of V, read off the
+    sparse tables of alpha, beta and rho with add_bilinear:
+    rho(alpha e_i) beta v_c against beta rho_i v_c, and
+    rho([e_i, e_j]) beta v_c against
+    rho(alpha e_i) rho_j v_c - rho(alpha e_j) rho_i v_c.  No action
+    matrix is built.  A failure names the basis tuple and then c.
     """
-    g = rep.algebra
-    alpha = [g.alpha.column(i) for i in range(g.dim)]
-    beta = [rep.beta.column(c) for c in range(rep.dim)]
-    rho = [[m.column(c) for c in range(rep.dim)] for m in rep.rho]
-    failures = []
-    for i in range(g.dim):
-        for c in range(rep.dim):
-            lhs = rep.act(alpha[i], beta[c])
-            rhs = rep.beta.apply(rho[i][c])
-            if lhs != rhs:
-                failures.append(Failure("twist_intertwine", (i, c), lhs, rhs))
-    for (i, j) in pair_list(g.dim):
-        bracket = g.bracket_basis(i, j)
-        for c in range(rep.dim):
-            lhs = rep.act(bracket, beta[c])
-            rhs = vsub(rep.act(alpha[i], rho[j][c]),
-                       rep.act(alpha[j], rho[i][c]))
-            if lhs != rhs:
-                failures.append(Failure("module_equation", (i, j, c),
-                                        lhs, rhs))
+    g, m, rho = rep.algebra, rep.dim, rep.structure_constants
+    alpha = [column[0] for column in column_table(g.alpha)]
+    negated = [[(p, -x) for p, x in column] for column in alpha]
+    beta_table = column_table(rep.beta)
+    beta, failures = [column[0] for column in beta_table], []
+    for i, c in product(range(g.dim), range(m)):
+        lhs = bilinear_sum(m, (alpha[i], beta[c], rho))
+        rhs = bilinear_sum(m, (rho[i][c], UNIT, beta_table))
+        if lhs != rhs:
+            failures.append(Failure("twist_intertwine", (i, c), lhs, rhs))
+    for (i, j), c in product(pair_list(g.dim), range(m)):
+        lhs = bilinear_sum(m, (g.structure_constants[i][j], beta[c], rho))
+        rhs = bilinear_sum(m, (alpha[i], rho[j][c], rho),
+                           (negated[j], rho[i][c], rho))
+        if lhs != rhs:
+            failures.append(Failure("module_equation", (i, j, c), lhs, rhs))
     return RepresentationReport(tuple(failures))
 
 

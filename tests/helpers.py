@@ -13,7 +13,12 @@ from fractions import Fraction
 from itertools import combinations
 from math import prod
 
-from homlie.alternating import increasing_tuples, shuffles, wedge_coords
+from homlie.alternating import (
+    increasing_tuples,
+    shuffles,
+    sort_with_sign,
+    wedge_coords,
+)
 from homlie.cochain import Cochain
 from homlie.graded import build_theta, horizontal_lift
 from homlie.reporting import Failure, matrix_failures
@@ -34,6 +39,7 @@ from homlie.linalg import (
     sparse_rref,
     vadd,
     vscale,
+    vsub,
     vzero,
 )
 
@@ -567,6 +573,17 @@ def oracle_diagonal_compatible_basis(sigma, tau, arity):
 # determinants, instead of the compatible-map solver.
 
 
+def evaluate_basis(f, indices):
+    """The value of the cochain f on basis vectors in any order, with the
+    alternating sign."""
+    sorted_sign = sort_with_sign(tuple(indices))
+    if sorted_sign is None:
+        return vzero(f.target_dim)
+    ordered, sign = sorted_sign
+    value = f.coeff(ordered)
+    return value if sign == 1 else vscale(sign, value)
+
+
 def oracle_circle_product(phi, psi, twist):
     dim = twist.nrows
     a, b = phi.arity, psi.arity
@@ -575,7 +592,7 @@ def oracle_circle_product(phi, psi, twist):
     for indices in increasing_tuples(dim, a + b - 1):
         total = vzero(dim)
         for perm, sign in shuffles(b, a - 1):
-            inner = psi.evaluate_basis(tuple(indices[p] for p in perm[:b]))
+            inner = evaluate_basis(psi, tuple(indices[p] for p in perm[:b]))
             if is_zero_vector(inner):
                 continue
             args = [inner] + [twist_power.column(indices[p])
@@ -656,6 +673,31 @@ def derived_bracket_zero(rep, p, x):
         closing = g.bracket(alpha_inv.apply(p.coeff(indices)), alpha_nm1_x)
         values[indices] = vadd(total, closing)
     return Cochain(n, rep.dim, g.dim, values)
+
+
+def oracle_inner_actions(rep, coeffs, a, b):
+    """{T e_a, e_b} - {T e_b, e_a} for each T in coeffs, by dense act."""
+    ea, eb = basis_vector(rep.dim, a), basis_vector(rep.dim, b)
+    return [vsub(rep.act(t.column(a), eb), rep.act(t.column(b), ea))
+            for t in coeffs]
+
+
+def oracle_deformed_identity(g, rep, coeffs, k, a, b):
+    """(lhs, rhs) of the order-k deformed O-operator identity at (e_a, e_b)
+    by dense bracket, act and apply, one pair at a time:
+
+        lhs = sum_{i+j=k} [T_i e_a, T_j e_b],
+        rhs = sum_{i+j=k} T_i({T_j e_a, e_b} - {T_j e_b, e_a}),
+
+    with the coefficients past the end of coeffs zero."""
+    inner = oracle_inner_actions(rep, coeffs[:k + 1], a, b)
+    lhs = rhs = vzero(g.dim)
+    low = max(0, k + 1 - len(coeffs))
+    for i in range(low, k + 1 - low):
+        ti, tj = coeffs[i], coeffs[k - i]
+        lhs = vadd(lhs, g.bracket(ti.column(a), tj.column(b)))
+        rhs = vadd(rhs, ti.apply(inner[k - i]))
+    return lhs, rhs
 
 
 def oracle_obstruction(g, rep, d):

@@ -40,6 +40,7 @@ from homlie.structures import (
 from helpers import (
     cochain_from_dense,
     dense_flat,
+    evaluate_basis,
     oracle_coboundary,
     oracle_coboundary_matrix,
     oracle_compatible_maps_basis,
@@ -66,8 +67,8 @@ def test_cochain_construction_and_evaluation():
         entries={(0, 1): (Q(1), Q(0)), (1, 2): (Q(0), Q(5))})
     assert c.coeff((0, 1)) == (Q(1), Q(0))
     assert c.coeff((0, 2)) == (Q(0), Q(0))
-    assert c.evaluate_basis((1, 0)) == (Q(-1), Q(0))
-    assert c.evaluate_basis((1, 1)) == (Q(0), Q(0))
+    assert evaluate_basis(c, (1, 0)) == (Q(-1), Q(0))
+    assert evaluate_basis(c, (1, 1)) == (Q(0), Q(0))
     # bilinear evaluation with wedge coordinates
     u = (Q(1), Q(1), Q(0))
     v = (Q(0), Q(1), Q(1))

@@ -39,7 +39,7 @@ from homlie.deformation import (
 from homlie.graded import build_theta, derived_bracket
 from homlie.io import load_deformation, load_rep
 from homlie.linalg import Matrix, basis_vector, matrix, vsub
-from homlie.ooperator import deformed_identity, is_o_operator, rho_t
+from homlie.ooperator import coefficient_terms, is_o_operator, rho_t
 from homlie.structures import (
     HomLieAlgebra,
     Representation,
@@ -53,6 +53,7 @@ from helpers import (
     cochain_from_dense,
     count_calls,
     dense_flat,
+    oracle_deformed_identity,
     oracle_extend_order,
     oracle_obstruction,
     rand_matrix,
@@ -549,9 +550,11 @@ def test_base_ok_is_the_o_operator_check_of_the_base():
 
 def test_formal_check_computes_each_inner_action_once(monkeypatch):
     """Order o needs {T_j e_a, e_b} - {T_j e_b, e_a} for j = 0..o only:
-    2 (o + 1) actions per basis pair, where recomputing them for every
-    (i, j) with i + j <= o took (o + 1)(o + 2).  The failures and their
-    order equal the order-by-order deformed identity."""
+    one coefficient_terms call per coefficient, which computes the inner
+    actions of every basis pair, where recomputing them for every (i, j)
+    with i + j <= o took (o + 1)(o + 2) per pair.  The walk makes no act
+    call.  The failures and their order equal the order-by-order
+    deformed identity."""
     g = FIXTURES["sl2"]
     rep = adjoint_rep(g, 0)
     rng = random.Random(5)
@@ -562,19 +565,21 @@ def test_formal_check_computes_each_inner_action_once(monkeypatch):
     coeffs = d.coefficients()
     for k in range(d.order + 1):
         for (a, b) in itertools.combinations(range(3), 2):
-            lhs, rhs = deformed_identity(g, rep, coeffs, k, a, b)
+            lhs, rhs = oracle_deformed_identity(g, rep, coeffs, k, a, b)
             if lhs != rhs:
                 expected.append(((k, a, b), vsub(lhs, rhs)))
-    calls = []
+    calls = count_calls(monkeypatch, coefficient_terms)
+    acts = []
     act = Representation.act
 
     def counting(self, x, v):
-        calls.append(1)
+        acts.append(1)
         return act(self, x, v)
 
     monkeypatch.setattr(Representation, "act", counting)
     report = formal_deformation_check(g, rep, d)
-    assert len(calls) == 2 * (d.order + 1) * 3
+    assert [id(args[1]) for args in calls] == [id(t) for t in coeffs]
+    assert acts == []
     assert expected
     assert [(f.indices, f.lhs) for f in report.failures
             if f.law == "deformation_equation"] == expected

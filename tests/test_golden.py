@@ -36,9 +36,14 @@ from homlie.deformation import (
 )
 from homlie.io import load_operator
 from homlie.linalg import Matrix, densify, rref_kernel
-from homlie.ooperator import inner_actions, is_o_operator, rho_t
+from homlie.ooperator import coefficient_terms, is_o_operator, rho_t
 from homlie.rmatrix import is_r_matrix
-from homlie.structures import Representation, coadjoint_rep, semidirect_product
+from homlie.structures import (
+    HomLieAlgebra,
+    Representation,
+    coadjoint_rep,
+    semidirect_product,
+)
 
 from helpers import count_calls, patch_everywhere, record_cohomology_matrices
 
@@ -189,9 +194,10 @@ def test_deform_extend_builds_the_complex_once(monkeypatch):
 
 def test_deform_extend_computes_each_inner_action_once(monkeypatch):
     """{T_j e_a, e_b} - {T_j e_b, e_a} is computed once per coefficient
-    T_j and pair (a, b): the input check's actions are kept, and each
+    T_j and pair (a, b): one coefficient_terms call per coefficient
+    covers every pair, the input check's terms are kept, and each
     solved order adds only those of its new term."""
-    calls = count_calls(monkeypatch, inner_actions)
+    calls = count_calls(monkeypatch, coefficient_terms)
     ran = 0
     for name, argv in _cases("deform-extend").items():
         calls.clear()
@@ -199,14 +205,32 @@ def test_deform_extend_computes_each_inner_action_once(monkeypatch):
         assert out == _expected(name)
         if code == 2:
             continue
-        computed = collections.Counter(
-            (id(t), a, b) for _, coeffs, a, b in calls for t in coeffs)
-        pairs = {(a, b) for _, a, b in computed}
+        computed = collections.Counter(id(t) for _, t in calls)
         reached = json.loads(out)["data"]["reached_order"]
         assert set(computed.values()) == {1}, name
-        assert len(computed) == (reached + 1) * len(pairs), name
+        assert len(computed) == reached + 1, name
         ran += 1
     assert ran == 6
+
+
+def test_law_checks_call_neither_bracket_nor_act(monkeypatch):
+    """The algebra and module checks of cohomology, the complex of T and
+    the deformed identity walk the structure constants: no golden case
+    of cohomology, check-linear-deformation, deform-check, deform-extend
+    or obstruction calls HomLieAlgebra.bracket or Representation.act."""
+    calls = []
+    for cls, name in ((HomLieAlgebra, "bracket"), (Representation, "act")):
+        def counting(self, *args, _method=getattr(cls, name), _name=name):
+            calls.append(_name)
+            return _method(self, *args)
+
+        monkeypatch.setattr(cls, name, counting)
+    verbs = ("cohomology", "check-linear-deformation", "deform-check",
+             "deform-extend", "obstruction")
+    cases = {name: argv for verb in verbs for name, argv in _cases(verb).items()}
+    for name, argv in cases.items():
+        assert _replay(argv)[1] == _expected(name)
+    assert len(cases) >= 20 and calls == []
 
 
 def test_deformation_verbs_check_the_base_once(monkeypatch):
