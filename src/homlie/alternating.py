@@ -12,17 +12,13 @@ coordinates, not the C(dim, k) index sets.  wedge_coords multiplies its
 factors in one step at a time; tuple_wedges expands the wedges of every
 k-subset of a list of vectors, each one step from the wedge of its
 prefix, so subsets that share a prefix share its expansion.
-
-Shuffle permutations are produced by choosing which argument positions
-feed each block; the sign of a shuffle is the sign sort_with_sign finds
-when it sorts the shuffle.
 """
 
 from __future__ import annotations
 
 from bisect import bisect
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .linalg import Vector
 
@@ -98,18 +94,3 @@ def tuple_wedges(vectors: Sequence[Vector], k: int) -> list:
                  for tup, w in level
                  for i in range(tup[-1] + 1 if tup else 0, last + 1)]
     return level
-
-
-def shuffles(p: int, q: int) -> Iterator[tuple]:
-    """(p, q)-shuffles of range(p + q) with signs.
-
-    Yields (positions, sign) where positions is the full permutation
-    (first block of length p increasing, then the complementary block,
-    also increasing) and sign is its permutation sign.
-    """
-    universe = range(p + q)
-    for first in combinations(universe, p):
-        chosen = set(first)
-        rest = tuple(i for i in universe if i not in chosen)
-        perm = first + rest
-        yield perm, sort_with_sign(perm)[1]

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .cochain import coboundary, cohomology_table
@@ -305,7 +306,7 @@ def _cmd_deform_extend(args):
         },
     }
     if args.out:
-        _write_json(args.out, deformation_to_dict(current))
+        _write_json(args.out, data["deformation"])
     failures = ()
     if obstructed_at is not None:
         failures = (f"obstructed at order {obstructed_at}: the obstruction "
@@ -463,9 +464,10 @@ VERBS = {
 
 
 @functools.cache
-def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
-    """The root parser with the subparser of verb, or of every verb in
-    VERBS order when verb is None; each tree is built once per process.
+def build_parser() -> argparse.ArgumentParser:
+    """The root parser with the subparser of every verb, in VERBS order;
+    built once per process, for the first argv that read_argv leaves to
+    it.
 
     argparse keeps no state between parse_args calls and looks up
     sys.stderr only when it prints, so one tree serves repeated main
@@ -477,8 +479,7 @@ def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
                     "O-operators, deformations, and r-matrices.",
     )
     subparsers = parser.add_subparsers(dest="verb", required=True)
-    for name in VERBS if verb is None else (verb,):
-        _, help_text, arguments = VERBS[name]
+    for name, (_, help_text, arguments) in VERBS.items():
         sub = subparsers.add_parser(name, help=help_text)
         sub.add_argument("--json", action="store_true",
                          help="emit one JSON object instead of text")
@@ -490,18 +491,61 @@ def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+def read_argv(argv: list) -> argparse.Namespace | None:
+    """The Namespace that build_parser().parse_args(argv) returns, read
+    off VERBS without a parser when argv is a well-formed call; None for
+    any other argv.
+
+    A well-formed call is a verb followed by its positionals in order,
+    --json, and the verb's own options, each written as the two tokens
+    --opt VALUE, where VALUE passes the option's type and either does
+    not start with "-" or is "-" and decimal digits: argparse takes such
+    a token as a negative number, a value, since no option looks like
+    one.  No other token starts with "-", and no flag comes twice.
+    Help, "--", "=" forms, abbreviations, other values that start with
+    "-" and missing or extra arguments are left to argparse.
+    """
+    if not argv or argv[0] not in VERBS:
+        return None
+    arguments = VERBS[argv[0]][2]
+    names = [a for a in arguments if isinstance(a, str)]
+    options = dict(a for a in arguments if not isinstance(a, str))
+    values, positionals = {"verb": argv[0], "json": False}, []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        dest = token[2:].replace("-", "_")
+        if token == "--json" and not values["json"]:
+            values["json"] = True
+        elif token in options and dest not in values:
+            value = next(tokens, "-")
+            if value.startswith("-") and not value[1:].isdecimal():
+                return None
+            try:
+                values[dest] = options[token].get("type", str)(value)
+            except ValueError:
+                return None
+        elif token.startswith("-"):
+            return None
+        else:
+            positionals.append(token)
+    if len(positionals) != len(names):
+        return None
+    values.update(zip(names, positionals))
+    for flag, keywords in options.items():
+        values.setdefault(flag[2:].replace("-", "_"), keywords.get("default"))
+    return argparse.Namespace(**values)
+
+
 def main(argv=None) -> int:
     """Run one verb; argv defaults to sys.argv[1:].
 
-    A known verb is parsed by its own one-verb tree.  --help, no verb,
-    an unknown verb and unrecognised arguments go to the full tree,
-    whose help and usage list every verb.
+    read_argv reads a well-formed call without building a parser.  Any
+    other argv goes to the full tree: it prints help, and its usage
+    errors list every verb.  If the reader of stdout has gone before the
+    output is written, the call ends with exit 2 and no traceback.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
-    verb = argv[0] if argv and argv[0] in VERBS else None
-    args, extra = build_parser(verb).parse_known_args(argv)
-    if extra:
-        build_parser().parse_args(argv)
+    args = read_argv(argv) or build_parser().parse_args(argv)
     try:
         verdict, data, failures = VERBS[args.verb][0](args)
     except (SchemaError, ValueError, OSError) as exc:
@@ -515,15 +559,22 @@ def main(argv=None) -> int:
             "failures": failure_strings,
             "data": jsonable(data),
         }
-        print(json.dumps(payload, indent=2))
+        lines = [json.dumps(payload, indent=2)]
     else:
-        print(f"{args.verb}: {'OK' if verdict else 'FAIL'}")
-        for line in failure_strings[:_FAILURE_CAP]:
-            print(f"  {line}")
+        lines = [f"{args.verb}: {'OK' if verdict else 'FAIL'}"]
+        lines += [f"  {line}" for line in failure_strings[:_FAILURE_CAP]]
         if len(failure_strings) > _FAILURE_CAP:
-            print(f"  ... {len(failure_strings) - _FAILURE_CAP} more failures")
+            lines.append(
+                f"  ... {len(failure_strings) - _FAILURE_CAP} more failures")
         if data:
-            print(json.dumps(jsonable(data), indent=2))
+            lines.append(json.dumps(jsonable(data), indent=2))
+    try:
+        print("\n".join(lines), flush=True)
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; with stdout on os.devnull
+        # that flush cannot raise.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     return 0 if verdict else 1
 
 

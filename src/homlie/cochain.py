@@ -139,13 +139,6 @@ class Cochain:
         return cls(arity, source_dim, target_dim, {})
 
     @classmethod
-    def from_values(cls, arity, source_dim, target_dim, entries) -> "Cochain":
-        """Build from an {increasing tuple: vector} dict, coercing every
-        entry to an exact scalar."""
-        return cls(arity, source_dim, target_dim,
-                   {t: vscale(1, v) for t, v in entries.items()})
-
-    @classmethod
     def from_linear_map(cls, m: Matrix) -> "Cochain":
         """Wrap a matrix as the arity-1 cochain e_j -> column j."""
         return cls(1, m.ncols, m.nrows,

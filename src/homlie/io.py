@@ -59,13 +59,21 @@ def _require_keys(data: dict, required: tuple, optional: tuple,
 
 def _exact(value):
     """A JSON int or rational string as an exact scalar; ValueError
-    without a location otherwise."""
+    without a location otherwise.
+
+    A string is read by one int() call when it is an integer, which
+    gives the value parse_scalar would: it strips the text and calls int
+    on it too.  Any other string goes to parse_scalar for its value or
+    its refusal."""
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            return parse_scalar(value)
     if isinstance(value, bool):
         raise ValueError("booleans are not scalars")
     if isinstance(value, int):
         return value
-    if isinstance(value, str):
-        return parse_scalar(value)
     if isinstance(value, float):
         raise ValueError("floats are not exact; write the value as a string")
     raise ValueError(f"cannot read {value!r} as a scalar")
@@ -87,20 +95,23 @@ def _int(value, where: str) -> int:
 def _vector(obj, where: str) -> tuple:
     if not isinstance(obj, list):
         raise SchemaError(f"{where}: expected a list of scalars")
-    scalars = []
-    for x in obj:
-        try:
-            scalars.append(_exact(x))
-        except ValueError as exc:
-            # The location is built only for the entry refused.
-            raise SchemaError(f"{where}[{len(scalars)}]: {exc}") from None
-    return tuple(scalars)
+    try:
+        return tuple(map(_exact, obj))
+    except ValueError:
+        # Read again entry by entry, for the location of the entry refused.
+        return tuple(_scalar(x, f"{where}[{k}]") for k, x in enumerate(obj))
 
 
 def _matrix(obj, where: str) -> Matrix:
     if not isinstance(obj, list) or not obj:
         raise SchemaError(f"{where}: expected a non-empty list of rows")
-    rows = [_vector(row, f"{where}[{k}]") for k, row in enumerate(obj)]
+    try:
+        if not all(isinstance(row, list) for row in obj):
+            raise ValueError("a row is not a list")
+        rows = [tuple(map(_exact, row)) for row in obj]
+    except ValueError:
+        # Read again row by row, for the location of the refusal.
+        rows = [_vector(row, f"{where}[{k}]") for k, row in enumerate(obj)]
     ncols = len(rows[0])
     for k, row in enumerate(rows):
         if len(row) != ncols:
@@ -352,14 +363,14 @@ def load_rmatrix(path: str, dim: int | None = None) -> Matrix:
 
 def jsonable(value):
     """Convert package values into JSON-serializable structures."""
+    if value is None or isinstance(value, (int, str)):
+        return value
+    if isinstance(value, (list, tuple)):
+        return [jsonable(v) for v in value]
     if isinstance(value, Matrix):
         return matrix_to_rows(value)
     if isinstance(value, Q):
         return format_scalar(value)
-    if isinstance(value, bool) or value is None:
-        return value
-    if isinstance(value, (int, str)):
-        return value
     if isinstance(value, Failure):
         return str(value)
     if isinstance(value, HomLieAlgebra):
@@ -390,6 +401,4 @@ def jsonable(value):
                 key = ",".join(str(k) for k in key)
             out[str(key)] = jsonable(inner)
         return out
-    if isinstance(value, (list, tuple)):
-        return [jsonable(v) for v in value]
     raise TypeError(f"cannot convert {type(value).__name__} to JSON")

@@ -28,8 +28,7 @@ reduced form is unique whatever order the rows come in, so kernel bases
 (rref_kernel), solutions with free variables zero (sparse_solve) and
 inverses are functions of the row space alone.  rref_kernel returns each
 kernel vector sparse, as a {column: value} dict, and densify writes one
-out in full.  The Matrix methods rref, kernel_basis, solve and inverse
-hand their rows to sparse_rref, and kernel_basis densifies; the cochain
+out in full.  Matrix.inverse hands its rows to sparse_rref; the cochain
 layer hands it sparse rows directly and keeps its kernels sparse.
 
 The kernels (@, apply, vadd, vsub, vscale, bilinear and elimination)
@@ -95,16 +94,9 @@ def parse_scalar(text: str) -> Scalar:
     """Parse "p" or "p/q" with integer p, q and q > 0 after reduction."""
     if not isinstance(text, str):
         raise ValueError(f"rational expected as string, got {text!r}")
-    body = text.strip()
-    parts = body.split("/")
-    if len(parts) == 1:
-        num, den = parts[0], "1"
-    elif len(parts) == 2:
-        num, den = parts
-    else:
-        raise ValueError(f"malformed rational {text!r}")
+    num, slash, den = text.strip().partition("/")
     try:
-        p, q = int(num), int(den)
+        p, q = int(num), int(den) if slash else 1
         value = p if q == 1 else Fraction(p, q)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed rational {text!r}") from exc
@@ -113,7 +105,7 @@ def parse_scalar(text: str) -> Scalar:
 
 def format_scalar(value: Scalar) -> str:
     """Render a rational as "p" or "p/q" in lowest terms."""
-    return str(Fraction(value))
+    return str(value) if type(value) is int else str(Fraction(value))
 
 
 def vzero(n: int) -> Vector:
@@ -539,32 +531,8 @@ class Matrix:
     def _sparse_rows(self) -> list:
         return [dict(enumerate(row)) for row in self.rows]
 
-    def rref(self) -> tuple:
-        """Reduced row echelon form and the tuple of pivot columns."""
-        reduced = sparse_rref(self._sparse_rows())
-        pivots = tuple(sorted(reduced))
-        rows = [tuple(reduced[p].get(j, _ZERO) for j in range(self._ncols))
-                for p in pivots]
-        rows += [(_ZERO,) * self._ncols] * (self.nrows - len(pivots))
-        return Matrix._trusted(tuple(rows), self._ncols), pivots
-
     def rank(self) -> int:
         return len(sparse_echelon(self._sparse_rows()))
-
-    def kernel_basis(self) -> list:
-        """Basis of the right kernel, one vector per free column (see
-        rref_kernel)."""
-        return [densify(v, self._ncols) for v in
-                rref_kernel(sparse_rref(self._sparse_rows()), self._ncols)]
-
-    def solve(self, b: Vector) -> Vector | None:
-        """One exact solution of self @ x = b, or None if inconsistent.
-
-        Free variables are set to zero, so the solution is deterministic.
-        """
-        if len(b) != self.nrows:
-            raise ValueError("right-hand side has the wrong length")
-        return sparse_solve(self._sparse_rows(), self._ncols, b)
 
     def diagonal_entries(self) -> list | None:
         """The diagonal of a square matrix with no entry off it, else None."""

@@ -15,12 +15,12 @@ from math import prod
 
 from homlie.alternating import (
     increasing_tuples,
-    shuffles,
     sort_with_sign,
     wedge_coords,
 )
 from homlie.cochain import Cochain
 from homlie.graded import build_theta, horizontal_lift
+from homlie.io import SchemaError
 from homlie.reporting import Failure, matrix_failures
 from homlie.structures import (
     HomLieAlgebra,
@@ -34,9 +34,12 @@ from homlie.linalg import (
     Q,
     basis_vector,
     block_diag,
+    densify,
     is_zero_vector,
     rref_kernel,
+    scalar,
     sparse_rref,
+    sparse_solve,
     vadd,
     vscale,
     vsub,
@@ -51,6 +54,21 @@ def exact_scalars(values) -> bool:
     a float: the package's scalar contract."""
     return all(isinstance(x, (int, Fraction)) and not isinstance(x, bool)
                for x in values)
+
+
+def shuffles(p: int, q: int):
+    """(p, q)-shuffles of range(p + q) with signs.
+
+    Yields (positions, sign) where positions is the full permutation
+    (first block of length p increasing, then the complementary block,
+    also increasing) and sign is its permutation sign.
+    """
+    universe = range(p + q)
+    for first in combinations(universe, p):
+        chosen = set(first)
+        rest = tuple(i for i in universe if i not in chosen)
+        perm = first + rest
+        yield perm, sort_with_sign(perm)[1]
 
 
 def rand_scalar(rng, lo=-2, hi=2) -> Fraction:
@@ -210,6 +228,105 @@ def oracle_inverse(m):
     if pivots != tuple(range(n)):
         raise ValueError("matrix is singular")
     return Matrix(tuple(tuple(row[n:]) for row in work), ncols=n)
+
+
+# The input readers as io and linalg had them before a string was first
+# read by one int() call and a matrix row by one map: every scalar
+# string went through parse_scalar, and every entry of every row had its
+# own try.
+
+
+def oracle_parse_scalar(text):
+    """Parse "p" or "p/q" with integer p, q and q > 0 after reduction."""
+    if not isinstance(text, str):
+        raise ValueError(f"rational expected as string, got {text!r}")
+    body = text.strip()
+    parts = body.split("/")
+    if len(parts) == 1:
+        num, den = parts[0], "1"
+    elif len(parts) == 2:
+        num, den = parts
+    else:
+        raise ValueError(f"malformed rational {text!r}")
+    try:
+        p, q = int(num), int(den)
+        value = p if q == 1 else Fraction(p, q)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"malformed rational {text!r}") from exc
+    return scalar(value)
+
+
+def oracle_exact(value):
+    """A JSON int or rational string as an exact scalar; ValueError
+    without a location otherwise."""
+    if isinstance(value, bool):
+        raise ValueError("booleans are not scalars")
+    if isinstance(value, int):
+        return value
+    if isinstance(value, str):
+        return oracle_parse_scalar(value)
+    if isinstance(value, float):
+        raise ValueError("floats are not exact; write the value as a string")
+    raise ValueError(f"cannot read {value!r} as a scalar")
+
+
+def oracle_vector(obj, where):
+    if not isinstance(obj, list):
+        raise SchemaError(f"{where}: expected a list of scalars")
+    scalars = []
+    for x in obj:
+        try:
+            scalars.append(oracle_exact(x))
+        except ValueError as exc:
+            raise SchemaError(f"{where}[{len(scalars)}]: {exc}") from None
+    return tuple(scalars)
+
+
+def oracle_matrix(obj, where):
+    if not isinstance(obj, list) or not obj:
+        raise SchemaError(f"{where}: expected a non-empty list of rows")
+    rows = [oracle_vector(row, f"{where}[{k}]") for k, row in enumerate(obj)]
+    ncols = len(rows[0])
+    for k, row in enumerate(rows):
+        if len(row) != ncols:
+            raise SchemaError(f"{where}: row {k} has a different length")
+    return Matrix._trusted(tuple(rows), ncols)
+
+
+# Dense entry points to the library's eliminator that no verb calls.
+
+
+def rref(m):
+    """The reduced row echelon form of m from linalg.sparse_rref, padded
+    with zero rows, and the tuple of pivot columns."""
+    reduced = sparse_rref(m._sparse_rows())
+    pivots = tuple(sorted(reduced))
+    rows = [tuple(reduced[p].get(j, 0) for j in range(m.ncols))
+            for p in pivots]
+    rows += [(0,) * m.ncols] * (m.nrows - len(pivots))
+    return Matrix._trusted(tuple(rows), m.ncols), pivots
+
+
+def kernel_basis(m):
+    """The kernel basis of m from linalg.rref_kernel, one dense vector per
+    free column."""
+    return [densify(v, m.ncols)
+            for v in rref_kernel(sparse_rref(m._sparse_rows()), m.ncols)]
+
+
+def solve(m, b):
+    """linalg.sparse_solve on the rows of m: one solution of m x = b with
+    every free variable zero, or None."""
+    if len(b) != m.nrows:
+        raise ValueError("right-hand side has the wrong length")
+    return sparse_solve(m._sparse_rows(), m.ncols, b)
+
+
+def cochain_from_values(arity, source_dim, target_dim, entries):
+    """The Cochain of an {increasing tuple: vector} dict, with every entry
+    coerced to an exact scalar."""
+    return Cochain(arity, source_dim, target_dim,
+                   {t: vscale(1, v) for t, v in entries.items()})
 
 
 def patch_everywhere(monkeypatch, func, replacement) -> None:
@@ -411,7 +528,7 @@ def rep_tables(rep):
 def cochain_on_tuples(arity, source_dim, target_dim, values):
     """The Cochain with one value per increasing tuple, in combinations
     order."""
-    return Cochain.from_values(arity, source_dim, target_dim, dict(zip(
+    return cochain_from_values(arity, source_dim, target_dim, dict(zip(
         increasing_tuples(source_dim, arity), values, strict=True)))
 
 
@@ -555,7 +672,7 @@ def oracle_diagonal_compatible_basis(sigma, tau, arity):
         weight = prod((sigma.entry(i, i) for i in indices), start=Q(1))
         for t in range(td):
             if weight == tau.entry(t, t):
-                basis.append(Cochain.from_values(
+                basis.append(cochain_from_values(
                     arity, sd, td, {indices: basis_vector(td, t)}))
     return basis
 

@@ -73,6 +73,7 @@ from helpers import (
     algebra_tables,
     dense_flat,
     derived_bracket_zero,
+    kernel_basis,
     oracle_hom_lie,
     rand_matrix,
     rand_scalar,
@@ -476,8 +477,7 @@ def test_criterion_09_deformation_suite():
         image = Matrix.from_columns(flats, nrows=flat_len)
         image_rank = image.rank()
         dim_h2 = cohomology_dims(rep_t, 2).dim_h
-        kernel = Matrix.from_columns(
-            flats, nrows=flat_len).kernel_basis() if basis else []
+        kernel = kernel_basis(image) if basis else []
 
         def check_extension(d):
             nonlocal cocycle_checks, rank_checks

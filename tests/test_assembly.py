@@ -47,6 +47,7 @@ from homlie.structures import (
 
 from helpers import (
     cochain_from_dense,
+    cochain_from_values,
     count_calls,
     direct_sum,
     oracle_coboundary,
@@ -198,7 +199,7 @@ def test_coboundary_of_a_sparse_cochain_is_the_pointwise_one(rep, data):
         return
     tuples = increasing_tuples(g.dim, arity)
     keys = data.draw(st.sets(st.sampled_from(tuples), max_size=3))
-    f = Cochain.from_values(arity, g.dim, rep.dim, {
+    f = cochain_from_values(arity, g.dim, rep.dim, {
         key: tuple(data.draw(scalars) for _ in range(rep.dim))
         for key in keys})
     assert coboundary(rep, f) == oracle_coboundary(rep, f)

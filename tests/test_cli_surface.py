@@ -19,8 +19,10 @@ import os
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from homlie.cli import build_parser, main
+from homlie.cli import VERBS, build_parser, main, read_argv
 
 SURFACE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden",
                        "cli_surface.json")
@@ -65,6 +67,81 @@ def test_cli_surface(name, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     expected = _recorded()[name]
     assert _run(expected["argv"]) == expected
+
+
+FLAGS = sorted({a[0] for _, _, arguments in VERBS.values()
+                for a in arguments if not isinstance(a, str)})
+# Every verb and flag, and tokens that argparse reads in its own way:
+# help, "--", a lone "-", an empty token, a negative number, abbreviated
+# and "=" forms.
+TOKENS = [*VERBS, *FLAGS, "--json", "-h", "--help", "--", "-", "", "-1",
+          "-0", "3", "x", "--max=3", "--out=o.json", "--js", "--max"]
+
+
+@st.composite
+def calls(draw, int_values, str_values):
+    """A verb with its positionals in order, and some of its options and
+    --json placed anywhere among them; each option's value is drawn from
+    int_values or str_values by the option's type."""
+    verb = draw(st.sampled_from(sorted(VERBS)))
+    pieces = []
+    for argument in VERBS[verb][2]:
+        if isinstance(argument, str):
+            pieces.append([draw(st.sampled_from(["x", "3", ""]))])
+        elif draw(st.booleans()):
+            values = int_values if "type" in argument[1] else str_values
+            option = [argument[0], draw(st.sampled_from(values))]
+            pieces.insert(draw(st.integers(0, len(pieces))), option)
+    if draw(st.booleans()):
+        pieces.insert(draw(st.integers(0, len(pieces))), ["--json"])
+    return [verb, *(token for piece in pieces for token in piece)]
+
+
+# Calls whose values all pass their type, and calls whose values may be
+# any token.
+WELL_FORMED = calls(["3", "-2", "0", "\u0663", "-\u0663"],
+                    ["x", "3", "-2", ""])
+NEARLY_WELL_FORMED = calls(TOKENS, TOKENS)
+
+
+def _argparse(argv):
+    """build_parser().parse_args(argv), or None where argparse exits."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return build_parser().parse_args(argv)
+        except SystemExit:
+            return None
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(
+    st.lists(st.sampled_from(TOKENS), max_size=7),
+    st.builds(lambda verb, rest: [verb, *rest],
+              st.sampled_from(sorted(VERBS)),
+              st.lists(st.sampled_from(TOKENS), max_size=6)),
+    NEARLY_WELL_FORMED, WELL_FORMED))
+def test_reader_returns_none_or_what_argparse_returns(argv):
+    """read_argv gives None or exactly argparse's Namespace, same names,
+    types and defaults; where argparse exits (help or a usage error) it
+    gives None."""
+    parsed = read_argv(list(argv))
+    expected = _argparse(list(argv))
+    if expected is None:
+        assert parsed is None
+    elif parsed is not None:
+        assert parsed == expected
+        assert all(type(value) is type(getattr(expected, name))
+                   for name, value in vars(parsed).items())
+
+
+@settings(max_examples=200, deadline=None)
+@given(WELL_FORMED)
+def test_reader_reads_every_well_formed_call(argv):
+    """Every call from WELL_FORMED is read without argparse, to
+    argparse's Namespace."""
+    expected = _argparse(argv)
+    assert expected is not None and read_argv(argv) == expected
 
 
 def record():

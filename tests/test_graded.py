@@ -36,6 +36,7 @@ from homlie.structures import (
 
 from helpers import (
     cochain_from_dense,
+    cochain_from_values,
     derived_bracket_zero,
     oracle_derived_bracket,
     rand_matrix,
@@ -132,7 +133,7 @@ def bracket_cochain(g) -> Cochain:
     entries = {}
     for (i, j), value in g.brackets_dict().items():
         entries[(i, j)] = value
-    return Cochain.from_values(arity=2, source_dim=g.dim,
+    return cochain_from_values(arity=2, source_dim=g.dim,
                                target_dim=g.dim, entries=entries)
 
 

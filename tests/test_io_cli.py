@@ -12,6 +12,7 @@ import contextlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 import time
@@ -21,9 +22,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import homlie.cochain as cochain_module
+import homlie.io as io_module
 from homlie.alternating import wedge_extend
 from homlie.cli import main
-from homlie.cochain import Cochain, coboundary_matrix
+from homlie.cochain import coboundary_matrix
 from homlie.io import (
     SchemaError,
     algebra_from_dict,
@@ -39,11 +41,22 @@ from homlie.io import (
     rmatrix_to_dict,
     vector_from_dict,
 )
-from homlie.linalg import Matrix, Q, format_scalar, matrix
+from homlie.linalg import Matrix, Q, format_scalar, matrix, parse_scalar
 from homlie.rmatrix import require_skew, skew_matrix, wedge_coeffs
 from homlie.structures import adjoint_rep, semidirect_product, sl2
 
-from helpers import record_cohomology_matrices
+from helpers import (
+    cochain_from_values,
+    oracle_exact,
+    oracle_matrix,
+    oracle_parse_scalar,
+    oracle_vector,
+    record_cohomology_matrices,
+)
+
+TESTS = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.join(os.path.dirname(TESTS), "src")
+GOLDEN_INPUTS = os.path.join(TESTS, "golden", "inputs")
 
 
 AFF1 = {"dim": 2, "brackets": {"0,1": [0, 1]}}
@@ -169,6 +182,99 @@ def test_scalar_refusals_name_the_entry():
     with pytest.raises(SchemaError) as refused:
         vector_from_dict({"vector": [0, "1/2", False]}, where="v.json")
     assert str(refused.value) == "v.json.vector[2]: booleans are not scalars"
+
+
+# Strings at the edges of what int() and parse_scalar accept: whitespace,
+# signs, underscores, non-ASCII digits, fractions, division by zero, the
+# int() digit limit.
+SCALAR_TEXTS = (" 7 ", "+3", "1_000", "1__0", "_1", "\u0663", "\uff17",
+                "\u0661/\u0662", "3/1", "-0", "1/0", "1.5", "", " ", "-",
+                "1/2/3", "1/", "/2", " 1 / -2 ", "4/6", "0x10", "\t5\n",
+                "\u20037", "1e3", "5" * 5000, "-" + "9" * 4301 + "/2")
+JSON_SCALARS = st.one_of(
+    st.sampled_from(SCALAR_TEXTS),
+    st.text(alphabet="0123456789/+-_ .\u0663", max_size=6),
+    st.integers(-10**30, 10**30), st.booleans(), st.floats(), st.none(),
+    st.lists(st.integers(), max_size=1), st.dictionaries(
+        st.text(max_size=1), st.integers(), max_size=1))
+JSON_ROWS = st.one_of(st.lists(JSON_SCALARS, max_size=3), JSON_SCALARS,
+                      st.sampled_from(["12", {"1": 0}]))
+
+
+def _outcome(read, *args):
+    """What read(*args) gives: its value with the type of each scalar, or
+    the type and text of its refusal."""
+    try:
+        value = read(*args)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(value, Matrix):
+        value = value.rows
+    if isinstance(value, tuple):
+        return [[(type(x), x) for x in row] if isinstance(row, tuple)
+                else (type(row), row) for row in value]
+    return type(value), value
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_SCALARS)
+def test_scalar_reader_matches_the_parse_scalar_reader(value):
+    """One int() call, then parse_scalar, reads every scalar as the
+    parse_scalar reader did: the same value, the same type (int against
+    Fraction) and the same refusal text."""
+    assert _outcome(io_module._exact, value) == _outcome(oracle_exact, value)
+    if isinstance(value, str):
+        assert _outcome(parse_scalar, value) == \
+            _outcome(oracle_parse_scalar, value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.lists(JSON_ROWS, max_size=3), JSON_ROWS))
+def test_vector_and_matrix_readers_match_the_entry_by_entry_readers(obj):
+    """A vector in one map and a matrix row by row give the values, types
+    and SchemaError texts that reading entry by entry gave."""
+    assert _outcome(io_module._vector, obj, "v.json") == \
+        _outcome(oracle_vector, obj, "v.json")
+    assert _outcome(io_module._matrix, obj, "m.json") == \
+        _outcome(oracle_matrix, obj, "m.json")
+
+
+def _into_a_closed_pipe(argv, unbuffered):
+    """Exit code and stderr of python -m homlie argv with its stdout on a
+    pipe whose reader has gone before the verb writes."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "homlie", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              env=env, timeout=120, check=False)
+    finally:
+        os.close(write_end)
+    return done.returncode, done.stderr.decode()
+
+
+def test_a_reader_gone_during_the_write_ends_the_verb_with_exit_2(tmp_path):
+    """Unbuffered, the write inside main meets the closed pipe, as
+    `| head -c 100` does once head has exited: exit 2, no traceback."""
+    zero = [["0"] * 3] * 3
+    path = write(tmp_path, "zero.json", {"base": zero, "terms": [zero]})
+    argv = [os.path.join(GOLDEN_INPUTS, "sl2-transposed.rep.json"), path,
+            "--max-order", "2", "--json"]
+    assert _into_a_closed_pipe(["deform-extend", *argv], True) == (2, "")
+
+
+def test_a_reader_gone_before_the_flush_ends_the_verb_with_exit_2():
+    """Buffered, the output meets the closed pipe only when it is flushed;
+    main flushes it, so the flush at exit has nothing left to raise."""
+    argv = ["cohomology", os.path.join(GOLDEN_INPUTS, "sl2.adjoint.rep.json"),
+            "--json"]
+    assert _into_a_closed_pipe(argv, False) == (2, "")
 
 
 def test_algebra_schema_violations():
@@ -315,7 +421,7 @@ def test_jsonable_conversions():
     assert jsonable(matrix([[0, 1], [0, 0]])) == [["0", "1"], ["0", "0"]]
     assert jsonable({(0, 1): Q(3)}) == {"0,1": "3"}
     assert jsonable([Q(1), None, True]) == ["1", None, True]
-    c = Cochain.from_values(arity=1, source_dim=2, target_dim=2,
+    c = cochain_from_values(arity=1, source_dim=2, target_dim=2,
                             entries={(0,): (Q(0), Q(1))})
     assert jsonable(c) == {"arity": 1, "source": "", "coeffs": {"0": ["0", "1"]}}
     with pytest.raises(TypeError):
