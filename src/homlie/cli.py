@@ -36,7 +36,6 @@ from .io import (
     algebra_to_dict,
     cochain_to_dict,
     deformation_to_dict,
-    jsonable,
     load_algebra,
     load_deformation,
     load_json,
@@ -46,6 +45,7 @@ from .io import (
     load_vector,
     matrix_to_rows,
     operator_from_dict,
+    pre_lie_to_dict,
     rep_to_dict,
     rmatrix_from_dict,
     rmatrix_to_dict,
@@ -122,6 +122,11 @@ def _cmd_cohomology(args):
         top = coeff.algebra.dim
     if top < 0:
         raise SchemaError("--max-arity must be non-negative")
+    if top > coeff.algebra.dim:
+        raise SchemaError(f"--max-arity {top} exceeds the limit "
+                          f"{coeff.algebra.dim}, the dimension of the "
+                          f"complex's algebra: every higher cochain space "
+                          f"is zero")
     kind = "operator" if args.operator else "representation"
     # delta squares to zero only on valid structures; refuse a table that
     # would report dimensions of something that is not a complex.
@@ -192,7 +197,7 @@ def _cmd_induced_pre_lie(args):
     pre = induced_hom_pre_lie(rep.algebra, rep, t)
     report = verify_hom_pre_lie(pre)
     data = {
-        "pre_lie": jsonable(pre),
+        "pre_lie": pre_lie_to_dict(pre),
         "axioms": _report_fields(report,
                                  ("twist_multiplicative", "left_symmetry")),
         "subadjacent": algebra_to_dict(subadjacent(pre)),
@@ -557,7 +562,7 @@ def main(argv=None) -> int:
             "verb": args.verb,
             "verdict": verdict,
             "failures": failure_strings,
-            "data": jsonable(data),
+            "data": data,
         }
         lines = [json.dumps(payload, indent=2)]
     else:
@@ -567,7 +572,7 @@ def main(argv=None) -> int:
             lines.append(
                 f"  ... {len(failure_strings) - _FAILURE_CAP} more failures")
         if data:
-            lines.append(json.dumps(jsonable(data), indent=2))
+            lines.append(json.dumps(data, indent=2))
     try:
         print("\n".join(lines), flush=True)
     except BrokenPipeError:

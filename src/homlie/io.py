@@ -23,18 +23,22 @@ or strings "p" / "p/q"; floats are rejected so every load stays exact.
 Unknown keys are rejected.  Schema violations raise SchemaError, a
 ValueError subclass, so callers can treat malformed input and domain
 errors uniformly.
+
+The writers (*_to_dict, matrix_to_rows) give plain JSON values: dicts
+with str keys, lists, str scalars, ints, bools and None.  Each CLI
+handler builds its payload from them, so the payload goes to json.dumps
+as it is.  pre_lie_to_dict writes the product table of a hom-pre-Lie
+algebra, which is output only.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 
 from .cochain import Cochain
 from .deformation import TruncatedDeformation
-from .linalg import Matrix, Q, format_scalar, parse_scalar
-from .reporting import Failure
+from .linalg import Matrix, format_scalar, parse_scalar
 from .rmatrix import skew_matrix, wedge_coeffs
 from .structures import HomLieAlgebra, Representation
 from .ooperator import HomPreLie
@@ -322,6 +326,18 @@ def rmatrix_to_dict(r: Matrix) -> dict:
     }
 
 
+def pre_lie_to_dict(p: HomPreLie) -> dict:
+    return {
+        "dim": p.dim,
+        "basis": list(p.basis),
+        "twist": matrix_to_rows(p.twist),
+        "products": {
+            f"{i},{j}": [format_scalar(x) for x in p.table[i][j]]
+            for i in range(p.dim) for j in range(p.dim)
+        },
+    }
+
+
 def matrix_to_rows(m: Matrix) -> list:
     return [[format_scalar(x) for x in row] for row in m.rows]
 
@@ -359,46 +375,3 @@ def load_deformation(path: str) -> TruncatedDeformation:
 
 def load_rmatrix(path: str, dim: int | None = None) -> Matrix:
     return rmatrix_from_dict(load_json(path), dim=dim, where=path)
-
-
-def jsonable(value):
-    """Convert package values into JSON-serializable structures."""
-    if value is None or isinstance(value, (int, str)):
-        return value
-    if isinstance(value, (list, tuple)):
-        return [jsonable(v) for v in value]
-    if isinstance(value, Matrix):
-        return matrix_to_rows(value)
-    if isinstance(value, Q):
-        return format_scalar(value)
-    if isinstance(value, Failure):
-        return str(value)
-    if isinstance(value, HomLieAlgebra):
-        return algebra_to_dict(value)
-    if isinstance(value, Representation):
-        return rep_to_dict(value)
-    if isinstance(value, TruncatedDeformation):
-        return deformation_to_dict(value)
-    if isinstance(value, HomPreLie):
-        return {
-            "dim": value.dim,
-            "basis": list(value.basis),
-            "twist": matrix_to_rows(value.twist),
-            "products": {
-                f"{i},{j}": [format_scalar(x) for x in value.table[i][j]]
-                for i in range(value.dim) for j in range(value.dim)
-            },
-        }
-    if isinstance(value, Cochain):
-        return cochain_to_dict(value, source="")
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {f.name: jsonable(getattr(value, f.name))
-                for f in dataclasses.fields(value)}
-    if isinstance(value, dict):
-        out = {}
-        for key, inner in value.items():
-            if isinstance(key, tuple):
-                key = ",".join(str(k) for k in key)
-            out[str(key)] = jsonable(inner)
-        return out
-    raise TypeError(f"cannot convert {type(value).__name__} to JSON")

@@ -27,7 +27,9 @@ alpha-commuting R with
     [R(x), R(y)] = R([alpha^s R(x), y] + [x, alpha^s R(y)] + lambda [x, y]);
 
 at weight zero these are exactly the O-operators on the alpha^s-twisted
-adjoint representation.
+adjoint representation.  So is_rota_baxter checks the O-operator
+identity on that representation, plus the weight term, and
+rb_induced_bracket is the sub-adjacent algebra of the induced product.
 """
 
 from __future__ import annotations
@@ -51,12 +53,11 @@ from .linalg import (
     scalar,
     sparse_table,
     vadd,
-    vscale,
     vsub,
     vzero,
 )
 from .reporting import Failure, holds, matrix_failures
-from .structures import HomLieAlgebra, Representation, pair_list
+from .structures import HomLieAlgebra, Representation, adjoint_rep, pair_list
 
 
 @dataclass(frozen=True)
@@ -131,21 +132,25 @@ class RotaBaxterReport:
 
 def is_rota_baxter(g: HomLieAlgebra, r: Matrix, s: int = 0,
                    weight=0) -> RotaBaxterReport:
-    """Check the degree-s, weight-lambda Rota-Baxter conditions."""
+    """Check the degree-s, weight-lambda Rota-Baxter conditions.
+
+    The identity is the O-operator identity of R on the alpha^s-twisted
+    adjoint representation, whose right side is
+    R([alpha^s R e_i, e_j] + [e_i, alpha^s R e_j]); at a nonzero weight,
+    one add_bilinear of lambda [e_i, e_j] through R's column table adds
+    the weight term.
+    """
     weight = scalar(weight)
     failures = matrix_failures("twist_commute", (),
                                r @ g.alpha, g.alpha @ r)
-    alpha_s = g.alpha_power(s)
-    for (i, j) in pair_list(g.dim):
-        ri = r.column(i)
-        rj = r.column(j)
-        lhs = g.bracket(ri, rj)
-        inside = vadd(
-            vadd(g.bracket(alpha_s.apply(ri), basis_vector(g.dim, j)),
-                 g.bracket(basis_vector(g.dim, i), alpha_s.apply(rj))),
-            vscale(weight, g.bracket_basis(i, j)),
-        )
-        rhs = r.apply(inside)
+    terms = coefficient_terms(adjoint_rep(g, s), r)
+    for (i, j), (lhs, rhs) in zip(pair_list(g.dim),
+                                  identity_sides(g, [terms], 0)):
+        if weight:
+            rhs = list(rhs)
+            add_bilinear(rhs, g.structure_constants[i][j], ((0, weight),),
+                         terms[0])
+            rhs = tuple(rhs)
         if lhs != rhs:
             failures.append(Failure("rota_baxter_identity", (i, j), lhs, rhs))
     return RotaBaxterReport(tuple(failures))
@@ -479,15 +484,7 @@ def rb_induced_bracket(g: HomLieAlgebra, r: Matrix, s: int = 0) -> HomLieAlgebra
 
         [x, y]_R = [alpha^s R(x), y] + [x, alpha^s R(y)],
 
-    on the same space with the same twist."""
-    alpha_s = g.alpha_power(s)
-    brackets = {}
-    for (i, j) in pair_list(g.dim):
-        value = vadd(
-            g.bracket(alpha_s.apply(r.column(i)), basis_vector(g.dim, j)),
-            g.bracket(basis_vector(g.dim, i), alpha_s.apply(r.column(j))),
-        )
-        if not is_zero_vector(value):
-            brackets[(i, j)] = value
-    return HomLieAlgebra.build(dim=g.dim, brackets=brackets,
-                               alpha=g.alpha, basis=g.basis)
+    on the same space with the same twist: the sub-adjacent algebra of
+    the product R(x) . y on the alpha^s-twisted adjoint representation."""
+    return subadjacent(induced_hom_pre_lie(g, adjoint_rep(g, s), r,
+                                           unchecked=True))

@@ -35,7 +35,9 @@ An r-matrix induces a bracket on the dual space,
     [xi, eta]_r = {r#(xi), eta} - {r#(eta), xi}
 
 ({,} the coadjoint action), making g* a hom-Lie algebra with twist
-(alpha^{-1})^T; it is the sub-adjacent algebra of the O-operator r#.
+(alpha^{-1})^T.  It is the sub-adjacent algebra of the O-operator r#,
+and induced_dual_bracket computes it so, through the induced product of
+the ooperator module: the bracket has no formula of its own here.
 Weak homomorphisms of r-matrices and the transfer of linear and formal
 deformations along r -> r# are implemented as route-by-route checks.
 
@@ -76,15 +78,16 @@ from .linalg import (
     Matrix,
     Q,
     basis_vector,
-    is_zero_vector,
     scalar,
     sparse_table,
 )
 from .ooperator import (
     OOperatorReport,
     OperatorHomReport,
+    induced_hom_pre_lie,
     is_o_operator,
     o_operator_hom_check,
+    subadjacent,
 )
 from .reporting import Failure, holds
 from .structures import HomLieAlgebra, Representation, coadjoint_rep, pair_list
@@ -334,30 +337,15 @@ def induced_dual_bracket(g: HomLieAlgebra, r: Matrix,
 
         [xi, eta]_r = {r#(xi), eta} - {r#(eta), xi}
 
-    with twist (alpha^{-1})^T, computed directly from the coadjoint
-    action (not through the sub-adjacent construction, so the two paths
-    can be compared).  _report is is_r_matrix(g, r), from a caller that
-    has already decided it."""
+    with twist (alpha^{-1})^T and {,} the coadjoint action: the
+    sub-adjacent algebra of the product r#(xi) . eta that the O-operator
+    r# induces on the coadjoint representation.  _report is
+    is_r_matrix(g, r), from a caller that has already decided it."""
     report = is_r_matrix(g, r) if _report is None else _report
     if not report.verdict:
         raise ValueError("the two-tensor is not an r-matrix")
-    coadj = report.coadjoint
-    brackets = {}
-    for (a, b) in pair_list(g.dim):
-        value = tuple(
-            x - y for x, y in zip(
-                coadj.act(r.column(a), basis_vector(g.dim, b)),
-                coadj.act(r.column(b), basis_vector(g.dim, a)),
-            )
-        )
-        if not is_zero_vector(value):
-            brackets[(a, b)] = value
-    return HomLieAlgebra.build(
-        dim=g.dim,
-        brackets=brackets,
-        alpha=g.alpha.inverse().transpose(),
-        basis=coadj.basis,
-    )
+    return subadjacent(induced_hom_pre_lie(g, report.coadjoint, r,
+                                           unchecked=True))
 
 
 @dataclass(frozen=True)

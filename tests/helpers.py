@@ -21,12 +21,14 @@ from homlie.alternating import (
 from homlie.cochain import Cochain
 from homlie.graded import build_theta, horizontal_lift
 from homlie.io import SchemaError
+from homlie.ooperator import RotaBaxterReport
 from homlie.reporting import Failure, matrix_failures
 from homlie.structures import (
     HomLieAlgebra,
     HomLieReport,
     Representation,
     RepresentationReport,
+    coadjoint_rep,
     pair_list,
 )
 from homlie.linalg import (
@@ -815,6 +817,63 @@ def oracle_deformed_identity(g, rep, coeffs, k, a, b):
         lhs = vadd(lhs, g.bracket(ti.column(a), tj.column(b)))
         rhs = vadd(rhs, ti.apply(inner[k - i]))
     return lhs, rhs
+
+
+# The Rota-Baxter identity, the descendent bracket and the dual bracket
+# of an r-matrix as they were evaluated before each went through the
+# O-operator code: dense bracket, act and apply, one basis pair at a time.
+
+
+def oracle_rota_baxter(g, r, s=0, weight=0):
+    """is_rota_baxter by dense brackets: the failures of R alpha = alpha R
+    and of [R e_i, R e_j] = R([alpha^s R e_i, e_j] + [e_i, alpha^s R e_j]
+    + lambda [e_i, e_j]), in pair_list order."""
+    weight = scalar(weight)
+    failures = matrix_failures("twist_commute", (),
+                               r @ g.alpha, g.alpha @ r)
+    alpha_s = g.alpha_power(s)
+    for (i, j) in pair_list(g.dim):
+        ri, rj = r.column(i), r.column(j)
+        lhs = g.bracket(ri, rj)
+        inside = vadd(
+            vadd(g.bracket(alpha_s.apply(ri), basis_vector(g.dim, j)),
+                 g.bracket(basis_vector(g.dim, i), alpha_s.apply(rj))),
+            vscale(weight, g.bracket_basis(i, j)),
+        )
+        rhs = r.apply(inside)
+        if lhs != rhs:
+            failures.append(Failure("rota_baxter_identity", (i, j), lhs, rhs))
+    return RotaBaxterReport(tuple(failures))
+
+
+def oracle_rb_induced_bracket(g, r, s=0):
+    """[x, y]_R = [alpha^s R(x), y] + [x, alpha^s R(y)] by dense brackets."""
+    alpha_s = g.alpha_power(s)
+    brackets = {}
+    for (i, j) in pair_list(g.dim):
+        value = vadd(
+            g.bracket(alpha_s.apply(r.column(i)), basis_vector(g.dim, j)),
+            g.bracket(basis_vector(g.dim, i), alpha_s.apply(r.column(j))),
+        )
+        if not is_zero_vector(value):
+            brackets[(i, j)] = value
+    return HomLieAlgebra.build(dim=g.dim, brackets=brackets,
+                               alpha=g.alpha, basis=g.basis)
+
+
+def oracle_dual_bracket(g, r):
+    """[xi, eta]_r = {r#(xi), eta} - {r#(eta), xi} by dense coadjoint
+    act, with twist (alpha^{-1})^T; r must be an r-matrix."""
+    coadj = coadjoint_rep(g)
+    brackets = {}
+    for (a, b) in pair_list(g.dim):
+        value = vsub(coadj.act(r.column(a), basis_vector(g.dim, b)),
+                     coadj.act(r.column(b), basis_vector(g.dim, a)))
+        if not is_zero_vector(value):
+            brackets[(a, b)] = value
+    return HomLieAlgebra.build(dim=g.dim, brackets=brackets,
+                               alpha=g.alpha.inverse().transpose(),
+                               basis=coadj.basis)
 
 
 def oracle_obstruction(g, rep, d):

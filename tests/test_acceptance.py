@@ -74,7 +74,9 @@ from helpers import (
     dense_flat,
     derived_bracket_zero,
     kernel_basis,
+    oracle_dual_bracket,
     oracle_hom_lie,
+    oracle_rota_baxter,
     rand_matrix,
     rand_scalar,
 )
@@ -555,8 +557,8 @@ def test_criterion_10_rmatrix_routes_and_dual_bracket():
     """The three skew-solution routes (wedge square, component triple
     sum, operator identity against the coadjoint action) agree on every
     invariant tensor over the grid {-1, 0, 1/2, 1}, and the induced
-    dual-space bracket equals the commutator of the induced product,
-    table for table."""
+    dual-space bracket, the commutator of the induced product, equals
+    the direct formula by dense coadjoint act, table for table."""
     grid = [Q(-1), Q(0), Q(1, 2), Q(1)]
     total = certified = rejected = 0
     for name in ("aff1", "sl2", "heisenberg3", "heisenberg3_twisted"):
@@ -576,20 +578,20 @@ def test_criterion_10_rmatrix_routes_and_dual_bracket():
                 rejected += 1
                 continue
             certified += 1
-            dual = induced_dual_bracket(g, r)
-            pre = induced_hom_pre_lie(g, coadjoint_rep(g), r, unchecked=True)
-            via = subadjacent(pre)
-            assert dual.brackets_dict() == via.brackets_dict(), (name, coeffs)
-            assert dual.alpha == via.alpha, (name, coeffs)
+            via = induced_dual_bracket(g, r)
+            direct = oracle_dual_bracket(g, r)
+            assert via.brackets_dict() == direct.brackets_dict(), (name, coeffs)
+            assert via.alpha == direct.alpha, (name, coeffs)
     assert total >= 136
     assert certified >= 10 and rejected >= 10
 
 
 def test_criterion_11_rota_baxter_specialization():
-    """The degree-s weight-0 operator identity on g agrees with the
-    operator check against the degree-s twisted self-action, for
-    s in {0, 1, 2} and random operators on every fixture, condition by
-    condition."""
+    """The degree-s weight-0 operator identity on g, evaluated by dense
+    brackets, agrees with the operator check against the degree-s
+    twisted self-action, for s in {0, 1, 2} and random operators on
+    every fixture, condition by condition; is_rota_baxter, which goes
+    through the operator identity, gives the dense formula's failures."""
     rng = random.Random(20261111)
     checked = hits = 0
     for name, g in FIXTURES.items():
@@ -599,11 +601,13 @@ def test_criterion_11_rota_baxter_specialization():
             candidates.extend(rand_matrix(rng, g.dim, g.dim, -2, 2)
                               for _ in range(10))
             for r in candidates:
-                rb = is_rota_baxter(g, r, s, Q(0))
+                rb = oracle_rota_baxter(g, r, s, Q(0))
                 oo = is_o_operator(g, rep, r)
                 assert rb.ok == oo.ok, (name, s, r.rows)
                 assert rb.commutes_with_twist == oo.intertwines, (name, s)
                 assert rb.identity == oo.quadratic, (name, s)
+                assert is_rota_baxter(g, r, s, Q(0)).failures == \
+                    rb.failures, (name, s, r.rows)
                 checked += 1
                 hits += rb.ok
     assert checked >= 150

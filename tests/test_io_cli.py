@@ -31,7 +31,6 @@ from homlie.io import (
     algebra_from_dict,
     algebra_to_dict,
     deformation_from_dict,
-    jsonable,
     load_json,
     load_rep,
     operator_from_dict,
@@ -46,7 +45,6 @@ from homlie.rmatrix import require_skew, skew_matrix, wedge_coeffs
 from homlie.structures import adjoint_rep, semidirect_product, sl2
 
 from helpers import (
-    cochain_from_values,
     oracle_exact,
     oracle_matrix,
     oracle_parse_scalar,
@@ -416,18 +414,6 @@ def test_load_json_errors(tmp_path):
         load_json(str(tmp_path / "missing.json"))
 
 
-def test_jsonable_conversions():
-    assert jsonable(Q(1, 2)) == "1/2"
-    assert jsonable(matrix([[0, 1], [0, 0]])) == [["0", "1"], ["0", "0"]]
-    assert jsonable({(0, 1): Q(3)}) == {"0,1": "3"}
-    assert jsonable([Q(1), None, True]) == ["1", None, True]
-    c = cochain_from_values(arity=1, source_dim=2, target_dim=2,
-                            entries={(0,): (Q(0), Q(1))})
-    assert jsonable(c) == {"arity": 1, "source": "", "coeffs": {"0": ["0", "1"]}}
-    with pytest.raises(TypeError):
-        jsonable({1, 2})
-
-
 # ---------------------------------------------------------------- CLI
 
 
@@ -551,6 +537,33 @@ def test_cli_cohomology(tmp_path, capsys):
     assert [row["arity"] for row in payload["data"]["table"]] == [0, 1, 2]
 
 
+def test_cli_cohomology_refuses_an_arity_past_the_algebra_dimension(capsys):
+    """Every cochain space above the dimension of the complex's algebra
+    is zero, so a larger --max-arity exits 2 at once with a message that
+    names the limit and the value; --max-arity equal to the dimension
+    prints the recorded full-range output."""
+    name = "cohomology.heisenberg3_twisted"
+    rep = os.path.join(GOLDEN_INPUTS, "heisenberg3_twisted.adjoint.rep.json")
+    with open(os.path.join(TESTS, "golden", "stdout", name + ".txt"),
+              encoding="utf-8") as handle:
+        recorded = handle.read()
+    assert run(capsys, ["cohomology", rep, "--max-arity", "3", "--json"]) \
+        == (0, recorded, "")
+    for top in ("4", str(10**9)):
+        started = time.perf_counter()
+        code, out, err = run(capsys, ["cohomology", rep, "--max-arity", top])
+        assert time.perf_counter() - started < 1
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: --max-arity {top} exceeds the limit 3")
+    operator = [os.path.join(GOLDEN_INPUTS, "aff1.adjoint.rep.json"),
+                "--operator", os.path.join(GOLDEN_INPUTS, "aff1.T.json")]
+    code, _, err = run(capsys, ["cohomology", *operator, "--max-arity", "3"])
+    assert code == 2 and "exceeds the limit 2" in err
+    code, payload = run_json(capsys, ["cohomology", *operator,
+                                      "--max-arity", "2"])
+    assert code == 0 and len(payload["data"]["table"]) == 3
+
+
 def test_cli_cohomology_refuses_invalid_input(tmp_path, capsys):
     broken = json.loads(json.dumps(SL2_REP))
     broken["rho"][1][0][0] = 5
@@ -583,7 +596,7 @@ def test_cli_cohomology_assembles_without_determinants(tmp_path, capsys,
     pointwise would take far more."""
     semi = semidirect_product(adjoint_rep(sl2(), 0))
     rep_path = write(tmp_path, "semi.json",
-                     jsonable(rep_to_dict(adjoint_rep(semi, 0))))
+                     rep_to_dict(adjoint_rep(semi, 0)))
     counts = {"wedge_extend": 0}
     basis_arities = []
 
@@ -976,7 +989,7 @@ def test_takiff12_cohomology_stays_sparse(tmp_path, capsys, monkeypatch):
     takiff6 = semidirect_product(adjoint_rep(sl2()))
     takiff12 = semidirect_product(adjoint_rep(takiff6))
     path = write(tmp_path, "takiff12.rep.json",
-                 jsonable(rep_to_dict(adjoint_rep(takiff12))))
+                 rep_to_dict(adjoint_rep(takiff12)))
     built = record_cohomology_matrices(monkeypatch)
     code, doc = run_json(capsys, ["cohomology", path, "--max-arity", "2"])
     assert code == 0

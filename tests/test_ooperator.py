@@ -12,6 +12,7 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from homlie.cochain import Cochain, compatible_maps_basis, coboundary
 from homlie.graded import derived_bracket
@@ -40,7 +41,12 @@ from homlie.structures import (
     verify_representation,
 )
 
-from helpers import rand_matrix
+from helpers import (
+    oracle_rb_induced_bracket,
+    oracle_rota_baxter,
+    rand_matrix,
+)
+from test_assembly import twisted_algebras
 
 FIXTURES = catalog()
 
@@ -171,20 +177,50 @@ def test_rota_baxter_matches_adjoint_o_operator():
 
 
 def test_rb_induced_bracket_matches_subadjacent():
-    """The descendent bracket of a weight-zero Rota-Baxter operator is
-    the sub-adjacent bracket of the induced hom-pre-Lie product."""
+    """The descendent bracket of a weight-zero Rota-Baxter operator, the
+    sub-adjacent bracket of the induced hom-pre-Lie product, equals the
+    dense formula [alpha^s R x, y] + [x, alpha^s R y]."""
     rng = random.Random(32)
     for name in ("aff1", "sl2", "heisenberg3_twisted"):
         g = FIXTURES[name]
         for s in (0, 1):
-            rep = adjoint_rep(g, s)
             for _ in range(5):
                 r = rand_matrix(rng, g.dim, g.dim)
-                direct = rb_induced_bracket(g, r, s)
-                pre = induced_hom_pre_lie(g, rep, r, unchecked=True)
-                via_pre_lie = subadjacent(pre)
-                assert direct.brackets_dict() == via_pre_lie.brackets_dict()
-                assert direct.alpha == via_pre_lie.alpha
+                via_pre_lie = rb_induced_bracket(g, r, s)
+                direct = oracle_rb_induced_bracket(g, r, s)
+                assert via_pre_lie.brackets_dict() == direct.brackets_dict()
+                assert via_pre_lie.alpha == direct.alpha
+                assert via_pre_lie.basis == direct.basis
+
+
+weights = st.one_of(st.sampled_from((0, 1, -1)),
+                    st.builds(Q, st.integers(-5, 5), st.integers(1, 5)))
+entries = st.one_of(st.just(0), st.integers(-2, 2),
+                    st.sampled_from((Q(1, 2), Q(-1, 3))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.sampled_from(list(FIXTURES.values())),
+                 twisted_algebras()), weights, st.data())
+def test_rota_baxter_failures_match_the_dense_formula(g, weight, data):
+    """Every failure of is_rota_baxter, text included and in order, is
+    the one the dense formula gives, at weights 0, +-1 and p/q and
+    degrees 0, 1, 2 (and -1 on a regular algebra), on operators that
+    are zero, the identity, a multiple of alpha or drawn entry by
+    entry."""
+    s = data.draw(st.sampled_from((0, 1, 2, -1) if g.is_regular
+                                  else (0, 1, 2)))
+    n = g.dim
+    r = data.draw(st.one_of(
+        st.sampled_from((Matrix.zero(n, n), Matrix.identity(n), g.alpha)),
+        st.lists(st.lists(entries, min_size=n, max_size=n),
+                 min_size=n, max_size=n).map(matrix)))
+    report = is_rota_baxter(g, r, s, weight)
+    expected = oracle_rota_baxter(g, r, s, weight)
+    assert [str(f) for f in report.failures] == \
+        [str(f) for f in expected.failures]
+    assert (report.commutes_with_twist, report.identity) == \
+        (expected.commutes_with_twist, expected.identity)
 
 
 def test_induced_structures_frozen_values():
