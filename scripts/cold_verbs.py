@@ -8,17 +8,20 @@ perfbench runs every pass in a fresh interpreter, so what a process
 pays once (building the parser, filling first-call caches) lands on the
 first verbs of each pass.  ab_verbs.py runs both sides in one process
 and cannot see it; this script can.  Each pass is a fresh interpreter
-that imports homlie.cli from one checkout's src/ untimed, as perfbench's
-set-up does, then runs every verb of the workload once through cli.main
-with --json, timed as ab_verbs.py times it (the verbs come from this
-checkout's perfbench/workloads.py, which is only read).  It runs P pairs
-of passes, one per side, and the side that goes first alternates from
-pair to pair.  Each verb's exit code, stdout and stderr must be
-identical on both sides.  For each side it prints the median over
-passes of the first verb's latency and of the sum of a pass, and
-op_tail_ms by perfbench/run.py's rule: the tail over verbs of each
-verb's median latency, followed by the verb that sets it.  Standard
-library only.
+that imports homlie.cli from one checkout's src/, as perfbench's set-up
+does, then runs every verb of the workload once through cli.main with
+--json, timed as ab_verbs.py times it (the verbs come from this
+checkout's perfbench/workloads.py, which is only read).  The import is
+timed on its own: it is the part of perfbench's setup_s that the
+package controls (with PYTHONDONTWRITEBYTECODE=1 and no bytecode cache
+it includes compiling the package).  It runs P pairs of passes, one per
+side, and the side that goes first alternates from pair to pair.  Each
+verb's exit code, stdout and stderr must be identical on both sides.
+For each side it prints the median over passes of the import, of the
+first verb's latency and of the sum of a pass, and op_tail_ms by
+perfbench/run.py's rule: the tail over verbs of each verb's median
+latency, followed by the verb that sets it; then the ratios
+change/base.  Standard library only.
 """
 
 from __future__ import annotations
@@ -31,16 +34,19 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 
 from ab_verbs import ROOT, WORKLOADS, load_module, run_verb
 
 
 def child(checkout: str, verbs_path: str) -> dict:
-    """One cold pass: each verb's wall latency and a digest of its exit
-    code, stdout and stderr."""
+    """One cold pass: the import of homlie.cli, each verb's wall latency
+    and a digest of its exit code, stdout and stderr."""
     src = os.path.join(os.path.abspath(checkout), "src")
     sys.path.insert(0, src)
+    start = time.perf_counter()
     import homlie.cli as cli
+    imported = time.perf_counter() - start
 
     where = os.path.realpath(cli.__file__)
     if not where.startswith(os.path.realpath(src) + os.sep):
@@ -53,7 +59,7 @@ def child(checkout: str, verbs_path: str) -> dict:
         latencies.append(wall)
         outputs.append(hashlib.sha256(
             json.dumps(outcome).encode()).hexdigest())
-    return {"latencies": latencies, "outputs": outputs}
+    return {"import": imported, "latencies": latencies, "outputs": outputs}
 
 
 def cold_pass(checkout: str, verbs_path: str, directory: str) -> dict:
@@ -116,15 +122,17 @@ def main(argv=None) -> int:
         lat = [r["latencies"] for r in runs]
         per_verb = [statistics.median(v) for v in zip(*lat)]
         tail = run.tail(per_verb)[1]
-        summary[side] = (1000 * statistics.median(r[0] for r in lat),
+        summary[side] = (1000 * statistics.median(r["import"] for r in runs),
+                         1000 * statistics.median(r[0] for r in lat),
                          1000 * statistics.median(sum(r) for r in lat),
                          1000 * tail)
-        print(f"{side:6}: first verb {summary[side][0]:.2f} ms, pass sum "
-              f"{summary[side][1]:.2f} ms, op_tail_ms {summary[side][2]:.2f} "
+        print(f"{side:6}: import {summary[side][0]:.2f} ms, first verb "
+              f"{summary[side][1]:.2f} ms, pass sum {summary[side][2]:.2f} "
+              f"ms, op_tail_ms {summary[side][3]:.2f} "
               f"({' '.join(verbs[per_verb.index(tail)]['argv'])})")
     ratios = [c / b for b, c in zip(summary["base"], summary["change"])]
-    print("ratio : first verb {:.3f}, pass sum {:.3f}, op_tail_ms {:.3f}"
-          .format(*ratios))
+    print("ratio : import {:.3f}, first verb {:.3f}, pass sum {:.3f}, "
+          "op_tail_ms {:.3f}".format(*ratios))
     return 1 if differ else 0
 
 

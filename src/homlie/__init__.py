@@ -18,7 +18,6 @@ from .cochain import (
     coboundary_matrix,
     cohomology_dims,
     cohomology_table,
-    compatible_subspace_basis,
     zero_coboundary,
 )
 from .deformation import (

@@ -250,7 +250,7 @@ def _cmd_nijenhuis_element(args):
         result.linear_report, ("cocycle", "generator_twist_compatible",
                                "generator_quadratic"))
     data["certificate"] = [
-        {"condition": c.condition, "degree": c.degree, "holds": c.holds}
+        {"condition": c.condition, "degree": c.degree, "holds": c.ok}
         for c in result.certificate
     ]
     data["certificate_holds"] = result.certificate_holds
@@ -553,10 +553,10 @@ def main(argv=None) -> int:
     args = read_argv(argv) or build_parser().parse_args(argv)
     try:
         verdict, data, failures = VERBS[args.verb][0](args)
+        failure_strings = [str(f) for f in failures]
     except (SchemaError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    failure_strings = [str(f) for f in failures]
     if args.json:
         payload = {
             "verb": args.verb,

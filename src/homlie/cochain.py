@@ -5,8 +5,8 @@ into the coefficient space.  Only the maps compatible with the twists,
 
     tau(f(v_1, ..., v_n)) = f(sigma v_1, ..., sigma v_n),
 
-form the complex; compatible_subspace_basis computes that subspace
-exactly.  The coboundary of an n-cochain f is
+form the complex; compatible_maps_basis(alpha, beta, n) computes that
+subspace exactly.  The coboundary of an n-cochain f is
 
     (delta f)(x_1, ..., x_{n+1})
         = sum_i (-1)^{i+1} rho(alpha^{n-1}(x_i)) f(..., x_i omitted, ...)
@@ -62,9 +62,8 @@ and nothing the size of a cochain space is written out densely: no
 basis cochain becomes a Cochain on the way.  coboundary_solver takes
 the same images once and solves delta X = target on them for as many
 targets as its caller has (the extension loop of homlie.deformation),
-taking and returning Cochains.  compatible_maps_basis and
-compatible_subspace_basis wrap the flats as Cochains for callers that
-want them.
+taking and returning Cochains.  compatible_maps_basis wraps the flats
+as Cochains for callers that want them.
 
 For regular structures the complex extends to degree zero: C^0 is the
 fixed-point space of the coefficient twist and
@@ -199,13 +198,14 @@ class Cochain:
         return not self.values
 
 
-def is_twist_compatible(f: Cochain, sigma: Matrix, tau: Matrix) -> bool:
-    """Whether f(sigma v_1, ..., sigma v_n) = tau(f(v_1, ..., v_n))."""
+def twist_defects(f: Cochain, sigma: Matrix, tau: Matrix):
+    """Each (indices, f(sigma v_1, ..., sigma v_n), tau(f(v_1, ..., v_n)))
+    whose two sides differ, v_i the basis vectors at indices."""
     for indices in increasing_tuples(f.source_dim, f.arity):
-        args = [sigma.column(i) for i in indices]
-        if f.evaluate(args) != tau.apply(f.coeff(indices)):
-            return False
-    return True
+        lhs = f.evaluate([sigma.column(i) for i in indices])
+        rhs = tau.apply(f.coeff(indices))
+        if lhs != rhs:
+            yield indices, lhs, rhs
 
 
 def _flatten(f: Cochain) -> dict:
@@ -279,11 +279,6 @@ def compatible_maps_basis(sigma: Matrix, tau: Matrix, arity: int) -> list:
     """The basis of compatible_flats(sigma, tau, arity) as Cochains."""
     return [_unflatten(arity, sigma.nrows, tau.nrows, f)
             for f in compatible_flats(sigma, tau, arity)]
-
-
-def compatible_subspace_basis(rep: Representation, arity: int) -> list:
-    """Canonical basis of the twist-compatible arity-cochains of rep."""
-    return compatible_maps_basis(rep.algebra.alpha, rep.beta, arity)
 
 
 def zero_coboundary(rep: Representation, w: Vector) -> Cochain:

@@ -77,7 +77,7 @@ from .ooperator import (
     o_operator_hom_conditions,
     rho_t,
 )
-from .reporting import Failure, holds, matrix_failures
+from .reporting import Failure, Report, holds, matrix_failures
 from .structures import HomLieAlgebra, Representation, pair_list
 
 
@@ -125,14 +125,12 @@ class TruncatedDeformation:
         return [self.base, *self.terms]
 
 
-@dataclass(frozen=True)
-class LinearDeformationReport:
-    failures: tuple
+class LinearDeformationReport(Report):
     cocycle = holds("deformation_cocycle")
     generator_twist_compatible = holds("generator_twist")
     generator_quadratic = holds("generator_o_operator")
     generator_is_o_operator = holds("generator_twist", "generator_o_operator")
-    valid = ok = holds()
+    valid = Report.ok
 
 
 def linear_deformation_check(g: HomLieAlgebra, rep: Representation,
@@ -162,14 +160,11 @@ def linear_deformation_check(g: HomLieAlgebra, rep: Representation,
     return LinearDeformationReport(tuple(failures))
 
 
-@dataclass(frozen=True)
-class NijenhuisElementReport:
-    failures: tuple
+class NijenhuisElementReport(Report):
     fixed_by_twist = holds("fixed_point")
     bracket_square = holds("bracket_square")
     action_square = holds("action_square")
     generator_bracket = holds("generator_bracket")
-    ok = holds()
 
 
 def nijenhuis_element_check(g: HomLieAlgebra, rep: Representation,
@@ -230,7 +225,7 @@ class TrivialDeformationResult:
 
     @property
     def certificate_holds(self) -> bool:
-        return all(c.holds for c in self.certificate)
+        return all(c.ok for c in self.certificate)
 
     @property
     def ok(self) -> bool:
@@ -277,11 +272,9 @@ def trivial_deformation_from_nijenhuis(g: HomLieAlgebra, rep: Representation,
 
 
 @dataclass(frozen=True)
-class FormalDeformationReport:
+class FormalDeformationReport(Report):
     per_order: tuple
-    failures: tuple
     twist_compatible = holds("twist_intertwine")
-    ok = holds()
 
     @property
     def first_failing_order(self):
@@ -498,7 +491,7 @@ class EquivalenceReport:
 
     @property
     def ok(self) -> bool:
-        return all(c.holds for c in self.conditions)
+        return all(c.ok for c in self.conditions)
 
 
 def equivalence_check(g: HomLieAlgebra, rep: Representation,

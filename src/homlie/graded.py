@@ -39,12 +39,12 @@ only ones the outer bracket reads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .alternating import sort_with_sign
-from .cochain import Cochain, is_twist_compatible
+from .cochain import Cochain, twist_defects
 from .linalg import Matrix, densify, vscale, vzero
+from .reporting import Failure, Report, holds
 from .structures import Representation, pair_list
 
 
@@ -149,14 +149,9 @@ def build_theta(rep: Representation) -> Cochain:
         pair: v for pair, v in zip(pair_list(semi.dim), semi.table) if any(v)})
 
 
-@dataclass(frozen=True)
-class MaurerCartanReport:
-    twist_compatible: bool
-    square_zero: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.twist_compatible and self.square_zero
+class MaurerCartanReport(Report):
+    twist_compatible = holds("theta_twist")
+    square_zero = holds("theta_square")
 
 
 def check_maurer_cartan(rep: Representation) -> MaurerCartanReport:
@@ -164,16 +159,18 @@ def check_maurer_cartan(rep: Representation) -> MaurerCartanReport:
 
     The input only provides raw tables; neither the hom-Lie axioms nor
     the representation axioms are assumed, since holding is exactly what
-    this check decides.
+    this check decides.  The failures are the basis pairs (x, y) with
+    theta(sigma x, sigma y) != sigma theta(x, y), sigma = alpha + beta,
+    then the value of [theta, theta] at each triple where it is nonzero.
     """
     twist = rep.semidirect.alpha
     theta = build_theta(rep)
-    compatible = is_twist_compatible(theta, twist, twist)
+    failures = [Failure("theta_twist", *defect)
+                for defect in twist_defects(theta, twist, twist)]
     square = nr_bracket(theta, theta, twist)
-    return MaurerCartanReport(
-        twist_compatible=compatible,
-        square_zero=square.is_zero(),
-    )
+    failures += [Failure("theta_square", indices, value, vzero(twist.nrows))
+                 for indices, value in sorted(square.values.items())]
+    return MaurerCartanReport(tuple(failures))
 
 
 def horizontal_lift(p: Cochain, algebra_dim: int) -> Cochain:

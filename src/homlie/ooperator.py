@@ -56,16 +56,13 @@ from .linalg import (
     vsub,
     vzero,
 )
-from .reporting import Failure, holds, matrix_failures
+from .reporting import Failure, Report, holds, matrix_failures
 from .structures import HomLieAlgebra, Representation, adjoint_rep, pair_list
 
 
-@dataclass(frozen=True)
-class OOperatorReport:
-    failures: tuple
+class OOperatorReport(Report):
     intertwines = holds("twist_intertwine")
     quadratic = holds("o_operator_identity")
-    ok = holds()
 
 
 def coefficient_terms(rep: Representation, t: Matrix) -> tuple:
@@ -122,12 +119,9 @@ def is_o_operator(g: HomLieAlgebra, rep: Representation, t: Matrix) -> OOperator
     return OOperatorReport(tuple(failures))
 
 
-@dataclass(frozen=True)
-class RotaBaxterReport:
-    failures: tuple
+class RotaBaxterReport(Report):
     commutes_with_twist = holds("twist_commute")
     identity = holds("rota_baxter_identity")
-    ok = holds()
 
 
 def is_rota_baxter(g: HomLieAlgebra, r: Matrix, s: int = 0,
@@ -156,12 +150,9 @@ def is_rota_baxter(g: HomLieAlgebra, r: Matrix, s: int = 0,
     return RotaBaxterReport(tuple(failures))
 
 
-@dataclass(frozen=True)
-class GraphReport:
-    failures: tuple
+class GraphReport(Report):
     bracket_closed = holds("graph_bracket_closed")
     twist_closed = holds("graph_twist_closed")
-    ok = holds()
 
 
 def graph_check(g: HomLieAlgebra, rep: Representation, t: Matrix
@@ -197,12 +188,9 @@ def build_nt(t: Matrix) -> Matrix:
     return Matrix(tuple(rows), ncols=n + m)
 
 
-@dataclass(frozen=True)
-class NijenhuisReport:
-    failures: tuple
+class NijenhuisReport(Report):
     commutes_with_twist = holds("twist_commute")
     identity = holds("nijenhuis_identity")
-    ok = holds()
 
 
 def nijenhuis_operator_check(h: HomLieAlgebra, n: Matrix) -> NijenhuisReport:
@@ -227,26 +215,25 @@ def nijenhuis_operator_check(h: HomLieAlgebra, n: Matrix) -> NijenhuisReport:
     return NijenhuisReport(tuple(failures))
 
 
-@dataclass(frozen=True)
-class MaurerCartanOperatorReport:
-    twist_compatible: bool
-    derived_square_zero: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.twist_compatible and self.derived_square_zero
+class MaurerCartanOperatorReport(Report):
+    twist_compatible = holds("twist_intertwine")
+    derived_square_zero = holds("derived_square")
 
 
 def o_operator_maurer_cartan_check(g: HomLieAlgebra, rep: Representation,
                                    t: Matrix) -> MaurerCartanOperatorReport:
-    """T as a Maurer-Cartan element: twist-compatible and {{T, T}} = 0."""
-    compatible = (t @ rep.beta) == (g.alpha @ t)
+    """T as a Maurer-Cartan element: twist-compatible and {{T, T}} = 0.
+
+    The failures are the columns on which T beta and alpha T differ,
+    then the value of {{T, T}} at each pair where it is nonzero."""
+    lhs, rhs = t @ rep.beta, g.alpha @ t
+    failures = [] if lhs == rhs else matrix_failures(
+        "twist_intertwine", (), lhs, rhs)
     one = Cochain.from_linear_map(t)
     square = derived_bracket(rep, one, one)
-    return MaurerCartanOperatorReport(
-        twist_compatible=compatible,
-        derived_square_zero=square.is_zero(),
-    )
+    failures += [Failure("derived_square", pair, value, vzero(g.dim))
+                 for pair, value in sorted(square.values.items())]
+    return MaurerCartanOperatorReport(tuple(failures))
 
 
 def _require_o_operator(g, rep, t, unchecked: bool) -> None:
@@ -280,12 +267,9 @@ class HomPreLie:
         return bilinear(u, v, self.structure_constants, self.dim)
 
 
-@dataclass(frozen=True)
-class HomPreLieReport:
-    failures: tuple
+class HomPreLieReport(Report):
     twist_multiplicative = holds("twist_multiplicative")
     left_symmetry = holds("left_symmetry")
-    ok = holds()
 
 
 def verify_hom_pre_lie(p: HomPreLie) -> HomPreLieReport:
@@ -362,13 +346,11 @@ def rho_t(g: HomLieAlgebra, rep: Representation, t: Matrix,
 
 
 @dataclass(frozen=True)
-class ConditionResult:
+class ConditionResult(Report):
     """One homomorphism condition at one polynomial degree."""
 
     condition: str
     degree: int
-    failures: tuple
-    holds = holds()
 
 
 def _coeff(terms: list, k: int, shape: tuple) -> Matrix:
@@ -404,8 +386,8 @@ def o_operator_hom_conditions(g: HomLieAlgebra, rep: Representation,
                 from_terms, k - i, op_shape)
             rhs = rhs + _coeff(to_terms, i, op_shape) @ _coeff(
                 phi_v_terms, k - i, v_shape)
-        results.append(ConditionResult("operator_intertwine", k, tuple(
-            matrix_failures("operator_intertwine", (k,), lhs, rhs))))
+        results.append(ConditionResult(tuple(matrix_failures(
+            "operator_intertwine", (k,), lhs, rhs)), "operator_intertwine", k))
     for k in range(up_to + 1):
         failures = []
         phi_k = _coeff(phi_g_terms, k, g_shape)
@@ -419,8 +401,8 @@ def o_operator_hom_conditions(g: HomLieAlgebra, rep: Representation,
             if lhs != rhs:
                 failures.append(Failure("bracket_homomorphism", (k, i, j),
                                         lhs, rhs))
-        results.append(ConditionResult("bracket_homomorphism", k,
-                                       tuple(failures)))
+        results.append(ConditionResult(tuple(failures),
+                                       "bracket_homomorphism", k))
     for k in range(up_to + 1):
         failures = []
         phi_v_k = _coeff(phi_v_terms, k, v_shape)
@@ -433,8 +415,8 @@ def o_operator_hom_conditions(g: HomLieAlgebra, rep: Representation,
             rhs = phi_v_k @ rep.rho[j]
             failures.extend(matrix_failures("action_equivariance", (k, j),
                                             lhs, rhs))
-        results.append(ConditionResult("action_equivariance", k,
-                                       tuple(failures)))
+        results.append(ConditionResult(tuple(failures),
+                                       "action_equivariance", k))
     for k in range(up_to + 1):
         failures = []
         phi_k = _coeff(phi_g_terms, k, g_shape)
@@ -444,19 +426,15 @@ def o_operator_hom_conditions(g: HomLieAlgebra, rep: Representation,
         failures.extend(matrix_failures("twist_commute_module", (k,),
                                         phi_v_k @ rep.beta,
                                         rep.beta @ phi_v_k))
-        results.append(ConditionResult("twist_commute", k,
-                                       tuple(failures)))
+        results.append(ConditionResult(tuple(failures), "twist_commute", k))
     return tuple(results)
 
 
-@dataclass(frozen=True)
-class OperatorHomReport:
-    failures: tuple
+class OperatorHomReport(Report):
     algebra_morphism = holds("twist_commute_algebra", "bracket_homomorphism")
     operator_intertwine = holds("operator_intertwine")
     module_twist = holds("twist_commute_module")
     action_equivariant = holds("action_equivariance")
-    ok = holds()
 
 
 def o_operator_hom_check(g: HomLieAlgebra, rep: Representation,

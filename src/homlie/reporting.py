@@ -7,9 +7,13 @@ breaks, and the two evaluated sides (coordinate tuples, exact rationals).
 Its text renders every coordinate as a Fraction, whether it is held as
 an int or a Fraction.
 
-A report stores its failures and the data that is not a verdict, never
-a verdict itself: each verdict is holds(...) of its laws, read off the
-failure list, so the two cannot disagree.
+Every law report subclasses Report, which holds the failure list and
+the verdict ok = holds().  A report stores its failures and the data
+that is not a verdict, never a verdict itself: each verdict is
+holds(...) of its laws, read off the failure list, so the two cannot
+disagree.  A report with no other data is a plain subclass, with no
+dataclass decorator of its own; one that carries data is a frozen
+dataclass whose fields follow failures.
 """
 
 from __future__ import annotations
@@ -43,6 +47,14 @@ def holds(*laws: str) -> property:
     named laws; with no names, when there is no failure at all."""
     return property(lambda report: not any(
         not laws or f.law in laws for f in report.failures))
+
+
+@dataclass(frozen=True)
+class Report:
+    """The failures of a law check, and its verdict: no failure at all."""
+
+    failures: tuple
+    ok = holds()
 
 
 def matrix_failures(law: str, index: tuple, lhs, rhs) -> list:

@@ -89,7 +89,7 @@ from .ooperator import (
     o_operator_hom_check,
     subadjacent,
 )
-from .reporting import Failure, holds
+from .reporting import Failure, Report, holds
 from .structures import HomLieAlgebra, Representation, coadjoint_rep, pair_list
 
 
@@ -293,14 +293,15 @@ def _require_rmatrix_context(g: HomLieAlgebra, r: Matrix) -> None:
 
 
 @dataclass(frozen=True)
-class RMatrixReport:
+class RMatrixReport(Report):
     cybe_zero: bool
     operator_report: OOperatorReport
     wedge_square: tuple
-    failures: tuple
     # The representation the operator route was decided on.
     coadjoint: Representation = field(repr=False, compare=False)
-    wedge_square_zero = verdict = ok = holds("wedge_square")
+    # The failures are the nonzero wedge-square coefficients alone, so
+    # ok is this verdict too.
+    wedge_square_zero = verdict = holds("wedge_square")
 
     @property
     def routes_agree(self) -> bool:
@@ -349,15 +350,13 @@ def induced_dual_bracket(g: HomLieAlgebra, r: Matrix,
 
 
 @dataclass(frozen=True)
-class WeakHomReport:
+class WeakHomReport(Report):
     operator_hom: OperatorHomReport
-    failures: tuple
     phi_bracket_homomorphism = holds("phi_bracket")
     phi_twist_commute = holds("phi_twist_commute")
     psi_twist_commute = holds("psi_twist_commute")
     tensor_condition = holds("tensor_condition")
     bracket_condition = holds("intertwine_bracket")
-    ok = holds()
 
     @property
     def operator_hom_agrees(self) -> bool:

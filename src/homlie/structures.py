@@ -54,7 +54,7 @@ from .linalg import (
     vneg,
     vzero,
 )
-from .reporting import Failure, holds
+from .reporting import Failure, Report, holds
 
 
 @lru_cache(maxsize=32)
@@ -169,12 +169,10 @@ class HomLieAlgebra:
 
 
 @dataclass(frozen=True)
-class HomLieReport:
-    failures: tuple
+class HomLieReport(Report):
     regular: bool
     multiplicative = holds("multiplicativity")
     hom_jacobi = holds("hom_jacobi")
-    ok = holds()
 
 
 def verify_hom_lie(g: HomLieAlgebra) -> HomLieReport:
@@ -294,12 +292,9 @@ class Representation:
         return bilinear(x, v, self.structure_constants, self.dim)
 
 
-@dataclass(frozen=True)
-class RepresentationReport:
-    failures: tuple
+class RepresentationReport(Report):
     twist_intertwine = holds("twist_intertwine")
     module_equation = holds("module_equation")
-    ok = holds()
 
 
 def verify_representation(rep: Representation) -> RepresentationReport:

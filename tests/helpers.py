@@ -890,11 +890,12 @@ def oracle_obstruction(g, rep, d):
 def oracle_extend_order(g, rep, d):
     """(next coefficient or None, dim_image, obstructed) of one extension
     step, with the system assembled from derived brackets."""
-    from homlie.cochain import compatible_subspace_basis
+    from homlie.cochain import compatible_maps_basis
     from homlie.ooperator import rho_t
 
     theta = oracle_obstruction(g, rep, d)
-    basis = compatible_subspace_basis(rho_t(g, rep, d.base), 1)
+    rep_t = rho_t(g, rep, d.base)
+    basis = compatible_maps_basis(rep_t.algebra.alpha, rep_t.beta, 1)
     t_cochain = Cochain.from_linear_map(d.base)
     flat_len = len(dense_flat(theta))
     columns = [dense_flat(oracle_derived_bracket(rep, t_cochain, b))

@@ -22,7 +22,6 @@ from homlie.cochain import (
     Cochain,
     coboundary,
     compatible_maps_basis,
-    compatible_subspace_basis,
 )
 from homlie.deformation import (
     TruncatedDeformation,
@@ -373,7 +372,7 @@ def _extension_case(name):
 def _cocycles(g, rep, t):
     """A basis of the twist-compatible 1-cocycles of the complex of T."""
     rep_t = rho_t(g, rep, t)
-    basis = compatible_subspace_basis(rep_t, 1)
+    basis = compatible_maps_basis(rep_t.algebra.alpha, rep_t.beta, 1)
     flats = [dense_flat(coboundary(rep_t, b)) for b in basis]
     cocycles = []
     for kvec in kernel_basis(Matrix.from_columns(flats)):

@@ -684,6 +684,27 @@ def test_cli_rota_baxter_huge_degree_is_fast(tmp_path, capsys):
     assert payload["data"]["degree"] == 1000000
 
 
+def test_cli_rota_baxter_failure_past_the_digit_limit_exits_2():
+    """At degree 10^5 the twisted line's failures hold integers past
+    int()'s digit limit; rendering them is part of the guarded call, so
+    the verb ends with exit 2 and an error line, not a traceback."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
+    argv = ["check-rota-baxter",
+            os.path.join(GOLDEN_INPUTS, "aff1_twisted.algebra.json"),
+            os.path.join(GOLDEN_INPUTS, "identity2.matrix.json"),
+            "--degree", "100000"]
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "homlie", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=120, check=False)
+    assert time.perf_counter() - start < 2
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("error: Exceeds the limit (")
+    assert "Traceback" not in done.stderr
+
+
 def test_cli_check_nijenhuis_operator(tmp_path, capsys):
     alg_path = write(tmp_path, "aff1.json", AFF1)
     n_path = write(tmp_path, "n.json", {"matrix": [[1, 2], [3, 4]]})

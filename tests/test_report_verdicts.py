@@ -8,17 +8,26 @@ property must equal "no failure with one of its laws", ok must equal
 "no failure at all", and every named law must fail somewhere in the
 corpus as the only named law of its report that fails, so a misspelt or
 swapped law name cannot pass unnoticed.
+
+Every class of the package with a failures field is a
+reporting.Report, and the Maurer-Cartan route's failures are the
+nonzero values of {{T, T}} itself.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
 import itertools
 import os
 import random
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import homlie
+from homlie.cochain import Cochain
 from homlie.deformation import (
     FormalDeformationReport,
     LinearDeformationReport,
@@ -28,6 +37,11 @@ from homlie.deformation import (
     linear_deformation_check,
     nijenhuis_element_check,
     trivial_deformation_from_nijenhuis,
+)
+from homlie.graded import (
+    MaurerCartanReport,
+    check_maurer_cartan,
+    derived_bracket,
 )
 from homlie.io import (
     load_algebra,
@@ -43,6 +57,7 @@ from homlie.ooperator import (
     GraphReport,
     HomPreLie,
     HomPreLieReport,
+    MaurerCartanOperatorReport,
     NijenhuisReport,
     OOperatorReport,
     OperatorHomReport,
@@ -54,8 +69,10 @@ from homlie.ooperator import (
     is_rota_baxter,
     nijenhuis_operator_check,
     o_operator_hom_check,
+    o_operator_maurer_cartan_check,
     verify_hom_pre_lie,
 )
+from homlie.reporting import Failure, Report
 from homlie.rmatrix import (
     RMatrixReport,
     WeakHomReport,
@@ -78,6 +95,7 @@ from homlie.structures import (
 )
 
 from helpers import rand_matrix, rand_scalar, rand_vector
+from test_assembly import scalars, twisted_algebras
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "inputs")
 
@@ -106,6 +124,14 @@ VERDICT_LAWS = {
         "commutes_with_twist": ("twist_commute",),
         "identity": ("nijenhuis_identity",),
     },
+    MaurerCartanOperatorReport: {
+        "twist_compatible": ("twist_intertwine",),
+        "derived_square_zero": ("derived_square",),
+    },
+    MaurerCartanReport: {
+        "twist_compatible": ("theta_twist",),
+        "square_zero": ("theta_square",),
+    },
     HomPreLieReport: {
         "twist_multiplicative": ("twist_multiplicative",),
         "left_symmetry": ("left_symmetry",),
@@ -132,7 +158,7 @@ VERDICT_LAWS = {
         "generator_bracket": ("generator_bracket",),
     },
     FormalDeformationReport: {"twist_compatible": ("twist_intertwine",)},
-    ConditionResult: {"holds": ()},
+    ConditionResult: {},
     RMatrixReport: {
         "wedge_square_zero": ("wedge_square",),
         "verdict": ("wedge_square",),
@@ -154,7 +180,8 @@ def _golden(name: str) -> str:
 def _operator_reports(g, rep, t) -> list:
     semi = semidirect_product(rep)
     return [is_o_operator(g, rep, t), graph_check(g, rep, t),
-            nijenhuis_operator_check(semi, build_nt(t))]
+            nijenhuis_operator_check(semi, build_nt(t)),
+            o_operator_maurer_cartan_check(g, rep, t)]
 
 
 def _algebras() -> list:
@@ -218,8 +245,9 @@ def _structure_reports(rng) -> list:
                 _random_algebra(rng, n, _pick(rng, kind, n, n))))
             beta = _pick(rng, kind, 2, 2)
             for acting in (1, n):
-                reports.append(verify_representation(
-                    _random_rep(rng, g, beta, acting)))
+                rep = _random_rep(rng, g, beta, acting)
+                reports += [verify_representation(rep),
+                            check_maurer_cartan(rep)]
         for kind in ("zero", "random"):
             reports.append(is_rota_baxter(g, _pick(rng, kind, n, n),
                                           s=rng.choice((0, 1)),
@@ -368,6 +396,62 @@ def test_every_verdict_is_read_off_the_failures(cls):
         for name, laws in VERDICT_LAWS[cls].items():
             assert getattr(report, name) == _no_failure_of(report, laws), (
                 cls.__name__, name, report.failures)
-        verdict = "holds" if cls is ConditionResult else "ok"
-        assert getattr(report, verdict) == (not report.failures)
+        assert report.ok == (not report.failures)
     assert named <= alone, (cls.__name__, sorted(named - alone))
+
+
+def _package_classes() -> list:
+    """The classes defined in the homlie modules imported so far."""
+    modules = [m for m in vars(homlie).values() if inspect.ismodule(m)]
+    return [cls for module in modules for cls in vars(module).values()
+            if inspect.isclass(cls) and cls.__module__ == module.__name__]
+
+
+def _has_failures_field(cls) -> bool:
+    if dataclasses.is_dataclass(cls):
+        return any(f.name == "failures" for f in dataclasses.fields(cls))
+    return "failures" in inspect.get_annotations(cls)
+
+
+UNDECORATED = [c for c in _package_classes()
+               if issubclass(c, Report) and "__dataclass_fields__" not in vars(c)]
+
+
+def test_every_class_with_failures_is_a_report():
+    """Eleven of them are plain subclasses, with no decorator of their
+    own."""
+    with_failures = [c for c in _package_classes() if _has_failures_field(c)]
+    assert set(VERDICT_LAWS) <= set(with_failures)
+    for cls in with_failures:
+        assert issubclass(cls, Report), cls.__name__
+    assert len(UNDECORATED) == 11
+
+
+@pytest.mark.parametrize("cls", UNDECORATED, ids=lambda c: c.__name__)
+def test_an_undecorated_report_is_frozen(cls):
+    report = cls(())
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.failures = (Failure("law", ()),)
+    assert report.failures == () and report.ok
+
+
+@settings(max_examples=60, deadline=None)
+@given(twisted_algebras(max_dim=4), st.data())
+def test_derived_square_failures_are_the_values_of_the_derived_bracket(
+        g, data):
+    """The derived_square failures of the Maurer-Cartan route are
+    {{T, T}} at each pair where it is nonzero, and the route's verdict
+    is is_o_operator's, on the adjoint and (when g is regular) the
+    coadjoint representation."""
+    reps = [adjoint_rep(g, 0)]
+    if g.is_regular:
+        reps.append(coadjoint_rep(g))
+    rep = data.draw(st.sampled_from(reps))
+    t = Matrix(tuple(tuple(data.draw(scalars) for _ in range(rep.dim))
+                     for _ in range(g.dim)), ncols=rep.dim)
+    report = o_operator_maurer_cartan_check(g, rep, t)
+    one = Cochain.from_linear_map(t)
+    assert {f.indices: f.lhs for f in report.failures
+            if f.law == "derived_square"} == \
+        derived_bracket(rep, one, one).values
+    assert report.ok == is_o_operator(g, rep, t).ok
