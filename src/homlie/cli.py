@@ -234,6 +234,8 @@ def _cmd_nijenhuis_element(args):
     g = rep.algebra
     t = load_operator(args.operator)
     x = load_vector(args.element)
+    if len(x) != g.dim:
+        raise SchemaError(f"{args.element}.vector: expected {g.dim} entries")
     element = nijenhuis_element_check(g, rep, t, x)
     data = {
         "element": _report_fields(
@@ -250,14 +252,11 @@ def _cmd_nijenhuis_element(args):
         result.linear_report, ("cocycle", "generator_twist_compatible",
                                "generator_quadratic"))
     data["certificate"] = [
-        {"condition": c.condition, "degree": c.degree, "holds": c.ok}
-        for c in result.certificate
+        {"condition": name, "degree": k, "holds": holds}
+        for name, k, holds in result.certificate.conditions()
     ]
-    data["certificate_holds"] = result.certificate_holds
-    failures = list(element.failures) + list(result.linear_report.failures)
-    for c in result.certificate:
-        failures.extend(c.failures)
-    return result.ok, data, tuple(failures)
+    data["certificate_holds"] = result.certificate.ok
+    return result.ok, data, result.failures
 
 
 def _cmd_deform_check(args):

@@ -44,6 +44,9 @@ certified by the degree-wise O-operator homomorphism conditions of
 ooperator.o_operator_hom_conditions for
 (id + t ad_x^dag, id + t rho(x)^dag) from T_t to T, where
 ad_x^dag(y) = alpha^{-1}([x, y]) and rho(x)^dag(v) = beta^{-1}(rho(x)(v)).
+That certificate is one OperatorHomReport, and the result is a Report
+whose failures are the element's, the linear deformation's and the
+certificate's, in that order, so its verdict is that all three hold.
 
 Everything here requires a regular algebra and an invertible module
 twist; non-regular input raises ValueError up front.
@@ -71,6 +74,7 @@ from .linalg import (
     vzero,
 )
 from .ooperator import (
+    OperatorHomReport,
     coefficient_terms,
     identity_sides,
     is_o_operator,
@@ -217,20 +221,13 @@ def _dagger_pair(g: HomLieAlgebra, rep: Representation, x: Vector) -> tuple:
 
 
 @dataclass(frozen=True)
-class TrivialDeformationResult:
+class TrivialDeformationResult(Report):
+    """The failures of the element, then of the linear deformation it
+    generates, then of the certificate."""
+
     generator: Matrix
-    element_report: NijenhuisElementReport
     linear_report: LinearDeformationReport
-    certificate: tuple
-
-    @property
-    def certificate_holds(self) -> bool:
-        return all(c.ok for c in self.certificate)
-
-    @property
-    def ok(self) -> bool:
-        return (self.element_report.ok and self.linear_report.valid
-                and self.certificate_holds)
+    certificate: OperatorHomReport
 
 
 def trivial_deformation_from_nijenhuis(g: HomLieAlgebra, rep: Representation,
@@ -244,9 +241,11 @@ def trivial_deformation_from_nijenhuis(g: HomLieAlgebra, rep: Representation,
     The certificate checks, for degrees 0..2 of the affine pair
     (id + t ad_x^dag, id + t rho(x)^dag), all four homomorphism
     conditions from T + t delta_T(x) to T; every product of two affine
-    factors has degree at most 2, so order 2 is exhaustive.  element is
-    nijenhuis_element_check(g, rep, t, x), from a caller that has run it;
-    that check certifies T, which is then not checked again.
+    factors has degree at most 2, so order 2 is exhaustive.  The
+    result's failures are the element's, then the linear deformation's,
+    then the certificate's.  element is nijenhuis_element_check(g, rep,
+    t, x), from a caller that has run it; that check certifies T, which
+    is then not checked again.
     """
     if element is None:
         element = nijenhuis_element_check(g, rep, t, x)
@@ -264,8 +263,8 @@ def trivial_deformation_from_nijenhuis(g: HomLieAlgebra, rep: Representation,
         up_to=2,
     )
     return TrivialDeformationResult(
+        failures=element.failures + linear.failures + certificate.failures,
         generator=generator,
-        element_report=element,
         linear_report=linear,
         certificate=certificate,
     )
@@ -273,8 +272,16 @@ def trivial_deformation_from_nijenhuis(g: HomLieAlgebra, rep: Representation,
 
 @dataclass(frozen=True)
 class FormalDeformationReport(Report):
-    per_order: tuple
+    order: int
     twist_compatible = holds("twist_intertwine")
+
+    @property
+    def per_order(self) -> tuple:
+        """(k, whether the deformed identity holds at order k) for each
+        k = 0..order, read off the deformation_equation failures."""
+        failing = {f.indices[0] for f in self.failures
+                   if f.law == "deformation_equation"}
+        return tuple((k, k not in failing) for k in range(self.order + 1))
 
     @property
     def first_failing_order(self):
@@ -335,13 +342,10 @@ def formal_deformation_check(g: HomLieAlgebra, rep: Representation,
                                     ti @ rep.beta, g.alpha @ ti)
     if _terms is None:
         _terms = [coefficient_terms(rep, t) for t in coeffs]
-    per_order, pairs = [], pair_list(rep.dim)
+    pairs = pair_list(rep.dim)
     for k in range(d.order + 1):
-        found = _order_failures(pairs, k, _defects(g, _terms, k))
-        failures.extend(found)
-        per_order.append((k, not found))
-    return FormalDeformationReport(per_order=tuple(per_order),
-                                   failures=tuple(failures))
+        failures += _order_failures(pairs, k, _defects(g, _terms, k))
+    return FormalDeformationReport(tuple(failures), d.order)
 
 
 @dataclass(frozen=True)
@@ -484,14 +488,14 @@ def extend_order(g: HomLieAlgebra, rep: Representation,
     return next(extension_steps(g, rep, d, d.order + 1))
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
-    conditions: tuple
-    infinitesimal_relation: bool
+class EquivalenceReport(OperatorHomReport):
+    """The failures of the homomorphism conditions of the pair, then an
+    infinitesimal_relation failure at each column on which d1_1 - d2_1
+    differs from delta_T(x).  Once the degree-1 twist conditions hold,
+    that relation is the degree-1 operator_intertwine condition, so it
+    never fails alone and ok is the verdict of the conditions."""
 
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.conditions)
+    infinitesimal_relation = holds("infinitesimal_relation")
 
 
 def equivalence_check(g: HomLieAlgebra, rep: Representation,
@@ -503,7 +507,7 @@ def equivalence_check(g: HomLieAlgebra, rep: Representation,
 
     The pair starts with id + t ad_x^dag on g and id + t rho(x)^dag on V;
     entries of phi_g_terms and phi_v_terms continue the series from
-    degree 2.  Also reports whether the infinitesimals differ by the
+    degree 2.  Also checks that the infinitesimals differ by the
     coboundary of x, which equivalent deformations must satisfy.
     """
     _require_regular(g, rep)
@@ -517,7 +521,7 @@ def equivalence_check(g: HomLieAlgebra, rep: Representation,
         up_to = max(d1.order, d2.order, 1 + len(phi_g_terms),
                     1 + len(phi_v_terms)) + 1
     ad_dag, rho_dag = _dagger_pair(g, rep, x)
-    conditions = o_operator_hom_conditions(
+    hom = o_operator_hom_conditions(
         g, rep,
         from_terms=d1.coefficients(),
         to_terms=d2.coefficients(),
@@ -527,6 +531,6 @@ def equivalence_check(g: HomLieAlgebra, rep: Representation,
     )
     delta_x = zero_coboundary(rho_t(g, rep, d1.base, unchecked=True),
                               x).as_matrix()
-    relation = (d1.coefficient(1) - d2.coefficient(1)) == delta_x
-    return EquivalenceReport(conditions=conditions,
-                             infinitesimal_relation=relation)
+    relation = matrix_failures("infinitesimal_relation", (),
+                               d1.coefficient(1) - d2.coefficient(1), delta_x)
+    return EquivalenceReport(hom.failures + tuple(relation), up_to)

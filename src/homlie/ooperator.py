@@ -345,24 +345,44 @@ def rho_t(g: HomLieAlgebra, rep: Representation, t: Matrix,
                                     for c in columns))
 
 
+def _coeff(terms: list, k: int) -> Matrix:
+    """terms[k], or zero of the shape of terms[0] past the end."""
+    return terms[k] if k < len(terms) else Matrix.zero(*terms[0].shape)
+
+
+# The homomorphism conditions in certificate order, each with its laws.
+HOM_CONDITIONS = (
+    ("operator_intertwine", ("operator_intertwine",)),
+    ("bracket_homomorphism", ("bracket_homomorphism",)),
+    ("action_equivariance", ("action_equivariance",)),
+    ("twist_commute", ("twist_commute_algebra", "twist_commute_module")),
+)
+
+
 @dataclass(frozen=True)
-class ConditionResult(Report):
-    """One homomorphism condition at one polynomial degree."""
+class OperatorHomReport(Report):
+    """The failures of the homomorphism conditions at degrees 0..up_to,
+    condition after condition, each failure's degree first."""
 
-    condition: str
-    degree: int
+    up_to: int = 0
+    algebra_morphism = holds("twist_commute_algebra", "bracket_homomorphism")
+    operator_intertwine = holds("operator_intertwine")
+    module_twist = holds("twist_commute_module")
+    action_equivariant = holds("action_equivariance")
 
-
-def _coeff(terms: list, k: int, shape: tuple) -> Matrix:
-    if 0 <= k < len(terms):
-        return terms[k]
-    return Matrix.zero(*shape)
+    def conditions(self) -> list:
+        """The (condition, degree, holds) rows of the certificate: each
+        condition of HOM_CONDITIONS at each degree, in that order."""
+        return [(name, k, not any(f.law in laws and f.indices[0] == k
+                                  for f in self.failures))
+                for name, laws in HOM_CONDITIONS
+                for k in range(self.up_to + 1)]
 
 
 def o_operator_hom_conditions(g: HomLieAlgebra, rep: Representation,
                               from_terms: list, to_terms: list,
                               phi_g_terms: list, phi_v_terms: list,
-                              up_to: int) -> tuple:
+                              up_to: int) -> OperatorHomReport:
     """Degree-wise conditions for (phi_g_t, phi_v_t) to be an O-operator
     homomorphism from the first polynomial family to the second:
 
@@ -374,67 +394,41 @@ def o_operator_hom_conditions(g: HomLieAlgebra, rep: Representation,
     for each degree k = 0, ..., up_to; a failure's indices start with k.
     Coefficients past the end of a list are zero.
     """
-    results = []
-    op_shape = from_terms[0].shape
-    g_shape = (g.dim, g.dim)
-    v_shape = (rep.dim, rep.dim)
+    failures = []
     for k in range(up_to + 1):
-        lhs = Matrix.zero(*op_shape)
-        rhs = Matrix.zero(*op_shape)
+        lhs = rhs = Matrix.zero(*from_terms[0].shape)
         for i in range(k + 1):
-            lhs = lhs + _coeff(phi_g_terms, i, g_shape) @ _coeff(
-                from_terms, k - i, op_shape)
-            rhs = rhs + _coeff(to_terms, i, op_shape) @ _coeff(
-                phi_v_terms, k - i, v_shape)
-        results.append(ConditionResult(tuple(matrix_failures(
-            "operator_intertwine", (k,), lhs, rhs)), "operator_intertwine", k))
+            lhs = lhs + _coeff(phi_g_terms, i) @ _coeff(from_terms, k - i)
+            rhs = rhs + _coeff(to_terms, i) @ _coeff(phi_v_terms, k - i)
+        failures += matrix_failures("operator_intertwine", (k,), lhs, rhs)
     for k in range(up_to + 1):
-        failures = []
-        phi_k = _coeff(phi_g_terms, k, g_shape)
+        phi_k = _coeff(phi_g_terms, k)
         for (i, j) in pair_list(g.dim):
             lhs = phi_k.apply(g.bracket_basis(i, j))
             rhs = vzero(g.dim)
             for a in range(k + 1):
                 rhs = vadd(rhs, g.bracket(
-                    _coeff(phi_g_terms, a, g_shape).column(i),
-                    _coeff(phi_g_terms, k - a, g_shape).column(j)))
+                    _coeff(phi_g_terms, a).column(i),
+                    _coeff(phi_g_terms, k - a).column(j)))
             if lhs != rhs:
                 failures.append(Failure("bracket_homomorphism", (k, i, j),
                                         lhs, rhs))
-        results.append(ConditionResult(tuple(failures),
-                                       "bracket_homomorphism", k))
     for k in range(up_to + 1):
-        failures = []
-        phi_v_k = _coeff(phi_v_terms, k, v_shape)
+        phi_v_k = _coeff(phi_v_terms, k)
         for j in range(g.dim):
-            lhs = Matrix.zero(*v_shape)
+            lhs = Matrix.zero(rep.dim, rep.dim)
             for a in range(k + 1):
-                lhs = lhs + rep.rho_of(
-                    _coeff(phi_g_terms, a, g_shape).column(j)
-                ) @ _coeff(phi_v_terms, k - a, v_shape)
-            rhs = phi_v_k @ rep.rho[j]
-            failures.extend(matrix_failures("action_equivariance", (k, j),
-                                            lhs, rhs))
-        results.append(ConditionResult(tuple(failures),
-                                       "action_equivariance", k))
+                lhs = lhs + rep.rho_of(_coeff(phi_g_terms, a).column(j)
+                                       ) @ _coeff(phi_v_terms, k - a)
+            failures += matrix_failures("action_equivariance", (k, j), lhs,
+                                        phi_v_k @ rep.rho[j])
     for k in range(up_to + 1):
-        failures = []
-        phi_k = _coeff(phi_g_terms, k, g_shape)
-        phi_v_k = _coeff(phi_v_terms, k, v_shape)
-        failures.extend(matrix_failures("twist_commute_algebra", (k,),
-                                        phi_k @ g.alpha, g.alpha @ phi_k))
-        failures.extend(matrix_failures("twist_commute_module", (k,),
-                                        phi_v_k @ rep.beta,
-                                        rep.beta @ phi_v_k))
-        results.append(ConditionResult(tuple(failures), "twist_commute", k))
-    return tuple(results)
-
-
-class OperatorHomReport(Report):
-    algebra_morphism = holds("twist_commute_algebra", "bracket_homomorphism")
-    operator_intertwine = holds("operator_intertwine")
-    module_twist = holds("twist_commute_module")
-    action_equivariant = holds("action_equivariance")
+        phi_k, phi_v_k = _coeff(phi_g_terms, k), _coeff(phi_v_terms, k)
+        failures += matrix_failures("twist_commute_algebra", (k,),
+                                    phi_k @ g.alpha, g.alpha @ phi_k)
+        failures += matrix_failures("twist_commute_module", (k,),
+                                    phi_v_k @ rep.beta, rep.beta @ phi_v_k)
+    return OperatorHomReport(tuple(failures), up_to)
 
 
 def o_operator_hom_check(g: HomLieAlgebra, rep: Representation,
@@ -447,13 +441,11 @@ def o_operator_hom_check(g: HomLieAlgebra, rep: Representation,
         phi_v . beta = beta . phi_v,
         phi_v({x, v}) = {phi_g(x), phi_v(v)},
 
-    with phi_g a hom-Lie endomorphism of g.  This is the degree-0 case of
-    o_operator_hom_conditions, its failures flattened into one report.
+    with phi_g a hom-Lie endomorphism of g: the degree-0 case of
+    o_operator_hom_conditions.
     """
-    conditions = o_operator_hom_conditions(g, rep, [t_from], [t_to],
-                                           [phi_g], [phi_v], 0)
-    return OperatorHomReport(tuple(f for c in conditions
-                                   for f in c.failures))
+    return o_operator_hom_conditions(g, rep, [t_from], [t_to], [phi_g],
+                                     [phi_v], 0)
 
 
 def rb_induced_bracket(g: HomLieAlgebra, r: Matrix, s: int = 0) -> HomLieAlgebra:

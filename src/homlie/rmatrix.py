@@ -38,8 +38,14 @@ An r-matrix induces a bracket on the dual space,
 (alpha^{-1})^T.  It is the sub-adjacent algebra of the O-operator r#,
 and induced_dual_bracket computes it so, through the induced product of
 the ooperator module: the bracket has no formula of its own here.
-Weak homomorphisms of r-matrices and the transfer of linear and formal
-deformations along r -> r# are implemented as route-by-route checks.
+Weak homomorphisms of r-matrices are checked route by route.  A
+deformation r_t = r + sum t^k tau_k is checked as a deformation of r#
+on the coadjoint representation (a linear one for a single term, a
+truncated one otherwise) and by the coefficients of [r_t, r_t]_g order
+by order; in rmatrix_deformation_transfer the number of terms alone
+decides which operator check runs.  Its report holds the operator
+route's failures, then the wedge route's, so both verdicts and their
+agreement are read off one failure list.
 
 Invariant wedge vectors have no solver of their own: w in Lambda^k g is
 fixed by Lambda^k(alpha) exactly when the scalar map e_I -> w_I is
@@ -68,8 +74,6 @@ from math import lcm
 from .alternating import sort_with_sign, wedge_coords, wedge_extend
 from .cochain import compatible_maps_basis
 from .deformation import (
-    FormalDeformationReport,
-    LinearDeformationReport,
     TruncatedDeformation,
     formal_deformation_check,
     linear_deformation_check,
@@ -296,12 +300,16 @@ def _require_rmatrix_context(g: HomLieAlgebra, r: Matrix) -> None:
 class RMatrixReport(Report):
     cybe_zero: bool
     operator_report: OOperatorReport
-    wedge_square: tuple
     # The representation the operator route was decided on.
     coadjoint: Representation = field(repr=False, compare=False)
     # The failures are the nonzero wedge-square coefficients alone, so
     # ok is this verdict too.
     wedge_square_zero = verdict = holds("wedge_square")
+
+    @property
+    def wedge_square(self) -> tuple:
+        """The nonzero coefficients ((a, b, c), q) of [r, r]_g, sorted."""
+        return tuple((f.indices, f.lhs[0]) for f in self.failures)
 
     @property
     def routes_agree(self) -> bool:
@@ -325,7 +333,6 @@ def is_r_matrix(g: HomLieAlgebra, r: Matrix) -> RMatrixReport:
     return RMatrixReport(
         cybe_zero=cybe.is_zero,
         operator_report=is_o_operator(g, coadj, r),
-        wedge_square=tuple(sorted(square.items())),
         failures=tuple(failures),
         coadjoint=coadj,
     )
@@ -410,37 +417,31 @@ def weak_homomorphism_check(g: HomLieAlgebra, phi: Matrix, psi: Matrix,
     return WeakHomReport(operator_hom=operator_hom, failures=tuple(failures))
 
 
-@dataclass(frozen=True)
-class TransferReport:
-    mode: str
-    operator_valid: bool
-    wedge_per_order: tuple
-    operator_linear: LinearDeformationReport | None = None
-    operator_formal: FormalDeformationReport | None = None
+class TransferReport(Report):
+    """The failures of the operator route, then one wedge_order failure
+    (k, a, b, c) per nonzero coefficient of [r_t, r_t]_g at t^k."""
+
+    wedge_valid = holds("wedge_order")
 
     @property
-    def wedge_valid(self) -> bool:
-        return all(zero for _, zero in self.wedge_per_order)
+    def operator_valid(self) -> bool:
+        return all(f.law == "wedge_order" for f in self.failures)
 
     @property
     def routes_agree(self) -> bool:
         return self.operator_valid == self.wedge_valid
 
-    @property
-    def ok(self) -> bool:
-        return self.operator_valid and self.wedge_valid
-
 
 def rmatrix_deformation_transfer(g: HomLieAlgebra, r: Matrix,
-                                 terms, mode: str = "auto") -> TransferReport:
+                                 terms) -> TransferReport:
     """Check a deformation of r along both routes and compare.
 
     The operator route deforms r# over the coadjoint representation; the
-    wedge route checks the coefficients of [r_t, r_t]_g.  In linear mode
-    (a single generator tau) the full polynomial identity is required,
-    with coefficients at t^0, t^1, t^2; in truncated mode the orders run
-    up to the number of terms.  r must be an r-matrix and every term
-    an invariant skew matrix.
+    wedge route checks the coefficients of [r_t, r_t]_g.  A single term
+    tau is the linear deformation r + t tau, whose full polynomial
+    identity has coefficients at t^0, t^1, t^2; any other number of
+    terms is a truncated deformation, checked up to the number of terms.
+    r must be an r-matrix and every term an invariant skew matrix.
     """
     terms = list(terms)
     report = is_r_matrix(g, r)
@@ -452,36 +453,20 @@ def rmatrix_deformation_transfer(g: HomLieAlgebra, r: Matrix,
         require_skew(tau)
         if not is_invariant(g, tau):
             raise ValueError(f"deformation term {k + 1} is not invariant")
-    if mode == "auto":
-        mode = "linear" if len(terms) == 1 else "truncated"
-    if mode not in ("linear", "truncated"):
-        raise ValueError(f"unknown transfer mode {mode!r}")
-    linear = mode == "linear"
-    if linear and len(terms) != 1:
-        raise ValueError("linear mode needs exactly one generator")
-    coadj = report.coadjoint
-    operator_linear = operator_formal = None
-    if linear:
-        operator_linear = linear_deformation_check(g, coadj, r, terms[0])
-        operator_valid = operator_linear.valid
+    if len(terms) == 1:
+        top, operator = 2, linear_deformation_check(g, report.coadjoint, r,
+                                                    terms[0])
     else:
-        operator_formal = formal_deformation_check(
-            g, coadj, TruncatedDeformation.of(r, terms))
-        operator_valid = operator_formal.ok
+        top, operator = len(terms), formal_deformation_check(
+            g, report.coadjoint, TruncatedDeformation.of(r, terms))
+    failures = list(operator.failures)
     coeffs = [wedge_coeffs(t) for t in (r, *terms)]
-    top = 2 if linear else len(terms)
-    wedge_orders = []
     for k in range(top + 1):
         total = {}
         for i in range(max(0, k - len(terms)), min(k, len(terms)) + 1):
             part = graded_bracket_wedge(g, coeffs[i], 2, coeffs[k - i], 2)
             for key, q in part.items():
                 total[key] = total.get(key, 0) + q
-        wedge_orders.append((k, not any(q != 0 for q in total.values())))
-    return TransferReport(
-        mode=mode,
-        operator_valid=operator_valid,
-        wedge_per_order=tuple(wedge_orders),
-        operator_linear=operator_linear,
-        operator_formal=operator_formal,
-    )
+        failures += [Failure("wedge_order", (k, *key), (q,), (0,))
+                     for key, q in sorted(total.items()) if q != 0]
+    return TransferReport(tuple(failures))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import prod
@@ -19,10 +20,24 @@ from homlie.alternating import (
     wedge_coords,
 )
 from homlie.cochain import Cochain
+from homlie.deformation import (
+    FormalDeformationReport,
+    LinearDeformationReport,
+    TruncatedDeformation,
+    formal_deformation_check,
+    linear_deformation_check,
+)
 from homlie.graded import build_theta, horizontal_lift
 from homlie.io import SchemaError
 from homlie.ooperator import RotaBaxterReport
-from homlie.reporting import Failure, matrix_failures
+from homlie.reporting import Failure, Report, matrix_failures
+from homlie.rmatrix import (
+    graded_bracket_wedge,
+    is_invariant,
+    is_r_matrix,
+    require_skew,
+    wedge_coeffs,
+)
 from homlie.structures import (
     HomLieAlgebra,
     HomLieReport,
@@ -1231,3 +1246,153 @@ def oracle_coboundary_columns(rep, arity):
                     emit(base + t, col + t, sign * c)
     return [{row: c for row, c in column.items() if c != 0}
             for column in columns]
+
+
+@dataclass(frozen=True)
+class ConditionResult(Report):
+    """One homomorphism condition at one polynomial degree."""
+
+    condition: str
+    degree: int
+
+
+def _oracle_coeff(terms: list, k: int, shape: tuple) -> Matrix:
+    if 0 <= k < len(terms):
+        return terms[k]
+    return Matrix.zero(*shape)
+
+
+def oracle_hom_conditions(g, rep, from_terms, to_terms, phi_g_terms,
+                          phi_v_terms, up_to) -> tuple:
+    """The degree-wise O-operator homomorphism conditions as one
+    ConditionResult per condition and degree, in certificate order:
+    operator_intertwine, bracket_homomorphism, action_equivariance and
+    twist_commute (both twist laws), each at degrees 0..up_to."""
+    results = []
+    op_shape = from_terms[0].shape
+    g_shape = (g.dim, g.dim)
+    v_shape = (rep.dim, rep.dim)
+    for k in range(up_to + 1):
+        lhs = Matrix.zero(*op_shape)
+        rhs = Matrix.zero(*op_shape)
+        for i in range(k + 1):
+            lhs = lhs + _oracle_coeff(phi_g_terms, i, g_shape) @ _oracle_coeff(
+                from_terms, k - i, op_shape)
+            rhs = rhs + _oracle_coeff(to_terms, i, op_shape) @ _oracle_coeff(
+                phi_v_terms, k - i, v_shape)
+        results.append(ConditionResult(tuple(matrix_failures(
+            "operator_intertwine", (k,), lhs, rhs)), "operator_intertwine", k))
+    for k in range(up_to + 1):
+        failures = []
+        phi_k = _oracle_coeff(phi_g_terms, k, g_shape)
+        for (i, j) in pair_list(g.dim):
+            lhs = phi_k.apply(g.bracket_basis(i, j))
+            rhs = vzero(g.dim)
+            for a in range(k + 1):
+                rhs = vadd(rhs, g.bracket(
+                    _oracle_coeff(phi_g_terms, a, g_shape).column(i),
+                    _oracle_coeff(phi_g_terms, k - a, g_shape).column(j)))
+            if lhs != rhs:
+                failures.append(Failure("bracket_homomorphism", (k, i, j),
+                                        lhs, rhs))
+        results.append(ConditionResult(tuple(failures),
+                                       "bracket_homomorphism", k))
+    for k in range(up_to + 1):
+        failures = []
+        phi_v_k = _oracle_coeff(phi_v_terms, k, v_shape)
+        for j in range(g.dim):
+            lhs = Matrix.zero(*v_shape)
+            for a in range(k + 1):
+                lhs = lhs + rep.rho_of(
+                    _oracle_coeff(phi_g_terms, a, g_shape).column(j)
+                ) @ _oracle_coeff(phi_v_terms, k - a, v_shape)
+            rhs = phi_v_k @ rep.rho[j]
+            failures.extend(matrix_failures("action_equivariance", (k, j),
+                                            lhs, rhs))
+        results.append(ConditionResult(tuple(failures),
+                                       "action_equivariance", k))
+    for k in range(up_to + 1):
+        failures = []
+        phi_k = _oracle_coeff(phi_g_terms, k, g_shape)
+        phi_v_k = _oracle_coeff(phi_v_terms, k, v_shape)
+        failures.extend(matrix_failures("twist_commute_algebra", (k,),
+                                        phi_k @ g.alpha, g.alpha @ phi_k))
+        failures.extend(matrix_failures("twist_commute_module", (k,),
+                                        phi_v_k @ rep.beta,
+                                        rep.beta @ phi_v_k))
+        results.append(ConditionResult(tuple(failures), "twist_commute", k))
+    return tuple(results)
+
+
+@dataclass(frozen=True)
+class OracleTransferReport:
+    """Both routes of a deformation transfer, with stored verdicts."""
+
+    mode: str
+    operator_valid: bool
+    wedge_per_order: tuple
+    operator_linear: LinearDeformationReport | None = None
+    operator_formal: FormalDeformationReport | None = None
+
+    @property
+    def wedge_valid(self) -> bool:
+        return all(zero for _, zero in self.wedge_per_order)
+
+    @property
+    def routes_agree(self) -> bool:
+        return self.operator_valid == self.wedge_valid
+
+    @property
+    def ok(self) -> bool:
+        return self.operator_valid and self.wedge_valid
+
+
+def oracle_deformation_transfer(g, r, terms, mode: str = "auto"
+                                ) -> OracleTransferReport:
+    """A deformation of r checked along both routes, with a mode:
+    "linear" needs one generator and checks the full polynomial identity
+    at t^0, t^1, t^2; "truncated" checks the orders up to the number of
+    terms; "auto" is linear for one term and truncated otherwise."""
+    terms = list(terms)
+    report = is_r_matrix(g, r)
+    if not report.verdict:
+        raise ValueError("the base two-tensor is not an r-matrix")
+    for k, tau in enumerate(terms):
+        if tau.shape != (g.dim, g.dim):
+            raise ValueError("deformation term does not live on this algebra")
+        require_skew(tau)
+        if not is_invariant(g, tau):
+            raise ValueError(f"deformation term {k + 1} is not invariant")
+    if mode == "auto":
+        mode = "linear" if len(terms) == 1 else "truncated"
+    if mode not in ("linear", "truncated"):
+        raise ValueError(f"unknown transfer mode {mode!r}")
+    linear = mode == "linear"
+    if linear and len(terms) != 1:
+        raise ValueError("linear mode needs exactly one generator")
+    coadj = report.coadjoint
+    operator_linear = operator_formal = None
+    if linear:
+        operator_linear = linear_deformation_check(g, coadj, r, terms[0])
+        operator_valid = operator_linear.valid
+    else:
+        operator_formal = formal_deformation_check(
+            g, coadj, TruncatedDeformation.of(r, terms))
+        operator_valid = operator_formal.ok
+    coeffs = [wedge_coeffs(t) for t in (r, *terms)]
+    top = 2 if linear else len(terms)
+    wedge_orders = []
+    for k in range(top + 1):
+        total = {}
+        for i in range(max(0, k - len(terms)), min(k, len(terms)) + 1):
+            part = graded_bracket_wedge(g, coeffs[i], 2, coeffs[k - i], 2)
+            for key, q in part.items():
+                total[key] = total.get(key, 0) + q
+        wedge_orders.append((k, not any(q != 0 for q in total.values())))
+    return OracleTransferReport(
+        mode=mode,
+        operator_valid=operator_valid,
+        wedge_per_order=tuple(wedge_orders),
+        operator_linear=operator_linear,
+        operator_formal=operator_formal,
+    )

@@ -22,6 +22,7 @@ from homlie.cochain import (
     Cochain,
     coboundary,
     compatible_maps_basis,
+    zero_coboundary,
 )
 from homlie.deformation import (
     TruncatedDeformation,
@@ -55,6 +56,7 @@ from helpers import (
     kernel_basis,
     oracle_deformed_identity,
     oracle_extend_order,
+    oracle_hom_conditions,
     oracle_obstruction,
     rand_matrix,
     rand_scalar,
@@ -177,29 +179,36 @@ def test_trivial_deformation_certificate():
     """delta_T(e1) recovers the base operator itself, so the trivial
     deformation generated by e1 is T + t T with a full certificate."""
     g, rep, t = aff1_data()
-    result = trivial_deformation_from_nijenhuis(g, rep, t, basis_vector(2, 0))
+    x = basis_vector(2, 0)
+    result = trivial_deformation_from_nijenhuis(g, rep, t, x)
     assert result.generator == t
-    assert result.element_report.ok
+    assert nijenhuis_element_check(g, rep, t, x).ok
     assert result.linear_report.valid
-    assert result.certificate_holds
-    assert result.ok
-    conditions = {c.condition for c in result.certificate}
-    assert conditions == {"operator_intertwine", "bracket_homomorphism",
-                          "action_equivariance", "twist_commute"}
-    degrees = [c.degree for c in result.certificate]
-    assert set(degrees) == {0, 1, 2}
+    assert result.certificate.ok
+    assert result.ok and result.failures == ()
+    rows = result.certificate.conditions()
+    assert [(c, k) for c, k, _ in rows] == [
+        (c, k) for c in ("operator_intertwine", "bracket_homomorphism",
+                         "action_equivariance", "twist_commute")
+        for k in (0, 1, 2)]
+    assert all(holds for _, _, holds in rows)
 
 
 def test_trivial_deformation_failing_element():
     """e2 is not a Nijenhuis element; its coboundary [[-1,0],[0,1]] is a
     cocycle but not quadratic, so the result reports failure."""
     g, rep, t = aff1_data()
-    result = trivial_deformation_from_nijenhuis(g, rep, t, basis_vector(2, 1))
+    x = basis_vector(2, 1)
+    result = trivial_deformation_from_nijenhuis(g, rep, t, x)
+    element = nijenhuis_element_check(g, rep, t, x)
     assert result.generator == matrix([[-1, 0], [0, 1]])
-    assert not result.element_report.ok
+    assert not element.ok
     assert result.linear_report.cocycle
     assert not result.linear_report.generator_quadratic
     assert not result.ok
+    assert result.failures == (element.failures
+                               + result.linear_report.failures
+                               + result.certificate.failures)
 
 
 def test_infinitesimal_check():
@@ -319,6 +328,50 @@ def test_equivalence_frozen():
     assert report.infinitesimal_relation
     swapped = equivalence_check(g, rep, d2, d1, basis_vector(2, 0))
     assert not swapped.infinitesimal_relation
+
+
+def test_infinitesimal_relation_is_degree_one_intertwining():
+    """Once the degree-1 twist conditions hold, d1_1 - d2_1 = delta_T(x)
+    exactly when the degree-1 operator_intertwine condition holds.  So
+    the relation's failures never change ok: it is still the verdict of
+    the homomorphism conditions alone, whose failures come first."""
+    rng = random.Random(29)
+    heis = FIXTURES["heisenberg3"]
+    cases = [aff1_data(), twisted_data(),
+             (heis, adjoint_rep(heis, 0), matrix([[0, 0, 0], [0, 0, 0],
+                                                  [0, 0, 1]]))]
+    cases += [(g, rep, Matrix.zero(g.dim, rep.dim))
+              for g in (FIXTURES["sl2"], FIXTURES["heisenberg3_twisted"])
+              for rep in (adjoint_rep(g, 0), coadjoint_rep(g))]
+    relations = set()
+    for g, rep, t in cases:
+        fixed = [x for x in itertools.product((-1, 0, 1), repeat=g.dim)
+                 if g.alpha.apply(x) == x]
+        for _ in range(6):
+            x = rng.choice(fixed)
+            delta_x = zero_coboundary(rho_t(g, rep, t), x).as_matrix()
+            k2 = rand_matrix(rng, g.dim, rep.dim)
+            noise = rng.choice((Matrix.zero(g.dim, rep.dim),
+                                rand_matrix(rng, g.dim, rep.dim)))
+            d1 = TruncatedDeformation.of(t, [k2 + delta_x + noise])
+            d2 = TruncatedDeformation.of(t, [k2])
+            report = equivalence_check(g, rep, d1, d2, x)
+            rows = {(c, k): holds for c, k, holds in report.conditions()}
+            assert rows[("twist_commute", 1)]
+            assert report.infinitesimal_relation == \
+                rows[("operator_intertwine", 1)] == noise.is_zero()
+            ad_x = Matrix.from_columns([g.bracket(x, basis_vector(g.dim, j))
+                                        for j in range(g.dim)], nrows=g.dim)
+            oracle = oracle_hom_conditions(
+                g, rep, d1.coefficients(), d2.coefficients(),
+                [Matrix.identity(g.dim), g.alpha.inverse() @ ad_x],
+                [Matrix.identity(rep.dim),
+                 rep.beta.inverse() @ rep.rho_of(x)], report.up_to)
+            hom = tuple(f for c in oracle for f in c.failures)
+            assert report.failures[:len(hom)] == hom
+            assert report.ok == all(c.ok for c in oracle)
+            relations.add(report.infinitesimal_relation)
+    assert relations == {True, False}
 
 
 def test_equivalence_errors():

@@ -804,6 +804,22 @@ def test_cli_nijenhuis_element(tmp_path, capsys):
     assert payload["data"]["certificate_holds"] is None
 
 
+def test_cli_nijenhuis_element_refuses_a_wrong_length_element(tmp_path,
+                                                              capsys):
+    """An element with fewer or more entries than the algebra's dimension
+    is refused with the file and the expected length, exit 2, not with
+    the matrix layer's shape error."""
+    rep_path = write(tmp_path, "rep.json", AFF1_REP)
+    t_path = write(tmp_path, "t.json", T_DOC)
+    for name, entries in (("short", ["1"]), ("long", ["1", "0", "0"])):
+        x_path = write(tmp_path, f"{name}.json", {"vector": entries})
+        code, out, err = run(capsys, ["nijenhuis-element", rep_path, t_path,
+                                      x_path])
+        assert (code, out) == (2, ""), name
+        assert err == f"error: {x_path}.vector: expected 2 entries\n"
+        assert "Traceback" not in err
+
+
 def test_cli_deform_check(tmp_path, capsys):
     rep_path = write(tmp_path, "rep.json", AFF1_REP)
     d_path = write(tmp_path, "d.json",

@@ -26,6 +26,7 @@ from homlie.ooperator import (
     is_rota_baxter,
     nijenhuis_operator_check,
     o_operator_hom_check,
+    o_operator_hom_conditions,
     o_operator_maurer_cartan_check,
     rb_induced_bracket,
     rho_t,
@@ -42,11 +43,12 @@ from homlie.structures import (
 )
 
 from helpers import (
+    oracle_hom_conditions,
     oracle_rb_induced_bracket,
     oracle_rota_baxter,
     rand_matrix,
 )
-from test_assembly import twisted_algebras
+from test_assembly import complexes, scalars, twisted_algebras
 
 FIXTURES = catalog()
 
@@ -365,3 +367,39 @@ def test_hom_check_rejects_non_endomorphism():
     report = o_operator_hom_check(g, rep, swap, Matrix.identity(2), t, t)
     assert not report.algebra_morphism
     assert not report.ok
+
+
+def _series(data, nrows: int, ncols: int) -> list:
+    """One to three coefficients, each zero, the identity (when square)
+    or a matrix of drawn scalars."""
+    kinds = ["zero", "random"] + ["identity"] * (nrows == ncols)
+    terms = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        kind = data.draw(st.sampled_from(kinds))
+        if kind == "zero":
+            terms.append(Matrix.zero(nrows, ncols))
+        elif kind == "identity":
+            terms.append(Matrix.identity(nrows))
+        else:
+            terms.append(Matrix(tuple(
+                tuple(data.draw(scalars) for _ in range(ncols))
+                for _ in range(nrows)), ncols=ncols))
+    return terms
+
+
+@settings(max_examples=80, deadline=None)
+@given(complexes(max_dim=4), st.data())
+def test_hom_conditions_are_the_rows_of_one_failure_list(rep, data):
+    """The one OperatorHomReport of o_operator_hom_conditions gives the
+    (condition, degree, holds) rows of the per-condition oracle, in its
+    order, and its failures are the oracle's, concatenated in order."""
+    g = rep.algebra
+    up_to = data.draw(st.integers(0, 3))
+    args = (_series(data, g.dim, rep.dim), _series(data, g.dim, rep.dim),
+            _series(data, g.dim, g.dim), _series(data, rep.dim, rep.dim))
+    report = o_operator_hom_conditions(g, rep, *args, up_to)
+    oracle = oracle_hom_conditions(g, rep, *args, up_to)
+    assert report.up_to == up_to
+    assert report.conditions() == [(c.condition, c.degree, c.ok)
+                                   for c in oracle]
+    assert report.failures == tuple(f for c in oracle for f in c.failures)

@@ -29,10 +29,13 @@ from hypothesis import given, settings, strategies as st
 import homlie
 from homlie.cochain import Cochain
 from homlie.deformation import (
+    EquivalenceReport,
     FormalDeformationReport,
     LinearDeformationReport,
     NijenhuisElementReport,
+    TrivialDeformationResult,
     TruncatedDeformation,
+    equivalence_check,
     formal_deformation_check,
     linear_deformation_check,
     nijenhuis_element_check,
@@ -51,9 +54,8 @@ from homlie.io import (
     load_rmatrix,
     load_vector,
 )
-from homlie.linalg import Matrix, matrix
+from homlie.linalg import Matrix, basis_vector, matrix
 from homlie.ooperator import (
-    ConditionResult,
     GraphReport,
     HomPreLie,
     HomPreLieReport,
@@ -75,10 +77,14 @@ from homlie.ooperator import (
 from homlie.reporting import Failure, Report
 from homlie.rmatrix import (
     RMatrixReport,
+    TransferReport,
     WeakHomReport,
     invariant_two_tensor_basis,
     is_r_matrix,
+    rmatrix_deformation_transfer,
+    skew_matrix,
     weak_homomorphism_check,
+    wedge_coeffs,
 )
 from homlie.structures import (
     HomLieAlgebra,
@@ -94,7 +100,13 @@ from homlie.structures import (
     verify_representation,
 )
 
-from helpers import rand_matrix, rand_scalar, rand_vector
+from helpers import (
+    oracle_deformed_identity,
+    oracle_graded_bracket_wedge,
+    rand_matrix,
+    rand_scalar,
+    rand_vector,
+)
 from test_assembly import scalars, twisted_algebras
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "inputs")
@@ -158,7 +170,10 @@ VERDICT_LAWS = {
         "generator_bracket": ("generator_bracket",),
     },
     FormalDeformationReport: {"twist_compatible": ("twist_intertwine",)},
-    ConditionResult: {},
+    TrivialDeformationResult: {},
+    # The relation fails only alongside a homomorphism condition, so the
+    # inherited verdicts are pinned on OperatorHomReport alone.
+    EquivalenceReport: {"infinitesimal_relation": ("infinitesimal_relation",)},
     RMatrixReport: {
         "wedge_square_zero": ("wedge_square",),
         "verdict": ("wedge_square",),
@@ -170,6 +185,9 @@ VERDICT_LAWS = {
         "tensor_condition": ("tensor_condition",),
         "bracket_condition": ("intertwine_bracket",),
     },
+    # The routes agree, so a wedge_order failure never comes alone and
+    # operator_valid is pinned against the oracle in test_rmatrix.
+    TransferReport: {"wedge_valid": ("wedge_order",)},
 }
 
 
@@ -325,9 +343,11 @@ def _deformation_reports(rng) -> list:
         for x in ((0,) * n, rand_vector(rng, n)):
             if g.alpha.apply(x) != x:
                 continue
-            trivial = trivial_deformation_from_nijenhuis(g, rep, t, x)
-            reports += [trivial.element_report, trivial.linear_report,
-                        *trivial.certificate]
+            element = nijenhuis_element_check(g, rep, t, x)
+            trivial = trivial_deformation_from_nijenhuis(g, rep, t, x,
+                                                         element)
+            reports += [element, trivial, trivial.linear_report,
+                        trivial.certificate]
     return reports
 
 
@@ -370,12 +390,28 @@ def _golden_reports() -> list:
     return reports
 
 
+def _transfer_reports() -> list:
+    """The equivalence of T + t T with T on aff1 by e1, both ways, and
+    r-matrix transfers that pass (aff1) and fail at order one (sl2)."""
+    g, t = catalog()["aff1"], matrix([[0, 1], [0, 0]])
+    rep, e1 = adjoint_rep(g, 0), basis_vector(2, 0)
+    d1, d2 = TruncatedDeformation.of(t, [t]), TruncatedDeformation.of(t)
+    r, sl2 = skew_matrix(2, {(0, 1): 1}), catalog()["sl2"]
+    he, hf = (skew_matrix(3, {pair: 1}) for pair in ((0, 1), (0, 2)))
+    return [equivalence_check(g, rep, d1, d2, e1),
+            equivalence_check(g, rep, d2, d1, e1),
+            rmatrix_deformation_transfer(g, r, [r]),
+            rmatrix_deformation_transfer(g, r, [r, r]),
+            rmatrix_deformation_transfer(sl2, he, [hf]),
+            rmatrix_deformation_transfer(sl2, he, [hf, hf])]
+
+
 @lru_cache(maxsize=None)
 def corpus() -> tuple:
     rng = random.Random(8)
     return tuple(_structure_reports(rng) + _operator_route_reports(rng)
                  + _rmatrix_reports(rng) + _deformation_reports(rng)
-                 + _golden_reports())
+                 + _golden_reports() + _transfer_reports())
 
 
 def _no_failure_of(report, laws) -> bool:
@@ -418,13 +454,13 @@ UNDECORATED = [c for c in _package_classes()
 
 
 def test_every_class_with_failures_is_a_report():
-    """Eleven of them are plain subclasses, with no decorator of their
+    """Twelve of them are plain subclasses, with no decorator of their
     own."""
     with_failures = [c for c in _package_classes() if _has_failures_field(c)]
     assert set(VERDICT_LAWS) <= set(with_failures)
     for cls in with_failures:
         assert issubclass(cls, Report), cls.__name__
-    assert len(UNDECORATED) == 11
+    assert len(UNDECORATED) == 12
 
 
 @pytest.mark.parametrize("cls", UNDECORATED, ids=lambda c: c.__name__)
@@ -455,3 +491,46 @@ def test_derived_square_failures_are_the_values_of_the_derived_bracket(
             if f.law == "derived_square"} == \
         derived_bracket(rep, one, one).values
     assert report.ok == is_o_operator(g, rep, t).ok
+
+
+def _stored_per_order(g, rep, d) -> tuple:
+    """What FormalDeformationReport stored as per_order: whether the
+    deformed identity holds on every pair at each order 0..d.order."""
+    coeffs = d.coefficients()
+    return tuple((k, all(lhs == rhs for lhs, rhs in (
+        oracle_deformed_identity(g, rep, coeffs, k, a, b)
+        for a, b in pair_list(rep.dim))))
+        for k in range(d.order + 1))
+
+
+def test_derived_data_is_what_the_reports_stored():
+    """per_order and first_failing_order, read off the failures, are the
+    orders at which the dense identity holds; wedge_square, read off the
+    failures, is the sorted nonzero [r, r]_g of the dense bracket."""
+    rng = random.Random(29)
+    algebras = _algebras()
+    for g, t in [(algebras[1], matrix([[0, 1], [0, 0]])),
+                 (algebras[3], load_operator(_golden("sl2.T.json"))),
+                 (algebras[-1], Matrix.zero(2, 2))]:
+        rep, n = adjoint_rep(g), g.dim
+        for order in range(1, 4):
+            scaled = [t.scale(rand_scalar(rng)) for _ in range(order - 1)]
+            for last in (t.scale(rand_scalar(rng)), rand_matrix(rng, n, n)):
+                d = TruncatedDeformation.of(t, [*scaled, last])
+                report = formal_deformation_check(g, rep, d)
+                stored = _stored_per_order(g, rep, d)
+                assert report.per_order == stored
+                assert report.first_failing_order == next(
+                    (k for k, held in stored if not held), None)
+    bad = load_deformation(_golden("aff1.bad.json"))
+    aff1 = load_rep(_golden("aff1.adjoint.rep.json"))
+    assert formal_deformation_check(aff1.algebra, aff1, bad).per_order == \
+        _stored_per_order(aff1.algebra, aff1, bad)
+    for g in algebras:
+        if not g.is_regular:
+            continue
+        for _ in range(4):
+            r = _random_invariant(rng, g)
+            d = wedge_coeffs(r)
+            assert is_r_matrix(g, r).wedge_square == tuple(sorted(
+                oracle_graded_bracket_wedge(g, d, 2, d, 2).items()))

@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 from homlie.io import SchemaError, rmatrix_from_dict
 from homlie.linalg import Matrix, matrix
 from homlie.ooperator import rho_t
+from homlie.reporting import Failure
 from homlie.rmatrix import (
     cybe_sum,
     graded_bracket_wedge,
@@ -42,6 +43,7 @@ from homlie.structures import (
 
 from helpers import (
     count_calls,
+    oracle_deformation_transfer,
     oracle_dual_bracket,
     oracle_invariant_wedge_basis,
     rand_invertible,
@@ -252,15 +254,29 @@ def test_weak_homomorphism_condition_breakdown():
     assert identity.ok and identity.operator_hom_agrees
 
 
+def _wedge_orders(report) -> set:
+    return {f.indices[0] for f in report.failures if f.law == "wedge_order"}
+
+
 def test_transfer_linear_mode():
+    """One term is the linear deformation r + t tau: the full identity
+    to t^2 is checked, so tau = e^f on sl2 deformed from r = 0 passes
+    order one and fails order two, [tau, tau] = 2 h^e^f, on the
+    generator's own O-operator identity."""
     g = FIXTURES["aff1"]
     r = wedge(2, 0, 1)
     report = rmatrix_deformation_transfer(g, r, [r.scale(Q(3))])
-    assert report.mode == "linear"
     assert report.ok and report.routes_agree
-    assert report.wedge_per_order == ((0, True), (1, True), (2, True))
-    assert report.operator_linear is not None
-    assert report.operator_linear.valid
+    assert report.operator_valid and report.wedge_valid
+    assert report.failures == ()
+    square = rmatrix_deformation_transfer(
+        FIXTURES["sl2"], Matrix.zero(3, 3), [wedge(3, 1, 2)])
+    assert not square.ok and square.routes_agree
+    assert square.failures[-1] == Failure("wedge_order", (2, 0, 1, 2),
+                                          (Q(2),), (0,))
+    assert _wedge_orders(square) == {2}
+    assert {f.law for f in square.failures} == {"generator_o_operator",
+                                               "wedge_order"}
 
 
 def test_transfer_linear_blocked_direction():
@@ -271,24 +287,28 @@ def test_transfer_linear_blocked_direction():
                                           [wedge(3, 0, 2)])
     assert not report.ok
     assert report.routes_agree
-    assert report.wedge_per_order[0] == (0, True)
-    assert report.wedge_per_order[1] == (1, False)
-    assert not report.operator_linear.valid
+    assert 0 not in _wedge_orders(report)
+    assert Failure("wedge_order", (1, 0, 1, 2), (Q(-8),), (0,)) \
+        in report.failures
+    assert not report.operator_valid
+    assert {f.law for f in report.failures} == {"deformation_cocycle",
+                                               "wedge_order"}
 
 
 def test_transfer_truncated_mode():
+    """Two terms are a truncated deformation, checked order by order up
+    to two by the formal check."""
     g = FIXTURES["aff1"]
     r = wedge(2, 0, 1)
-    report = rmatrix_deformation_transfer(g, r, [r, r], mode="truncated")
-    assert report.mode == "truncated"
+    report = rmatrix_deformation_transfer(g, r, [r, r])
     assert report.ok and report.routes_agree
-    assert report.operator_formal is not None
-    assert report.operator_formal.ok
-    assert all(zero for _, zero in report.wedge_per_order)
+    assert report.operator_valid and report.wedge_valid
     failing = rmatrix_deformation_transfer(
-        FIXTURES["sl2"], wedge(3, 0, 1), [wedge(3, 0, 2)],
-        mode="truncated")
+        FIXTURES["sl2"], wedge(3, 0, 1), [wedge(3, 0, 2), Matrix.zero(3, 3)])
     assert not failing.ok and failing.routes_agree
+    assert _wedge_orders(failing) == {1}
+    assert {f.law for f in failing.failures} == {"deformation_equation",
+                                                "wedge_order"}
 
 
 def test_transfer_builds_the_coadjoint_rep_once(monkeypatch):
@@ -312,14 +332,42 @@ def test_transfer_errors():
                                      [wedge(2, 0, 1)])
     aff1 = FIXTURES["aff1"]
     r = wedge(2, 0, 1)
-    with pytest.raises(ValueError):
-        rmatrix_deformation_transfer(aff1, r, [r, r], mode="linear")
-    with pytest.raises(ValueError):
-        rmatrix_deformation_transfer(aff1, r, [r], mode="bogus")
+    with pytest.raises(TypeError):
+        rmatrix_deformation_transfer(aff1, r, [r], mode="linear")
     with pytest.raises(ValueError):
         rmatrix_deformation_transfer(aff1, r, [wedge(3, 0, 1)])
     with pytest.raises(ValueError, match="not skew-symmetric"):
         rmatrix_deformation_transfer(aff1, r, [Matrix.identity(2)])
+
+
+@pytest.mark.parametrize("name", ["aff1", "sl2", "heisenberg3",
+                                  "heisenberg3_twisted"])
+def test_transfer_matches_the_moded_oracle(name):
+    """On invariant wedges with one, two or three terms, the verdicts of
+    the one failure list are those of the oracle's auto mode, and the
+    wedge_order failures sit exactly at the orders the oracle fails."""
+    g = FIXTURES[name]
+    basis = invariant_two_tensor_basis(g)
+    rng = random.Random(name)
+    combos = [sum((b.scale(rng.choice((-1, 0, 1, Q(1, 2)))) for b in basis),
+                  Matrix.zero(g.dim, g.dim)) for _ in range(24)]
+    bases = [r for r in [Matrix.zero(g.dim, g.dim), *basis, *combos]
+             if is_r_matrix(g, r).verdict]
+    verdicts = set()
+    for _ in range(18):
+        r = rng.choice(bases)
+        terms = [rng.choice(combos + basis) for _ in range(rng.randint(1, 3))]
+        report = rmatrix_deformation_transfer(g, r, terms)
+        oracle = oracle_deformation_transfer(g, r, terms)
+        assert (report.ok, report.operator_valid, report.wedge_valid,
+                report.routes_agree) == (oracle.ok, oracle.operator_valid,
+                                         oracle.wedge_valid,
+                                         oracle.routes_agree)
+        assert _wedge_orders(report) == {
+            k for k, zero in oracle.wedge_per_order if not zero}
+        verdicts.add(report.ok)
+    # Lambda^2 of aff1 is one line of r-matrices, so nothing fails there.
+    assert verdicts == ({True} if name == "aff1" else {True, False})
 
 
 def test_r_matrix_grid_route_agreement():
